@@ -12,6 +12,9 @@
 //!   ([`SearchOptions::no_cone`]), compared by governor node count on
 //!   byte-identical verdicts. The ratio is `cone_node_reduction`.
 //!
+//! Every search runs on the sequential pool, so the node counts do not
+//! depend on the host's core count.
+//!
 //! Timings print criterion-style; the measured numbers land in
 //! `BENCH_provenance.json` at the repository root (consumed by
 //! EXPERIMENTS.md E22 and gated by `bench_check`).
@@ -21,10 +24,10 @@ use std::time::Instant;
 
 use criterion::black_box;
 
-use cwf_core::{search_min_scenario, SearchOptions};
+use cwf_core::{search_min_scenario_pooled, SearchOptions};
 use cwf_engine::{Bindings, Event, Run};
 use cwf_lang::parse_workflow;
-use cwf_model::{Governor, RelId, Value};
+use cwf_model::{Governor, Pool, RelId, Value};
 
 const WARMUP: usize = 2;
 const ITERS: usize = 30;
@@ -141,9 +144,12 @@ fn main() {
             }
         }
     }) / BATCH as f64;
+    let search = |opts: &SearchOptions, gov: &Governor| {
+        search_min_scenario_pooled(&run, p, opts, gov, &Pool::sequential())
+    };
     let search_opts = SearchOptions::default();
     let search_s = time_passes(|| {
-        search_min_scenario(&run, p, &search_opts, &Governor::unlimited())
+        search(&search_opts, &Governor::unlimited())
             .found()
             .expect("a scenario exists")
             .clone()
@@ -156,9 +162,9 @@ fn main() {
         ..Default::default()
     };
     let pruned_gov = Governor::unlimited();
-    let pruned = search_min_scenario(&run, p, &search_opts, &pruned_gov);
+    let pruned = search(&search_opts, &pruned_gov);
     let unpruned_gov = Governor::unlimited();
-    let unpruned = search_min_scenario(&run, p, &unpruned_opts, &unpruned_gov);
+    let unpruned = search(&unpruned_opts, &unpruned_gov);
     assert_eq!(
         pruned, unpruned,
         "cone-pruned and unpruned searches must agree"

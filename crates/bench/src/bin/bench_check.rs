@@ -25,10 +25,12 @@
 //!   witness-reconstructing scenario search, and the cone-pruning node
 //!   reduction on byte-identical minimum-scenario verdicts.
 //!
-//! A fresh ratio more than 25% below its baseline is a regression: the
-//! check prints every comparison, restores the baseline files (the bench
-//! binaries overwrite them in place), and exits non-zero if any ratio
-//! regressed.
+//! A fresh ratio more than 25% below its baseline is a regression. Some
+//! metrics are deterministic counts instead — the search node counts of
+//! `BENCH_provenance.json`, taken on the sequential pool — and those carry a
+//! ceiling: any fresh count above its baseline is a regression. The check
+//! prints every comparison, restores the baseline files (the bench binaries
+//! overwrite them in place), and exits non-zero if anything regressed.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
@@ -63,11 +65,30 @@ struct Check {
     label: String,
     baseline: f64,
     fresh: f64,
+    /// A deterministic count that must not exceed its baseline, rather than
+    /// a ratio that must stay above the floor.
+    ceiling: bool,
 }
 
 impl Check {
     fn regressed(&self) -> bool {
-        self.fresh < self.baseline * FLOOR
+        if self.ceiling {
+            self.fresh > self.baseline
+        } else {
+            self.fresh < self.baseline * FLOOR
+        }
+    }
+}
+
+/// The deterministic counts of one bench file that carry a ceiling:
+/// `(label, key)` pairs.
+fn ceilings(experiment: &str) -> Vec<(String, String)> {
+    match experiment {
+        "BENCH_provenance.json" => vec![
+            ("cone search nodes (ceiling)".into(), "cone_nodes".into()),
+            ("no-cone search nodes (ceiling)".into(), "full_nodes".into()),
+        ],
+        _ => Vec::new(),
     }
 }
 
@@ -187,12 +208,21 @@ fn main() -> ExitCode {
     let mut broken = false;
     for (file, _, path, baseline) in &baselines {
         let fresh = std::fs::read_to_string(path).unwrap_or_default();
-        for (label, num, den) in ratios(file) {
+        let gates = ratios(file)
+            .into_iter()
+            .map(|(label, num, den)| (label, num, den, false))
+            .chain(
+                ceilings(file)
+                    .into_iter()
+                    .map(|(label, key)| (label, key, None, true)),
+            );
+        for (label, num, den, ceiling) in gates {
             match (extract(baseline, &num, &den), extract(&fresh, &num, &den)) {
                 (Some(b), Some(f)) => checks.push(Check {
                     label: format!("{file}: {label}"),
                     baseline: b,
                     fresh: f,
+                    ceiling,
                 }),
                 _ => {
                     eprintln!("bench_check: cannot extract {label} from {file}");
@@ -223,13 +253,15 @@ fn main() -> ExitCode {
     }
     if regressed || broken {
         eprintln!(
-            "bench_check: FAILED (a normalized ratio fell more than {:.0}% below baseline)",
+            "bench_check: FAILED (a normalized ratio fell more than {:.0}% below baseline, \
+             or a count rose above its ceiling)",
             (1.0 - FLOOR) * 100.0
         );
         ExitCode::FAILURE
     } else {
         println!(
-            "bench_check: all normalized ratios within {:.0}% of baseline",
+            "bench_check: all normalized ratios within {:.0}% of baseline, all counts \
+             at or below their ceilings",
             (1.0 - FLOOR) * 100.0
         );
         ExitCode::SUCCESS

@@ -5,8 +5,11 @@
 //! branch-and-bound search over subsequences. The search walks the run left
 //! to right deciding include/exclude per event, maintaining the replayed
 //! subrun state, and prunes branches that (a) fail to replay, (b) produce a
-//! visible step at `p` that does not match the next expected observation, or
-//! (c) cannot beat the current bound.
+//! visible step at `p` that does not match the next expected observation,
+//! (c) have passed the last position that can still produce the next
+//! observation, or (d) cannot beat the current bound. In optimize mode the
+//! bound starts at the length of the minimal faithful scenario (Thm 4.7), a
+//! polynomial upper bound on the minimum.
 //!
 //! Every entry point is **governed**: it threads a [`Governor`] (node budget,
 //! wall-clock deadline, cancellation) and reports a [`Verdict`]. When the
@@ -22,6 +25,7 @@
 use cwf_engine::{EventView, Run, RunView, ScratchRun};
 use cwf_model::{Bound, FirstHit, Governor, PeerId, Pool, Reason, SharedMin, Verdict};
 
+use crate::index::RunIndex;
 use crate::set::EventSet;
 
 /// Runs shorter than this stay on the sequential path even under a
@@ -52,19 +56,92 @@ pub struct SearchOptions {
     pub no_cone: bool,
 }
 
-/// The position set the branch-and-bound actually searches: the caller's
-/// `allowed` set intersected with the peer's provenance cone (optimize mode,
-/// pruning on), or the caller's set verbatim (decision mode, or `no_cone`).
-/// The original `opts` still drive greedy seeding and cutoff verdicts.
-fn cone_restriction(run: &Run, peer: PeerId, opts: &SearchOptions) -> Option<EventSet> {
-    if opts.no_cone || opts.first_found {
-        return opts.allowed.clone();
+/// What every search context of one query shares, computed once per query.
+struct Plan {
+    /// The position set the branch-and-bound actually searches: the
+    /// caller's `allowed` set intersected with the peer's provenance cone
+    /// (optimize mode, pruning on), or the caller's set verbatim (decision
+    /// mode, or `no_cone`). The original `opts` still drive cutoff verdicts.
+    allowed: Option<EventSet>,
+    /// The length bound the search starts from (see [`initial_bound`]).
+    max_len: usize,
+    /// `reach[k]`: one past the latest position at which observation `k` can
+    /// still be produced, in time for every later observation; a node at
+    /// position `reach[k]` or beyond that has matched only `k` observations
+    /// has no completion. `reach[steps] = run.len() + 1` never cuts.
+    reach: Vec<usize>,
+}
+
+impl Plan {
+    fn new(run: &Run, peer: PeerId, target: &RunView, opts: &SearchOptions) -> Self {
+        let allowed = if opts.no_cone || opts.first_found {
+            opts.allowed.clone()
+        } else {
+            let cone = crate::cone::peer_cone(run, peer);
+            Some(match &opts.allowed {
+                Some(allowed) => cone.intersection(allowed),
+                None => cone,
+            })
+        };
+        let reach = observation_reach(run, peer, target, &allowed);
+        Plan {
+            max_len: initial_bound(run, peer, opts),
+            allowed,
+            reach,
+        }
     }
-    let cone = crate::cone::peer_cone(run, peer);
-    Some(match &opts.allowed {
-        Some(allowed) => cone.intersection(allowed),
-        None => cone,
-    })
+}
+
+/// The length bound every search context of a query starts from: the
+/// caller's `max_len`, tightened in optimize mode to the length of the
+/// minimal faithful set (Thm 4.7). That set is a scenario (Lemma 4.6), so no
+/// minimum is longer; and since the bound admits equal lengths, the
+/// DFS-first minimum survives as if the seed were a witness found after
+/// every subproblem. Under an `allowed` restriction the seed counts only
+/// when the faithful set lies inside it. Decision mode keeps the caller's
+/// cap: its contract is the DFS-first scenario under `max_len`, which a
+/// tighter cap would re-filter.
+fn initial_bound(run: &Run, peer: PeerId, opts: &SearchOptions) -> usize {
+    let cap = opts.max_len.unwrap_or(run.len());
+    if opts.first_found {
+        return cap;
+    }
+    let faithful = crate::tp::minimal_faithful_set(run, &RunIndex::build(run), peer);
+    if opts
+        .allowed
+        .as_ref()
+        .is_some_and(|a| !faithful.is_subset(a))
+    {
+        return cap;
+    }
+    cap.min(faithful.len())
+}
+
+/// The [`Plan::reach`] table, from the last observation back: an own step
+/// needs the identical event at an allowed position, a world step any
+/// allowed position holding another peer's event, and each must come
+/// before the position of the next step's latest match.
+fn observation_reach(
+    run: &Run,
+    peer: PeerId,
+    target: &RunView,
+    allowed: &Option<EventSet>,
+) -> Vec<usize> {
+    let mut reach = vec![run.len() + 1; target.steps.len() + 1];
+    let mut before = run.len();
+    for (k, step) in target.steps.iter().enumerate().rev() {
+        let latest = (0..before).rev().find(|&i| {
+            let event = run.event(i);
+            allowed.as_ref().is_none_or(|a| a.contains(i))
+                && match &step.event {
+                    EventView::Own(e) => event.peer == peer && e == event,
+                    EventView::World => event.peer != peer,
+                }
+        });
+        reach[k] = latest.map_or(0, |i| i + 1);
+        before = latest.unwrap_or(0);
+    }
+    reach
 }
 
 /// Searches for a minimum scenario of `run` at `peer` subject to `opts`,
@@ -122,11 +199,11 @@ pub fn search_min_scenario_pooled(
             return cutoff_verdict(run, peer, opts, None, reason);
         }
         let target = run.view(peer);
-        let restrict = cone_restriction(run, peer, opts);
+        let plan = Plan::new(run, peer, &target, opts);
         if pool.is_sequential() || run.len() < PAR_MIN_EVENTS {
-            return search_sequential(run, peer, opts, &restrict, gov, &target);
+            return search_sequential(run, peer, opts, &plan, gov, &target);
         }
-        search_parallel(run, peer, opts, &restrict, gov, &target, pool)
+        search_parallel(run, peer, opts, &plan, gov, &target, pool)
     })
 }
 
@@ -135,11 +212,11 @@ fn search_sequential(
     run: &Run,
     peer: PeerId,
     opts: &SearchOptions,
-    restrict: &Option<EventSet>,
+    plan: &Plan,
     gov: &Governor,
     target: &RunView,
 ) -> Verdict<Option<EventSet>> {
-    let mut ctx = Ctx::sequential(run, peer, target, opts, restrict, gov);
+    let mut ctx = Ctx::sequential(run, peer, target, opts, plan, gov);
     ctx.arena.push(ScratchRun::restart_of(run));
     let mut chosen = Vec::new();
     ctx.dfs(0, 0, 0, &mut chosen);
@@ -176,16 +253,12 @@ fn pack(len: usize, index: usize) -> u64 {
     ((len as u64) << 32) | index as u64
 }
 
-/// Sentinel subproblem index for the greedy seed: lexicographically after
-/// every real subproblem, so equal-length witnesses stay alive everywhere.
-const SEED_INDEX: usize = u32::MAX as usize;
-
 #[allow(clippy::too_many_arguments)]
 fn search_parallel(
     run: &Run,
     peer: PeerId,
     opts: &SearchOptions,
-    restrict: &Option<EventSet>,
+    plan: &Plan,
     gov: &Governor,
     target: &RunView,
     pool: &Pool,
@@ -193,7 +266,7 @@ fn search_parallel(
     // Phase 1: expand the same exclude-first decision tree sequentially
     // down to the spawn depth, collecting the live branches in DFS order.
     let depth = spawn_depth(pool.threads(), run.len());
-    let mut expander = Ctx::sequential(run, peer, target, opts, restrict, gov);
+    let mut expander = Ctx::sequential(run, peer, target, opts, plan, gov);
     expander.spawn_depth = depth;
     expander.arena.push(ScratchRun::restart_of(run));
     let mut chosen = Vec::new();
@@ -210,28 +283,14 @@ fn search_parallel(
     }
 
     // Phase 2: workers solve the subproblems under the shared incumbent.
-    // On the unrestricted optimization problem the incumbent is seeded with
-    // the greedy 1-minimal length (polynomial): free pruning for every
-    // worker before the first real witness lands, and candidates longer
-    // than a valid scenario can never win the merge, so the answer is
-    // unchanged. Under an `allowed` restriction the greedy witness is not
-    // a candidate (the restricted minimum may be longer), and in decision
-    // mode the contract is "DFS-first scenario under max_len", which a
-    // length seed would re-filter — no seed in either case.
-    let seed = if opts.allowed.is_none() && !opts.first_found {
-        pack(
-            crate::minimal::one_minimal_scenario(run, peer).len(),
-            SEED_INDEX,
-        )
-    } else {
-        u64::MAX
-    };
+    // Every worker starts from the plan's bound, which in optimize mode is
+    // already the faithful-set length (see `initial_bound`).
     let shared = ParShared {
-        best: SharedMin::new(seed),
+        best: SharedMin::new(u64::MAX),
         first_hit: FirstHit::new(),
     };
     let outs = pool.run(prefixes, |idx, p: Prefix| {
-        let mut ctx = Ctx::sequential(run, peer, target, opts, restrict, gov);
+        let mut ctx = Ctx::sequential(run, peer, target, opts, plan, gov);
         ctx.shared = Some(&shared);
         ctx.my_index = idx;
         ctx.arena.push(p.sub);
@@ -369,8 +428,7 @@ struct Ctx<'a> {
     run: &'a Run,
     peer: PeerId,
     target: &'a RunView,
-    allowed: Option<EventSet>,
-    max_len: usize,
+    plan: &'a Plan,
     first_found: bool,
     gov: &'a Governor,
     best: Option<EventSet>,
@@ -385,9 +443,10 @@ struct Ctx<'a> {
     /// This worker's subproblem index (DFS order of its prefix).
     my_index: usize,
     /// Per-depth arena of replay states: slot `d` holds the state of the
-    /// current branch after `d` inclusions. Include branches overwrite slot
-    /// `d + 1` via `clone_from` instead of allocating a fresh state, so
-    /// sibling branches at the same depth reuse the same buffers.
+    /// current branch after `d` inclusions. Include branches apply their
+    /// event to slot `d` and overwrite slot `d + 1` only on success
+    /// ([`ScratchRun::try_push_into`]), so sibling branches at the same
+    /// depth reuse the same buffers.
     arena: Vec<ScratchRun>,
 }
 
@@ -397,15 +456,14 @@ impl<'a> Ctx<'a> {
         peer: PeerId,
         target: &'a RunView,
         opts: &SearchOptions,
-        restrict: &Option<EventSet>,
+        plan: &'a Plan,
         gov: &'a Governor,
     ) -> Self {
         Ctx {
             run,
             peer,
             target,
-            allowed: restrict.clone(),
-            max_len: opts.max_len.unwrap_or(run.len()),
+            plan,
             first_found: opts.first_found,
             gov,
             best: None,
@@ -428,8 +486,8 @@ impl<'a> Ctx<'a> {
     /// exactly the sequential tie-break.
     fn bound(&self) -> usize {
         let mut b = match &self.best {
-            Some(s) => s.len().saturating_sub(1).min(self.max_len),
-            None => self.max_len,
+            Some(s) => s.len().saturating_sub(1).min(self.plan.max_len),
+            None => self.plan.max_len,
         };
         if let Some(shared) = self.shared {
             let g = shared.best.get();
@@ -476,6 +534,11 @@ impl<'a> Ctx<'a> {
         if self.done() || self.stopped.is_some() {
             return;
         }
+        // The next observation can no longer be produced: a dead node,
+        // cut before it is frozen or charged.
+        if i >= self.plan.reach[matched] {
+            return;
+        }
         // Expansion phase: freeze this branch for a worker. Before the tick,
         // so every spawned node is charged exactly once — by its worker.
         if i == self.spawn_depth {
@@ -496,20 +559,16 @@ impl<'a> Ctx<'a> {
             return;
         }
         if i == self.run.len() {
-            if remaining_steps == 0 {
-                let set = EventSet::from_iter(self.run.len(), chosen.iter().copied());
-                let better = match &self.best {
-                    Some(b) => set.len() < b.len(),
-                    None => true,
-                };
-                if better {
-                    self.record(set);
-                }
+            // Every observation is matched: a branch still missing one was
+            // cut at its reach, which never exceeds the run length.
+            let set = EventSet::from_iter(self.run.len(), chosen.iter().copied());
+            let better = match &self.best {
+                Some(b) => set.len() < b.len(),
+                None => true,
+            };
+            if better {
+                self.record(set);
             }
-            return;
-        }
-        // Not enough events left to produce the missing observations?
-        if self.run.len() - i < remaining_steps {
             return;
         }
         // Branch 1: exclude event i (bias toward short scenarios).
@@ -518,7 +577,7 @@ impl<'a> Ctx<'a> {
             return;
         }
         // Branch 2: include event i (if allowed and within bound).
-        if let Some(allowed) = &self.allowed {
+        if let Some(allowed) = &self.plan.allowed {
             if !allowed.contains(i) {
                 return;
             }
@@ -526,17 +585,15 @@ impl<'a> Ctx<'a> {
         if chosen.len() + 1 > self.bound() {
             return;
         }
-        // Overwrite the next arena slot with the current state (buffer
-        // reuse) and push the event onto it.
+        // Apply the event to the current state and, on success, overwrite
+        // the next arena slot with the result (buffer reuse).
         if self.arena.len() == slot + 1 {
             let fresh = self.arena[slot].clone();
             self.arena.push(fresh);
-        } else {
-            let (head, tail) = self.arena.split_at_mut(slot + 1);
-            tail[0].clone_from(&head[slot]);
         }
+        let (head, tail) = self.arena.split_at_mut(slot + 1);
         let event = self.run.event(i);
-        if self.arena[slot + 1].try_push(event).is_err() {
+        if head[slot].try_push_into(event, &mut tail[0]).is_err() {
             return;
         }
         let own = event.peer == self.peer;
@@ -567,6 +624,7 @@ impl<'a> Ctx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::minimal::is_minimal_exact;
     use crate::scenario::is_scenario;
     use cwf_engine::{Bindings, Event};
     use cwf_lang::parse_workflow;
@@ -773,5 +831,118 @@ mod tests {
         let res = search_min_scenario(&run, p, &SearchOptions::default(), &Governor::unlimited());
         // B is invisible to p, so the minimum scenario is just p's event.
         assert_eq!(res.found().unwrap().to_vec(), vec![1]);
+    }
+
+    /// Builds a run of `spec` firing the named propositional rules in order.
+    fn run_of(src: &str, names: &[&str]) -> Run {
+        let spec = Arc::new(parse_workflow(src).unwrap());
+        let mut run = Run::new(Arc::clone(&spec));
+        for n in names {
+            let rid = spec.program().rule_by_name(n).unwrap();
+            run.push(Event::new(&spec, rid, Bindings::empty(0)).unwrap())
+                .unwrap();
+        }
+        run
+    }
+
+    /// p's own event comes first and everything after it is invisible to
+    /// p: once the search has excluded it, no later position can produce
+    /// p's observation, so the exclude branch dies at its first node
+    /// instead of enumerating the churn. Holds in every mode, including
+    /// decision mode and with the cone and the seed off.
+    #[test]
+    fn an_unmatchable_observation_cuts_the_branch() {
+        const CHURN: usize = 24;
+        let mut names = vec!["mine"];
+        names.extend((0..CHURN).map(|k| if k % 2 == 0 { "churn" } else { "wipe" }));
+        let run = run_of(
+            r#"
+            schema { A(K); N(K); }
+            peers { p sees A(*); q sees N(*); }
+            rules {
+                mine @ p: +A(0) :- ;
+                churn @ q: +N(0) :- ;
+                wipe @ q: -key N(0) :- N(0);
+            }
+            "#,
+            &names,
+        );
+        let p = run.spec().collab().peer("p").unwrap();
+        let modes = [
+            SearchOptions::default(),
+            SearchOptions {
+                no_cone: true,
+                ..Default::default()
+            },
+            SearchOptions {
+                max_len: Some(run.len()),
+                first_found: true,
+                ..Default::default()
+            },
+        ];
+        for opts in modes {
+            let gov = Governor::unlimited();
+            let res = search_min_scenario_pooled(&run, p, &opts, &gov, &Pool::sequential());
+            assert_eq!(
+                res,
+                Verdict::Done(Some(EventSet::from_iter(run.len(), [0])))
+            );
+            assert!(
+                gov.nodes_used() <= run.len() as u64 + 1,
+                "{opts:?}: {} nodes",
+                gov.nodes_used()
+            );
+        }
+        // The exact minimality test runs on the global pool, whose workers
+        // each charge their own frozen branch: still linear.
+        let gov = Governor::unlimited();
+        let full = EventSet::full(run.len());
+        assert_eq!(is_minimal_exact(&run, p, &full, &gov), Verdict::Done(false));
+        assert!(gov.nodes_used() <= 2 * run.len() as u64);
+    }
+
+    /// Two minima of length 3: `{a2, b2, ok}` comes first in exclude-first
+    /// order, the minimal faithful set `{a1, b1, ok}` (the first writer of C
+    /// opens its lifecycle) second. The faithful seed bounds the search at
+    /// its own length but keeps equal lengths alive, so the DFS-first
+    /// minimum still wins.
+    #[test]
+    fn the_faithful_seed_keeps_the_dfs_first_minimum() {
+        let run = run_of(
+            r#"
+            schema { V1(K); V2(K); C(K); OK(K); }
+            peers {
+                q sees V1(*), V2(*), C(*), OK(*);
+                p sees OK(*);
+            }
+            rules {
+                a1 @ q: +V1(0) :- ;
+                a2 @ q: +V2(0) :- ;
+                b1 @ q: +C(0) :- V1(0);
+                b2 @ q: +C(0) :- V2(0);
+                ok @ q: +OK(0) :- C(0);
+            }
+            "#,
+            &["a1", "a2", "b1", "b2", "ok"],
+        );
+        let p = run.spec().collab().peer("p").unwrap();
+        let faithful = crate::tp::minimal_faithful_set(&run, &RunIndex::build(&run), p);
+        assert_eq!(faithful.to_vec(), vec![0, 2, 4]);
+        for opts in [
+            SearchOptions::default(),
+            SearchOptions {
+                no_cone: true,
+                ..Default::default()
+            },
+        ] {
+            let gov = Governor::unlimited();
+            let res = search_min_scenario_pooled(&run, p, &opts, &gov, &Pool::sequential());
+            assert_eq!(res, Verdict::Done(Some(EventSet::from_iter(5, [1, 3, 4]))));
+            assert!(
+                gov.nodes_used() <= 16,
+                "{opts:?}: {} nodes",
+                gov.nodes_used()
+            );
+        }
     }
 }

@@ -84,12 +84,18 @@ fn add_requirements(
     }
 }
 
+/// The event positions of the unique minimal p-faithful scenario,
+/// `T_p^ω(ρ, v̄)`, without replaying them into a subrun. Lemma 4.6 makes
+/// the set a scenario, so its length bounds every minimum scenario from
+/// above — the free PTIME seed of the exact search in [`crate::minimum`].
+pub fn minimal_faithful_set(run: &Run, index: &RunIndex, peer: PeerId) -> EventSet {
+    tp_closure(run, index, peer, &visible_set(run, peer))
+}
+
 /// Is the run its *own* minimum p-faithful scenario
 /// (`α = T_p^ω(α, v̄)`, Section 5's "minimum p-faithful run" predicate)?
 pub fn is_minimum_faithful_run(run: &Run, peer: PeerId) -> bool {
-    let index = RunIndex::build(run);
-    let seed = visible_set(run, peer);
-    tp_closure(run, &index, peer, &seed).len() == run.len()
+    minimal_faithful_set(run, &RunIndex::build(run), peer).len() == run.len()
 }
 
 /// The unique minimal p-faithful scenario of a run (Theorem 4.7).
@@ -118,8 +124,7 @@ pub fn minimal_faithful_scenario_indexed(
     index: &RunIndex,
     peer: PeerId,
 ) -> FaithfulExplanation {
-    let seed = visible_set(run, peer);
-    let events = tp_closure(run, index, peer, &seed);
+    let events = minimal_faithful_set(run, index, peer);
     let subrun = run
         .try_subrun(&events.to_vec())
         .expect("Lemma 4.6: p-faithful subsequences yield subruns");

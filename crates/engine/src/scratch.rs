@@ -13,9 +13,11 @@
 //! events [`Run::push`] would — same freshness check, same transition, in
 //! the same order — so searches driven by either are decision-identical.
 //!
-//! Search arenas reuse scratch states across sibling branches via
-//! `Clone::clone_from`, which the columnar stores turn into buffer reuse
-//! instead of fresh allocations (see [`crate::run`] for the full-run type).
+//! Search arenas reuse scratch states across sibling branches:
+//! [`ScratchRun::try_push_into`] applies an event to a parent slot and
+//! fills the child slot only on success, through `Clone::clone_from`, which
+//! the columnar stores turn into buffer reuse instead of fresh allocations
+//! (see [`crate::run`] for the full-run type).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -26,7 +28,7 @@ use cwf_model::{Instance, PeerId, Value, ViewInstance};
 use crate::error::EngineError;
 use crate::event::Event;
 use crate::run::Run;
-use crate::transition::apply_event_with_view;
+use crate::transition::{apply_event_with_view, Applied};
 use crate::view_plane::{ViewDelta, ViewPlane};
 
 /// A replayed subrun reduced to its live state: no event history, no
@@ -103,6 +105,30 @@ impl ScratchRun {
     /// the global-freshness check first, then the transition evaluated on
     /// the acting peer's maintained view. On error the state is untouched.
     pub fn try_push(&mut self, event: &Event) -> Result<(), EngineError> {
+        let applied = self.apply(event)?;
+        self.absorb(applied);
+        Ok(())
+    }
+
+    /// Writes into `dst` the state [`ScratchRun::try_push`] would leave on a
+    /// clone of `self`, without cloning first: the event is applied to this
+    /// state, and `dst` is overwritten (reusing its buffers) only on
+    /// success. An accepted event costs the transition's one instance copy
+    /// instead of a clone plus that copy; an event rejected before the
+    /// transition copies nothing. On error `dst` is untouched.
+    pub fn try_push_into(&self, event: &Event, dst: &mut ScratchRun) -> Result<(), EngineError> {
+        let applied = self.apply(event)?;
+        dst.spec.clone_from(&self.spec);
+        dst.plane.clone_from(&self.plane);
+        dst.past_adom.clone_from(&self.past_adom);
+        dst.len = self.len;
+        dst.absorb(applied);
+        Ok(())
+    }
+
+    /// Decides `event` against this state — freshness, then the transition
+    /// — and returns the successor without changing anything.
+    fn apply(&self, event: &Event) -> Result<Applied, EngineError> {
         let rule = self.spec.program().rule(event.rule);
         let mut seen_fresh: Vec<&Value> = Vec::new();
         for var in rule.fresh_vars() {
@@ -112,12 +138,16 @@ impl ScratchRun {
             }
             seen_fresh.push(v);
         }
-        let applied = apply_event_with_view(
+        apply_event_with_view(
             &self.spec,
             &self.current,
             self.plane.view(event.peer),
             event,
-        )?;
+        )
+    }
+
+    /// Makes an accepted transition this state's current one.
+    fn absorb(&mut self, applied: Applied) {
         let next = applied.instance;
         let diff = applied.diff;
         for (_, t) in &diff.created {
@@ -137,7 +167,6 @@ impl ScratchRun {
         self.last_deltas = self.plane.step(self.spec.collab(), &diff, &next);
         self.current = next;
         self.len += 1;
-        Ok(())
     }
 }
 
@@ -261,5 +290,38 @@ mod tests {
         slot.try_push(&e).unwrap();
         a.try_push(&e).unwrap();
         assert_eq!(slot.current(), a.current());
+    }
+
+    /// `try_push_into` leaves `dst` exactly as a clone-then-push would, and
+    /// a rejected event leaves `dst` untouched.
+    #[test]
+    fn push_into_matches_clone_then_push() {
+        let spec = spec();
+        let q = spec.collab().peer("q").unwrap();
+        let mut parent =
+            ScratchRun::new(Arc::clone(&spec), Instance::empty(spec.collab().schema()));
+        parent.try_push(&ground(&spec, "a1")).unwrap();
+        let mut dst = ScratchRun::new(Arc::clone(&spec), Instance::empty(spec.collab().schema()));
+        dst.try_push(&ground(&spec, "a2")).unwrap();
+        let stale = dst.clone();
+        assert!(parent
+            .try_push_into(&ground(&spec, "ok"), &mut dst)
+            .is_err());
+        assert_eq!(dst.current(), stale.current());
+        assert_eq!(dst.len(), stale.len());
+        let e = ground(&spec, "b1");
+        parent.try_push_into(&e, &mut dst).unwrap();
+        let mut expected = parent.clone();
+        expected.try_push(&e).unwrap();
+        assert_eq!(dst.current(), expected.current());
+        assert_eq!(dst.view(q), expected.view(q));
+        assert_eq!(dst.changed(q), expected.changed(q));
+        assert_eq!(dst.len(), expected.len());
+        assert_eq!(parent.len(), 1, "the parent state is read only");
+        // Both continue identically, freshness set included.
+        let e = ground(&spec, "ok");
+        dst.try_push(&e).unwrap();
+        expected.try_push(&e).unwrap();
+        assert_eq!(dst.current(), expected.current());
     }
 }
