@@ -1,5 +1,5 @@
-//! E12 — durability: coordinator recovery cost, full replay vs
-//! snapshot + tail.
+//! E12 — durability: recovery cost of the single-node master server (a
+//! shards=1 `ShardPlane`), full replay vs snapshot + tail.
 //!
 //! Replaying the whole journal is linear in the run length; periodic
 //! instance snapshots cap the replayed tail at `snapshot_every` events, so
@@ -8,7 +8,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::sync::Arc;
 
-use cwf_engine::{Bindings, Coordinator, Event, MemBackend, SyncPolicy, Wal, WalOptions};
+use cwf_engine::{
+    Bindings, Event, MemBackend, PerfectTransport, ShardPlane, ShardPlaneConfig, SyncPolicy, Wal,
+    WalOptions,
+};
 use cwf_lang::{parse_workflow, VarId, WorkflowSpec};
 
 fn spec() -> Arc<WorkflowSpec> {
@@ -28,7 +31,12 @@ fn spec() -> Arc<WorkflowSpec> {
 fn journal(spec: &Arc<WorkflowSpec>, n: usize, opts: WalOptions) -> Vec<u8> {
     let backend = MemBackend::new();
     let wal = Wal::create(Box::new(backend.clone()), opts).unwrap();
-    let mut c = Coordinator::with_wal(Arc::clone(spec), wal);
+    let mut c = ShardPlane::with_parts(
+        Arc::clone(spec),
+        vec![Box::new(PerfectTransport::new())],
+        Some(vec![wal]),
+        ShardPlaneConfig::with_shards(1),
+    );
     let draft = spec.program().rule_by_name("draft").unwrap();
     for _ in 0..n {
         let d = c.draw_fresh();
@@ -53,10 +61,16 @@ fn bench_recovery(c: &mut Criterion) {
             let bytes = journal(&spec, n, opts);
             group.bench_with_input(BenchmarkId::new(label, n), &bytes, |b, bytes| {
                 b.iter(|| {
-                    let backend = MemBackend::from_bytes(bytes.clone());
-                    let r = Wal::recover(Box::new(backend), Arc::clone(&spec), opts).unwrap();
-                    assert_eq!(r.report.last_seq as usize, n);
-                    r.report.events_replayed
+                    let (_, report) = ShardPlane::recover(
+                        Arc::clone(&spec),
+                        vec![Box::new(MemBackend::from_bytes(bytes.clone()))],
+                        opts,
+                        vec![Box::new(PerfectTransport::new())],
+                        ShardPlaneConfig::with_shards(1),
+                    )
+                    .unwrap();
+                    assert_eq!(report.last_seq as usize, n);
+                    report.events_replayed
                 })
             });
         }

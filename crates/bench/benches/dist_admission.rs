@@ -2,20 +2,20 @@
 //! WAL streams, key-local vs cross-shard.
 //!
 //! Drives one fixed scripted workload (the editorial chaos spec, seeded
-//! candidate walk, `STEPS` accepted events) through a WAL-backed single
-//! [`Coordinator`] and through a durable [`ShardPlane`] at 1, 2, and 4
-//! shards — per-shard in-memory streams, `SyncPolicy::Always` — measuring
-//! end-to-end accepted events per second including delivery pumping and
-//! the final convergence sweep. The plane's admission counters split the
+//! candidate walk, `STEPS` accepted events) through a durable
+//! [`ShardPlane`] at 1, 2, and 4 shards — per-shard in-memory streams,
+//! `SyncPolicy::Always` — measuring end-to-end accepted events per second
+//! including delivery pumping and the final convergence sweep. The durable
+//! shards=1 plane is the single-node master server and the baseline the
+//! other shard counts are normalized by. The plane's admission counters split the
 //! workload into key-local events (one `e` record on the home stream, no
 //! router WAL work) and cross-shard commits (the prepare/commit protocol),
 //! and the key-local share is timed separately by filtering the workload
 //! to the events that commit locally at 4 shards.
 //!
 //! Writes `BENCH_dist_admission.json` at the repository root (consumed by
-//! EXPERIMENTS.md E19). The acceptance bar is overhead-shaped: a durable
-//! shards=1 plane within 1.5× of the WAL-backed coordinator, and
-//! key-local admission strictly cheaper than cross-shard commits.
+//! EXPERIMENTS.md E19). The acceptance bar is overhead-shaped: the
+//! distributed-admission tax of N shards over one.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -27,8 +27,8 @@ use rand::{Rng, SeedableRng};
 use cwf_engine::chaos::default_spec;
 use cwf_engine::transport::Transport;
 use cwf_engine::{
-    candidates, complete, Coordinator, Event, MemBackend, PerfectTransport, Run, ShardPlane,
-    ShardPlaneConfig, SyncPolicy, Wal, WalOptions,
+    candidates, complete, Event, MemBackend, PerfectTransport, Run, ShardPlane, ShardPlaneConfig,
+    SyncPolicy, Wal, WalOptions,
 };
 use cwf_lang::WorkflowSpec;
 
@@ -62,16 +62,28 @@ fn build_events(spec: &Arc<WorkflowSpec>) -> Vec<Event> {
     events
 }
 
-fn time_passes<F: FnMut() -> usize>(mut f: F) -> (f64, usize) {
-    let mut checksum = 0;
-    for _ in 0..WARMUP {
-        checksum = black_box(f());
+/// Mean seconds per pass at each shard count, with the checksum of the
+/// last pass. Passes run round-robin over the shard counts, so host noise
+/// lands on every count alike and cancels in the ratios the regression
+/// gate compares.
+fn time_shard_counts<F: FnMut(usize) -> usize>(
+    counts: &[usize],
+    mut pass: F,
+) -> Vec<(usize, f64, usize)> {
+    let mut out: Vec<(usize, f64, usize)> = counts.iter().map(|&n| (n, 0.0, 0)).collect();
+    for round in 0..WARMUP + ITERS {
+        for (shards, total, checksum) in &mut out {
+            let start = Instant::now();
+            *checksum = black_box(pass(*shards));
+            if round >= WARMUP {
+                *total += start.elapsed().as_secs_f64();
+            }
+        }
     }
-    let start = Instant::now();
-    for _ in 0..ITERS {
-        checksum = black_box(f());
+    for (_, total, _) in &mut out {
+        *total /= ITERS as f64;
     }
-    (start.elapsed().as_secs_f64() / ITERS as f64, checksum)
+    out
 }
 
 /// A fresh durable plane over per-shard in-memory streams.
@@ -88,18 +100,6 @@ fn durable_plane(spec: &Arc<WorkflowSpec>, shards: usize) -> ShardPlane {
         Some(wals),
         ShardPlaneConfig::with_shards(shards),
     )
-}
-
-/// Submit everything through a WAL-backed single coordinator and converge.
-fn coordinator_pass(spec: &Arc<WorkflowSpec>, events: &[Event]) -> usize {
-    let wal = Wal::create(Box::new(MemBackend::new()), opts()).expect("fresh backend");
-    let mut c = Coordinator::with_wal(Arc::clone(spec), wal);
-    for e in events {
-        c.submit(e.clone()).expect("accepted events replay");
-    }
-    c.converge(10_000);
-    assert!(c.audit().is_ok());
-    c.run().current().total_tuples()
 }
 
 /// Submit everything through a fresh durable `shards`-shard plane and
@@ -131,41 +131,32 @@ fn main() {
     let spec = default_spec();
     let events = build_events(&spec);
 
-    let (coord_s, coord_sum) = time_passes(|| coordinator_pass(&spec, &events));
-    let mut plane_results = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let (s, sum) = time_passes(|| plane_pass(&spec, &events, shards));
+    let plane_results = time_shard_counts(&[1, 2, 4], |n| plane_pass(&spec, &events, n));
+    let (_, one_s, one_sum) = plane_results[0];
+    for &(shards, _, sum) in &plane_results {
         assert_eq!(
-            sum, coord_sum,
-            "the durable plane at {shards} shards must land on the coordinator's state"
+            sum, one_sum,
+            "the durable plane at {shards} shards must land on the shards=1 state"
         );
-        plane_results.push((shards, s));
     }
     let (local, cross) = admission_split(&spec, &events, 4);
     assert_eq!(local + cross, STEPS as u64);
 
     let eps = |s: f64| STEPS as f64 / s;
-    println!(
-        "E19_dist_admission/coordinator+wal ... {:>9.0} events/s",
-        eps(coord_s)
-    );
-    for &(shards, s) in &plane_results {
+    for &(shards, s, _) in &plane_results {
         println!(
-            "E19_dist_admission/shards={shards}       ... {:>9.0} events/s ({:.2}x vs coordinator)",
+            "E19_dist_admission/shards={shards}       ... {:>9.0} events/s ({:.2}x vs shards=1)",
             eps(s),
-            coord_s / s
+            one_s / s
         );
     }
     println!(
         "E19_dist_admission/split@4         ... {local} key-local, {cross} cross-shard commits"
     );
 
-    let mut json = format!(
-        "{{\n  \"experiment\": \"E19_dist_admission\",\n  \"steps\": {STEPS},\n  \
-         \"coordinator_wal_events_per_sec\": {:.0},\n",
-        eps(coord_s)
-    );
-    for &(shards, s) in &plane_results {
+    let mut json =
+        format!("{{\n  \"experiment\": \"E19_dist_admission\",\n  \"steps\": {STEPS},\n");
+    for &(shards, s, _) in &plane_results {
         json.push_str(&format!(
             "  \"plane_{shards}_shards_events_per_sec\": {:.0},\n",
             eps(s)

@@ -12,11 +12,12 @@
 //!
 //! * `BENCH_view_plane.json` — the incremental-maintenance `speedup`
 //!   (rescan cost over plane cost);
-//! * `BENCH_shard_plane.json` — each `plane_N_shards_events_per_sec`
-//!   relative to `coordinator_events_per_sec` (the sharding overhead);
-//! * `BENCH_dist_admission.json` — each durable plane throughput relative
-//!   to `coordinator_wal_events_per_sec` (the distributed-admission
-//!   overhead);
+//! * `BENCH_shard_plane.json` — `plane_N_shards_events_per_sec` at 2 and
+//!   4 shards relative to `plane_1_shards_events_per_sec` (the sharding
+//!   overhead over the single-node master server);
+//! * `BENCH_dist_admission.json` — the durable plane throughput at 2 and 4
+//!   shards relative to the durable shards=1 plane (the
+//!   distributed-admission overhead);
 //! * `BENCH_reshard_admission.json` — admission throughput with a live
 //!   split in flight relative to the idle map (the resharding tax);
 //! * `BENCH_par_analysis.json` — the 4-thread min-scenario and boundedness
@@ -30,7 +31,8 @@
 //! `BENCH_provenance.json`, taken on the sequential pool — and those carry a
 //! ceiling: any fresh count above its baseline is a regression. The check
 //! prints every comparison, restores the baseline files (the bench binaries
-//! overwrite them in place), and exits non-zero if anything regressed.
+//! overwrite them in place) on every exit path, and exits non-zero if
+//! anything regressed.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
@@ -80,6 +82,34 @@ impl Check {
     }
 }
 
+/// The checked-in baselines, restored in place when dropped: the benches
+/// rewrite their JSON files, and every exit path — a failing bench, a spawn
+/// error, a panic, or a finished comparison — must leave the tree clean.
+struct Baselines(Vec<(PathBuf, String)>);
+
+impl Baselines {
+    /// Writes every baseline back (once); false if any write failed.
+    fn restore(&mut self) -> bool {
+        let mut ok = true;
+        for (path, baseline) in std::mem::take(&mut self.0) {
+            if let Err(e) = std::fs::write(&path, baseline) {
+                eprintln!(
+                    "bench_check: cannot restore baseline {}: {e}",
+                    path.display()
+                );
+                ok = false;
+            }
+        }
+        ok
+    }
+}
+
+impl Drop for Baselines {
+    fn drop(&mut self) {
+        self.restore();
+    }
+}
+
 /// The deterministic counts of one bench file that carry a ceiling:
 /// `(label, key)` pairs.
 fn ceilings(experiment: &str) -> Vec<(String, String)> {
@@ -97,23 +127,23 @@ fn ceilings(experiment: &str) -> Vec<(String, String)> {
 fn ratios(experiment: &str) -> Vec<(String, String, Option<String>)> {
     match experiment {
         "BENCH_view_plane.json" => vec![("speedup".into(), "speedup".into(), None)],
-        "BENCH_shard_plane.json" => [1, 2, 4]
+        "BENCH_shard_plane.json" => [2, 4]
             .iter()
             .map(|n| {
                 (
-                    format!("plane_{n}_shards / coordinator"),
+                    format!("plane_{n}_shards / plane_1_shards"),
                     format!("plane_{n}_shards_events_per_sec"),
-                    Some("coordinator_events_per_sec".into()),
+                    Some("plane_1_shards_events_per_sec".into()),
                 )
             })
             .collect(),
-        "BENCH_dist_admission.json" => [1, 2, 4]
+        "BENCH_dist_admission.json" => [2, 4]
             .iter()
             .map(|n| {
                 (
-                    format!("durable plane_{n}_shards / coordinator+wal"),
+                    format!("durable plane_{n}_shards / plane_1_shards"),
                     format!("plane_{n}_shards_events_per_sec"),
-                    Some("coordinator_wal_events_per_sec".into()),
+                    Some("plane_1_shards_events_per_sec".into()),
                 )
             })
             .collect(),
@@ -171,20 +201,21 @@ fn main() -> ExitCode {
         ("BENCH_par_analysis.json", "par_analysis"),
         ("BENCH_provenance.json", "provenance"),
     ];
-    // Snapshot the checked-in baselines before the benches overwrite them.
-    let mut baselines = Vec::new();
-    for (file, bench) in files {
+    // Snapshot the checked-in baselines before the benches overwrite them;
+    // the guard writes them back however this function exits.
+    let mut baselines = Baselines(Vec::new());
+    for (file, _) in files {
         let path = root.join(file);
         match std::fs::read_to_string(&path) {
-            Ok(s) => baselines.push((file, bench, path, s)),
+            Ok(s) => baselines.0.push((path, s)),
             Err(e) => {
                 eprintln!("bench_check: missing baseline {file}: {e}");
                 return ExitCode::FAILURE;
             }
         }
     }
-    // Re-run the three benches (each rewrites its JSON at the repo root).
-    for (file, bench, ..) in &baselines {
+    // Re-run the benches (each rewrites its JSON at the repo root).
+    for (file, bench) in files {
         println!("bench_check: running {bench} ...");
         let status = Command::new(env!("CARGO"))
             .args(["bench", "-q", "-p", "cwf-bench", "--bench", bench])
@@ -206,7 +237,7 @@ fn main() -> ExitCode {
     // the working tree stays clean.
     let mut checks = Vec::new();
     let mut broken = false;
-    for (file, _, path, baseline) in &baselines {
+    for ((file, _), (path, baseline)) in files.iter().zip(&baselines.0) {
         let fresh = std::fs::read_to_string(path).unwrap_or_default();
         let gates = ratios(file)
             .into_iter()
@@ -230,11 +261,8 @@ fn main() -> ExitCode {
                 }
             }
         }
-        if let Err(e) = std::fs::write(path, baseline) {
-            eprintln!("bench_check: cannot restore baseline {file}: {e}");
-            broken = true;
-        }
     }
+    broken |= !baselines.restore();
     let mut regressed = false;
     for c in &checks {
         let verdict = if c.regressed() {

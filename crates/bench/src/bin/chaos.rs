@@ -19,10 +19,8 @@
 //!   failovers, hand-offs — and `reshard` additionally drives live shard
 //!   splits, merges, and rebalances; both are most interesting with
 //!   `--shards` > 1)
-//! * `--shards N` — run the traces against the sharded state plane with
-//!   `N` shards instead of the single coordinator (omit the flag for the
-//!   single-coordinator harness; `--shards 1` exercises the plane's
-//!   shards=1 equivalence path)
+//! * `--shards N` — shard count of the state plane under test (default 1,
+//!   the single-node master server)
 //! * `--spec editorial|random` — workflow under test (default `editorial`;
 //!   `random` derives a fresh propositional spec per seed)
 //! * `--out PATH` — also append failure lines to PATH (for CI artifacts)
@@ -30,24 +28,21 @@
 //! On failure, two lines per incident:
 //!
 //! ```text
-//! CHAOS-FAIL seed=17 profile=crash-heavy spec=editorial oracle=wal-replay step=12 detail=...
+//! CHAOS-FAIL seed=17 profile=crash-heavy spec=editorial shards=1 oracle=shard-wal-replay step=12 detail=...
 //! CHAOS-TRACE seed=17 submit(3) pump(2) crash(8) ...
 //! ```
 //!
 //! The trace is the *minimized* repro: paste it into
 //! `cwf_engine::chaos::parse_trace` and replay with `ChaosSim::run_trace`
-//! (or `ShardChaosSim::run_trace` when `--shards` was given — the failure
-//! line then carries a `shards=` field) under the same seed, profile, and
-//! spec. Exit status is 1 iff any seed failed.
+//! under the same seed, profile, spec, and shard count. Exit status is 1
+//! iff any seed failed.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use cwf_engine::chaos::{
-    default_spec, format_trace, modification_spec, ChaosProfile, ChaosSim, ShardChaosSim,
-};
+use cwf_engine::chaos::{default_spec, format_trace, modification_spec, ChaosProfile, ChaosSim};
 use cwf_workloads::chaos_workload;
 
 struct Options {
@@ -55,7 +50,7 @@ struct Options {
     start: u64,
     steps: usize,
     profiles: Vec<ChaosProfile>,
-    shards: Option<usize>,
+    shards: usize,
     random_spec: bool,
     out: Option<String>,
 }
@@ -66,7 +61,7 @@ fn parse_args() -> Result<Options, String> {
         start: 0,
         steps: 40,
         profiles: all_profiles(),
-        shards: None,
+        shards: 1,
         random_spec: false,
         out: None,
     };
@@ -109,7 +104,7 @@ fn parse_args() -> Result<Options, String> {
                 if n == 0 {
                     return Err("--shards must be at least 1".into());
                 }
-                opts.shards = Some(n);
+                opts.shards = n;
             }
             "--spec" => {
                 opts.random_spec = match value("--spec")?.as_str() {
@@ -166,28 +161,20 @@ fn main() -> ExitCode {
                 default_spec()
             };
             runs += 1;
-            let outcome = match opts.shards {
-                Some(n) => ShardChaosSim::new(spec, profile, n).check_seed(seed, opts.steps),
-                None => ChaosSim::new(spec, profile).check_seed(seed, opts.steps),
-            };
-            match outcome {
+            match ChaosSim::new(spec, profile, opts.shards).check_seed(seed, opts.steps) {
                 Ok(report) => {
                     events += report.events;
                     restarts += report.restarts;
                 }
                 Err(f) => {
                     failed += 1;
-                    let shards_field = opts
-                        .shards
-                        .map(|n| format!(" shards={n}"))
-                        .unwrap_or_default();
                     let _ = writeln!(
                         failures,
-                        "CHAOS-FAIL seed={} profile={} spec={}{} oracle={} step={} detail={}",
+                        "CHAOS-FAIL seed={} profile={} spec={} shards={} oracle={} step={} detail={}",
                         f.seed,
                         f.profile.name(),
                         spec_name,
-                        shards_field,
+                        opts.shards,
                         f.oracle,
                         f.step,
                         f.detail.replace('\n', " | "),

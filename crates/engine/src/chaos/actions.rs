@@ -21,28 +21,28 @@ use std::str::FromStr;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action {
     /// Enumerate `simulate::candidates` on the current run and submit the
-    /// `pick % len`-th one (completed with coordinator-fresh values). A
+    /// `pick % len`-th one (completed with run-fresh values). A
     /// no-op when no candidate exists; engine rejections (chase conflicts)
     /// and degraded-mode rejections are tolerated outcomes.
     Submit {
         /// Raw candidate selector, reduced modulo the candidate count.
         pick: u32,
     },
-    /// Run `ticks` delivery rounds ([`Coordinator::pump`][p]).
+    /// Run `ticks` delivery rounds ([`ShardPlane::pump`][p]).
     ///
-    /// [p]: crate::Coordinator::pump
+    /// [p]: crate::ShardPlane::pump
     Pump {
         /// Number of pump rounds.
         ticks: u32,
     },
     /// Kill the process and restart it from what survived on disk: drop the
-    /// coordinator, keep the synced WAL prefix plus at most `keep_unsynced`
-    /// unsynced bytes (the OS may or may not have flushed them), optionally
-    /// corrupt one byte of the kept *unsynced* tail, then
-    /// [`Coordinator::recover`][r]. In-flight transport messages die with
+    /// plane, keep every stream's synced WAL prefix plus at most
+    /// `keep_unsynced` unsynced bytes (the OS may or may not have flushed
+    /// them), optionally corrupt one byte of one kept *unsynced* tail, then
+    /// [`ShardPlane::recover`][r]. In-flight transport messages die with
     /// the process.
     ///
-    /// [r]: crate::Coordinator::recover
+    /// [r]: crate::ShardPlane::recover
     CrashRestart {
         /// How many unsynced bytes survive beyond the synced prefix.
         keep_unsynced: u32,
@@ -51,24 +51,23 @@ pub enum Action {
         corrupt: Option<(u32, u8)>,
     },
     /// Queue a snapshot resync for every currently divergent replica
-    /// ([`Coordinator::resync_divergent`][r]).
+    /// ([`ShardPlane::resync_divergent`][r]).
     ///
-    /// [r]: crate::Coordinator::resync_divergent
+    /// [r]: crate::ShardPlane::resync_divergent
     Resync,
     /// Stop all future fault injection, network and storage (the
     /// environment stabilizes). From this point the post-heal convergence
     /// oracle is armed.
     Heal,
-    /// Attempt to leave degraded mode ([`Coordinator::rearm`][r]). A no-op
+    /// Attempt to leave degraded mode ([`ShardPlane::rearm`][r]). A no-op
     /// when not degraded; allowed to fail while faults persist, but a
     /// failure *after* [`Action::Heal`] is an invariant violation.
     ///
-    /// [r]: crate::Coordinator::rearm
+    /// [r]: crate::ShardPlane::rearm
     Rearm,
     /// Run a governed read-only analysis (a full well-formedness replay of
     /// the current run) under a pre-cancelled [`Governor`][g] and check that
-    /// it stops with `Exhausted(Cancelled)` without mutating the
-    /// coordinator.
+    /// it stops with `Exhausted(Cancelled)` without mutating the plane.
     ///
     /// [g]: cwf_model::govern::Governor
     GovernorCancel,
@@ -79,7 +78,7 @@ pub enum Action {
     /// on a 4-worker pool versus the single-worker oracle (the two verdicts
     /// must be byte-identical), plus a fixed satisfiability differential
     /// across the same two pool sizes. Read-only: must not mutate the
-    /// coordinator.
+    /// plane.
     ///
     /// [a]: crate::chaos::oracle::governed_view_audit
     /// [g]: cwf_model::govern::Governor
@@ -89,9 +88,8 @@ pub enum Action {
     /// untouched (reads keep being served). A no-op when not degraded.
     DegradeProbe,
     /// Cut one delivery link. The raw selector is reduced modulo the link
-    /// count of the deployment: on a single coordinator, modulo the peer
-    /// count; on a shard plane, modulo `shards × (peers + 1)` — every
-    /// (shard, peer) slice plus each shard's standby-replication link. The
+    /// count of the deployment, `shards × (peers + 1)` — every (shard,
+    /// peer) slice plus each shard's standby-replication link. The
     /// link stalls (in-flight messages hold, new sends drop) until healed.
     Partition {
         /// Raw link selector, reduced modulo the link count.
@@ -106,8 +104,7 @@ pub enum Action {
     /// Kill one shard's primary and promote its standby replica: the
     /// promoted node replays the oplog tail past its replication
     /// watermark, resumes the per-peer sequence streams past their
-    /// watermarks on a fresh transport, and resyncs every peer slice. A
-    /// no-op note on a single (shard-less) coordinator.
+    /// watermarks on a fresh transport, and resyncs every peer slice.
     ShardFailover {
         /// Raw shard selector, reduced modulo the shard count.
         shard: u32,
@@ -115,8 +112,7 @@ pub enum Action {
     /// Drive the interruptible shard hand-off protocol one step: begin a
     /// hand-off of the selected shard if none is in progress, otherwise
     /// transfer a bounded batch of oplog records toward the receiving
-    /// node, cutting over when the tail is drained. A no-op note on a
-    /// single (shard-less) coordinator.
+    /// node, cutting over when the tail is drained.
     Handoff {
         /// Raw shard selector, reduced modulo the shard count.
         shard: u32,
@@ -124,22 +120,20 @@ pub enum Action {
     /// Arm a one-shot commit stall on the selected shard: the next
     /// cross-shard transaction with that shard as a non-home participant
     /// defers its commit record to a later pump, leaving the stream in
-    /// doubt meanwhile. A no-op note on a single (shard-less) coordinator.
+    /// doubt meanwhile. Never fires at shards=1 (no cross-shard commits).
     CommitStall {
         /// Raw shard selector, reduced modulo the shard count.
         shard: u32,
     },
     /// Arm a one-shot clean abort of the next cross-shard transaction
     /// (post-prepare timeout: `a` records everywhere, event rolled back,
-    /// submit rejected with `CommitAborted`). A no-op note on a single
-    /// (shard-less) coordinator.
+    /// submit rejected with `CommitAborted`). Never fires at shards=1.
     CommitAbort,
     /// Drive elastic resharding via a live **split**: if no migration is in
     /// progress, begin splitting the selected source shard's key space onto
     /// a brand-new shard (`src` reduced modulo the live shard count);
     /// otherwise advance the in-flight migration by one bounded copy batch,
-    /// cutting over when the snapshot and oplog tail are drained. A no-op
-    /// note on a single (shard-less) coordinator.
+    /// cutting over when the snapshot and oplog tail are drained.
     Split {
         /// Raw source-shard selector, reduced modulo the live shard count.
         src: u32,
@@ -148,8 +142,7 @@ pub enum Action {
     /// progress, begin merging the source shard's key space into an
     /// existing destination (both selectors reduced modulo the live shard
     /// count; a no-op note when they collapse to the same shard); otherwise
-    /// advance the in-flight migration one step. A no-op note on a single
-    /// (shard-less) coordinator.
+    /// advance the in-flight migration one step.
     Merge {
         /// Raw source-shard selector, reduced modulo the live shard count.
         src: u32,
@@ -160,8 +153,7 @@ pub enum Action {
     /// Drive elastic resharding via a **rebalance**: if no migration is in
     /// progress, begin moving half of the source shard's slots to an
     /// existing destination (selector arithmetic as [`Action::Merge`]);
-    /// otherwise advance the in-flight migration one step. A no-op note on
-    /// a single (shard-less) coordinator.
+    /// otherwise advance the in-flight migration one step.
     Rebalance {
         /// Raw source-shard selector, reduced modulo the live shard count.
         src: u32,
@@ -174,8 +166,7 @@ pub enum Action {
     /// records on every participant, and the harness immediately crashes
     /// and recovers the plane (keeping at most `keep_unsynced` unsynced
     /// bytes per stream) so recovery must resolve the in-doubt transaction
-    /// by presumed abort. A no-op note on a single (shard-less)
-    /// coordinator.
+    /// by presumed abort. Never fires at shards=1.
     RouterCrash {
         /// How many unsynced bytes survive per stream in the forced crash.
         keep_unsynced: u32,

@@ -1,39 +1,42 @@
 //! Deterministic chaos harness: seeded whole-system simulation with
 //! invariant oracles, crash–restart coverage, and trace minimization.
 //!
-//! The harness stress-tests the full fault-tolerant stack — coordinator,
-//! delivery protocol, WAL, degraded mode, governed analyses — the way
-//! FoundationDB tests its database: one `u64` seed determines *everything*
-//! (the action trace, the network fault schedule, the storage fault
-//! schedule), so any failure is replayable from a single printed line and
-//! shrinkable by delta debugging.
+//! The harness stress-tests the full fault-tolerant stack — the shard
+//! plane's routing layer and per-shard WAL streams, the delivery protocol,
+//! degraded mode, failover, hand-off, the cross-shard commit protocol,
+//! resharding, governed analyses — the way FoundationDB tests its database:
+//! one `u64` seed determines *everything* (the action trace, the network
+//! fault schedules, the storage fault schedules), so any failure is
+//! replayable from a single printed line and shrinkable by delta
+//! debugging. One simulator serves every deployment: shards=1 is the
+//! paper's master server, and the same grammar and battery run at N shards.
 //!
 //! The moving parts:
 //!
 //! * [`actions`] — the action grammar ([`Action`]) and its textual trace
 //!   codec ([`format_trace`] / [`parse_trace`]). Actions carry their own
 //!   choice data so execution is a pure function of `(seed, trace)`.
-//! * [`sim`] — [`ChaosSim`] builds a universe per trace (coordinator over a
-//!   faulty transport and a fault-injecting in-memory disk), executes
-//!   actions, and maintains the *shadow run*: the full accepted history,
-//!   replayed from the empty instance, surviving crashes and snapshots.
+//! * [`sim`] — [`ChaosSim`], the harness: profiles, the trace generator,
+//!   and trace execution under the oracle battery.
+//! * `world` — the universe one trace execution builds: a
+//!   [`ShardPlane`](crate::ShardPlane) of the chosen shard count over
+//!   per-shard faulty transports and fault-injecting in-memory disks, plus
+//!   the *shadow run* — the full accepted history, replayed from the empty
+//!   instance, surviving crashes and snapshots.
 //! * [`oracle`] — the pluggable invariants ([`Oracle`]) checked after every
-//!   action: shadow equivalence, replica/prefix consistency, WAL-replay
-//!   equivalence with no-lost-acked-events, degraded-mode safety, and
-//!   well-formedness under the key chase; post-heal convergence runs as the
-//!   closing check of every trace.
-//! * [`shard_sim`] — [`ShardChaosSim`] runs the same grammar against the
-//!   **sharded** state plane (N coordinator shards, per-shard transports,
-//!   standby replicas): partitions, failovers, and hand-offs get teeth, and
-//!   the shard oracle battery checks the union of shard states against the
-//!   single-shard shadow after every action.
+//!   action: shadow equivalence, the shard-state union, per-slice replica
+//!   prefixes, HLC causality, quorum WAL replay with no lost acked events,
+//!   key ownership, degraded-mode safety, well-formedness under the key
+//!   chase, the view-plane differential, and provenance soundness;
+//!   post-heal cross-shard convergence runs as the closing check of every
+//!   trace.
 //! * [`shrink`] — [`ddmin`] minimizes a failing trace to a 1-minimal repro
 //!   by re-executing candidates from the same seed.
 //!
 //! ```no_run
 //! use cwf_engine::chaos::{default_spec, ChaosProfile, ChaosSim};
 //!
-//! let sim = ChaosSim::new(default_spec(), ChaosProfile::CrashHeavy);
+//! let sim = ChaosSim::new(default_spec(), ChaosProfile::CrashHeavy, 1);
 //! if let Err(failure) = sim.check_seed(42, 60) {
 //!     // `failure` prints `seed=.. oracle=..` plus a minimized trace that
 //!     // replays verbatim via `parse_trace` + `ChaosSim::run_trace`.
@@ -43,17 +46,16 @@
 
 pub mod actions;
 pub mod oracle;
-pub mod shard_sim;
 pub mod shrink;
 pub mod sim;
+mod world;
 
 pub use actions::{format_trace, parse_trace, Action, ActionParseError};
 pub use oracle::{
-    default_oracles, default_shard_oracles, governed_view_audit, governed_wellformed, Checkpoint,
-    EventCountOracle, HlcCausality, Oracle, ProvenanceSound, ShardCheckpoint, ShardOracle,
-    ShardOwnership, ShardProvenanceSound, ShardSlicePrefix, ShardStateUnion, ViewPlaneOracle,
+    default_oracles, governed_view_audit, governed_wellformed, Checkpoint, EventCountOracle,
+    HlcCausality, Oracle, ProvenanceSound, ShardOwnership, ShardSlicePrefix, ShardStateUnion,
+    ViewPlaneOracle,
 };
-pub use shard_sim::ShardChaosSim;
 pub use shrink::ddmin;
 pub use sim::{generate_trace, ChaosConfig, ChaosFailure, ChaosProfile, ChaosSim, TraceReport};
 

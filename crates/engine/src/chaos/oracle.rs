@@ -1,26 +1,32 @@
 //! Invariant oracles checked after every chaos action.
 //!
 //! An [`Oracle`] inspects a [`Checkpoint`] — a read-only snapshot of the
-//! whole simulated system: the live coordinator, the **shadow run** (the
-//! full accepted history replayed from the empty instance, surviving
-//! crashes and WAL snapshots), the raw bytes on the simulated disk, and the
-//! harness bookkeeping (what is in flight, whether the environment has
-//! healed). Oracles may keep state across checks (the trait takes
-//! `&mut self`); a fresh set is instantiated per trace execution.
+//! whole simulated system: the live [`ShardPlane`] (shards=1 is the
+//! paper's master server), the **shadow run** (the full accepted history
+//! replayed from the empty instance, surviving crashes and WAL snapshots),
+//! the raw bytes on every simulated disk, and the harness bookkeeping (what
+//! is in flight, whether the environment has healed). Oracles may keep
+//! state across checks (the trait takes `&mut self`); a fresh set is
+//! instantiated per trace execution.
 //!
 //! The default battery ([`default_oracles`]):
 //!
-//! * [`ShadowEquivalence`] — the coordinator's in-memory run is a suffix of
-//!   the accepted history and reaches the same instance;
-//! * [`ReplicaPrefix`] — every peer replica equals `I@p` for *some* prefix
-//!   of the accepted history (the paper's view consistency, weakened to
-//!   prefixes because deltas are legitimately in flight);
-//! * [`WalReplay`] — recovering from a copy of the current disk bytes
-//!   reproduces the accepted run exactly (plus at most the one in-flight
-//!   event), and recovering from the *synced* prefix alone loses nothing
-//!   acknowledged;
-//! * [`DegradedSafety`] — no mutation lands while the coordinator is
-//!   degraded;
+//! * [`ShadowEquivalence`] — the plane's in-memory run is a suffix of the
+//!   accepted history and reaches the same instance;
+//! * [`ShardStateUnion`] — the union of the shard state partitions equals
+//!   that instance, byte for byte;
+//! * [`ShardSlicePrefix`] — every (shard, peer) replica slice equals its
+//!   slice of `I@p` for *some* prefix of the accepted history (the paper's
+//!   view consistency, weakened to prefixes because deltas are
+//!   legitimately in flight);
+//! * [`HlcCausality`] — HLC stamp order is consistent with causal delivery;
+//! * [`ShardWalReplay`] — quorum recovery from copies of the current disk
+//!   bytes reproduces the accepted run exactly (plus at most the one
+//!   in-flight event), and recovery from the *synced* prefixes alone loses
+//!   nothing acknowledged;
+//! * [`ShardOwnership`] — exactly one owner per key, and the map epoch
+//!   never moves backwards;
+//! * [`DegradedSafety`] — no mutation lands while the plane is degraded;
 //! * [`WellFormed`] — the accepted history replays from scratch under the
 //!   key chase (via [`governed_wellformed`], which doubles as the governed
 //!   analysis exercised by `GovernorCancel`);
@@ -31,8 +37,8 @@
 //!   evaluates byte-identically to it, and the incrementally stepped
 //!   provenance plane equals a from-scratch rebuild after every action.
 //!
-//! The sixth oracle of the design — post-heal convergence — needs mutable
-//! access to pump the coordinator, so it runs as the final check of
+//! The closing oracle — post-heal convergence — needs mutable access to
+//! pump the plane, so it runs as the final check of
 //! [`ChaosSim::run_trace`](crate::chaos::ChaosSim::run_trace) rather than
 //! through this trait.
 
@@ -41,23 +47,23 @@ use std::collections::BTreeMap;
 use cwf_model::govern::{Bound, Governor, Pool, Verdict};
 
 use crate::chaos::actions::Action;
-use crate::coordinator::Coordinator;
 use crate::event::Event;
 use crate::run::{ReplayError, Run};
-use crate::shard::{slice_view, HlcStamp, ShardId, ShardPlane};
-use crate::wal::{MemBackend, Wal, WalBackend, WalOptions};
+use crate::shard::{slice_view, HlcStamp, ShardId, ShardMap, ShardPlane};
+use crate::wal::{MemBackend, WalBackend, WalOptions};
 
 /// A read-only snapshot of the simulated system handed to every oracle
 /// after each action.
 pub struct Checkpoint<'a> {
-    /// The live coordinator.
-    pub coordinator: &'a Coordinator,
+    /// The live shard plane.
+    pub plane: &'a ShardPlane,
     /// The full accepted history, replayed from the empty instance. Unlike
-    /// the coordinator's own run (which restarts from a WAL snapshot after
+    /// the plane's own run (which restarts from a WAL snapshot after
     /// recovery), the shadow never forgets a prefix.
     pub shadow: &'a Run,
-    /// The current epoch's simulated disk (shared handle under the WAL).
-    pub backend: &'a MemBackend,
+    /// The current epoch's simulated disks, one per shard stream (shared
+    /// handles under the per-shard WALs).
+    pub backends: &'a [MemBackend],
     /// The WAL options in force (chaos always syncs per record).
     pub opts: WalOptions,
     /// The at-most-one accepted-then-rolled-back event whose bytes may or
@@ -83,8 +89,11 @@ pub trait Oracle {
 pub fn default_oracles() -> Vec<Box<dyn Oracle>> {
     vec![
         Box::new(ShadowEquivalence),
-        Box::new(ReplicaPrefix),
-        Box::new(WalReplay),
+        Box::new(ShardStateUnion),
+        Box::new(ShardSlicePrefix::default()),
+        Box::new(HlcCausality),
+        Box::new(ShardWalReplay),
+        Box::new(ShardOwnership::default()),
         Box::new(DegradedSafety::default()),
         Box::new(WellFormed),
         Box::new(ViewPlaneOracle),
@@ -169,8 +178,8 @@ pub fn governed_view_audit(
     Verdict::Done(Ok(n))
 }
 
-/// The coordinator's in-memory run is a suffix of the accepted history and
-/// its current instance equals the shadow's.
+/// The plane's in-memory run is a suffix of the accepted history and its
+/// current instance equals the shadow's.
 pub struct ShadowEquivalence;
 
 impl Oracle for ShadowEquivalence {
@@ -179,10 +188,10 @@ impl Oracle for ShadowEquivalence {
     }
 
     fn check(&mut self, cp: &Checkpoint<'_>) -> Result<(), String> {
-        let run = cp.coordinator.run();
+        let run = cp.plane.run();
         if run.len() > cp.shadow.len() {
             return Err(format!(
-                "coordinator holds {} events but only {} were accepted",
+                "plane holds {} events but only {} were accepted",
                 run.len(),
                 cp.shadow.len()
             ));
@@ -191,15 +200,14 @@ impl Oracle for ShadowEquivalence {
         for i in 0..run.len() {
             if run.event(i) != cp.shadow.event(offset + i) {
                 return Err(format!(
-                    "coordinator event {i} differs from accepted event {}",
+                    "plane event {i} differs from accepted event {}",
                     offset + i
                 ));
             }
         }
         if run.current() != cp.shadow.current() {
             return Err(format!(
-                "coordinator instance diverges from the accepted history \
-                 after {} events",
+                "plane instance diverges from the accepted history after {} events",
                 cp.shadow.len()
             ));
         }
@@ -207,122 +215,11 @@ impl Oracle for ShadowEquivalence {
     }
 }
 
-/// Every replica equals `I@p` for some prefix of the accepted history.
-///
-/// Under faults a replica legitimately lags (deltas dropped or delayed),
-/// but it must never hold a state that *no* prefix of the history explains
-/// — that would mean a delta was applied out of order, twice, or corrupted.
-pub struct ReplicaPrefix;
-
-impl Oracle for ReplicaPrefix {
-    fn name(&self) -> &'static str {
-        "replica-prefix"
-    }
-
-    fn check(&mut self, cp: &Checkpoint<'_>) -> Result<(), String> {
-        let collab = cp.shadow.spec().collab();
-        for p in collab.peer_ids() {
-            let replica = cp.coordinator.replica(p);
-            // Newest prefix first: the up-to-date case is the common one.
-            let ok = (0..=cp.shadow.len()).rev().any(|i| {
-                let inst = if i == 0 {
-                    cp.shadow.initial()
-                } else {
-                    cp.shadow.instance(i - 1)
-                };
-                replica.matches(&collab.view_of(inst, p))
-            });
-            if !ok {
-                return Err(format!(
-                    "replica of peer {} matches no prefix of the {}-event \
-                     accepted history",
-                    collab.peer_name(p),
-                    cp.shadow.len()
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Recovering from the disk bytes as they are *right now* reproduces the
-/// accepted history — and the synced prefix alone loses nothing acked.
-///
-/// Chaos runs with [`SyncPolicy::Always`](crate::wal::SyncPolicy), so every
-/// acknowledged event is synced: recovery from the synced prefix must yield
-/// *exactly* the accepted events. Recovery from the full bytes (which may
-/// end in an unsynced or torn tail) may additionally surface the single
-/// in-flight event whose append failed after its bytes landed.
-pub struct WalReplay;
-
-impl Oracle for WalReplay {
-    fn name(&self) -> &'static str {
-        "wal-replay"
-    }
-
-    fn check(&mut self, cp: &Checkpoint<'_>) -> Result<(), String> {
-        let accepted = cp.shadow.len() as u64;
-        let bytes = cp.backend.bytes();
-
-        // Full bytes: the accepted events, plus at most the in-flight one.
-        let rec = Wal::recover(
-            Box::new(MemBackend::from_bytes(bytes.clone())),
-            cp.shadow.spec_arc(),
-            cp.opts,
-        )
-        .map_err(|e| format!("recovery refused the live log: {e}"))?;
-        match rec.report.last_seq {
-            s if s == accepted => {
-                if rec.run.current() != cp.shadow.current() {
-                    return Err("recovered instance differs from the accepted history".to_string());
-                }
-            }
-            s if s == accepted + 1 => {
-                if cp.in_flight.is_none() {
-                    return Err(format!(
-                        "recovery yields {s} events but only {accepted} were \
-                         accepted and nothing is in flight"
-                    ));
-                }
-            }
-            s if s < accepted => {
-                return Err(format!(
-                    "lost acked events: recovery reaches seq {s} of {accepted}"
-                ));
-            }
-            s => {
-                return Err(format!(
-                    "phantom events: recovery reaches seq {s} of {accepted}"
-                ));
-            }
-        }
-
-        // Synced prefix: exactly the acknowledged events, no more, no less.
-        let synced = bytes[..cp.backend.synced_len().min(bytes.len())].to_vec();
-        let rec = Wal::recover(
-            Box::new(MemBackend::from_bytes(synced)),
-            cp.shadow.spec_arc(),
-            cp.opts,
-        )
-        .map_err(|e| format!("recovery refused the synced prefix: {e}"))?;
-        if rec.report.last_seq != accepted {
-            return Err(format!(
-                "durable prefix holds {} events, {accepted} were acknowledged",
-                rec.report.last_seq
-            ));
-        }
-        if rec.run.current() != cp.shadow.current() {
-            return Err("durable instance differs from the accepted history".to_string());
-        }
-        Ok(())
-    }
-}
-
-/// While the coordinator is degraded, its run must not grow.
+/// While the plane is degraded, its run must not grow.
 ///
 /// Stateful: remembers the run length at the moment degradation was first
-/// observed and requires it to stay frozen until the coordinator re-arms
-/// (or a crash-restart replaces it — a recovered coordinator starts armed).
+/// observed and requires it to stay frozen until the plane re-arms (or a
+/// crash-restart replaces it — a recovered plane starts armed).
 #[derive(Default)]
 pub struct DegradedSafety {
     frozen_len: Option<usize>,
@@ -334,8 +231,8 @@ impl Oracle for DegradedSafety {
     }
 
     fn check(&mut self, cp: &Checkpoint<'_>) -> Result<(), String> {
-        if cp.coordinator.degraded() {
-            let len = cp.coordinator.run().len();
+        if cp.plane.degraded() {
+            let len = cp.plane.run().len();
             match self.frozen_len {
                 None => self.frozen_len = Some(len),
                 Some(frozen) if frozen != len => {
@@ -372,8 +269,8 @@ impl Oracle for WellFormed {
 }
 
 /// The incrementally maintained view plane agrees with the from-scratch
-/// reference `view_of` for every peer — checked on both the live
-/// coordinator's run and the shadow history after every action. This is the
+/// reference `view_of` for every peer — checked on both the live plane's
+/// run and the shadow history after every action. This is the
 /// differential oracle of the delta path: `view_of` stays the executable
 /// spec, the plane must match it byte for byte.
 pub struct ViewPlaneOracle;
@@ -385,7 +282,7 @@ impl Oracle for ViewPlaneOracle {
 
     fn check(&mut self, cp: &Checkpoint<'_>) -> Result<(), String> {
         let collab = cp.shadow.spec().collab();
-        let live = cp.coordinator.run();
+        let live = cp.plane.run();
         for p in collab.peer_ids() {
             if live.peer_view(p) != &collab.view_of(live.current(), p) {
                 return Err(format!(
@@ -404,18 +301,27 @@ impl Oracle for ViewPlaneOracle {
     }
 }
 
-/// The provenance-soundness core shared by the single-node and shard-plane
-/// batteries: a provenance-enabled mirror of the shadow run, extended
+/// The provenance plane is sound along the accepted history: annotating
+/// the shadow run never perturbs evaluation, and the incrementally stepped
+/// plane equals a from-scratch [`crate::prov::ProvPlane::build`] after
+/// every single action — crashes, recoveries, and rollbacks included.
+///
+/// Stateful: keeps a provenance-enabled mirror of the shadow run, extended
 /// incrementally (so the plane is *stepped*, never rebuilt, along the
 /// accepted history) and rebuilt from scratch only when the shadow turns
 /// out not to extend the mirror (first check, or a rolled-back suffix).
 #[derive(Default)]
-struct ProvMirror {
+pub struct ProvenanceSound {
     mirror: Option<Run>,
 }
 
-impl ProvMirror {
-    fn check(&mut self, shadow: &Run) -> Result<(), String> {
+impl Oracle for ProvenanceSound {
+    fn name(&self) -> &'static str {
+        "provenance-sound"
+    }
+
+    fn check(&mut self, cp: &Checkpoint<'_>) -> Result<(), String> {
+        let shadow = cp.shadow;
         let extend_from = match &self.mirror {
             Some(m)
                 if m.len() <= shadow.len()
@@ -436,7 +342,6 @@ impl ProvMirror {
                 .push(shadow.event(i).clone())
                 .map_err(|e| format!("annotated mirror rejects accepted event {i}: {e:?}"))?;
         }
-        let mirror = self.mirror.as_ref().expect("just set");
         if mirror.current() != shadow.current() {
             return Err("provenance annotation perturbed evaluation".to_string());
         }
@@ -449,84 +354,6 @@ impl ProvMirror {
         }
         Ok(())
     }
-}
-
-/// The provenance plane is sound along the accepted history: annotating
-/// the shadow run never perturbs evaluation, and the incrementally stepped
-/// plane equals a from-scratch [`crate::prov::ProvPlane::build`] after
-/// every single action — crashes, recoveries, and rollbacks included.
-#[derive(Default)]
-pub struct ProvenanceSound(ProvMirror);
-
-impl Oracle for ProvenanceSound {
-    fn name(&self) -> &'static str {
-        "provenance-sound"
-    }
-
-    fn check(&mut self, cp: &Checkpoint<'_>) -> Result<(), String> {
-        self.0.check(cp.shadow)
-    }
-}
-
-/// [`ProvenanceSound`] over the shard plane's single-shard shadow run.
-#[derive(Default)]
-pub struct ShardProvenanceSound(ProvMirror);
-
-impl ShardOracle for ShardProvenanceSound {
-    fn name(&self) -> &'static str {
-        "provenance-sound"
-    }
-
-    fn check(&mut self, cp: &ShardCheckpoint<'_>) -> Result<(), String> {
-        self.0.check(cp.shadow)
-    }
-}
-
-/// A read-only snapshot of the sharded deployment handed to every
-/// [`ShardOracle`] after each action of a shard-plane chaos trace.
-pub struct ShardCheckpoint<'a> {
-    /// The live shard plane.
-    pub plane: &'a ShardPlane,
-    /// The full accepted history — the *single-shard shadow run*, replayed
-    /// from the empty instance, surviving crashes and snapshots.
-    pub shadow: &'a Run,
-    /// The current epoch's simulated disks, one per shard stream (shared
-    /// handles under the per-shard WALs).
-    pub backends: &'a [MemBackend],
-    /// The WAL options in force (chaos always syncs per record).
-    pub opts: WalOptions,
-    /// The at-most-one accepted-then-rolled-back event whose bytes may or
-    /// may not be on disk.
-    pub in_flight: Option<&'a Event>,
-    /// Has the environment healed (no further fault injection)?
-    pub healed: bool,
-    /// Index of the action just executed.
-    pub step: usize,
-    /// The action just executed.
-    pub action: &'a Action,
-}
-
-/// A pluggable invariant over the sharded deployment, checked after every
-/// action of a shard-plane chaos trace.
-pub trait ShardOracle {
-    /// Short stable name, used in failure reports and repro output.
-    fn name(&self) -> &'static str;
-    /// Checks the invariant; `Err` carries a human-readable violation.
-    fn check(&mut self, cp: &ShardCheckpoint<'_>) -> Result<(), String>;
-}
-
-/// The default shard-plane oracle battery: cross-shard state union,
-/// per-slice replica prefixes, HLC causality, and the per-shard-stream
-/// quorum-replay differential.
-pub fn default_shard_oracles() -> Vec<Box<dyn ShardOracle>> {
-    vec![
-        Box::new(ShardStateUnion),
-        Box::new(ShardSlicePrefix::default()),
-        Box::new(HlcCausality),
-        Box::new(ShardWalReplay),
-        Box::new(ShardOwnership::default()),
-        Box::new(ShardProvenanceSound::default()),
-    ]
 }
 
 /// Exactly one owner per key, at every single checkpoint: every fact
@@ -543,12 +370,12 @@ pub struct ShardOwnership {
     last_epoch: u64,
 }
 
-impl ShardOracle for ShardOwnership {
+impl Oracle for ShardOwnership {
     fn name(&self) -> &'static str {
         "shard-ownership"
     }
 
-    fn check(&mut self, cp: &ShardCheckpoint<'_>) -> Result<(), String> {
+    fn check(&mut self, cp: &Checkpoint<'_>) -> Result<(), String> {
         let map = cp.plane.map();
         for i in 0..cp.plane.shard_count() {
             let s = ShardId(i as u16);
@@ -577,21 +404,21 @@ impl ShardOracle for ShardOwnership {
 }
 
 /// Quorum recovery over copies of the per-shard streams as they are
-/// *right now* reproduces the accepted history — the sharded analogue of
-/// [`WalReplay`]. Full bytes (which may end in torn tails or hold
-/// in-doubt prepare records) must replay to the accepted events plus at
-/// most the one in-flight event; the synced prefixes alone must replay to
-/// *exactly* the accepted events, since chaos syncs every record and the
-/// cross-shard commit point forces the home stream's `c` record down
-/// before anything is acknowledged.
+/// *right now* reproduces the accepted history. Full bytes (which may end
+/// in torn tails or hold in-doubt prepare records) must replay to the
+/// accepted events plus at most the one in-flight event; the synced
+/// prefixes alone must replay to *exactly* the accepted events — no acked
+/// event is ever lost — since chaos syncs every record and the cross-shard
+/// commit point forces the home stream's `c` record down before anything
+/// is acknowledged.
 pub struct ShardWalReplay;
 
-impl ShardOracle for ShardWalReplay {
+impl Oracle for ShardWalReplay {
     fn name(&self) -> &'static str {
         "shard-wal-replay"
     }
 
-    fn check(&mut self, cp: &ShardCheckpoint<'_>) -> Result<(), String> {
+    fn check(&mut self, cp: &Checkpoint<'_>) -> Result<(), String> {
         let accepted = cp.shadow.len() as u64;
         let spec = cp.shadow.spec_arc();
 
@@ -656,45 +483,22 @@ impl ShardOracle for ShardWalReplay {
     }
 }
 
-/// The cross-shard convergence oracle's per-step half: the plane's run is
-/// a suffix of the single-shard shadow history reaching the same instance,
-/// and the **union of the shard state partitions equals that instance** —
-/// byte for byte, after every single action, not just at quiescence. (The
-/// post-heal half — every peer's slice union equals `view_of` of the
-/// shadow — needs to pump the plane, so it runs as the closing check of
-/// the shard sim's trace execution.)
+/// The cross-shard convergence oracle's per-step half: the **union of the
+/// shard state partitions equals the routing layer's instance** — byte for
+/// byte, after every single action, not just at quiescence. (Together with
+/// [`ShadowEquivalence`], the union equals the accepted history's instance.
+/// The post-heal half — every peer's slice union equals `view_of` of the
+/// shadow — needs to pump the plane, so it runs as the closing check of the
+/// sim's trace execution.)
 pub struct ShardStateUnion;
 
-impl ShardOracle for ShardStateUnion {
+impl Oracle for ShardStateUnion {
     fn name(&self) -> &'static str {
         "shard-state-union"
     }
 
-    fn check(&mut self, cp: &ShardCheckpoint<'_>) -> Result<(), String> {
-        let run = cp.plane.run();
-        if run.len() > cp.shadow.len() {
-            return Err(format!(
-                "plane holds {} events but only {} were accepted",
-                run.len(),
-                cp.shadow.len()
-            ));
-        }
-        let offset = cp.shadow.len() - run.len();
-        for i in 0..run.len() {
-            if run.event(i) != cp.shadow.event(offset + i) {
-                return Err(format!(
-                    "plane event {i} differs from accepted event {}",
-                    offset + i
-                ));
-            }
-        }
-        if run.current() != cp.shadow.current() {
-            return Err(format!(
-                "plane instance diverges from the accepted history after {} events",
-                cp.shadow.len()
-            ));
-        }
-        if !cp.plane.state_matches(run.current()) {
+    fn check(&mut self, cp: &Checkpoint<'_>) -> Result<(), String> {
+        if !cp.plane.state_matches(cp.plane.run().current()) {
             return Err(
                 "union of shard state partitions differs from the routing layer's instance"
                     .to_string(),
@@ -706,7 +510,10 @@ impl ShardOracle for ShardStateUnion {
 
 /// Every (shard, peer) slice equals that shard's slice of `I@p` for *some*
 /// prefix of the accepted history, sliced by *some* shard map the plane
-/// has routed by — the sharded analogue of [`ReplicaPrefix`]. Slices of
+/// has routed by. Under faults a slice legitimately lags (deltas dropped or
+/// delayed), but it must never hold a state that *no* prefix of the history
+/// explains — that would mean a delta was applied out of order, twice, or
+/// corrupted. Slices of
 /// different shards may legitimately sit at *different* prefixes (each
 /// shard's delivery plane lags independently), which is exactly why the
 /// flat union-of-slices cannot be prefix-checked; and a slice whose
@@ -717,15 +524,15 @@ impl ShardOracle for ShardStateUnion {
 #[derive(Default)]
 pub struct ShardSlicePrefix {
     /// Every distinct map (one per epoch) observed across checkpoints.
-    maps: Vec<crate::shard::ShardMap>,
+    maps: Vec<ShardMap>,
 }
 
-impl ShardOracle for ShardSlicePrefix {
+impl Oracle for ShardSlicePrefix {
     fn name(&self) -> &'static str {
         "shard-slice-prefix"
     }
 
-    fn check(&mut self, cp: &ShardCheckpoint<'_>) -> Result<(), String> {
+    fn check(&mut self, cp: &Checkpoint<'_>) -> Result<(), String> {
         let collab = cp.shadow.spec().collab();
         let map = cp.plane.map();
         if !self.maps.iter().any(|m| m.epoch() == map.epoch()) {
@@ -777,12 +584,12 @@ impl ShardOracle for ShardSlicePrefix {
 ///   dominating the durable log.
 pub struct HlcCausality;
 
-impl ShardOracle for HlcCausality {
+impl Oracle for HlcCausality {
     fn name(&self) -> &'static str {
         "hlc-causality"
     }
 
-    fn check(&mut self, cp: &ShardCheckpoint<'_>) -> Result<(), String> {
+    fn check(&mut self, cp: &Checkpoint<'_>) -> Result<(), String> {
         let log = cp.plane.log();
         let mut prev: Option<HlcStamp> = None;
         // event index -> (admission, next event's admission if any)

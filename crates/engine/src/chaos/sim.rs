@@ -1,46 +1,39 @@
 //! The seeded whole-system chaos simulator.
 //!
-//! A [`ChaosSim`] drives one [`Coordinator`] deployment — durable WAL on a
-//! simulated disk, unreliable transport, degraded mode, crash–restart —
-//! through generated [`Action`] traces, with **every** source of
-//! nondeterminism derived from a single `u64` seed (FoundationDB-style):
-//! the trace itself, the network fault schedule, and the storage fault
-//! schedule all come from disjoint RNG streams of the seed, and restarts
-//! re-derive their streams from `(seed, epoch)`. Executing the same
-//! `(seed, trace)` twice is therefore byte-identical, which is what makes
-//! the [`shrink`](crate::chaos::shrink) step sound and every failure
-//! replayable from one printed line.
+//! A [`ChaosSim`] drives one [`ShardPlane`](crate::shard::ShardPlane)
+//! deployment of a given shard count — per-shard durable WAL streams on
+//! simulated disks, unreliable per-shard transports, standby replicas,
+//! degraded mode, crash–restart — through generated [`Action`] traces, with
+//! **every** source of nondeterminism derived from a single `u64` seed
+//! (FoundationDB-style): the trace itself, the network fault schedules, and
+//! the storage fault schedules all come from disjoint RNG streams of the
+//! seed, and restarts re-derive their streams from `(seed, epoch)`.
+//! Executing the same `(seed, trace)` twice is therefore byte-identical,
+//! which is what makes the [`shrink`](crate::chaos::shrink) step sound and
+//! every failure replayable from one printed line. At shards=1 the system
+//! under test is the paper's master server; at N shards partitions,
+//! failovers, cross-shard commits, and resharding get teeth.
 //!
-//! Alongside the live coordinator the simulator maintains a **shadow run**:
-//! the full accepted history replayed from the empty instance. The shadow
-//! is what the [oracles](crate::chaos::oracle) compare against — it
-//! survives crashes and WAL snapshots, which the coordinator's own run does
-//! not.
+//! Alongside the live plane the simulator maintains a **shadow run**: the
+//! full accepted history replayed from the empty instance. The shadow is
+//! what the [oracles](crate::chaos::oracle) compare against — it survives
+//! crashes and WAL snapshots, which the plane's own run does not.
 
 use std::fmt;
 use std::sync::Arc;
 
 use cwf_lang::WorkflowSpec;
-use cwf_model::govern::{CancelToken, Governor, Pool, Reason, Verdict};
-use cwf_model::solver::satisfiable_within_pooled;
 use cwf_model::{AttrId, Condition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::chaos::actions::{format_trace, Action};
-use crate::chaos::oracle::{
-    default_oracles, governed_view_audit, governed_wellformed, Checkpoint, Oracle,
-};
+use crate::chaos::oracle::{default_oracles, Oracle};
 use crate::chaos::shrink::ddmin;
-use crate::coordinator::{Convergence, Coordinator, CoordinatorConfig, MaterializedView};
-use crate::error::CoordinatorError;
-use crate::event::Event;
+use crate::chaos::world::World;
+use crate::delivery::CoordinatorConfig;
 use crate::fault::FaultPlan;
-use crate::run::Run;
-use crate::simulate::{candidates, complete, Candidate};
 use crate::stats::FtStats;
-use crate::transport::FaultyTransport;
-use crate::wal::{IoFaultBackend, MemBackend, SyncPolicy, Wal, WalOptions};
 
 /// Splits the one seed into independent streams (generation, network,
 /// storage) and per-restart epochs.
@@ -77,7 +70,7 @@ pub enum ChaosProfile {
     /// Frequent crash–restarts over a moderately faulty network.
     CrashHeavy,
     /// Faulty storage (short writes, fsync failures, transient errors), so
-    /// submits degrade the coordinator and rearm/recovery run hot.
+    /// submits degrade the plane and rearm/recovery run hot.
     StorageHeavy,
     /// Submit-heavy traffic biased toward *modifying* candidates — inserts
     /// whose key already exists, so the chase null-fills tuples in place.
@@ -86,20 +79,21 @@ pub enum ChaosProfile {
     /// differential view-plane oracle.
     ModificationHeavy,
     /// Link-level partitions, shard failovers, and hand-offs over a mildly
-    /// faulty network: the robustness profile of the sharded state plane
-    /// (on a single coordinator only the partition actions bite).
+    /// faulty network: the robustness profile of the state plane (at
+    /// shards=1 they cut peer and standby links, promote and hand off the
+    /// one shard).
     PartitionHeavy,
     /// Cross-shard commit-protocol faults — stalled participant commits,
     /// post-prepare aborts, router deaths with in-doubt prepares — over a
     /// mildly faulty network and storage, plus regular crash–restarts so
-    /// the presumed-abort recovery rule runs hot. On a single coordinator
-    /// the commit actions are no-op notes.
+    /// the presumed-abort recovery rule runs hot. At shards=1 every event
+    /// commits locally, so the armed commit faults never fire.
     CommitHeavy,
     /// Elastic-resharding stress — live shard splits, merges, and
     /// rebalances interleaved with submits, failovers, hand-offs, router
     /// crashes, and mild storage faults, so migrations are regularly cut
-    /// down mid-flight and must resolve through epoch-aware recovery. On a
-    /// single coordinator the resharding actions are no-op notes.
+    /// down mid-flight and must resolve through epoch-aware recovery (a
+    /// shards=1 plane splits out of its single stream).
     ReshardHeavy,
 }
 
@@ -177,7 +171,7 @@ pub struct ChaosConfig {
     /// WAL snapshot cadence (chaos keeps it low so crash–restart regularly
     /// exercises snapshot-based recovery).
     pub snapshot_every: Option<u64>,
-    /// Delivery-protocol knobs of the coordinator under test.
+    /// Delivery-protocol and WAL knobs of every shard under test.
     pub coordinator: CoordinatorConfig,
     /// Executions the shrinker may spend minimizing one failure.
     pub shrink_budget: usize,
@@ -211,7 +205,7 @@ pub struct TraceReport {
     pub restarts: u64,
     /// Ticks the final post-heal convergence needed (0 when never healed).
     pub converge_ticks: u64,
-    /// Fault-tolerance counters of the final coordinator epoch.
+    /// Fault-tolerance counters of the final plane epoch.
     pub ft: FtStats,
     /// One line per notable execution step — broadcasts, rejections,
     /// recoveries. Two same-seed runs must produce byte-identical
@@ -228,7 +222,7 @@ pub struct ChaosFailure {
     /// The profile that was running.
     pub profile: ChaosProfile,
     /// Name of the violated oracle (or `action-invariant` /
-    /// `post-heal-convergence` for harness-level checks).
+    /// `cross-shard-convergence` for harness-level checks).
     pub oracle: String,
     /// Human-readable violation.
     pub detail: String,
@@ -270,545 +264,27 @@ pub(crate) fn inv(detail: impl Into<String>) -> Violation {
     ("action-invariant".to_string(), detail.into())
 }
 
-/// The live state of one trace execution (one "universe").
-struct World {
-    spec: Arc<WorkflowSpec>,
-    profile: ChaosProfile,
-    config: ChaosConfig,
-    seed: u64,
-    coordinator: Coordinator,
-    /// Shared handle to the current epoch's simulated disk.
-    mem: MemBackend,
-    /// Fault-injecting decorator over `mem` (shared with the WAL).
-    io: IoFaultBackend,
-    opts: WalOptions,
-    shadow: Run,
-    in_flight: Option<Event>,
-    healed: bool,
-    epoch: u64,
-    restarts: u64,
-    transcript: Vec<String>,
-}
-
-impl World {
-    fn new(spec: Arc<WorkflowSpec>, profile: ChaosProfile, config: ChaosConfig, seed: u64) -> Self {
-        let opts = WalOptions {
-            sync: SyncPolicy::Always,
-            snapshot_every: config.snapshot_every,
-        };
-        let mem = MemBackend::new();
-        // Storage faults switch on only after the header is written and
-        // synced — Wal::create on a faultless fresh backend cannot fail.
-        let io = IoFaultBackend::new(
-            Box::new(mem.clone()),
-            FaultPlan::perfect(mix(seed, STORAGE_SALT)),
-        );
-        let wal =
-            Wal::create(Box::new(io.clone()), opts).expect("fresh in-memory backend cannot fail");
-        let (short, fsync, transient) = profile.storage_rates();
-        io.configure(|p| {
-            p.short_write_p = short;
-            p.fsync_fail_p = fsync;
-            p.transient_p = transient;
-        });
-        let transport = FaultyTransport::new(profile.transport_plan(mix(seed, NET_SALT)));
-        let coordinator = Coordinator::with_parts(
-            Arc::clone(&spec),
-            Box::new(transport),
-            Some(wal),
-            config.coordinator,
-        );
-        let shadow = Run::new(Arc::clone(&spec));
-        World {
-            spec,
-            profile,
-            config,
-            seed,
-            coordinator,
-            mem,
-            io,
-            opts,
-            shadow,
-            in_flight: None,
-            healed: false,
-            epoch: 0,
-            restarts: 0,
-            transcript: Vec::new(),
-        }
-    }
-
-    fn note(&mut self, line: impl Into<String>) {
-        self.transcript.push(line.into());
-    }
-
-    fn checkpoint<'a>(&'a self, step: usize, action: &'a Action) -> Checkpoint<'a> {
-        Checkpoint {
-            coordinator: &self.coordinator,
-            shadow: &self.shadow,
-            backend: &self.mem,
-            opts: self.opts,
-            in_flight: self.in_flight.as_ref(),
-            healed: self.healed,
-            step,
-            action,
-        }
-    }
-
-    fn apply(&mut self, action: &Action) -> Result<(), Violation> {
-        match action {
-            Action::Submit { pick } => self.submit(*pick),
-            Action::Pump { ticks } => {
-                for _ in 0..*ticks {
-                    self.coordinator.pump();
-                }
-                Ok(())
-            }
-            Action::CrashRestart {
-                keep_unsynced,
-                corrupt,
-            } => self.crash_restart(*keep_unsynced, *corrupt),
-            Action::Resync => {
-                let n = self.coordinator.resync_divergent();
-                self.note(format!("resync: {n} divergent replicas"));
-                Ok(())
-            }
-            Action::Heal => {
-                self.healed = true;
-                self.coordinator.heal();
-                self.io.heal();
-                self.note("heal: all fault injection stopped");
-                Ok(())
-            }
-            Action::Rearm => self.rearm(),
-            Action::GovernorCancel => self.governor_cancel(),
-            Action::ParCancel => self.par_cancel(),
-            Action::DegradeProbe => self.degrade_probe(),
-            Action::Partition { link } => {
-                // On a single coordinator the links are exactly the peers.
-                let p = cwf_model::PeerId(link % self.spec.collab().peer_count() as u32);
-                self.coordinator.set_link(p, false);
-                self.note(format!("part: peer {} link down", p.index()));
-                Ok(())
-            }
-            Action::HealPartition { link } => {
-                let p = cwf_model::PeerId(link % self.spec.collab().peer_count() as u32);
-                self.coordinator.set_link(p, true);
-                self.note(format!("unpart: peer {} link up", p.index()));
-                Ok(())
-            }
-            // Shard-plane actions are no-ops on the shard-less deployment
-            // (the ShardChaosSim gives them teeth); keeping them tolerated
-            // here lets one trace grammar drive both harnesses.
-            Action::ShardFailover { .. } => {
-                self.note("failover: no shards on a single coordinator");
-                Ok(())
-            }
-            Action::Handoff { .. } => {
-                self.note("handoff: no shards on a single coordinator");
-                Ok(())
-            }
-            Action::CommitStall { .. } => {
-                self.note("cstall: no cross-shard commits on a single coordinator");
-                Ok(())
-            }
-            Action::CommitAbort => {
-                self.note("cabort: no cross-shard commits on a single coordinator");
-                Ok(())
-            }
-            Action::RouterCrash { .. } => {
-                self.note("rcrash: no routing layer on a single coordinator");
-                Ok(())
-            }
-            Action::Split { .. } => {
-                self.note("split: no shards on a single coordinator");
-                Ok(())
-            }
-            Action::Merge { .. } => {
-                self.note("merge: no shards on a single coordinator");
-                Ok(())
-            }
-            Action::Rebalance { .. } => {
-                self.note("rebal: no shards on a single coordinator");
-                Ok(())
-            }
-        }
-    }
-
-    /// Does firing this candidate modify an existing tuple? True when some
-    /// insert's key is already bound by the body to a key present in the
-    /// current instance — the key chase then merges into (null-fills) that
-    /// tuple instead of creating a new one.
-    fn modifies_existing(&self, cand: &Candidate) -> bool {
-        let rule = self.spec.program().rule(cand.rule);
-        rule.head.iter().any(|u| match u {
-            cwf_lang::UpdateAtom::Insert { rel, args } => cand
-                .bindings
-                .resolve(&args[0])
-                .is_some_and(|k| self.coordinator.run().current().rel(*rel).get(&k).is_some()),
-            cwf_lang::UpdateAtom::Delete { .. } => false,
-        })
-    }
-
-    fn submit(&mut self, pick: u32) -> Result<(), Violation> {
-        let cands = candidates(self.coordinator.run());
-        if cands.is_empty() {
-            self.note("submit: no candidates");
-            return Ok(());
-        }
-        // The modification-heavy profile steers picks toward candidates
-        // that null-fill existing tuples, exercising the modified-tuple
-        // path of the view plane; other profiles pick uniformly.
-        let cand = if self.profile == ChaosProfile::ModificationHeavy {
-            let mods: Vec<&Candidate> =
-                cands.iter().filter(|c| self.modifies_existing(c)).collect();
-            if mods.is_empty() {
-                &cands[pick as usize % cands.len()]
-            } else {
-                mods[pick as usize % mods.len()]
-            }
-        } else {
-            &cands[pick as usize % cands.len()]
-        };
-        // Complete head-only variables with coordinator-fresh values on a
-        // scratch clone (the real run advances only through submit).
-        let mut scratch = self.coordinator.run().clone();
-        let event = complete(&mut scratch, cand);
-        let was_degraded = self.coordinator.degraded();
-        match self.coordinator.submit(event.clone()) {
-            Ok(b) => {
-                let line = format!("submit ok: {b:?}");
-                if was_degraded {
-                    return Err(("degraded-safety".into(), {
-                        "degraded coordinator accepted a mutation".into()
-                    }));
-                }
-                self.note(line);
-                if let Err(e) = self.shadow.push(event) {
-                    return Err((
-                        "shadow-equivalence".into(),
-                        format!("accepted event does not extend the accepted history: {e}"),
-                    ));
-                }
-                Ok(())
-            }
-            Err(CoordinatorError::Degraded) => {
-                if !was_degraded {
-                    return Err(inv("armed coordinator rejected a submit as Degraded"));
-                }
-                self.note("submit rejected: degraded");
-                Ok(())
-            }
-            Err(CoordinatorError::Engine(e)) => {
-                self.note(format!("submit rejected by engine: {e}"));
-                Ok(())
-            }
-            Err(CoordinatorError::Wal(e)) => {
-                if !self.coordinator.degraded() {
-                    return Err(inv(format!(
-                        "wal failure did not degrade the coordinator: {e}"
-                    )));
-                }
-                // Rolled back out of memory; its bytes may or may not be on
-                // disk until a rearm truncates or a restart decides.
-                self.in_flight = Some(event);
-                self.note(format!("submit hit wal failure: {e}"));
-                Ok(())
-            }
-            Err(e @ (CoordinatorError::CommitAborted | CoordinatorError::InDoubt)) => Err(inv(
-                format!("single coordinator returned a cross-shard outcome: {e}"),
-            )),
-        }
-    }
-
-    fn crash_restart(
-        &mut self,
-        keep_unsynced: u32,
-        corrupt: Option<(u32, u8)>,
-    ) -> Result<(), Violation> {
-        // The process dies: in-flight transport messages die with it; only
-        // the synced disk prefix plus at most `keep_unsynced` bytes remain.
-        let synced = self.mem.synced_len();
-        let survivor = self.mem.survivor(keep_unsynced as usize);
-        if let Some((off, xor)) = corrupt {
-            // Corrupt only the *unsynced* region of what survived: synced
-            // bytes are durable by the backend contract, and keeping the
-            // durable prefix intact is what guarantees CRC-breaking
-            // corruption truncates instead of tripping tamper detection.
-            let total = survivor.bytes().len();
-            if total > synced {
-                let tail = total - synced;
-                survivor.corrupt_byte(synced + (off as usize % tail), xor);
-            }
-        }
-        self.epoch += 1;
-        self.restarts += 1;
-        let io = IoFaultBackend::new(
-            Box::new(survivor.clone()),
-            FaultPlan::perfect(mix(self.seed, STORAGE_SALT ^ (self.epoch << 8))),
-        );
-        let mut net = self
-            .profile
-            .transport_plan(mix(self.seed, NET_SALT ^ (self.epoch << 8)));
-        if self.healed {
-            net.heal();
-        }
-        let accepted = self.shadow.len() as u64;
-        let (coordinator, report) = Coordinator::recover(
-            Arc::clone(&self.spec),
-            Box::new(io.clone()),
-            self.opts,
-            Box::new(FaultyTransport::new(net)),
-            self.config.coordinator,
-        )
-        .map_err(|e| {
-            (
-                "wal-replay".to_string(),
-                format!("recovery refused the surviving log: {e}"),
-            )
-        })?;
-        // Reconcile the durable verdict on the in-flight event.
-        if report.last_seq == accepted + 1 {
-            let Some(ev) = self.in_flight.take() else {
-                return Err((
-                    "no-lost-acked".into(),
-                    "recovery found an extra durable event with nothing in flight".into(),
-                ));
-            };
-            self.shadow.push(ev).map_err(|e| {
-                (
-                    "shadow-equivalence".to_string(),
-                    format!("promoted in-flight event does not extend the history: {e}"),
-                )
-            })?;
-        } else if report.last_seq == accepted {
-            self.in_flight = None; // its bytes did not survive
-        } else {
-            return Err((
-                "no-lost-acked".into(),
-                format!(
-                    "recovery reaches seq {} but {accepted} events were acknowledged",
-                    report.last_seq
-                ),
-            ));
-        }
-        self.coordinator = coordinator;
-        self.mem = survivor;
-        self.io = io;
-        if !self.healed {
-            let (short, fsync, transient) = self.profile.storage_rates();
-            self.io.configure(|p| {
-                p.short_write_p = short;
-                p.fsync_fail_p = fsync;
-                p.transient_p = transient;
-            });
-        }
-        self.note(format!(
-            "crash-restart #{}: last_seq={} replayed={} snapshot={:?} truncated={}B",
-            self.restarts,
-            report.last_seq,
-            report.events_replayed,
-            report.snapshot_seq,
-            report.truncated_bytes
-        ));
-        Ok(())
-    }
-
-    fn rearm(&mut self) -> Result<(), Violation> {
-        let was_degraded = self.coordinator.degraded();
-        match self.coordinator.rearm() {
-            Ok(()) => {
-                if was_degraded {
-                    // The truncation dropped any in-flight bytes for good.
-                    self.in_flight = None;
-                    self.note("rearm: left degraded mode");
-                } else {
-                    self.note("rearm: no-op");
-                }
-                Ok(())
-            }
-            Err(e) => {
-                if self.healed {
-                    return Err(inv(format!("rearm failed after heal: {e}")));
-                }
-                self.note(format!("rearm failed (faults persist): {e}"));
-                Ok(())
-            }
-        }
-    }
-
-    fn governor_cancel(&mut self) -> Result<(), Violation> {
-        let token = CancelToken::new();
-        token.cancel();
-        let gov = Governor::unlimited().cancelled_by(token);
-        match governed_wellformed(self.coordinator.run(), &gov) {
-            Verdict::Exhausted(Reason::Cancelled) => {
-                self.note("cancel: governed analysis stopped before any work");
-                Ok(())
-            }
-            v => Err(inv(format!(
-                "pre-cancelled governed analysis returned {v:?} \
-                 instead of Exhausted(Cancelled)"
-            ))),
-        }
-    }
-
-    /// The parallel-analysis probe (see [`Action::ParCancel`]): cancellation
-    /// preempts a pooled analysis, and pool size never leaks into results.
-    fn par_cancel(&mut self) -> Result<(), Violation> {
-        let wide = Pool::with_threads(4);
-        let one = Pool::sequential();
-        // Pre-cancelled: the multi-worker audit must stop at the entry
-        // check, before any worker is spawned.
-        let token = CancelToken::new();
-        token.cancel();
-        let gov = Governor::unlimited().cancelled_by(token);
-        match governed_view_audit(self.coordinator.run(), &gov, &wide) {
-            Verdict::Exhausted(Reason::Cancelled) => {}
-            v => {
-                return Err(inv(format!(
-                    "pre-cancelled parallel view audit returned {v:?} \
-                     instead of Exhausted(Cancelled)"
-                )))
-            }
-        }
-        // Differential: the 4-worker audit verdict is byte-identical to the
-        // single-worker oracle, and the plane itself is clean.
-        let par = governed_view_audit(self.coordinator.run(), &Governor::unlimited(), &wide);
-        let seq = governed_view_audit(self.coordinator.run(), &Governor::unlimited(), &one);
-        if par != seq {
-            return Err(inv(format!(
-                "parallel view audit diverged from sequential: {par:?} vs {seq:?}"
-            )));
-        }
-        if let Verdict::Done(Err(msg)) = &par {
-            return Err(inv(format!("view audit found a divergence: {msg}")));
-        }
-        // Differential on the satisfiability solver: a fixed 12-atom
-        // condition (above the solver's parallel threshold) must decide
-        // identically across pool sizes.
-        let cond = par_probe_condition();
-        let psat = satisfiable_within_pooled(&cond, &Governor::unlimited(), &wide);
-        let ssat = satisfiable_within_pooled(&cond, &Governor::unlimited(), &one);
-        if psat != ssat {
-            return Err(inv(format!(
-                "parallel satisfiability diverged from sequential: \
-                 {psat:?} vs {ssat:?}"
-            )));
-        }
-        self.note("pcancel: parallel analyses match the sequential oracles");
-        Ok(())
-    }
-
-    fn degrade_probe(&mut self) -> Result<(), Violation> {
-        if !self.coordinator.degraded() {
-            self.note("probe: not degraded");
-            return Ok(());
-        }
-        let before_len = self.coordinator.run().len();
-        let collab = self.spec.collab();
-        let replicas: Vec<MaterializedView> = collab
-            .peer_ids()
-            .map(|p| self.coordinator.replica(p).clone())
-            .collect();
-        // Build a mutation to fire into the degraded coordinator.
-        let cands = candidates(self.coordinator.run());
-        let event = match cands.first() {
-            Some(cand) => {
-                let mut scratch = self.coordinator.run().clone();
-                complete(&mut scratch, cand)
-            }
-            None => match self.in_flight.clone() {
-                Some(ev) => ev,
-                None => {
-                    self.note("probe: nothing to submit");
-                    return Ok(());
-                }
-            },
-        };
-        match self.coordinator.submit(event) {
-            Err(CoordinatorError::Degraded) => {}
-            Ok(_) => {
-                return Err((
-                    "degraded-safety".into(),
-                    "mutation accepted while degraded".into(),
-                ));
-            }
-            Err(e) => {
-                return Err((
-                    "degraded-safety".into(),
-                    format!("degraded submit failed with {e:?} instead of Degraded"),
-                ));
-            }
-        }
-        if self.coordinator.run().len() != before_len {
-            return Err((
-                "degraded-safety".into(),
-                "run length changed during a degraded probe".into(),
-            ));
-        }
-        for (p, before) in collab.peer_ids().zip(&replicas) {
-            if self.coordinator.replica(p) != before {
-                return Err((
-                    "degraded-safety".into(),
-                    format!(
-                        "replica of peer {} changed during a degraded probe",
-                        collab.peer_name(p)
-                    ),
-                ));
-            }
-        }
-        self.note("probe: degraded mutation rejected, reads stable");
-        Ok(())
-    }
-
-    /// The post-heal convergence oracle: once the environment has healed,
-    /// the system must re-arm, settle within the pump budget, and pass a
-    /// strict audit.
-    fn final_check(&mut self) -> Result<u64, Violation> {
-        const NAME: &str = "post-heal-convergence";
-        if !self.healed {
-            return Ok(0);
-        }
-        let was_degraded = self.coordinator.degraded();
-        if let Err(e) = self.coordinator.rearm() {
-            return Err((NAME.into(), format!("rearm failed after heal: {e}")));
-        }
-        if was_degraded {
-            self.in_flight = None;
-        }
-        match self.coordinator.converge(self.config.converge_budget) {
-            Convergence::Converged { ticks } => {
-                self.note(format!("converged after {ticks} ticks"));
-                Ok(ticks)
-            }
-            s @ Convergence::Stalled { .. } => Err((
-                NAME.into(),
-                format!(
-                    "system failed to settle within {} ticks: {s}",
-                    self.config.converge_budget
-                ),
-            )),
-        }
-    }
-}
-
-/// The chaos harness: a spec, a fault profile, tuning knobs, and the
-/// oracle battery. One sim is reusable across seeds; each
+/// The chaos harness: a spec, a fault profile, a shard count, tuning
+/// knobs, and the oracle battery. One sim is reusable across seeds; each
 /// [`run_trace`](ChaosSim::run_trace) builds a fresh universe.
 pub struct ChaosSim {
     spec: Arc<WorkflowSpec>,
     profile: ChaosProfile,
+    shards: usize,
     config: ChaosConfig,
     #[allow(clippy::type_complexity)]
     extra: Vec<Box<dyn Fn() -> Box<dyn Oracle> + Send + Sync>>,
 }
 
 impl ChaosSim {
-    /// A sim over `spec` with the given fault profile and default knobs.
-    pub fn new(spec: Arc<WorkflowSpec>, profile: ChaosProfile) -> Self {
+    /// A sim over `spec` with `shards` shards, the given fault profile, and
+    /// default knobs.
+    pub fn new(spec: Arc<WorkflowSpec>, profile: ChaosProfile, shards: usize) -> Self {
+        assert!(shards >= 1, "a plane needs at least one shard");
         ChaosSim {
             spec,
             profile,
+            shards,
             config: ChaosConfig::default(),
             extra: Vec::new(),
         }
@@ -843,10 +319,8 @@ impl ChaosSim {
     }
 }
 
-/// Generates the `seed`-determined action trace of a profile (shared by the
-/// single-coordinator [`ChaosSim`] and the sharded
-/// [`ShardChaosSim`](crate::chaos::shard_sim::ShardChaosSim), so the two
-/// harnesses speak the same grammar).
+/// Generates the `seed`-determined action trace of a profile. The trace
+/// does not depend on the shard count, so one trace replays at any.
 pub fn generate_trace(profile: ChaosProfile, seed: u64, steps: usize) -> Vec<Action> {
     let mut rng = StdRng::seed_from_u64(mix(seed, GEN_SALT));
     let weights = profile.weights();
@@ -921,9 +395,9 @@ pub fn generate_trace(profile: ChaosProfile, seed: u64, steps: usize) -> Vec<Act
 }
 
 impl ChaosSim {
-    /// Executes `trace` deterministically from `seed`, running the oracle
-    /// battery after every action and the post-heal convergence check at
-    /// the end. The failure, if any, carries the *unminimized* trace; see
+    /// Executes `trace` deterministically from `seed` against a fresh
+    /// universe, running the oracle battery after every action and the
+    /// cross-shard convergence check at the end. The failure, if any, carries the *unminimized* trace; see
     /// [`check_seed`](ChaosSim::check_seed) for the shrinking entry point.
     pub fn run_trace(&self, seed: u64, trace: &[Action]) -> Result<TraceReport, ChaosFailure> {
         let fail = |step: usize, (oracle, detail): Violation| ChaosFailure {
@@ -935,7 +409,13 @@ impl ChaosSim {
             trace: trace.to_vec(),
             minimized: None,
         };
-        let mut world = World::new(Arc::clone(&self.spec), self.profile, self.config, seed);
+        let mut world = World::new(
+            Arc::clone(&self.spec),
+            self.profile,
+            self.config,
+            self.shards,
+            seed,
+        );
         let mut oracles = default_oracles();
         for factory in &self.extra {
             oracles.push(factory());
@@ -954,8 +434,10 @@ impl ChaosSim {
             .final_check()
             .map_err(|v| fail(trace.len().saturating_sub(1), v))?;
         let mut transcript = world.transcript;
-        let ft = world.coordinator.ft_stats().clone();
+        let ft = world.plane.ft_stats().clone();
+        let ps = *world.plane.plane_stats();
         transcript.push(format!("final ft: {ft:?}"));
+        transcript.push(format!("final plane: {ps:?}"));
         Ok(TraceReport {
             events: world.shadow.len(),
             modified_tuples: (0..world.shadow.len())
@@ -998,5 +480,16 @@ impl ChaosSim {
                 Err(failure)
             }
         }
+    }
+}
+
+impl fmt::Debug for ChaosSim {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "ChaosSim[{} shards, profile={}]",
+            self.shards,
+            self.profile.name()
+        )
     }
 }

@@ -1,27 +1,123 @@
-//! The reliable-delivery machinery shared by the single-process
-//! [`Coordinator`](crate::coordinator::Coordinator) and each shard of the
-//! [`ShardPlane`](crate::shard::ShardPlane).
+//! The reliable-delivery machinery behind every shard of the
+//! [`ShardPlane`](crate::shard::ShardPlane) — including the single shard of
+//! a shards=1 plane, the paper's master server.
 //!
-//! A [`Delivery`] owns, for one authority (a coordinator or one shard), the
-//! per-peer **outboxes** of sequence-numbered messages awaiting cumulative
-//! acknowledgement, the peer-side **replica nodes** that apply deltas
-//! idempotently, and the transport between them. It implements the full
-//! protocol: capped exponential-backoff retry of unacknowledged messages,
-//! duplicate suppression and out-of-order deferral by sequence number, and
-//! full-snapshot **resync** of replicas that lag or retry too much. The
-//! split is exactly the tentpole's "shard-local apply plus a thin routing
-//! layer": everything below the routing decision lives here and behaves
-//! identically whether one authority serves all keys or N shards serve a
-//! partition each.
+//! A [`Delivery`] owns, for one authority (one shard), the per-peer
+//! **outboxes** of sequence-numbered messages awaiting cumulative
+//! acknowledgement, the peer-side **replica nodes** ([`MaterializedView`]s)
+//! that apply deltas idempotently, and the transport between them. It
+//! implements the full protocol: capped exponential-backoff retry of
+//! unacknowledged messages, duplicate suppression and out-of-order deferral
+//! by sequence number, and full-snapshot **resync** of replicas that lag or
+//! retry too much. Everything below the routing decision lives here and
+//! behaves identically whether one shard serves all keys or N shards serve
+//! a partition each.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
-use cwf_model::PeerId;
+use cwf_model::{PeerId, RelId, Tuple, Value, ViewInstance};
 
-use crate::coordinator::{CoordinatorConfig, MaterializedView};
 use crate::stats::FtStats;
 use crate::transport::{Ack, PeerMsg, Transport};
 use crate::view_plane::ViewDelta;
+
+/// A peer-side replica of its view: per relation, view tuples keyed by key.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct MaterializedView {
+    rels: BTreeMap<RelId, BTreeMap<Value, Tuple>>,
+}
+
+impl MaterializedView {
+    /// An empty replica.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Materializes a view instance (used for resync snapshots).
+    pub fn from_view(view: &ViewInstance) -> Self {
+        let mut out = Self::new();
+        for (rel, t) in view.facts() {
+            out.upsert(rel, t.clone());
+        }
+        out
+    }
+
+    pub(crate) fn upsert(&mut self, rel: RelId, t: Tuple) {
+        self.rels.entry(rel).or_default().insert(*t.key(), t);
+    }
+
+    pub(crate) fn remove(&mut self, rel: RelId, key: &Value) {
+        if let Some(m) = self.rels.get_mut(&rel) {
+            m.remove(key);
+        }
+    }
+
+    /// Total number of tuples.
+    pub fn total_tuples(&self) -> usize {
+        self.rels.values().map(|m| m.len()).sum()
+    }
+
+    /// Every tuple with its relation, in (relation, key) order.
+    pub fn facts(&self) -> impl Iterator<Item = (RelId, &Tuple)> {
+        self.rels
+            .iter()
+            .flat_map(|(r, m)| m.values().map(move |t| (*r, t)))
+    }
+
+    /// Content equality ignoring empty relation slots (removals may leave
+    /// an empty per-relation map behind; two views that hold the same
+    /// tuples are the same view).
+    pub fn same_facts(&self, other: &MaterializedView) -> bool {
+        self.facts().eq(other.facts())
+    }
+
+    /// Does the replica equal the given view instance?
+    pub fn matches(&self, view: &ViewInstance) -> bool {
+        // Compare both directions, by reference — no tuple is cloned.
+        for (r, m) in &self.rels {
+            for t in m.values() {
+                if view.get(*r, t.key()) != Some(t) {
+                    return false;
+                }
+            }
+        }
+        for (r, t) in view.facts() {
+            match self.rels.get(&r).and_then(|m| m.get(t.key())) {
+                Some(mine) if mine == t => {}
+                _ => return false,
+            }
+        }
+        true
+    }
+}
+
+/// Tuning knobs of every shard's delivery protocol and WAL appends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoordinatorConfig {
+    /// Base retry backoff, in pump ticks.
+    pub retry_backoff_base: u64,
+    /// Cap on the exponential backoff, in pump ticks.
+    pub retry_backoff_cap: u64,
+    /// Unacknowledged deltas tolerated before a full-snapshot resync.
+    pub resync_lag: usize,
+    /// Retries of one delta tolerated before a full-snapshot resync.
+    pub resync_after_retries: u32,
+    /// Retries of a transiently failing WAL append (EINTR-style) before
+    /// the submit degrades the plane.
+    pub wal_transient_retries: u32,
+}
+
+impl Default for CoordinatorConfig {
+    fn default() -> Self {
+        CoordinatorConfig {
+            retry_backoff_base: 1,
+            retry_backoff_cap: 16,
+            resync_lag: 32,
+            resync_after_retries: 8,
+            wal_transient_retries: 2,
+        }
+    }
+}
 
 /// Tuning knobs of the delivery protocol (the transport-facing subset of
 /// [`CoordinatorConfig`]).
@@ -307,11 +403,6 @@ impl Delivery {
     /// Cuts or restores the link to one peer (see [`Transport::set_link`]).
     pub fn set_link(&mut self, p: PeerId, up: bool) {
         self.transport.set_link(p, up);
-    }
-
-    /// Is the link to `p` currently up?
-    pub fn link_up(&self, p: PeerId) -> bool {
-        self.transport.link_up(p)
     }
 }
 

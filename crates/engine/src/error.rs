@@ -133,7 +133,9 @@ impl fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
-/// Errors surfaced by the fault-tolerant [`Coordinator`](crate::Coordinator).
+/// Errors surfaced by the fault-tolerant [`ShardPlane`](crate::ShardPlane)
+/// (the name predates the plane: a shards=1 plane is the paper's master
+/// server, the "coordinator").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoordinatorError {
     /// The event was rejected by the transition semantics (not applied, not
@@ -141,15 +143,15 @@ pub enum CoordinatorError {
     Engine(EngineError),
     /// The write-ahead log failed while persisting an accepted event. The
     /// event is rolled back out of memory (it is *not* durable) and the
-    /// coordinator enters read-only **degraded mode**: view reads keep
-    /// working, mutations are rejected with [`CoordinatorError::Degraded`]
-    /// until [`Coordinator::rearm`](crate::Coordinator::rearm) succeeds.
+    /// plane enters read-only **degraded mode**: view reads keep working,
+    /// mutations are rejected with [`CoordinatorError::Degraded`] until
+    /// [`ShardPlane::rearm`](crate::ShardPlane::rearm) succeeds.
     Wal(WalError),
-    /// The coordinator is in degraded (read-only) mode after a durability
+    /// The plane is in degraded (read-only) mode after a durability
     /// failure: reads are served from the last durable state, mutations are
-    /// refused until [`Coordinator::rearm`](crate::Coordinator::rearm)
-    /// restores the log — or the process restarts via
-    /// [`Coordinator::recover`](crate::Coordinator::recover).
+    /// refused until [`ShardPlane::rearm`](crate::ShardPlane::rearm)
+    /// restores the streams — or the process restarts via
+    /// [`ShardPlane::recover`](crate::ShardPlane::recover).
     Degraded,
     /// A cross-shard commit was cleanly aborted before its commit point:
     /// every participant holds an abort record, the event is rolled back,
@@ -170,7 +172,7 @@ impl fmt::Display for CoordinatorError {
             CoordinatorError::Degraded => {
                 write!(
                     f,
-                    "coordinator is degraded (read-only) after a durability failure"
+                    "plane is degraded (read-only) after a durability failure"
                 )
             }
             CoordinatorError::CommitAborted => {

@@ -1,4 +1,4 @@
-//! Deterministic fault injection for coordinator deployments.
+//! Deterministic fault injection for plane deployments.
 //!
 //! A [`FaultPlan`] is a seeded-RNG schedule of delivery faults (drops,
 //! duplicates, reorders, delays), **storage faults** (short writes, fsync

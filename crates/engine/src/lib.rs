@@ -7,22 +7,22 @@
 //! with global-freshness enforcement, replay of event subsequences (the
 //! subrun primitive), peer views of runs `ρ@p`, and a random simulator.
 //!
-//! The deployment layer makes the master-server sketch of the paper's
-//! Conclusion fault tolerant: a checksummed write-ahead log with snapshot
-//! recovery ([`wal`]), unreliable delivery with acknowledgement, retry, and
-//! snapshot resync ([`coordinator`], [`transport`], [`delivery`]), a
-//! sharded, replicated state plane with HLC-stamped oplogs, snapshot
-//! hand-off, and failover ([`shard`]), and deterministic fault injection —
-//! including link-level partitions — for testing it all ([`fault`]) —
-//! stress-tested end to end by a seeded chaos harness with invariant
-//! oracles and trace minimization ([`chaos`]).
+//! The deployment layer is one admission path, the [`ShardPlane`]: a
+//! shards=1 plane is the master server of the paper's Conclusion, and N
+//! shards partition the same global run by key. It is fault tolerant: a
+//! checksummed write-ahead log per shard with snapshot recovery ([`wal`]),
+//! unreliable delivery with acknowledgement, retry, and snapshot resync
+//! ([`transport`], [`delivery`]), HLC-stamped oplogs, standby failover,
+//! snapshot hand-off and live resharding ([`shard`]), and deterministic
+//! fault injection — including link-level partitions — for testing it all
+//! ([`fault`]) — stress-tested end to end by one seeded chaos simulator
+//! with invariant oracles and trace minimization ([`chaos`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos;
 pub mod codec;
-pub mod coordinator;
 pub mod delivery;
 pub mod error;
 pub mod eval;
@@ -41,10 +41,7 @@ pub mod view_plane;
 pub mod wal;
 
 pub use codec::{decode_event, decode_events, encode_event, encode_run, load_run, CodecError};
-pub use coordinator::{
-    Broadcast, Convergence, Coordinator, CoordinatorConfig, MaterializedView, ViewDelta,
-};
-pub use delivery::{Delivery, DeliveryConfig};
+pub use delivery::{CoordinatorConfig, Delivery, DeliveryConfig, MaterializedView};
 pub use error::{CoordinatorError, EngineError, WalError};
 pub use eval::{check_body, match_body, Bindings};
 pub use event::{Event, GroundUpdate};
@@ -63,7 +60,7 @@ pub use transition::{
     apply_event, apply_event_with_view, apply_updates, event_visible, view_of, Applied,
 };
 pub use transport::{Ack, FaultyTransport, InjectedFaults, PeerMsg, PerfectTransport, Transport};
-pub use view_plane::{materialize_view, peer_delta, ViewPlane};
+pub use view_plane::{materialize_view, peer_delta, ViewDelta, ViewPlane};
 pub use wal::{
     FileBackend, IoFaultBackend, IoFaults, MemBackend, Recovered, RecoveryReport, SyncPolicy, Wal,
     WalBackend, WalOptions,

@@ -1,9 +1,9 @@
-//! The sharded, replicated state plane.
+//! The sharded, replicated state plane — the one admission path.
 //!
-//! The paper's model is inherently distributed — peers hold partial views
-//! of one global keyed instance — yet the [`Coordinator`] is a single
-//! process holding the whole instance. This module splits it into
-//! **shard-local apply plus a thin routing layer**:
+//! The paper's model has one global run of which each peer sees its own
+//! view. A [`ShardPlane`] admits events into that run: with one shard it is
+//! the master server of the paper's Conclusion, and with N shards it splits
+//! the same run into **shard-local apply plus a thin routing layer**:
 //!
 //! * a [`ShardMap`] deterministically assigns every key to one of N shards
 //!   (FNV-1a over a canonical encoding of the key value);
@@ -16,8 +16,7 @@
 //! * each shard applies its ops to its own state partition, appends them to
 //!   an append-only [`Oplog`] stamped with [hybrid logical clock](Hlc)
 //!   timestamps, feeds a warm **standby replica**, and drives its slice of
-//!   every peer's replica through its own [`Delivery`] plane — the exact
-//!   machinery the single coordinator uses, unchanged.
+//!   every peer's replica through its own [`Delivery`] plane.
 //!
 //! Robustness is the point, not an afterthought: shards **fail over** to
 //! their standby (promotion + oplog tail replay + peer resync), **hand
@@ -29,10 +28,9 @@
 //! cross-shard commits are resolved from prepare/commit records (presumed
 //! abort), and the serializable global order is rebuilt from the HLC
 //! stamps. The chaos battery asserts that after heal + pump-to-quiescence
-//! the union of shard states equals a single-shard shadow run byte for
-//! byte, and that HLC order is consistent with causal delivery.
+//! the union of shard states equals the shadow run byte for byte, and that
+//! HLC order is consistent with causal delivery.
 //!
-//! [`Coordinator`]: crate::coordinator::Coordinator
 //! [`Delivery`]: crate::delivery::Delivery
 
 use std::fmt;
@@ -50,7 +48,7 @@ pub use plane::{
     ShardPlaneConfig, ShardPlaneStats,
 };
 
-/// Identifies one coordinator shard (dense, from 0).
+/// Identifies one shard (dense, from 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShardId(pub u16);
 

@@ -14,7 +14,7 @@
 
 use cwf_model::{PeerId, RelId, Tuple, Value};
 
-use crate::coordinator::MaterializedView;
+use crate::delivery::MaterializedView;
 
 use super::{HlcStamp, ShardId};
 

@@ -1,6 +1,7 @@
-//! The [`ShardPlane`]: N coordinator shards behind a thin routing layer,
-//! with **distributed admission** — per-shard write-ahead logs and a
-//! cross-shard commit protocol.
+//! The [`ShardPlane`]: N shards behind a thin routing layer, with
+//! **distributed admission** — per-shard write-ahead logs and a
+//! cross-shard commit protocol. With one shard it is the paper's master
+//! server: one stream, every event key-local, no protocol records.
 //!
 //! **Routing layer.** Event *validation* (body match, key chase,
 //! freshness) stays global: it needs the whole keyed instance, so the
@@ -37,9 +38,8 @@
 //!
 //! **Shard-local apply.** Each shard owns its partition of the state, an
 //! HLC-stamped append-only [`Oplog`], a warm standby replica consuming the
-//! oplog tail, and a [`Delivery`] plane (the coordinator's own outbox/ack
-//! machinery, reused verbatim) pushing its slice of every peer's view over
-//! its own transport. A peer's full replica is the union of its per-shard
+//! oplog tail, and a [`Delivery`] plane (outboxes, acks, retry, resync)
+//! pushing its slice of every peer's view over its own transport. A peer's full replica is the union of its per-shard
 //! slices; key spaces are disjoint by construction, so the union is a
 //! plain merge.
 //!
@@ -62,8 +62,6 @@
 //! (stalled participant commits, injected aborts, router death between
 //! prepare and commit) are injectable for the chaos harness via
 //! [`ShardPlane::inject_commit_stall`] and friends.
-//!
-//! [`Coordinator`]: crate::coordinator::Coordinator
 
 use std::fmt;
 use std::sync::Arc;
@@ -71,8 +69,7 @@ use std::sync::Arc;
 use cwf_model::{Instance, PeerId, RelId, Tuple, ViewInstance};
 
 use crate::codec::{decode_event, encode_event};
-use crate::coordinator::{CoordinatorConfig, MaterializedView};
-use crate::delivery::Delivery;
+use crate::delivery::{CoordinatorConfig, Delivery, MaterializedView};
 use crate::error::{CoordinatorError, WalError};
 use crate::event::Event;
 use crate::run::Run;
@@ -97,8 +94,7 @@ const ROUTER_STREAM: ShardId = ShardId(0);
 pub struct ShardPlaneConfig {
     /// Number of shards (≥ 1).
     pub shards: usize,
-    /// The per-shard delivery and WAL knobs (shared with the single
-    /// coordinator so shards=1 behaves identically).
+    /// The per-shard delivery and WAL knobs.
     pub coordinator: CoordinatorConfig,
 }
 
@@ -272,7 +268,7 @@ struct Standby {
     link_up: bool,
 }
 
-/// One coordinator shard: its state partition, oplog, clock, standby, and
+/// One shard: its state partition, oplog, clock, standby, and
 /// delivery plane.
 struct Shard {
     id: ShardId,
@@ -955,7 +951,8 @@ impl ShardPlane {
     }
 
     /// The broadcast log of this process epoch (the causality oracle's
-    /// input; empty after a recovery, like the coordinator's).
+    /// input; empty after a recovery — the WAL streams are the durable
+    /// log).
     pub fn log(&self) -> &[ShardBroadcast] {
         &self.log
     }
@@ -1023,12 +1020,16 @@ impl ShardPlane {
     }
 
     /// Is the plane in degraded (read-only) mode after a durability
-    /// failure? Mirrors [`Coordinator::degraded`](crate::coordinator::Coordinator::degraded).
+    /// failure? Reads — [`ShardPlane::union_replica`], [`ShardPlane::run`],
+    /// [`ShardPlane::audit`] — keep working; mutations are rejected with
+    /// [`CoordinatorError::Degraded`] until [`ShardPlane::rearm`] succeeds.
     pub fn degraded(&self) -> bool {
         self.degraded
     }
 
-    /// Attempts to leave degraded mode (re-arms the WAL).
+    /// Attempts to leave degraded mode: re-arms every WAL stream (truncating
+    /// any torn tail back to the last complete record and syncing). While
+    /// the storage fault persists this fails and the plane stays degraded.
     pub fn rearm(&mut self) -> Result<(), CoordinatorError> {
         if !self.degraded {
             return Ok(());
@@ -2038,5 +2039,416 @@ impl fmt::Debug for ShardPlane {
             if self.wals.is_some() { ", durable" } else { "" },
             if self.degraded { ", DEGRADED" } else { "" },
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The single-node deployment (a shards=1 plane, the paper's master
+    //! server): fan-out, idempotent apply, convergence diagnostics, and
+    //! the degrade → rearm → recover discipline of its WAL stream.
+
+    use super::*;
+    use crate::error::WalError;
+    use crate::eval::Bindings;
+    use crate::fault::FaultPlan;
+    use crate::simulate::{candidates, complete};
+    use crate::transport::FaultyTransport;
+    use crate::wal::{IoFaultBackend, MemBackend, SyncPolicy};
+    use cwf_lang::{parse_workflow, VarId};
+    use cwf_model::Value;
+
+    fn spec() -> Arc<cwf_lang::WorkflowSpec> {
+        Arc::new(
+            parse_workflow(
+                r#"
+                schema { Doc(K, State); Seen(K); }
+                peers {
+                    author sees Doc(*), Seen(*);
+                    editor sees Doc(*), Seen(*);
+                    public sees Doc(K, State) where State = "published", Seen(*);
+                }
+                rules {
+                    draft @ author: +Doc(d, "draft") :- ;
+                    publish @ editor:
+                        -key Doc(d), +Doc(d2, "published")
+                        :- Doc(d, "draft");
+                    note @ public: +Seen(s) :- Doc(d, "published");
+                }
+                "#,
+            )
+            .unwrap(),
+        )
+    }
+
+    fn ev(spec: &cwf_lang::WorkflowSpec, name: &str, vals: &[Value]) -> Event {
+        let rid = spec.program().rule_by_name(name).unwrap();
+        let mut b = Bindings::empty(vals.len());
+        for (i, v) in vals.iter().enumerate() {
+            b.set(VarId(i as u32), *v);
+        }
+        Event::new(spec, rid, b).unwrap()
+    }
+
+    fn opts() -> WalOptions {
+        WalOptions {
+            sync: SyncPolicy::Always,
+            snapshot_every: None,
+        }
+    }
+
+    /// A single-shard plane over `transport`, optionally journaling to `wal`.
+    fn single(
+        spec: &Arc<cwf_lang::WorkflowSpec>,
+        transport: Box<dyn Transport>,
+        wal: Option<Wal>,
+        config: CoordinatorConfig,
+    ) -> ShardPlane {
+        ShardPlane::with_parts(
+            Arc::clone(spec),
+            vec![transport],
+            wal.map(|w| vec![w]),
+            ShardPlaneConfig {
+                shards: 1,
+                coordinator: config,
+            },
+        )
+    }
+
+    /// A durable single-shard plane over a perfect transport.
+    fn durable(spec: &Arc<cwf_lang::WorkflowSpec>, backend: Box<dyn WalBackend>) -> ShardPlane {
+        let wal = Wal::create(backend, opts()).unwrap();
+        single(
+            spec,
+            Box::new(PerfectTransport::new()),
+            Some(wal),
+            CoordinatorConfig::default(),
+        )
+    }
+
+    /// The delta broadcast to `p`, if any.
+    fn delta_of(b: &ShardBroadcast, p: PeerId) -> Option<ViewDelta> {
+        b.deltas
+            .iter()
+            .find(|(q, _)| *q == p)
+            .map(|(_, d)| d.clone())
+    }
+
+    #[test]
+    fn deltas_reach_only_affected_peers() {
+        let spec = spec();
+        let mut c = ShardPlane::new(Arc::clone(&spec), 1);
+        let d = c.draw_fresh();
+        let b = c
+            .submit(ev(&spec, "draft", std::slice::from_ref(&d)))
+            .unwrap();
+        // The public peer sees drafts not at all: only author and editor get
+        // a delta.
+        let touched: Vec<PeerId> = b.deltas.iter().map(|(p, _)| *p).collect();
+        let public = spec.collab().peer("public").unwrap();
+        assert!(!touched.contains(&public));
+        assert_eq!(touched.len(), 2);
+        c.audit().unwrap();
+    }
+
+    #[test]
+    fn publishing_fans_out_with_removal_and_upsert() {
+        let spec = spec();
+        let mut c = ShardPlane::new(Arc::clone(&spec), 1);
+        let d = c.draw_fresh();
+        c.submit(ev(&spec, "draft", std::slice::from_ref(&d)))
+            .unwrap();
+        let d2 = c.draw_fresh();
+        let b = c.submit(ev(&spec, "publish", &[d, d2])).unwrap().clone();
+        let public = spec.collab().peer("public").unwrap();
+        let author = spec.collab().peer("author").unwrap();
+        // The public peer gains the published doc (pure upsert)…
+        let pub_delta = delta_of(&b, public).expect("public notified");
+        assert_eq!(pub_delta.upserts.len(), 1);
+        assert!(pub_delta.removals.is_empty());
+        // …the author sees the old draft removed and the new doc appear.
+        let auth_delta = delta_of(&b, author).expect("author notified");
+        assert_eq!(auth_delta.removals, vec![(RelId(0), d)]);
+        assert_eq!(auth_delta.upserts.len(), 1);
+        c.audit().unwrap();
+        assert_eq!(c.union_replica(public).total_tuples(), 1);
+    }
+
+    #[test]
+    fn replicas_track_views_under_random_traffic() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let spec = spec();
+        let mut c = ShardPlane::new(Arc::clone(&spec), 1);
+        let mut rng = StdRng::seed_from_u64(9);
+        for _ in 0..30 {
+            let cands = candidates(c.run());
+            if cands.is_empty() {
+                break;
+            }
+            let pick = cands[rng.gen_range(0..cands.len())].clone();
+            // Complete head-only vars with run-fresh values.
+            let mut run_clone = c.run().clone();
+            let event = complete(&mut run_clone, &pick);
+            // Some candidates fail (chase conflicts); skip those.
+            let _ = c.submit(event);
+            c.audit().unwrap();
+        }
+        assert!(!c.log().is_empty());
+        // The broadcast log fully reconstructs each replica.
+        let author = spec.collab().peer("author").unwrap();
+        let mut rebuilt = MaterializedView::new();
+        for b in c.log() {
+            if let Some(d) = delta_of(b, author) {
+                d.apply_to(&mut rebuilt);
+            }
+        }
+        assert!(rebuilt.same_facts(c.shard_replica(ShardId(0), author)));
+    }
+
+    #[test]
+    fn rejected_events_broadcast_nothing() {
+        let spec = spec();
+        let mut c = ShardPlane::new(Arc::clone(&spec), 1);
+        let bogus = ev(&spec, "publish", &[Value::Fresh(1), Value::Fresh(2)]);
+        assert!(c.submit(bogus).is_err());
+        assert!(c.log().is_empty());
+        c.audit().unwrap();
+    }
+
+    #[test]
+    fn applying_a_delta_twice_equals_applying_it_once() {
+        let spec = spec();
+        let mut c = ShardPlane::new(Arc::clone(&spec), 1);
+        let d = c.draw_fresh();
+        c.submit(ev(&spec, "draft", std::slice::from_ref(&d)))
+            .unwrap();
+        let d2 = c.draw_fresh();
+        let b = c.submit(ev(&spec, "publish", &[d, d2])).unwrap().clone();
+        // The author's publish delta mixes a removal and an upsert.
+        let author = spec.collab().peer("author").unwrap();
+        let delta = delta_of(&b, author).expect("author notified");
+        assert!(!delta.removals.is_empty());
+        let mut once = MaterializedView::new();
+        delta.apply_to(&mut once);
+        let mut twice = once.clone();
+        delta.apply_to(&mut twice);
+        assert_eq!(once, twice, "apply_to is idempotent");
+    }
+
+    #[test]
+    fn faulty_transport_converges_after_healing() {
+        let spec = spec();
+        let plan = FaultPlan::seeded(11).with_rates(0.4, 0.3, 0.4, 3, 0.3);
+        let mut c = single(
+            &spec,
+            Box::new(FaultyTransport::new(plan)),
+            None,
+            CoordinatorConfig {
+                resync_lag: 4,
+                ..CoordinatorConfig::default()
+            },
+        );
+        for _ in 0..6 {
+            let d = c.draw_fresh();
+            c.submit(ev(&spec, "draft", std::slice::from_ref(&d)))
+                .unwrap();
+        }
+        c.heal();
+        let verdict = c.converge(500);
+        assert!(verdict.is_converged(), "heals to convergence: {verdict}");
+        c.audit().unwrap();
+        let stats = c.stats();
+        let ft = stats.fault_tolerance.expect("counters attached");
+        assert!(ft.deltas_sent >= 6);
+    }
+
+    #[test]
+    fn converge_diagnoses_a_stall_and_recovers_after_healing() {
+        let spec = spec();
+        // Drop everything: replicas can never catch up until healed.
+        let plan = FaultPlan::seeded(3).with_rates(1.0, 0.0, 0.0, 0, 0.0);
+        let mut c = single(
+            &spec,
+            Box::new(FaultyTransport::new(plan)),
+            None,
+            CoordinatorConfig::default(),
+        );
+        let d = c.draw_fresh();
+        c.submit(ev(&spec, "draft", std::slice::from_ref(&d)))
+            .unwrap();
+        match c.converge(20) {
+            v @ ShardConvergence::Stalled { .. } => {
+                assert!(v.undelivered_total() > 0, "unacked deltas remain");
+                let ShardConvergence::Stalled {
+                    undelivered,
+                    divergent,
+                } = &v
+                else {
+                    unreachable!()
+                };
+                assert!(!divergent.is_empty(), "some replica diverges");
+                assert!(
+                    undelivered.iter().all(|(_, _, n)| *n > 0),
+                    "only slices with outstanding messages are listed"
+                );
+                assert!(
+                    undelivered
+                        .windows(2)
+                        .all(|w| w[0].1.index() < w[1].1.index()),
+                    "undelivered breakdown reported in peer-id order"
+                );
+                assert!(
+                    divergent
+                        .windows(2)
+                        .all(|w| w[0].1.index() < w[1].1.index()),
+                    "divergent slices reported in peer-id order"
+                );
+                // The diagnostic names the stalled slices.
+                let shown = format!("{v}");
+                assert!(
+                    shown.contains("s0/p0:"),
+                    "per-slice breakdown shown: {shown}"
+                );
+            }
+            c => panic!("a fully dropping network cannot converge: {c}"),
+        }
+        c.heal();
+        match c.converge(500) {
+            ShardConvergence::Converged { ticks } => assert!(ticks > 0),
+            c => panic!("healed network must converge: {c}"),
+        }
+        c.audit().unwrap();
+        assert_eq!(c.undelivered(), 0);
+        assert!(c.divergent_slices().is_empty());
+    }
+
+    #[test]
+    fn wal_failure_degrades_and_recovery_resumes() {
+        let spec = spec();
+        let backend = MemBackend::new();
+        let mut c = durable(&spec, Box::new(backend.clone()));
+        let d = c.draw_fresh();
+        c.submit(ev(&spec, "draft", std::slice::from_ref(&d)))
+            .unwrap();
+        // Crash mid-append of the second event: 7 bytes of the record land.
+        backend.schedule_crash(1, 7);
+        let d2 = c.draw_fresh();
+        let lost = ev(&spec, "draft", std::slice::from_ref(&d2));
+        let err = c.submit(lost.clone()).unwrap_err();
+        assert!(matches!(err, CoordinatorError::Wal(_)));
+        assert!(c.degraded());
+        // The non-durable event was rolled back out of memory: the in-memory
+        // run matches the durable state, and reads stay consistent.
+        assert_eq!(c.run().len(), 1);
+        c.audit().unwrap();
+        assert!(matches!(
+            c.submit(lost.clone()),
+            Err(CoordinatorError::Degraded)
+        ));
+        // The dead process cannot re-arm in place (sync still fails).
+        assert!(c.rearm().is_err());
+        assert!(c.degraded());
+        let ft = c.ft_stats();
+        assert_eq!(ft.wal_failures, 1);
+        assert_eq!(ft.degraded_rejected, 1);
+        // Recover from what survived: the synced prefix plus the torn bytes.
+        let survivor = backend.survivor(7);
+        let (mut rc, report) = ShardPlane::recover(
+            Arc::clone(&spec),
+            vec![Box::new(survivor)],
+            opts(),
+            vec![Box::new(PerfectTransport::new())],
+            ShardPlaneConfig::with_shards(1),
+        )
+        .unwrap();
+        assert_eq!(report.last_seq, 1, "only the first event was durable");
+        assert!(report.truncated_bytes > 0, "torn tail truncated");
+        rc.audit().unwrap();
+        // The in-flight event resubmits cleanly.
+        rc.submit(lost).unwrap();
+        rc.audit().unwrap();
+        assert_eq!(rc.run().len(), 2);
+    }
+
+    #[test]
+    fn fsync_failures_degrade_reads_survive_and_rearm_resumes() {
+        let spec = spec();
+        let inner = MemBackend::new();
+        let io = IoFaultBackend::new(Box::new(inner.clone()), FaultPlan::perfect(5));
+        let mut c = durable(&spec, Box::new(io.clone()));
+        let d = c.draw_fresh();
+        c.submit(ev(&spec, "draft", std::slice::from_ref(&d)))
+            .unwrap();
+        let author = spec.collab().peer("author").unwrap();
+        let replica_before = c.union_replica(author);
+        assert_eq!(replica_before.total_tuples(), 1);
+
+        // Every fsync now fails: the next submit degrades the plane.
+        io.configure(|p| p.fsync_fail_p = 1.0);
+        let d2 = c.draw_fresh();
+        let e2 = ev(&spec, "draft", std::slice::from_ref(&d2));
+        let err = c.submit(e2.clone()).unwrap_err();
+        assert!(matches!(err, CoordinatorError::Wal(_)));
+        assert!(c.degraded());
+        assert!(io.faults().fsync_failures > 0);
+
+        // Degraded mode: view reads keep serving the last durable state,
+        // the audit passes, mutations are rejected with Degraded, and
+        // re-arming fails while the fault persists.
+        assert_eq!(c.union_replica(author), replica_before);
+        assert_eq!(c.run().len(), 1);
+        c.audit().unwrap();
+        assert!(matches!(
+            c.submit(e2.clone()),
+            Err(CoordinatorError::Degraded)
+        ));
+        assert!(c.rearm().is_err());
+        assert!(c.degraded());
+
+        // The device stabilizes: rearm truncates the torn tail, and the
+        // in-flight event resubmits with its original fresh values.
+        io.heal();
+        c.rearm().unwrap();
+        assert!(!c.degraded());
+        c.submit(e2).unwrap();
+        c.audit().unwrap();
+        assert_eq!(c.run().len(), 2);
+        let ft = c.ft_stats();
+        assert_eq!(ft.degraded_recoveries, 1);
+        assert!(ft.wal_failures >= 1);
+        assert!(ft.degraded_rejected >= 1);
+
+        // What landed on the device recovers to exactly the two events.
+        let (run, report) = ShardPlane::replay_wals(&spec, vec![Box::new(inner)], opts()).unwrap();
+        assert_eq!(run.len(), 2);
+        assert_eq!(report.last_seq, 2);
+    }
+
+    #[test]
+    fn transient_append_failures_are_retried_in_place() {
+        let spec = spec();
+        let inner = MemBackend::new();
+        let io = IoFaultBackend::new(Box::new(inner.clone()), FaultPlan::perfect(5));
+        let mut c = durable(&spec, Box::new(io.clone()));
+        // Every append fails transiently: retries exhaust and degrade.
+        io.configure(|p| p.transient_p = 1.0);
+        let d = c.draw_fresh();
+        let e = ev(&spec, "draft", std::slice::from_ref(&d));
+        let err = c.submit(e.clone()).unwrap_err();
+        assert!(matches!(err, CoordinatorError::Wal(WalError::Transient(_))));
+        assert!(c.degraded());
+        let retries = c.ft_stats().wal_transient_retries;
+        assert_eq!(
+            retries,
+            CoordinatorConfig::default().wal_transient_retries as u64
+        );
+        // Nothing was ever written: rearm is a clean no-op truncation, and
+        // once the transient condition clears the submit goes through.
+        io.heal();
+        c.rearm().unwrap();
+        c.submit(e).unwrap();
+        c.audit().unwrap();
+        assert_eq!(c.ft_stats().wal_appends, 1);
     }
 }

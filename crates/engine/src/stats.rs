@@ -25,10 +25,9 @@ pub struct PeerStats {
     pub observed: usize,
 }
 
-/// Fault-tolerance counters of a coordinator deployment: how hard the
-/// delivery and durability machinery had to work. `None` in plain
-/// [`RunStats::of`] output; attached by
-/// [`Coordinator::stats`](crate::Coordinator::stats).
+/// Fault-tolerance counters of a plane deployment: how hard the delivery
+/// and durability machinery had to work. `None` in plain [`RunStats::of`]
+/// output; attached by [`ShardPlane::stats`](crate::ShardPlane::stats).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FtStats {
     /// View-delta messages enqueued toward replicas.
@@ -51,7 +50,7 @@ pub struct FtStats {
     pub recovered_events: u64,
     /// Bytes of torn tail truncated during recovery.
     pub truncated_bytes: u64,
-    /// Hard (non-retryable) WAL failures that degraded the coordinator.
+    /// Hard (non-retryable) WAL failures that degraded the plane.
     pub wal_failures: u64,
     /// Transient WAL append failures that were retried in place.
     pub wal_transient_retries: u64,
@@ -102,14 +101,12 @@ pub struct RunStats {
     pub visibility: Vec<Vec<usize>>,
     /// Tuples in the final instance.
     pub final_tuples: usize,
-    /// Fault-tolerance counters, when the run was driven by a coordinator.
+    /// Fault-tolerance counters, when the run was driven by a plane.
     pub fault_tolerance: Option<FtStats>,
-    /// Distributed-admission counters, when the run was driven by a
-    /// sharded plane.
+    /// Distributed-admission counters, when the run was driven by a plane.
     pub sharding: Option<ShardAdmissionStats>,
     /// Plane-level robustness counters (failovers, hand-offs, elastic
-    /// resharding, live map epoch), when the run was driven by a sharded
-    /// plane.
+    /// resharding, live map epoch), when the run was driven by a plane.
     pub plane: Option<ShardPlaneStats>,
 }
 

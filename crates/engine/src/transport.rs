@@ -1,6 +1,6 @@
-//! Delivery transports between the coordinator and peer replicas.
+//! Delivery transports between a shard and the peer replicas it serves.
 //!
-//! The coordinator never touches a replica directly: every view delta and
+//! A shard never touches a replica directly: every view delta and
 //! resync snapshot travels through a [`Transport`], and acknowledgements
 //! travel back. [`PerfectTransport`] delivers everything immediately and in
 //! order (the in-memory deployment of the paper's master-server sketch);
@@ -12,10 +12,11 @@ use std::collections::VecDeque;
 
 use cwf_model::PeerId;
 
-use crate::coordinator::{MaterializedView, ViewDelta};
+use crate::delivery::MaterializedView;
 use crate::fault::FaultPlan;
+use crate::view_plane::ViewDelta;
 
-/// A message from the coordinator to one peer's replica.
+/// A message from a shard to one peer's replica.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PeerMsg {
     /// One sequence-numbered view delta (per-peer sequence, starting at 1).
@@ -53,16 +54,16 @@ pub struct Ack {
     pub applied: u64,
 }
 
-/// A bidirectional, possibly unreliable channel between the coordinator and
-/// its peers. Implementations own the in-flight messages.
+/// A bidirectional, possibly unreliable channel between a shard and its
+/// peers. Implementations own the in-flight messages.
 pub trait Transport {
     /// Enqueues a message toward `to` (may be dropped/duplicated/delayed).
     fn send(&mut self, to: PeerId, msg: PeerMsg);
     /// Messages arriving at `to` now.
     fn recv(&mut self, at: PeerId) -> Vec<PeerMsg>;
-    /// Enqueues an acknowledgement toward the coordinator.
+    /// Enqueues an acknowledgement toward the shard.
     fn send_ack(&mut self, ack: Ack);
-    /// Acknowledgements arriving at the coordinator now.
+    /// Acknowledgements arriving at the shard now.
     fn recv_acks(&mut self) -> Vec<Ack>;
     /// Advances the transport's clock one tick (delays count down).
     fn tick(&mut self) {}

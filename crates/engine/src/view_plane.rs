@@ -34,7 +34,7 @@ use cwf_model::{
     AttrChange, CollabSchema, Instance, InstanceDiff, PeerId, RelId, Tuple, Value, ViewInstance,
 };
 
-use crate::coordinator::MaterializedView;
+use crate::delivery::MaterializedView;
 
 /// One peer's view change caused by one event.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

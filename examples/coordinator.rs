@@ -1,13 +1,12 @@
-//! The conclusion's deployment sketch: a master server receiving updates,
-//! propagating per-peer view deltas, and composing with transparency
-//! enforcement.
+//! The conclusion's deployment sketch: a master server — a shards=1
+//! `ShardPlane` — receiving updates, propagating per-peer view deltas, and
+//! composing with transparency enforcement.
 //!
 //! ```sh
 //! cargo run --example coordinator
 //! ```
 
 use collab_workflows::design::{EnforcementMode, PushOutcome, TransparentEngine};
-use collab_workflows::engine::Coordinator;
 use collab_workflows::prelude::*;
 use std::sync::Arc;
 
@@ -41,11 +40,12 @@ fn main() {
     };
 
     // --- The master server propagates view deltas -------------------------
-    let mut c = Coordinator::new(Arc::clone(&spec));
+    let mut c = ShardPlane::new(Arc::clone(&spec), 1);
     let d = c.draw_fresh();
     let b1 = c
         .submit(ev(&spec, "draft", std::slice::from_ref(&d)))
-        .unwrap();
+        .unwrap()
+        .clone();
     println!("draft submitted — {} peer(s) notified:", b1.deltas.len());
     for (p, delta) in &b1.deltas {
         println!(
@@ -76,7 +76,7 @@ fn main() {
     let public = spec.collab().peer("public").unwrap();
     let mut gate =
         TransparentEngine::with_mode(Arc::clone(&spec), public, 3, EnforcementMode::Block);
-    let mut gated = Coordinator::new(Arc::clone(&spec));
+    let mut gated = ShardPlane::new(Arc::clone(&spec), 1);
     let d3 = gated.draw_fresh();
     let d4 = Value::Fresh(9_000);
     let s = Value::Fresh(9_100);
@@ -97,7 +97,7 @@ fn main() {
     }
     gated.audit().expect("gated replicas track views");
     println!(
-        "gated coordinator: {} events accepted, {} broadcasts, stats {:?}",
+        "gated master server: {} events accepted, {} broadcasts, stats {:?}",
         gated.run().len(),
         gated.log().len(),
         gate.stats()

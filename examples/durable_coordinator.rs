@@ -1,12 +1,13 @@
-//! The fault-tolerant deployment: a coordinator journaling every accepted
-//! event to a write-ahead log, crashing, and recovering — then the same
-//! workflow driven over an unreliable network that heals.
+//! The fault-tolerant deployment: a master server (a shards=1
+//! `ShardPlane`) journaling every accepted event to a write-ahead log,
+//! crashing, and recovering — then the same workflow driven over an
+//! unreliable network that heals.
 //!
 //! ```sh
 //! cargo run --example durable_coordinator
 //! ```
 
-use collab_workflows::engine::{Coordinator, CoordinatorConfig, FileBackend};
+use collab_workflows::engine::FileBackend;
 use collab_workflows::prelude::*;
 use std::sync::Arc;
 
@@ -46,13 +47,18 @@ fn main() {
     let path = std::env::temp_dir().join("cwf_durable_coordinator.wal");
     let _ = std::fs::remove_file(&path);
 
-    // --- Phase 1: a durable coordinator journals every accepted event ----
+    // --- Phase 1: a durable master server journals every accepted event --
     let opts = WalOptions {
         sync: SyncPolicy::Always,
         snapshot_every: Some(4),
     };
     let wal = Wal::create(Box::new(FileBackend::open(&path).unwrap()), opts).unwrap();
-    let mut c = Coordinator::with_wal(Arc::clone(&spec), wal);
+    let mut c = ShardPlane::with_parts(
+        Arc::clone(&spec),
+        vec![Box::new(PerfectTransport::new())],
+        Some(vec![wal]),
+        ShardPlaneConfig::with_shards(1),
+    );
     let d = c.draw_fresh();
     c.submit(ev(&spec, "draft", std::slice::from_ref(&d)))
         .unwrap();
@@ -73,12 +79,12 @@ fn main() {
 
     // --- Phase 2: the process dies; a fresh one recovers from the log ----
     drop(c); // simulated crash: only the log file survives
-    let (mut rc, report) = Coordinator::recover(
+    let (mut rc, report) = ShardPlane::recover(
         Arc::clone(&spec),
-        Box::new(FileBackend::open(&path).unwrap()),
+        vec![Box::new(FileBackend::open(&path).unwrap())],
         opts,
-        Box::new(PerfectTransport::new()),
-        CoordinatorConfig::default(),
+        vec![Box::new(PerfectTransport::new())],
+        ShardPlaneConfig::with_shards(1),
     )
     .unwrap();
     println!(
@@ -87,17 +93,18 @@ fn main() {
     );
     assert_eq!(report.last_seq as usize, before);
     rc.audit().expect("replicas equal I@p after recovery");
-    // The recovered coordinator keeps going where the old one stopped.
+    // The recovered server keeps going where the old one stopped.
     let s2 = rc.draw_fresh();
     rc.submit(ev(&spec, "note", &[s2, d2])).unwrap();
     println!("resumed: {} events live, audit ok\n", rc.run().len());
 
     // --- Phase 3: unreliable delivery, then healing -----------------------
     let plan = FaultPlan::seeded(7); // drops, duplicates, delays, reorders
-    let mut f = Coordinator::with_transport(
+    let mut f = ShardPlane::with_parts(
         Arc::clone(&spec),
-        Box::new(FaultyTransport::new(plan)),
-        CoordinatorConfig::default(),
+        vec![Box::new(FaultyTransport::new(plan))],
+        None,
+        ShardPlaneConfig::with_shards(1),
     );
     for _ in 0..6 {
         let d = f.draw_fresh();

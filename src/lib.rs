@@ -10,10 +10,12 @@
 //! * [`model`] — schemas, instances, the key chase, views (Section 2);
 //! * [`lang`] — the rule language, validation, normal form, parser;
 //! * [`engine`] — events, transitions, runs, run views, simulation, and
-//!   the fault-tolerant coordinator deployment (write-ahead log, crash
-//!   recovery, unreliable-delivery retry/resync, fault injection), plus
-//!   the sharded, replicated state plane (HLC-stamped oplogs, standby
-//!   failover, interruptible shard hand-off, partition chaos);
+//!   the fault-tolerant deployment: one admission path, the state plane,
+//!   whose shards=1 configuration is the paper's master server and whose
+//!   N-shard configuration partitions the same run by key (per-shard
+//!   write-ahead logs, crash recovery, unreliable-delivery retry/resync,
+//!   HLC-stamped oplogs, standby failover, hand-off, resharding, fault
+//!   injection, and one seeded chaos simulator);
 //! * [`core`] — scenarios and the unique minimal faithful scenario
 //!   (Sections 3–4): the *explanation* machinery;
 //! * [`analysis`] — h-boundedness, transparency, view-program synthesis
@@ -74,9 +76,9 @@ pub mod prelude {
         PushOutcome, TransparentEngine,
     };
     pub use cwf_engine::{
-        encode_run, load_run, Bindings, Coordinator, CoordinatorConfig, CoordinatorError, Event,
-        FaultPlan, FaultyTransport, FileBackend, IoFaultBackend, MemBackend, PerfectTransport, Run,
-        RunStats, ShardId, ShardPlane, ShardPlaneConfig, Simulator, SyncPolicy, Wal, WalOptions,
+        encode_run, load_run, Bindings, CoordinatorConfig, CoordinatorError, Event, FaultPlan,
+        FaultyTransport, FileBackend, IoFaultBackend, MemBackend, PerfectTransport, Run, RunStats,
+        ShardId, ShardPlane, ShardPlaneConfig, Simulator, SyncPolicy, Wal, WalOptions,
     };
     pub use cwf_lang::{
         lint, parse_workflow, print_workflow, Program, RuleBuilder, VarId, WorkflowSpec,

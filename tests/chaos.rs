@@ -15,7 +15,7 @@ use collab_workflows::workloads::chaos_workload;
 const STEPS: usize = 60;
 
 fn run_seed(profile: ChaosProfile, seed: u64) -> collab_workflows::engine::chaos::TraceReport {
-    let sim = ChaosSim::new(default_spec(), profile);
+    let sim = ChaosSim::new(default_spec(), profile, 1);
     match sim.check_seed(seed, STEPS) {
         Ok(report) => report,
         Err(f) => panic!("chaos seed must stay green:\n{f}"),
@@ -70,29 +70,31 @@ fn fixed_seed_storage_heavy_exercises_degraded_mode() {
 #[test]
 fn fixed_seed_mod_heavy_exercises_in_place_modifications() {
     use collab_workflows::engine::chaos::modification_spec;
-    let sim = ChaosSim::new(modification_spec(), ChaosProfile::ModificationHeavy);
-    let report = match sim.check_seed(9, STEPS) {
-        Ok(report) => report,
-        Err(f) => panic!("chaos seed must stay green:\n{f}"),
-    };
-    assert!(report.events > 0, "trace must accept events");
-    assert!(
-        report.modified_tuples >= 10,
-        "a modification-heavy seed must null-fill tuples in place (got {})",
-        report.modified_tuples
-    );
-    assert!(
-        report.restarts >= 1,
-        "the plane must survive at least one crash-restart rebuild (got {})",
-        report.restarts
-    );
+    for shards in [1, 4] {
+        let sim = ChaosSim::new(modification_spec(), ChaosProfile::ModificationHeavy, shards);
+        let report = match sim.check_seed(9, STEPS) {
+            Ok(report) => report,
+            Err(f) => panic!("chaos seed must stay green:\n{f}"),
+        };
+        assert!(report.events > 0, "trace must accept events");
+        assert!(
+            report.modified_tuples >= 10,
+            "a modification-heavy seed must null-fill tuples in place (got {})",
+            report.modified_tuples
+        );
+        assert!(
+            report.restarts >= 1,
+            "the plane must survive at least one crash-restart rebuild (got {})",
+            report.restarts
+        );
+    }
 }
 
 /// The random-workload path stays green too (a different spec per seed).
 #[test]
 fn fixed_seeds_on_random_workloads_pass_all_oracles() {
     for seed in [3, 17] {
-        let sim = ChaosSim::new(chaos_workload(seed).spec, ChaosProfile::CrashHeavy);
+        let sim = ChaosSim::new(chaos_workload(seed).spec, ChaosProfile::CrashHeavy, 1);
         if let Err(f) = sim.check_seed(seed, STEPS) {
             panic!("random-workload chaos seed must stay green:\n{f}");
         }
@@ -107,7 +109,7 @@ fn fixed_seeds_on_random_workloads_pass_all_oracles() {
 /// provenance mirror active.
 #[test]
 fn fixed_seed_provenance_oracle_stays_sound_and_deterministic() {
-    let sim = ChaosSim::new(chaos_workload(21).spec, ChaosProfile::CrashHeavy);
+    let sim = ChaosSim::new(chaos_workload(21).spec, ChaosProfile::CrashHeavy, 1);
     let trace = sim.generate(21, STEPS);
     let a = sim
         .run_trace(21, &trace)
@@ -132,7 +134,7 @@ fn same_seed_runs_are_byte_identical() {
         ChaosProfile::StorageHeavy,
         ChaosProfile::ModificationHeavy,
     ] {
-        let sim = ChaosSim::new(default_spec(), profile);
+        let sim = ChaosSim::new(default_spec(), profile, 1);
         let trace = sim.generate(23, STEPS);
         assert_eq!(
             trace,
@@ -158,7 +160,7 @@ fn same_seed_runs_are_byte_identical() {
 /// fault state) still produces byte-identical transcripts across runs.
 #[test]
 fn parallel_probes_do_not_leak_nondeterminism_into_traces() {
-    let sim = ChaosSim::new(default_spec(), ChaosProfile::CrashHeavy);
+    let sim = ChaosSim::new(default_spec(), ChaosProfile::CrashHeavy, 1);
     let mut trace = Vec::new();
     for action in sim.generate(13, STEPS) {
         trace.push(action);
@@ -181,7 +183,7 @@ fn parallel_probes_do_not_leak_nondeterminism_into_traces() {
 /// `format_trace` → `parse_trace` → `run_trace` reproduces the report.
 #[test]
 fn printed_repro_replays_verbatim() {
-    let sim = ChaosSim::new(default_spec(), ChaosProfile::CrashHeavy);
+    let sim = ChaosSim::new(default_spec(), ChaosProfile::CrashHeavy, 1);
     let trace = sim.generate(11, STEPS);
     let reparsed = parse_trace(&format_trace(&trace)).expect("printed traces parse");
     assert_eq!(reparsed, trace);
@@ -196,7 +198,7 @@ fn printed_repro_replays_verbatim() {
 /// the minimized repro replays verbatim through the text format.
 #[test]
 fn broken_oracle_failures_shrink_to_smaller_repros() {
-    let sim = ChaosSim::new(default_spec(), ChaosProfile::Default)
+    let sim = ChaosSim::new(default_spec(), ChaosProfile::Default, 1)
         .with_oracle(|| Box::new(EventCountOracle { limit: 3 }));
     let failure = sim
         .check_seed(7, STEPS)
@@ -239,7 +241,7 @@ fn explore() {
         ChaosProfile::CrashHeavy,
         ChaosProfile::StorageHeavy,
     ] {
-        let sim = ChaosSim::new(default_spec(), profile);
+        let sim = ChaosSim::new(default_spec(), profile, 1);
         for seed in 0..20u64 {
             match sim.check_seed(seed, STEPS) {
                 Ok(r) => println!(

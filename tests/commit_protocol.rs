@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use collab_workflows::engine::chaos::{default_spec, ChaosProfile, ShardChaosSim};
+use collab_workflows::engine::chaos::{default_spec, ChaosProfile, ChaosSim};
 use collab_workflows::engine::transport::Transport;
 use collab_workflows::engine::{candidates, complete, WalBackend};
 use collab_workflows::prelude::*;
@@ -432,7 +432,7 @@ fn stalled_commit_records_are_flushed_by_the_pump() {
 /// shard oracles at 4 shards, and same-seed executions are byte-identical.
 #[test]
 fn commit_heavy_chaos_is_green_and_deterministic() {
-    let sim = ShardChaosSim::new(default_spec(), ChaosProfile::CommitHeavy, 4);
+    let sim = ChaosSim::new(default_spec(), ChaosProfile::CommitHeavy, 4);
     let trace = sim.generate(11, 60);
     assert_eq!(trace, sim.generate(11, 60));
     let a = sim.run_trace(11, &trace).expect("seed 11 is green");
@@ -456,7 +456,7 @@ fn commit_heavy_chaos_is_green_and_deterministic() {
 #[test]
 fn commit_heavy_smoke_sweep_stays_green() {
     for shards in [1usize, 2, 4] {
-        let sim = ShardChaosSim::new(default_spec(), ChaosProfile::CommitHeavy, shards);
+        let sim = ChaosSim::new(default_spec(), ChaosProfile::CommitHeavy, shards);
         for seed in 0..8 {
             if let Err(f) = sim.check_seed(seed, 40) {
                 panic!("commit-heavy seed {seed} at {shards} shards went red:\n{f}");

@@ -1,16 +1,18 @@
-//! Property tests of the fault-tolerance layer, end to end: crash recovery
-//! from the write-ahead log (snapshot + tail replay, torn-record
-//! truncation), convergence of replicas under unreliable delivery after
-//! healing, and codec robustness against truncation and byte corruption.
+//! Property tests of the fault-tolerance layer, end to end, on the
+//! single-node deployment (a shards=1 plane): crash recovery from the
+//! write-ahead log (snapshot + tail replay, torn-record truncation),
+//! convergence of replicas under unreliable delivery after healing, and
+//! codec robustness against truncation and byte corruption.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use collab_workflows::engine::transport::Transport;
 use collab_workflows::engine::{
-    candidates, complete, decode_events, encode_event, encode_run, Coordinator, CoordinatorConfig,
+    candidates, complete, decode_events, encode_event, encode_run, CoordinatorConfig,
     CoordinatorError, Event, FaultPlan, FaultyTransport, FileBackend, IoFaultBackend, MemBackend,
-    PerfectTransport, Run, SyncPolicy, Wal, WalOptions,
+    PerfectTransport, Run, ShardPlane, ShardPlaneConfig, SyncPolicy, Wal, WalBackend, WalOptions,
 };
 use collab_workflows::lang::{parse_workflow, WorkflowSpec};
 use rand::rngs::StdRng;
@@ -41,9 +43,27 @@ fn spec() -> Arc<WorkflowSpec> {
     )
 }
 
-/// Drives `steps` random submissions into the coordinator (some may be
-/// rejected by the chase — that's fine) and returns the accepted events.
-fn drive(c: &mut Coordinator, rng: &mut StdRng, steps: usize) -> Vec<Event> {
+/// A single-shard plane over `transport`, journaling to `wal` when given.
+fn single(
+    spec: &Arc<WorkflowSpec>,
+    transport: Box<dyn Transport>,
+    wal: Option<Wal>,
+    config: CoordinatorConfig,
+) -> ShardPlane {
+    ShardPlane::with_parts(
+        Arc::clone(spec),
+        vec![transport],
+        wal.map(|w| vec![w]),
+        ShardPlaneConfig {
+            shards: 1,
+            coordinator: config,
+        },
+    )
+}
+
+/// Drives `steps` random submissions into the plane (some may be rejected
+/// by the chase — that's fine) and returns the accepted events.
+fn drive(c: &mut ShardPlane, rng: &mut StdRng, steps: usize) -> Vec<Event> {
     let mut accepted = Vec::new();
     for _ in 0..steps {
         let cands = candidates(c.run());
@@ -56,7 +76,7 @@ fn drive(c: &mut Coordinator, rng: &mut StdRng, steps: usize) -> Vec<Event> {
         match c.submit(event.clone()) {
             Ok(_) => accepted.push(event),
             Err(CoordinatorError::Engine(_)) => {}
-            Err(e) => panic!("unexpected coordinator failure: {e}"),
+            Err(e) => panic!("unexpected plane failure: {e}"),
         }
     }
     accepted
@@ -76,7 +96,7 @@ fn next_event(run: &Run, rng: &mut StdRng) -> Option<Event> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Crash the coordinator mid-append via a scheduled fault, recover from
+    /// Crash the plane mid-append via a scheduled fault, recover from
     /// the surviving bytes (synced prefix + an arbitrary slice of unsynced
     /// bytes, ending in a torn record), and check: the recovered events are
     /// a prefix of the accepted ones, the in-flight event resubmits, and
@@ -100,8 +120,8 @@ proptest! {
         };
         let backend = MemBackend::new();
         let wal = Wal::create(Box::new(backend.clone()), opts).unwrap();
-        let mut c = Coordinator::with_parts(
-            Arc::clone(&spec),
+        let mut c = single(
+            &spec,
             Box::new(PerfectTransport::new()),
             Some(wal),
             CoordinatorConfig::default(),
@@ -128,7 +148,7 @@ proptest! {
         prop_assert!(backend.crashed());
         prop_assert!(c.degraded());
         // The in-flight event was rolled back out of memory; the degraded
-        // coordinator still audits clean and rejects new mutations.
+        // plane still audits clean and rejects new mutations.
         prop_assert_eq!(c.run().len(), accepted.len());
         c.audit().unwrap();
         let lost = in_flight.expect("the crashing submit's event");
@@ -140,12 +160,12 @@ proptest! {
         // What a restarted process finds: the synced prefix plus an
         // arbitrary amount of unsynced bytes.
         let survivor = backend.survivor(keep_unsynced);
-        let (mut rc, report) = Coordinator::recover(
+        let (mut rc, report) = ShardPlane::recover(
             Arc::clone(&spec),
-            Box::new(survivor),
+            vec![Box::new(survivor)],
             opts,
-            Box::new(PerfectTransport::new()),
-            CoordinatorConfig::default(),
+            vec![Box::new(PerfectTransport::new())],
+            ShardPlaneConfig::with_shards(1),
         )
         .unwrap();
 
@@ -184,7 +204,7 @@ proptest! {
             let _ = rc.submit(lost);
         }
         rc.audit().unwrap();
-        let ft = rc.stats().fault_tolerance.expect("coordinator stats");
+        let ft = rc.stats().fault_tolerance.expect("plane stats");
         prop_assert_eq!(ft.recovered_events, report.events_replayed as u64);
     }
 
@@ -206,11 +226,7 @@ proptest! {
             resync_after_retries: 4,
             ..CoordinatorConfig::default()
         };
-        let mut c = Coordinator::with_transport(
-            Arc::clone(&spec),
-            Box::new(FaultyTransport::new(plan)),
-            config,
-        );
+        let mut c = single(&spec, Box::new(FaultyTransport::new(plan)), None, config);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(31).wrapping_add(7));
         let accepted = drive(&mut c, &mut rng, steps);
         prop_assert!(!accepted.is_empty(), "drafting is always enabled");
@@ -220,7 +236,7 @@ proptest! {
         prop_assert!(verdict.is_converged(), "must converge after healing: {}", verdict);
         c.audit().unwrap();
 
-        let ft = c.stats().fault_tolerance.expect("coordinator stats");
+        let ft = c.stats().fault_tolerance.expect("plane stats");
         prop_assert!(ft.deltas_sent > 0);
         // Convergence implies every enqueued delta was eventually
         // acknowledged (directly or superseded by a resync snapshot).
@@ -238,7 +254,7 @@ proptest! {
         xor in 1u8..=255,
     ) {
         let spec = spec();
-        let mut c = Coordinator::new(Arc::clone(&spec));
+        let mut c = ShardPlane::new(Arc::clone(&spec), 1);
         let mut rng = StdRng::seed_from_u64(seed);
         let accepted = drive(&mut c, &mut rng, steps);
         let log = encode_run(c.run());
@@ -285,7 +301,7 @@ proptest! {
 
     /// Storage faults against a *real file*: short writes mid-record, fsync
     /// failures, and disk-full (possibly mid-snapshot) leave a torn tail on
-    /// disk. The coordinator degrades to read-only instead of halting,
+    /// disk. The plane degrades to read-only instead of halting,
     /// re-arms in place once the device stabilizes, and a later restart
     /// recovers exactly the accepted events from the file.
     #[test]
@@ -309,8 +325,8 @@ proptest! {
             snapshot_every: Some(2),
         };
         let wal = Wal::create(Box::new(io.clone()), opts).unwrap();
-        let mut c = Coordinator::with_parts(
-            Arc::clone(&spec),
+        let mut c = single(
+            &spec,
             Box::new(PerfectTransport::new()),
             Some(wal),
             CoordinatorConfig::default(),
@@ -323,14 +339,14 @@ proptest! {
         // current length, so the next event (or its follow-up snapshot)
         // lands only partially.
         let mut probe = io.clone();
-        let used = collab_workflows::engine::WalBackend::len(&mut probe).unwrap();
+        let used = WalBackend::len(&mut probe).unwrap();
         io.configure(|p| match fault_kind {
             0 => p.short_write_p = 1.0,
             1 => p.fsync_fail_p = 1.0,
             _ => p.disk_capacity = Some(used + 45),
         });
 
-        // Submit until the coordinator degrades: either the submit fails
+        // Submit until the plane degrades: either the submit fails
         // (event rolled back, resubmittable) or it succeeds but a torn
         // snapshot degraded the log.
         let mut in_flight = None;
@@ -358,7 +374,7 @@ proptest! {
             prop_assert!(matches!(c.submit(event), Err(CoordinatorError::Degraded)));
         }
 
-        // The device stabilizes; the coordinator re-arms in place and the
+        // The device stabilizes; the plane re-arms in place and the
         // rolled-back event (if any) resubmits with its original values.
         io.heal();
         io.configure(|p| p.disk_capacity = None);
@@ -371,21 +387,21 @@ proptest! {
         c.audit().unwrap();
         let expected: Vec<String> =
             c.run().events().iter().map(|e| encode_event(&spec, e)).collect();
-        let ft = c.stats().fault_tolerance.expect("coordinator stats");
+        let ft = c.stats().fault_tolerance.expect("plane stats");
         prop_assert!(ft.wal_failures >= 1);
         prop_assert_eq!(ft.degraded_recoveries, 1);
 
         // A restarted process recovers the full accepted sequence from the
         // file: the torn tail was re-armed away, every record replays.
-        let rec = Wal::recover(
-            Box::new(FileBackend::open(&path).unwrap()),
-            Arc::clone(&spec),
+        let (run, report) = ShardPlane::replay_wals(
+            &spec,
+            vec![Box::new(FileBackend::open(&path).unwrap())],
             opts,
         )
         .unwrap();
-        let base = rec.report.snapshot_seq.unwrap_or(0) as usize;
-        prop_assert_eq!(rec.report.last_seq as usize, expected.len());
-        for (i, e) in rec.run.events().iter().enumerate() {
+        let base = report.snapshot_seq.unwrap_or(0) as usize;
+        prop_assert_eq!(report.last_seq as usize, expected.len());
+        for (i, e) in run.events().iter().enumerate() {
             prop_assert_eq!(
                 encode_event(&spec, e),
                 expected[base + i].clone(),
@@ -405,7 +421,7 @@ proptest! {
         offset_pick in 0usize..10_000,
     ) {
         let spec = spec();
-        let mut c = Coordinator::new(Arc::clone(&spec));
+        let mut c = ShardPlane::new(Arc::clone(&spec), 1);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(1_000));
         let accepted = drive(&mut c, &mut rng, steps);
         let log = encode_run(c.run());

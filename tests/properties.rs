@@ -506,7 +506,7 @@ mod scratch_props {
 
 mod engine_props {
     use super::*;
-    use collab_workflows::engine::{encode_run, load_run, Coordinator, RunStats};
+    use collab_workflows::engine::{encode_run, load_run, RunStats, ShardPlane};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
@@ -537,26 +537,29 @@ mod engine_props {
             prop_assert_eq!(loaded.current(), run.current());
         }
 
-        /// The coordinator's per-peer replicas always equal the
-        /// authoritative views, and its stats add up.
+        /// The plane's per-peer replicas always equal the authoritative
+        /// views, at 1 shard (the master server) and at 4, and its stats
+        /// add up.
         #[test]
         fn coordinator_replicas_track_views(gen_seed in 0u64..500, run_seed in 0u64..500) {
             let mut rng = StdRng::seed_from_u64(gen_seed);
             let w = random_propositional_spec(&RandomSpecParams::default(), &mut rng);
             let run = random_run(&w.spec, 10, run_seed);
-            let mut c = Coordinator::new(run.spec_arc());
-            for i in 0..run.len() {
-                c.submit(run.event(i).clone()).expect("events of a run resubmit");
-                prop_assert!(c.audit().is_ok());
-            }
-            let stats = RunStats::of(c.run());
-            let performed: usize = stats.peers.iter().map(|s| s.performed).sum();
-            prop_assert_eq!(performed, run.len());
-            for p in w.spec.collab().peer_ids() {
-                prop_assert_eq!(
-                    stats.peers[p.index()].observed,
-                    c.run().view(p).len()
-                );
+            for shards in [1, 4] {
+                let mut c = ShardPlane::new(run.spec_arc(), shards);
+                for i in 0..run.len() {
+                    c.submit(run.event(i).clone()).expect("events of a run resubmit");
+                    prop_assert!(c.audit().is_ok());
+                }
+                let stats = RunStats::of(c.run());
+                let performed: usize = stats.peers.iter().map(|s| s.performed).sum();
+                prop_assert_eq!(performed, run.len());
+                for p in w.spec.collab().peer_ids() {
+                    prop_assert_eq!(
+                        stats.peers[p.index()].observed,
+                        c.run().view(p).len()
+                    );
+                }
             }
         }
     }

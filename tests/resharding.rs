@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use collab_workflows::engine::chaos::{
-    default_spec, Action, ChaosProfile, ShardChaosSim, ShardCheckpoint, ShardOracle,
+    default_spec, Action, ChaosProfile, ChaosSim, Checkpoint, Oracle,
 };
 use collab_workflows::engine::transport::Transport;
 use collab_workflows::engine::{candidates, complete, MigrationKind, WalBackend};
@@ -346,7 +346,7 @@ fn crash_restart_at_every_wal_boundary_mid_split_and_merge() {
 fn fixed_seed_reshard_heavy_four_shards_passes_all_oracles() {
     // (seed, migrations completed, migrations aborted)
     for (seed, completed, aborted) in [(2u64, 3u64, 1u64), (11, 5, 0), (35, 3, 3)] {
-        let sim = ShardChaosSim::new(default_spec(), ChaosProfile::ReshardHeavy, 4);
+        let sim = ChaosSim::new(default_spec(), ChaosProfile::ReshardHeavy, 4);
         let report = match sim.check_seed(seed, STEPS) {
             Ok(report) => report,
             Err(f) => panic!("reshard chaos seed {seed} must stay green:\n{f}"),
@@ -376,7 +376,7 @@ const SEED_A: u64 = 11;
 #[test]
 fn same_seed_reshard_runs_are_byte_identical() {
     for shards in [1usize, 4] {
-        let sim = ShardChaosSim::new(default_spec(), ChaosProfile::ReshardHeavy, shards);
+        let sim = ChaosSim::new(default_spec(), ChaosProfile::ReshardHeavy, shards);
         let trace = sim.generate(SEED_A, STEPS);
         assert_eq!(trace, sim.generate(SEED_A, STEPS));
         assert!(
@@ -403,11 +403,11 @@ struct EpochCeiling {
     ceiling: u64,
 }
 
-impl ShardOracle for EpochCeiling {
+impl Oracle for EpochCeiling {
     fn name(&self) -> &'static str {
         "epoch-ceiling"
     }
-    fn check(&mut self, cp: &ShardCheckpoint<'_>) -> Result<(), String> {
+    fn check(&mut self, cp: &Checkpoint<'_>) -> Result<(), String> {
         let epoch = cp.plane.map().epoch();
         if epoch > self.ceiling {
             return Err(format!(
@@ -421,7 +421,7 @@ impl ShardOracle for EpochCeiling {
 
 #[test]
 fn broken_resharding_oracle_shrinks_to_minimal_repro() {
-    let sim = ShardChaosSim::new(default_spec(), ChaosProfile::ReshardHeavy, 4)
+    let sim = ChaosSim::new(default_spec(), ChaosProfile::ReshardHeavy, 4)
         .with_oracle(|| Box::new(EpochCeiling { ceiling: 1 }));
     let failure = sim
         .check_seed(SHRINK_SEED, STEPS)
@@ -457,7 +457,7 @@ const SHRINK_SEED: u64 = 17;
 #[ignore]
 fn explore_reshard_seeds() {
     for seed in 0..40u64 {
-        let sim = ShardChaosSim::new(default_spec(), ChaosProfile::ReshardHeavy, 4);
+        let sim = ChaosSim::new(default_spec(), ChaosProfile::ReshardHeavy, 4);
         match sim.check_seed(seed, STEPS) {
             Ok(report) => {
                 let line = report

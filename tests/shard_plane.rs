@@ -1,11 +1,11 @@
-//! The sharded state plane, end to end: shards=1 behavioral equivalence
-//! with the single coordinator, multi-shard convergence under faults,
-//! partitions, failovers, HLC causality, per-slice stall breakdowns, and
-//! pinned shard-chaos seeds with a same-seed determinism audit.
+//! The sharded state plane, end to end: multi-shard convergence under
+//! faults, partitions, failovers, HLC causality, per-slice stall
+//! breakdowns, and pinned shard-chaos seeds with a same-seed determinism
+//! audit.
 
 use std::sync::Arc;
 
-use collab_workflows::engine::chaos::{default_spec, ChaosProfile, ShardChaosSim};
+use collab_workflows::engine::chaos::{default_spec, ChaosProfile, ChaosSim};
 use collab_workflows::engine::shard::{ShardConvergence, ShardLink};
 use collab_workflows::engine::transport::Transport;
 use collab_workflows::engine::{candidates, complete, FaultPlan, FaultyTransport, WalBackend};
@@ -31,44 +31,6 @@ fn scripted_events(run_seed: &mut Run, n: usize) -> Vec<Event> {
         events.push(event);
     }
     events
-}
-
-/// shards=1 is behaviorally identical to the single coordinator: same
-/// accepted run, same replica contents after every submit, same quiescent
-/// audit. (The plane is the coordinator's own delivery machinery behind a
-/// one-entry shard map, so this is the refactor's no-regression gate.)
-#[test]
-fn single_shard_plane_matches_the_coordinator() {
-    let spec = default_spec();
-    let mut script = Run::new(Arc::clone(&spec));
-    let events = scripted_events(&mut script, 12);
-    assert!(events.len() >= 10, "the spec must yield a long script");
-
-    let mut coordinator = Coordinator::new(Arc::clone(&spec));
-    let mut plane = ShardPlane::new(Arc::clone(&spec), 1);
-    for event in &events {
-        coordinator.submit(event.clone()).expect("coordinator ok");
-        plane.submit(event.clone()).expect("plane ok");
-        assert_eq!(
-            coordinator.run().current(),
-            plane.run().current(),
-            "instances must stay identical after every submit"
-        );
-        for p in spec.collab().peer_ids() {
-            assert!(
-                coordinator
-                    .replica(p)
-                    .same_facts(&plane.shard_replica(ShardId(0), p).clone()),
-                "replica of peer {} diverged between coordinator and 1-shard plane",
-                spec.collab().peer_name(p)
-            );
-        }
-    }
-    coordinator.converge(100);
-    plane.converge(100);
-    assert!(coordinator.audit().is_ok());
-    assert!(plane.audit().is_ok());
-    assert!(plane.state_matches(coordinator.run().current()));
 }
 
 /// A 4-shard plane over faulty per-shard transports, with partitions cut
@@ -293,7 +255,7 @@ fn plane_recovers_from_its_wal_and_repartitions() {
 /// stay green and must actually exercise partitions and failovers.
 #[test]
 fn fixed_seed_partition_heavy_four_shards_passes_all_oracles() {
-    let sim = ShardChaosSim::new(default_spec(), ChaosProfile::PartitionHeavy, 4);
+    let sim = ChaosSim::new(default_spec(), ChaosProfile::PartitionHeavy, 4);
     let report = match sim.check_seed(8, STEPS) {
         Ok(report) => report,
         Err(f) => panic!("shard chaos seed must stay green:\n{f}"),
@@ -317,7 +279,7 @@ fn fixed_seed_partition_heavy_four_shards_passes_all_oracles() {
 /// The crash-heavy profile drives full-plane WAL recovery at 4 shards.
 #[test]
 fn fixed_seed_crash_heavy_four_shards_recovers_from_wal() {
-    let sim = ShardChaosSim::new(default_spec(), ChaosProfile::CrashHeavy, 4);
+    let sim = ChaosSim::new(default_spec(), ChaosProfile::CrashHeavy, 4);
     let report = match sim.check_seed(9, STEPS) {
         Ok(report) => report,
         Err(f) => panic!("shard chaos seed must stay green:\n{f}"),
@@ -334,7 +296,7 @@ fn fixed_seed_crash_heavy_four_shards_recovers_from_wal() {
 #[test]
 fn same_seed_shard_runs_are_byte_identical() {
     for shards in [1usize, 4] {
-        let sim = ShardChaosSim::new(default_spec(), ChaosProfile::PartitionHeavy, shards);
+        let sim = ChaosSim::new(default_spec(), ChaosProfile::PartitionHeavy, shards);
         let trace = sim.generate(23, STEPS);
         assert_eq!(trace, sim.generate(23, STEPS));
         let a = sim.run_trace(23, &trace).expect("seed 23 is green");
@@ -347,14 +309,12 @@ fn same_seed_shard_runs_are_byte_identical() {
     }
 }
 
-/// The sharded sim and the single-coordinator sim accept the *same* traces:
-/// a partition-heavy trace (which contains `part`/`failover`/`handoff`
-/// tokens) runs green through both harnesses.
+/// One grammar drives every shard count: a partition-heavy trace (which
+/// contains `part`/`failover`/`handoff` tokens) runs green at 1 shard and
+/// at 2.
 #[test]
 fn one_grammar_drives_both_harnesses() {
-    use collab_workflows::engine::chaos::ChaosSim;
-    let shard_sim = ShardChaosSim::new(default_spec(), ChaosProfile::PartitionHeavy, 2);
-    let trace = shard_sim.generate(5, STEPS);
+    let trace = ChaosSim::new(default_spec(), ChaosProfile::PartitionHeavy, 2).generate(5, STEPS);
     assert!(
         trace.iter().any(|a| {
             matches!(
@@ -365,10 +325,9 @@ fn one_grammar_drives_both_harnesses() {
         }),
         "the partition-heavy generator must emit shard actions"
     );
-    shard_sim
-        .run_trace(5, &trace)
-        .expect("trace green on the shard plane");
-    ChaosSim::new(default_spec(), ChaosProfile::PartitionHeavy)
-        .run_trace(5, &trace)
-        .expect("same trace green on the single coordinator");
+    for shards in [1, 2] {
+        ChaosSim::new(default_spec(), ChaosProfile::PartitionHeavy, shards)
+            .run_trace(5, &trace)
+            .unwrap_or_else(|f| panic!("trace must be green at {shards} shards:\n{f}"));
+    }
 }
