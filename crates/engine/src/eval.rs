@@ -14,6 +14,11 @@
 //! over one scratch [`Bindings`] with a bind/undo trail — no per-tuple
 //! clone of the partial assignment.
 //!
+//! `match_body_pinned` runs the same join with one variable bound
+//! beforehand — the delta rule behind the incremental candidate listing of
+//! [`crate::simulate`], which re-derives only the valuations that read a
+//! changed key.
+//!
 //! Safety (every body variable occurs in a positive literal) guarantees that
 //! after the join phase every body variable is bound, so filters only ever
 //! see ground terms.
@@ -102,14 +107,18 @@ fn key_resolvable(lit: &Literal, bound: &[bool]) -> bool {
 /// the first literal whose key term is already resolvable (a point lookup);
 /// when none is, scan the literal over the smallest relation in `view`
 /// (ties broken by original body order). Static — the plan depends only on
-/// the rule and the per-relation sizes, never on enumerated values.
-fn plan_body<'a>(rule: &'a Rule, view: &ViewInstance) -> Vec<&'a Literal> {
+/// the rule, the per-relation sizes and the `prebound` variables, never on
+/// enumerated values.
+fn plan_body<'a>(rule: &'a Rule, view: &ViewInstance, prebound: Option<VarId>) -> Vec<&'a Literal> {
     let mut remaining: Vec<&Literal> = rule
         .body
         .iter()
         .filter(|l| matches!(l, Literal::Pos { .. } | Literal::KeyPos { .. }))
         .collect();
     let mut bound = vec![false; rule.vars.len()];
+    if let Some(x) = prebound {
+        bound[x.index()] = true;
+    }
     let mut out = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
         let pick = remaining
@@ -278,12 +287,55 @@ fn join_dfs(
 /// literal order is the static plan of [`plan_body`] and view tuples
 /// enumerate in key order.
 pub fn match_body(rule: &Rule, view: &ViewInstance) -> Vec<Bindings> {
-    let order = plan_body(rule, view);
+    let order = plan_body(rule, view, None);
     let mut b = Bindings::empty(rule.vars.len());
     let mut trail = Vec::new();
     let mut out = Vec::new();
     join_dfs(rule, view, &order, 0, &mut b, &mut trail, &mut out);
     out
+}
+
+/// The valuations of [`match_body`] that bind the body variable `var` to
+/// `value`: the same join, planned and run with `var` bound beforehand, so
+/// every literal keyed by `var` becomes a point lookup. The order is that of
+/// the pinned plan, which may differ from [`match_body`]'s; callers that
+/// need [`match_body`]'s order sort by [`match_order`].
+pub(crate) fn match_body_pinned(
+    rule: &Rule,
+    view: &ViewInstance,
+    var: VarId,
+    value: Value,
+) -> Vec<Bindings> {
+    let order = plan_body(rule, view, Some(var));
+    let mut b = Bindings::empty(rule.vars.len());
+    b.set(var, value);
+    let mut trail = Vec::new();
+    let mut out = Vec::new();
+    join_dfs(rule, view, &order, 0, &mut b, &mut trail, &mut out);
+    out
+}
+
+/// The key terms of `rule`'s positive literals in [`match_body`]'s plan
+/// order on `view`. The join visits keys in ascending order at every depth,
+/// and a valuation is determined by the keys it matched, so [`match_body`]
+/// lists valuations exactly in lexicographic order of these terms' values
+/// (see [`cmp_in_order`]).
+pub(crate) fn match_order<'a>(rule: &'a Rule, view: &ViewInstance) -> Vec<&'a Term> {
+    plan_body(rule, view, None)
+        .into_iter()
+        .map(key_term)
+        .collect()
+}
+
+/// Compares two valuations of one rule by the values of `order`'s terms,
+/// lexicographically — [`match_body`]'s output order when `order` is
+/// [`match_order`].
+pub(crate) fn cmp_in_order(order: &[&Term], a: &Bindings, b: &Bindings) -> std::cmp::Ordering {
+    order
+        .iter()
+        .map(|t| a.resolve(t).cmp(&b.resolve(t)))
+        .find(|o| o.is_ne())
+        .unwrap_or(std::cmp::Ordering::Equal)
 }
 
 fn filters_hold(rule: &Rule, view: &ViewInstance, b: &Bindings) -> bool {

@@ -19,6 +19,7 @@ use cwf_model::{
 use crate::error::EngineError;
 use crate::event::Event;
 use crate::prov::ProvPlane;
+use crate::simulate::CandidateCache;
 use crate::transition::apply_event_with_view;
 use crate::view_plane::{materialize_view, peer_delta, ViewDelta, ViewPlane};
 
@@ -51,6 +52,9 @@ pub struct Run {
     /// The opt-in provenance plane ([`Run::enable_provenance`]). Derived
     /// state: never persisted, rebuilt (not recovered) after a WAL replay.
     prov: Option<ProvPlane>,
+    /// The rule-body matches behind [`crate::candidates`], caught up lazily
+    /// from `diffs` when listed. Empty on a clone; emptied by [`Run::pop`].
+    candidates: CandidateCache,
 }
 
 impl Run {
@@ -81,6 +85,7 @@ impl Run {
             past_adom,
             fresh,
             prov: None,
+            candidates: CandidateCache::default(),
         }
     }
 
@@ -311,6 +316,11 @@ impl Run {
         Some(cone.events().iter().map(|&e| e as usize).collect())
     }
 
+    /// The cached rule-body matches that [`crate::candidates`] catches up.
+    pub(crate) fn candidate_cache(&self) -> &CandidateCache {
+        &self.candidates
+    }
+
     /// Peer `p`'s incrementally maintained view of [`Run::current`] — the
     /// engine's replacement for `view_of` rescans.
     pub fn peer_view(&self, p: PeerId) -> &ViewInstance {
@@ -350,6 +360,9 @@ impl Run {
         // from the restored current instance rather than inverting deltas.
         self.plane = ViewPlane::new(self.spec.collab(), self.current());
         self.last_deltas.clear();
+        // A pop then a push leaves the length unchanged: the cached matches
+        // cannot tell, so drop them.
+        self.candidates.clear();
         // The provenance plane has no delta inverse either: rebuild it from
         // the truncated history.
         if self.prov.is_some() {
