@@ -135,7 +135,12 @@ pub(crate) fn decode_value(token: &str, line: usize) -> Result<Value, CodecError
     match tag {
         "b" => rest.parse::<bool>().map(Value::Bool).map_err(|_| bad()),
         "i" => rest.parse::<i64>().map(Value::Int).map_err(|_| bad()),
-        "f" => rest.parse::<u64>().map(Value::Fresh).map_err(|_| bad()),
+        // No fresh symbol is ever drawn at `u64::MAX`: the generator would
+        // overflow moving past it.
+        "f" => match rest.parse::<u64>() {
+            Ok(n) if n < u64::MAX => Ok(Value::Fresh(n)),
+            _ => Err(bad()),
+        },
         "s" => {
             let inner = rest
                 .strip_prefix('"')

@@ -62,6 +62,6 @@ pub use transition::{
 pub use transport::{Ack, FaultyTransport, InjectedFaults, PeerMsg, PerfectTransport, Transport};
 pub use view_plane::{materialize_view, peer_delta, ViewDelta, ViewPlane};
 pub use wal::{
-    FileBackend, IoFaultBackend, IoFaults, MemBackend, Recovered, RecoveryReport, SyncPolicy, Wal,
-    WalBackend, WalOptions,
+    FileBackend, IoFaultBackend, IoFaults, MemBackend, RecoveryReport, SyncPolicy, Wal, WalBackend,
+    WalOptions,
 };

@@ -1,51 +1,53 @@
-//! A durable write-ahead log for coordinators.
+//! The durable write-ahead log: one checksummed record stream per shard.
 //!
 //! Runs are fully determined by their event sequences (Section 2), so the
-//! WAL *is* the coordinator's durable state: one checksummed record per
-//! accepted event, rebuilt by replay — which re-validates every transition
-//! via [`Run::push`], making stored logs tamper-evident (cf. the provenance
-//! view of traces as the durable artifact). Periodic instance **snapshots**
-//! let recovery replay only the tail.
+//! streams of a [`ShardPlane`](crate::shard::ShardPlane) *are* its durable
+//! state: recovery rebuilds the run by replaying them, re-validating every
+//! transition via [`Run::push`](crate::run::Run::push), which makes stored
+//! streams tamper-evident (cf. the provenance view of traces as the
+//! durable artifact). A shards=1 plane, the single-node deployment, writes
+//! exactly one stream. Periodic plane **snapshots** let recovery replay
+//! only the tail.
 //!
-//! Format (v2, line-oriented, extends the v1 codec with per-record sequence
-//! numbers and CRC32 checksums):
+//! Format (v2, line-oriented): a header line, then one record per line,
+//! each with a dense sequence number and a CRC32:
 //!
 //! ```text
 //! # cwf wal v2
-//! e 1 bb3e45ac draft f:0
-//! e 2 61a0f318 publish f:0 f:1
-//! s 2 1c9d0e4f 2 1 f:1 s:"published" 0
+//! e 1 543b2cf2 t1.1.0 draft f:0
+//! e 2 613c7097 t3.1.0 draft f:1
+//! s 3 33ca046d g2 t3.1.0 w2 3 2 f:0 s:"draft" f:1 s:"draft" 0 0
 //! ```
 //!
-//! An `e` record is an event (seq, CRC, then the v1 event line); an `s`
-//! record is a snapshot of the instance *after* the event with that seq.
-//! Per-shard streams written by the sharded state plane reuse the same
-//! framing with three extra kinds for the cross-shard commit protocol —
-//! `p` (prepare), `c` (commit), `a` (abort) — and assign every record,
-//! snapshots included, a fresh dense sequence number (see
-//! [`ShardPlane`](crate::shard::ShardPlane)); a coordinator log must never
-//! contain them, so recovery refuses them as tampering there.
+//! Record kinds: `e` (a key-local event), `s` (a plane snapshot), `p`/`c`/`a`
+//! (cross-shard prepare, commit, abort) and `m`/`f`/`x` (resharding plan,
+//! fenced cutover, migration abort, on the router stream). Every record,
+//! snapshots included, takes the next sequence number. This module owns the
+//! framing: [`Wal::create`] writes the header, `Wal::append_raw` appends a
+//! record, `Wal::scan_stream` finds the longest valid prefix and
+//! `Wal::resume` reopens it for appends. The plane owns the payloads and
+//! resolves the streams into one run
+//! ([`ShardPlane::recover`](crate::shard::ShardPlane::recover),
+//! [`ShardPlane::replay_wals`](crate::shard::ShardPlane::replay_wals)).
+//!
 //! The CRC is computed over `"<kind> <seq> <payload>"`. Recovery scans the
 //! longest valid prefix: a torn or corrupted record (incomplete line, bad
 //! UTF-8, unparsable fields, CRC mismatch) ends the scan and the suffix is
 //! truncated — the crash-recovery contract. A record that *passes* its CRC
-//! but is semantically invalid (undecodable payload, non-monotone seq,
-//! replay failure) is [`WalError::Tampered`]: checksums only guard against
-//! accidental corruption, so recovery refuses such logs outright.
+//! but is semantically invalid (non-dense seq, undecodable payload, replay
+//! failure) is [`WalError::Tampered`]: checksums only guard against
+//! accidental corruption, so recovery refuses such streams outright.
 
 use std::fmt;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use cwf_lang::WorkflowSpec;
 use cwf_model::{Instance, Schema, Tuple};
 
-use crate::codec::{decode_event, decode_value, encode_event, encode_value, tokenize};
+use crate::codec::{decode_value, encode_value, tokenize};
 use crate::error::WalError;
-use crate::event::Event;
 use crate::fault::FaultPlan;
-use crate::run::Run;
 
 /// The v2 header line (without trailing newline).
 pub const WAL_HEADER: &str = "# cwf wal v2";
@@ -552,7 +554,7 @@ fn decode_instance(schema: &Schema, payload: &str) -> Result<Instance, String> {
 // Records
 // ---------------------------------------------------------------------------
 
-fn record_line(kind: char, seq: u64, payload: &str) -> String {
+pub(crate) fn record_line(kind: char, seq: u64, payload: &str) -> String {
     let body = format!("{kind} {seq} {payload}");
     format!("{kind} {seq} {:08x} {payload}\n", crc32(body.as_bytes()))
 }
@@ -603,29 +605,31 @@ fn parse_record(line: &str) -> Option<RawRecord> {
 // The WAL proper
 // ---------------------------------------------------------------------------
 
-/// What [`Wal::recover`] found and did.
+/// What a recovery of the per-shard streams found and did
+/// ([`ShardPlane::recover`](crate::shard::ShardPlane::recover),
+/// [`ShardPlane::replay_wals`](crate::shard::ShardPlane::replay_wals)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Highest durable event sequence number (0: empty log).
+    /// Durable events recovered: those the snapshot covers plus those
+    /// replayed above it (0: empty streams).
     pub last_seq: u64,
-    /// Events replayed (only the tail after the last snapshot).
+    /// Events replayed (only the tail above the snapshot).
     pub events_replayed: usize,
-    /// Sequence number of the snapshot recovery started from, if any.
+    /// Events covered by the snapshot recovery started from, if any.
     pub snapshot_seq: Option<u64>,
-    /// Torn/corrupted suffix bytes truncated from the log.
+    /// Torn/corrupted suffix bytes truncated, summed over the streams.
     pub truncated_bytes: usize,
 }
 
-/// A recovered WAL: the log handle (positioned to continue appending), the
-/// rebuilt run, and the recovery report.
-#[derive(Debug)]
-pub struct Recovered {
-    /// The WAL, ready for further appends.
-    pub wal: Wal,
-    /// The run rebuilt from snapshot + tail replay.
-    pub run: Run,
-    /// What recovery found.
-    pub report: RecoveryReport,
+/// The longest valid prefix of one per-shard stream, as found by
+/// [`Wal::scan_stream`]: its records, the byte boundary they end at, how
+/// many torn/corrupt suffix bytes were truncated, and the last (dense)
+/// sequence number.
+pub(crate) struct StreamScan {
+    pub(crate) records: Vec<RawRecord>,
+    pub(crate) valid_len: u64,
+    pub(crate) truncated_bytes: usize,
+    pub(crate) last_seq: u64,
 }
 
 /// The durable write-ahead log. See the module docs for the format.
@@ -640,7 +644,6 @@ pub struct Wal {
     opts: WalOptions,
     next_seq: u64,
     unsynced: u32,
-    events_since_snapshot: u64,
     /// Bytes of complete records (incl. header) successfully appended: the
     /// boundary [`Wal::rearm`] truncates a torn tail back to.
     appended_len: u64,
@@ -664,7 +667,7 @@ impl Wal {
     pub fn create(mut backend: Box<dyn WalBackend>, opts: WalOptions) -> Result<Wal, WalError> {
         if !backend.is_empty()? {
             return Err(WalError::Backend(
-                "backend is not empty; use Wal::recover to resume an existing log".into(),
+                "backend is not empty; use ShardPlane::recover to resume an existing stream".into(),
             ));
         }
         let header = format!("{WAL_HEADER}\n");
@@ -675,7 +678,6 @@ impl Wal {
             opts,
             next_seq: 1,
             unsynced: 0,
-            events_since_snapshot: 0,
             appended_len: header.len() as u64,
             poisoned: false,
         })
@@ -743,71 +745,6 @@ impl Wal {
         Ok(())
     }
 
-    /// Appends one accepted event; returns its sequence number. The record
-    /// is durable per the sync policy when this returns.
-    pub fn append_event(&mut self, spec: &WorkflowSpec, event: &Event) -> Result<u64, WalError> {
-        self.check_armed()?;
-        let seq = self.next_seq;
-        let line = record_line('e', seq, &encode_event(spec, event));
-        match self.append_record(&line) {
-            Ok(()) => {
-                self.next_seq += 1;
-                self.events_since_snapshot += 1;
-                Ok(seq)
-            }
-            Err(e) => Err(self.poison_unless_transient(e)),
-        }
-    }
-
-    /// Appends a snapshot of `instance` (the state after the last appended
-    /// event) and syncs. Recovery replays only events after it. The
-    /// `fresh_watermark` ([`Run::fresh_watermark`]) rides along so recovery
-    /// never re-mints a fresh value that was drawn and deleted before the
-    /// snapshot.
-    pub fn append_snapshot(
-        &mut self,
-        schema: &Schema,
-        instance: &Instance,
-        fresh_watermark: u64,
-    ) -> Result<(), WalError> {
-        self.check_armed()?;
-        let seq = self.next_seq - 1;
-        let line = record_line(
-            's',
-            seq,
-            &encode_snapshot(schema, instance, fresh_watermark),
-        );
-        match self.append_record(&line) {
-            // Snapshots always sync, whatever the event policy: recovery
-            // relies on finding them.
-            Ok(()) => match self.sync() {
-                Ok(()) => {
-                    self.events_since_snapshot = 0;
-                    Ok(())
-                }
-                Err(e) => Err(self.poison_unless_transient(e)),
-            },
-            Err(e) => Err(self.poison_unless_transient(e)),
-        }
-    }
-
-    /// Appends a snapshot when `snapshot_every` events have accumulated
-    /// since the last one. Returns whether a snapshot was written.
-    pub fn maybe_snapshot(
-        &mut self,
-        schema: &Schema,
-        instance: &Instance,
-        fresh_watermark: u64,
-    ) -> Result<bool, WalError> {
-        match self.opts.snapshot_every {
-            Some(n) if self.events_since_snapshot >= n.max(1) => {
-                self.append_snapshot(schema, instance, fresh_watermark)?;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-
     /// Forces a sync now.
     pub fn sync(&mut self) -> Result<(), WalError> {
         self.backend.sync()?;
@@ -815,164 +752,9 @@ impl Wal {
         Ok(())
     }
 
-    /// Recovers a WAL: scans the longest valid prefix, truncates any torn
-    /// or corrupted suffix, rebuilds the run from the last snapshot plus
-    /// tail replay (re-validating every transition), and returns a WAL
-    /// positioned to continue appending.
-    pub fn recover(
-        mut backend: Box<dyn WalBackend>,
-        spec: std::sync::Arc<WorkflowSpec>,
-        opts: WalOptions,
-    ) -> Result<Recovered, WalError> {
-        let bytes = backend.read_all()?;
-        if bytes.is_empty() {
-            let wal = Wal::create(backend, opts)?;
-            return Ok(Recovered {
-                wal,
-                run: Run::new(spec),
-                report: RecoveryReport::default(),
-            });
-        }
-        // Header: a complete first line must match; an incomplete first
-        // line is a torn creation and the file restarts from scratch.
-        let header_end = match bytes.iter().position(|&b| b == b'\n') {
-            Some(i) => i,
-            None => {
-                let truncated = bytes.len();
-                backend.truncate(0)?;
-                let wal = Wal::create(backend, opts)?;
-                return Ok(Recovered {
-                    wal,
-                    run: Run::new(spec),
-                    report: RecoveryReport {
-                        truncated_bytes: truncated,
-                        ..Default::default()
-                    },
-                });
-            }
-        };
-        if std::str::from_utf8(&bytes[..header_end]) != Ok(WAL_HEADER) {
-            return Err(WalError::BadHeader);
-        }
-        // Scan the longest valid prefix of records.
-        let mut records: Vec<RawRecord> = Vec::new();
-        let mut valid_len = header_end + 1;
-        let mut pos = valid_len;
-        while pos < bytes.len() {
-            let Some(nl) = bytes[pos..].iter().position(|&b| b == b'\n') else {
-                break; // torn final record: no newline
-            };
-            let line = &bytes[pos..pos + nl];
-            let Ok(text) = std::str::from_utf8(line) else {
-                break; // corrupted into invalid UTF-8
-            };
-            let Some(rec) = parse_record(text) else {
-                break; // unparsable or CRC mismatch
-            };
-            records.push(rec);
-            pos += nl + 1;
-            valid_len = pos;
-        }
-        let truncated_bytes = bytes.len() - valid_len;
-        if truncated_bytes > 0 {
-            backend.truncate(valid_len as u64)?;
-        }
-        // Validate sequence numbers and locate the last snapshot. Events
-        // are 1,2,3,…; a snapshot carries the seq of the last event before
-        // it. These records passed their CRCs, so violations are tampering.
-        let mut last_seq = 0u64;
-        let mut last_snapshot: Option<(usize, u64)> = None;
-        for (i, rec) in records.iter().enumerate() {
-            match rec.kind {
-                'e' => {
-                    if rec.seq != last_seq + 1 {
-                        return Err(WalError::Tampered {
-                            seq: rec.seq,
-                            reason: format!("event seq jumps from {last_seq}"),
-                        });
-                    }
-                    last_seq = rec.seq;
-                }
-                // Commit-protocol and resharding records belong to
-                // per-shard streams; a coordinator log containing one was
-                // spliced together.
-                'p' | 'c' | 'a' | 'm' | 'f' | 'x' => {
-                    return Err(WalError::Tampered {
-                        seq: rec.seq,
-                        reason: format!("record kind {:?} is not a coordinator record", rec.kind),
-                    });
-                }
-                's' => {
-                    if rec.seq != last_seq {
-                        return Err(WalError::Tampered {
-                            seq: rec.seq,
-                            reason: format!(
-                                "snapshot seq {} does not match last event {last_seq}",
-                                rec.seq
-                            ),
-                        });
-                    }
-                    last_snapshot = Some((i, rec.seq));
-                }
-                _ => unreachable!("parse_record only yields e/s/p/c/a"),
-            }
-        }
-        // Rebuild: last snapshot (if any) + tail replay.
-        let schema = spec.collab().schema();
-        let (initial, watermark, snapshot_seq, tail_start) = match last_snapshot {
-            Some((i, seq)) => {
-                let (inst, watermark) = decode_snapshot(schema, &records[i].payload)
-                    .map_err(|reason| WalError::Tampered { seq, reason })?;
-                (inst, watermark, Some(seq), i + 1)
-            }
-            None => (Instance::empty(schema), 0, None, 0),
-        };
-        let mut run = Run::with_initial(Arc::clone(&spec), initial);
-        run.raise_fresh_watermark(watermark);
-        let mut events_replayed = 0usize;
-        for rec in &records[tail_start..] {
-            if rec.kind != 'e' {
-                continue; // an older snapshot superseded by a later one
-            }
-            let event = decode_event(&spec, &rec.payload, 0).map_err(|e| WalError::Tampered {
-                seq: rec.seq,
-                reason: format!("undecodable event: {e}"),
-            })?;
-            run.push(event).map_err(|e| WalError::Tampered {
-                seq: rec.seq,
-                reason: format!("does not replay: {e}"),
-            })?;
-            events_replayed += 1;
-        }
-        let events_since_snapshot = events_replayed as u64;
-        Ok(Recovered {
-            wal: Wal {
-                backend,
-                opts,
-                next_seq: last_seq + 1,
-                unsynced: 0,
-                events_since_snapshot,
-                appended_len: valid_len as u64,
-                poisoned: false,
-            },
-            run,
-            report: RecoveryReport {
-                last_seq,
-                events_replayed,
-                snapshot_seq,
-                truncated_bytes,
-            },
-        })
-    }
-
-    // -----------------------------------------------------------------------
-    // Per-shard streams (the sharded state plane's WAL format)
-    // -----------------------------------------------------------------------
-
-    /// Appends one raw record of `kind` with a fresh dense sequence number.
-    /// Per-shard streams (unlike coordinator logs) assign every record,
-    /// snapshots included, its own seq, so stream validation is simply
-    /// "each record's seq is the previous plus one". When `force_sync` the
+    /// Appends one record of `kind` with the next sequence number. Every
+    /// record, snapshots included, takes its own seq, so stream validation
+    /// is simply "each record's seq is the previous plus one". When `force_sync` the
     /// record is synced whatever the policy says (commit-point records and
     /// snapshots must be durable before the plane acknowledges).
     pub(crate) fn append_raw(
@@ -1015,59 +797,32 @@ impl Wal {
             opts,
             next_seq,
             unsynced: 0,
-            events_since_snapshot: 0,
             appended_len,
             poisoned: false,
         }
     }
-}
 
-/// The longest valid prefix of one per-shard stream, as found by
-/// [`Wal::scan_stream`]: its records, the byte boundary they end at, how
-/// many torn/corrupt suffix bytes were truncated, and the last (dense)
-/// sequence number.
-pub(crate) struct StreamScan {
-    pub(crate) records: Vec<RawRecord>,
-    pub(crate) valid_len: u64,
-    pub(crate) truncated_bytes: usize,
-    pub(crate) last_seq: u64,
-}
-
-impl Wal {
     /// Scans one per-shard stream: checks the header, walks the longest
     /// valid prefix of records, truncates any torn or corrupted suffix, and
     /// validates that sequence numbers are dense (every record is the
     /// previous seq plus one — CRC-valid records violating that are
-    /// tampering). An empty backend yields an empty scan; a backend holding
-    /// only a torn header restarts from scratch like [`Wal::recover`].
+    /// tampering). An empty backend, or one holding only a torn header,
+    /// restarts from scratch with a fresh header.
     pub(crate) fn scan_stream(backend: &mut dyn WalBackend) -> Result<StreamScan, WalError> {
         let bytes = backend.read_all()?;
-        if bytes.is_empty() {
+        let Some(header_end) = bytes.iter().position(|&b| b == b'\n') else {
+            if !bytes.is_empty() {
+                backend.truncate(0)?;
+            }
             let header = format!("{WAL_HEADER}\n");
             backend.append(header.as_bytes())?;
             backend.sync()?;
             return Ok(StreamScan {
                 records: Vec::new(),
                 valid_len: header.len() as u64,
-                truncated_bytes: 0,
+                truncated_bytes: bytes.len(),
                 last_seq: 0,
             });
-        }
-        let header_end = match bytes.iter().position(|&b| b == b'\n') {
-            Some(i) => i,
-            None => {
-                let truncated = bytes.len();
-                backend.truncate(0)?;
-                let header = format!("{WAL_HEADER}\n");
-                backend.append(header.as_bytes())?;
-                backend.sync()?;
-                return Ok(StreamScan {
-                    records: Vec::new(),
-                    valid_len: header.len() as u64,
-                    truncated_bytes: truncated,
-                    last_seq: 0,
-                });
-            }
         };
         if std::str::from_utf8(&bytes[..header_end]) != Ok(WAL_HEADER) {
             return Err(WalError::BadHeader);
@@ -1113,43 +868,17 @@ impl Wal {
 
 #[cfg(test)]
 mod tests {
+    //! Framing-level checks. Recovery itself (torn tails, corruption,
+    //! tampering, foreign headers, snapshots) is tested through
+    //! `ShardPlane::replay_wals` in `shard/plane.rs`, the path a restart
+    //! takes.
+
     use super::*;
-    use crate::eval::Bindings;
-    use cwf_lang::{parse_workflow, VarId};
-    use cwf_model::Value;
 
-    fn spec() -> Arc<WorkflowSpec> {
-        Arc::new(
-            parse_workflow(
-                r#"
-                schema { Task(K, Title); Done(K); }
-                peers { a sees Task(*), Done(*); b sees Task(*), Done(*); }
-                rules {
-                    mk @ a: +Task(t, n) :- ;
-                    fin @ b: +Done(d) :- Task(d, n2);
-                }
-                "#,
-            )
-            .unwrap(),
-        )
-    }
-
-    fn mk_event(spec: &WorkflowSpec, t: Value, n: Value) -> Event {
-        let mk = spec.program().rule_by_name("mk").unwrap();
-        let mut b = Bindings::empty(2);
-        b.set(VarId(0), t);
-        b.set(VarId(1), n);
-        Event::new(spec, mk, b).unwrap()
-    }
-
-    fn grow(spec: &Arc<WorkflowSpec>, wal: &mut Wal, run: &mut Run, count: usize) {
-        for _ in 0..count {
-            let t = run.draw_fresh();
-            let n = run.draw_fresh();
-            let e = mk_event(spec, t, n);
-            run.push(e.clone()).unwrap();
-            wal.append_event(spec, &e).unwrap();
-            wal.maybe_snapshot(spec.collab().schema(), run.current(), run.fresh_watermark())
+    /// Appends `count` records of arbitrary payload to `wal`.
+    fn grow(wal: &mut Wal, count: usize) {
+        for i in 0..count {
+            wal.append_raw('e', &format!("t{i}.0.0 mk f:{i}"), false)
                 .unwrap();
         }
     }
@@ -1161,192 +890,46 @@ mod tests {
     }
 
     #[test]
-    fn empty_backend_recovers_to_empty_run() {
-        let spec = spec();
-        let rec = Wal::recover(
-            Box::new(MemBackend::new()),
-            Arc::clone(&spec),
-            WalOptions::default(),
-        )
-        .unwrap();
-        assert!(rec.run.is_empty());
-        assert_eq!(rec.report, RecoveryReport::default());
-    }
-
-    #[test]
-    fn append_recover_round_trip() {
-        let spec = spec();
-        let backend = MemBackend::new();
-        let mut wal = Wal::create(Box::new(backend.clone()), WalOptions::default()).unwrap();
-        let mut run = Run::new(Arc::clone(&spec));
-        grow(&spec, &mut wal, &mut run, 5);
-        let rec =
-            Wal::recover(Box::new(backend), Arc::clone(&spec), WalOptions::default()).unwrap();
-        assert_eq!(rec.run.len(), 5);
-        assert_eq!(rec.run.current(), run.current());
-        assert_eq!(rec.report.last_seq, 5);
-        assert_eq!(rec.report.truncated_bytes, 0);
-    }
-
-    #[test]
-    fn snapshot_shortens_replay() {
-        let spec = spec();
-        let backend = MemBackend::new();
-        let opts = WalOptions {
-            snapshot_every: Some(3),
-            ..WalOptions::default()
-        };
-        let mut wal = Wal::create(Box::new(backend.clone()), opts).unwrap();
-        let mut run = Run::new(Arc::clone(&spec));
-        grow(&spec, &mut wal, &mut run, 8);
-        let rec = Wal::recover(Box::new(backend), Arc::clone(&spec), opts).unwrap();
-        // Snapshots at 3 and 6: recovery starts at 6 and replays 2 events.
-        assert_eq!(rec.report.snapshot_seq, Some(6));
-        assert_eq!(rec.report.events_replayed, 2);
-        assert_eq!(rec.report.last_seq, 8);
-        assert_eq!(rec.run.current(), run.current());
-        // The recovered WAL keeps appending with contiguous seqs.
-        let mut wal = rec.wal;
-        let mut run2 = rec.run;
-        let t = run2.draw_fresh();
-        let n = run2.draw_fresh();
-        let e = mk_event(&spec, t, n);
-        run2.push(e.clone()).unwrap();
-        assert_eq!(wal.append_event(&spec, &e).unwrap(), 9);
-    }
-
-    #[test]
-    fn torn_tail_is_truncated() {
-        let spec = spec();
-        let backend = MemBackend::new();
-        let mut wal = Wal::create(Box::new(backend.clone()), WalOptions::default()).unwrap();
-        let mut run = Run::new(Arc::clone(&spec));
-        grow(&spec, &mut wal, &mut run, 3);
-        // Simulate a torn append: half a record, no newline.
-        let mut bytes = backend.bytes();
-        bytes.extend_from_slice(b"e 4 deadbeef mk f:9");
-        let survivor = MemBackend::from_bytes(bytes);
-        let rec = Wal::recover(
-            Box::new(survivor.clone()),
-            Arc::clone(&spec),
-            WalOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(rec.run.len(), 3);
-        assert!(rec.report.truncated_bytes > 0);
-        // The torn bytes are gone from storage too.
-        assert!(!String::from_utf8(survivor.bytes())
-            .unwrap()
-            .contains("deadbeef"));
-    }
-
-    #[test]
-    fn corrupted_record_ends_the_valid_prefix() {
-        let spec = spec();
-        let backend = MemBackend::new();
-        let mut wal = Wal::create(Box::new(backend.clone()), WalOptions::default()).unwrap();
-        let mut run = Run::new(Arc::clone(&spec));
-        grow(&spec, &mut wal, &mut run, 4);
-        // Corrupt a byte inside the third record's payload.
-        let text = String::from_utf8(backend.bytes()).unwrap();
-        let offset: usize = text.lines().take(3).map(|l| l.len() + 1).sum::<usize>() + 5;
-        backend.corrupt_byte(offset, 0x41);
-        let rec =
-            Wal::recover(Box::new(backend), Arc::clone(&spec), WalOptions::default()).unwrap();
-        // Records 1–2 survive; 3 fails its CRC; 4 is dropped with it.
-        assert_eq!(rec.run.len(), 2);
-        assert!(rec.report.truncated_bytes > 0);
-        assert_eq!(rec.report.last_seq, 2);
-    }
-
-    #[test]
-    fn tampered_but_checksummed_log_is_refused() {
-        let spec = spec();
-        let backend = MemBackend::new();
-        let mut wal = Wal::create(Box::new(backend.clone()), WalOptions::default()).unwrap();
-        let mut run = Run::new(Arc::clone(&spec));
-        grow(&spec, &mut wal, &mut run, 2);
-        // Forge a record with a *valid* CRC whose event cannot replay
-        // (fin on a key that was never created).
-        let forged = record_line('e', 3, "fin f:99");
-        let mut bytes = backend.bytes();
-        bytes.extend_from_slice(forged.as_bytes());
-        let err = Wal::recover(
-            Box::new(MemBackend::from_bytes(bytes)),
-            Arc::clone(&spec),
-            WalOptions::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, WalError::Tampered { seq: 3, .. }));
-    }
-
-    #[test]
-    fn seq_gap_is_tampering() {
-        let spec = spec();
-        let backend = MemBackend::new();
-        let mut wal = Wal::create(Box::new(backend.clone()), WalOptions::default()).unwrap();
-        let mut run = Run::new(Arc::clone(&spec));
-        grow(&spec, &mut wal, &mut run, 3);
-        // Delete the middle record (a line splice with valid CRCs around it).
-        let text = String::from_utf8(backend.bytes()).unwrap();
-        let kept: Vec<&str> = text
-            .lines()
-            .enumerate()
-            .filter(|(i, _)| *i != 2)
-            .map(|(_, l)| l)
-            .collect();
-        let spliced = kept.join("\n") + "\n";
-        let err = Wal::recover(
-            Box::new(MemBackend::from_bytes(spliced.into_bytes())),
-            Arc::clone(&spec),
-            WalOptions::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, WalError::Tampered { .. }));
-    }
-
-    #[test]
-    fn foreign_file_is_rejected() {
-        let backend = MemBackend::from_bytes(b"not a wal\nat all\n".to_vec());
-        let err = Wal::recover(Box::new(backend), spec(), WalOptions::default()).unwrap_err();
-        assert_eq!(err, WalError::BadHeader);
-    }
-
-    #[test]
     fn every_n_sync_policy_batches() {
-        let spec = spec();
         let backend = MemBackend::new();
         let opts = WalOptions {
             sync: SyncPolicy::EveryN(3),
             snapshot_every: None,
         };
         let mut wal = Wal::create(Box::new(backend.clone()), opts).unwrap();
-        let mut run = Run::new(Arc::clone(&spec));
-        grow(&spec, &mut wal, &mut run, 2);
+        grow(&mut wal, 2);
         // Two appends, no sync yet: synced length still just the header.
         assert_eq!(backend.synced_len(), WAL_HEADER.len() + 1);
-        grow(&spec, &mut wal, &mut run, 1);
+        grow(&mut wal, 1);
+        assert_eq!(backend.synced_len(), backend.bytes().len());
+        // A forced record syncs whatever the policy says.
+        wal.append_raw('c', "g1", true).unwrap();
         assert_eq!(backend.synced_len(), backend.bytes().len());
     }
 
     #[test]
     fn file_backend_round_trips() {
-        let spec = spec();
         let dir = std::env::temp_dir().join(format!("cwf-wal-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("test.wal");
         let _ = std::fs::remove_file(&path);
-        {
+        let written = {
             let backend = FileBackend::open(&path).unwrap();
             let mut wal = Wal::create(Box::new(backend), WalOptions::default()).unwrap();
-            let mut run = Run::new(Arc::clone(&spec));
-            grow(&spec, &mut wal, &mut run, 3);
-        }
-        let backend = FileBackend::open(&path).unwrap();
-        let rec =
-            Wal::recover(Box::new(backend), Arc::clone(&spec), WalOptions::default()).unwrap();
-        assert_eq!(rec.run.len(), 3);
-        assert_eq!(rec.report.last_seq, 3);
+            grow(&mut wal, 3);
+            std::fs::read(&path).unwrap()
+        };
+        let mut backend = FileBackend::open(&path).unwrap();
+        let scan = Wal::scan_stream(&mut backend).unwrap();
+        assert_eq!(scan.last_seq, 3);
+        assert_eq!(scan.truncated_bytes, 0);
+        assert_eq!(scan.valid_len, written.len() as u64);
+        assert_eq!(scan.records[2].payload, "t2.0.0 mk f:2");
+        // The reopened stream continues with the next dense seq.
+        let mut wal = Wal::resume(Box::new(backend), WalOptions::default(), 4, scan.valid_len);
+        assert_eq!(wal.append_raw('e', "t3.0.0 mk f:3", false).unwrap(), 4);
+        let mut reopened = FileBackend::open(&path).unwrap();
+        assert_eq!(Wal::scan_stream(&mut reopened).unwrap().last_seq, 4);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -1,15 +1,18 @@
-//! The recover-at-every-prefix property of the write-ahead log.
+//! The recover-at-every-boundary property of the per-shard WAL streams.
 //!
-//! For a log of `n` accepted events, recovering from the byte prefix ending
-//! at the `k`-th record boundary must yield **exactly** the first `k`
-//! events — same events, same instance — for every `k = 0..=n`, whatever
-//! the snapshot cadence. And cutting *inside* the record after boundary `k`
-//! (a torn tail, at every split point class: one byte in, mid-record, one
-//! byte short) must truncate back to exactly `k` events, never fewer and
-//! never a refusal.
+//! For `n` accepted events, cutting every stream at the consistent byte
+//! boundary after submit `k` must recover **exactly** the first `k` events
+//! — same events, same instance — for every `k = 0..=n`, whatever the
+//! snapshot cadence and shard count. A torn tail on any single stream (at
+//! every split point class: one byte in, mid-record, one byte short, the
+//! whole chunk) recovers event `k+1` iff the kept bytes close a complete
+//! deciding record, never a refusal. At one shard (the single-node
+//! deployment) this is the single stream pinned boundary by boundary.
+//! Mid-migration cuts must recover one consistent owner per key, and
+//! provenance, never persisted, is rebuilt exactly at every boundary.
 //!
-//! This is the durability contract the chaos harness's `wal-replay` oracle
-//! leans on, pinned down boundary by boundary.
+//! This is the durability contract the chaos harness's `shard-wal-replay`
+//! oracle leans on.
 
 use std::sync::Arc;
 
@@ -18,242 +21,17 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use collab_workflows::engine::chaos::default_spec;
+use collab_workflows::engine::transport::Transport;
 use collab_workflows::engine::{
-    candidates, complete, Event, MemBackend, Run, SyncPolicy, Wal, WalOptions,
+    candidates, complete, Event, MemBackend, PerfectTransport, Run, ShardPlane, ShardPlaneConfig,
+    SyncPolicy, Wal, WalBackend, WalOptions,
 };
 use collab_workflows::lang::WorkflowSpec;
 
-/// Grows `n` accepted events, appending each to the WAL (plus whatever
-/// snapshots the cadence inserts), and returns the events with two byte
-/// boundaries per step: `event_end[k]` is the prefix ending right after the
-/// `k`-th event record, `boundaries[k]` additionally includes the snapshot
-/// record (if any) the cadence appended after it. Both prefixes hold
-/// exactly the first `k` events.
-fn grow_log(
-    spec: &Arc<WorkflowSpec>,
-    backend: &MemBackend,
-    opts: WalOptions,
-    n: usize,
-    seed: u64,
-) -> (Vec<Event>, Vec<usize>, Vec<usize>) {
-    let mut wal = Wal::create(Box::new(backend.clone()), opts).expect("fresh backend");
-    let mut run = Run::new(Arc::clone(spec));
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut events = Vec::new();
-    let mut event_end = vec![backend.bytes().len()];
-    let mut boundaries = vec![backend.bytes().len()];
-    while events.len() < n {
-        let cands = candidates(&run);
-        assert!(!cands.is_empty(), "the editorial spec always has a rule");
-        let cand = cands[rng.gen_range(0..cands.len())].clone();
-        let event = complete(&mut run, &cand);
-        if run.push(event.clone()).is_err() {
-            continue; // chase rejection: try another candidate
-        }
-        wal.append_event(spec, &event).expect("healthy backend");
-        event_end.push(backend.bytes().len());
-        wal.maybe_snapshot(spec.collab().schema(), run.current(), run.fresh_watermark())
-            .expect("healthy backend");
-        events.push(event);
-        boundaries.push(backend.bytes().len());
-    }
-    (events, event_end, boundaries)
-}
-
-/// Recovers from the first `len` bytes and asserts the result holds exactly
-/// `events[..k]`.
-fn assert_prefix_recovers(
-    spec: &Arc<WorkflowSpec>,
-    bytes: &[u8],
-    len: usize,
-    opts: WalOptions,
-    events: &[Event],
-    k: usize,
-    torn: bool,
-) {
-    let rec = Wal::recover(
-        Box::new(MemBackend::from_bytes(bytes[..len].to_vec())),
-        Arc::clone(spec),
-        opts,
-    )
-    .unwrap_or_else(|e| panic!("prefix of {k} records must recover (len {len}): {e}"));
-    assert_eq!(
-        rec.report.last_seq, k as u64,
-        "prefix of {k} complete records must recover exactly {k} events \
-         (len {len}, torn: {torn})"
-    );
-    // The recovered run replays only the tail after the last snapshot, so
-    // its events are a literal suffix of the accepted first k.
-    let replayed = rec.run.events();
-    assert!(
-        replayed.len() <= k,
-        "recovered run holds {} events, only {k} were logged (len {len})",
-        replayed.len()
-    );
-    let offset = k - replayed.len();
-    assert_eq!(
-        replayed,
-        &events[offset..k],
-        "recovered events must be the logged ones (prefix {k})"
-    );
-    if torn {
-        assert!(
-            rec.report.truncated_bytes > 0,
-            "a torn tail must be truncated (prefix {k}, len {len})"
-        );
-    }
-    // Replaying the same first k events on a fresh run must land on the
-    // recovered instance.
-    let mut expect = Run::new(Arc::clone(spec));
-    for e in &events[..k] {
-        expect.push(e.clone()).expect("accepted events replay");
-    }
-    assert_eq!(
-        rec.run.current(),
-        expect.current(),
-        "recovered instance must equal the replay of the first {k} events"
-    );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Every complete-record prefix recovers to exactly its events, and
-    /// every torn cut inside the next record truncates back to them.
-    #[test]
-    fn every_prefix_recovers_exactly_its_events(
-        seed in 0u64..1_000,
-        n in 1usize..10,
-        snapshot_every in prop_oneof![Just(None), Just(Some(1u64)), Just(Some(3u64))],
-    ) {
-        let spec = default_spec();
-        let opts = WalOptions { sync: SyncPolicy::Always, snapshot_every };
-        let backend = MemBackend::new();
-        let (events, event_end, boundaries) = grow_log(&spec, &backend, opts, n, seed);
-        let bytes = backend.bytes();
-        prop_assert_eq!(*boundaries.last().unwrap(), bytes.len());
-
-        for k in 0..=n {
-            // Clean cuts: right after event record k, and right after the
-            // snapshot (if any) that followed it. Both hold k events.
-            assert_prefix_recovers(&spec, &bytes, event_end[k], opts, &events, k, false);
-            if boundaries[k] != event_end[k] {
-                assert_prefix_recovers(&spec, &bytes, boundaries[k], opts, &events, k, false);
-                // Torn cuts inside the snapshot record still hold event k.
-                let span = boundaries[k] - event_end[k];
-                for cut in [1, span / 2, span - 1] {
-                    if cut > 0 && cut < span {
-                        assert_prefix_recovers(
-                            &spec, &bytes, event_end[k] + cut, opts, &events, k, true,
-                        );
-                    }
-                }
-            }
-            // Torn cuts inside event record k+1 truncate back to k events.
-            if k < n {
-                let span = event_end[k + 1] - boundaries[k];
-                for cut in [1, span / 2, span - 1] {
-                    if cut > 0 && cut < span {
-                        assert_prefix_recovers(
-                            &spec, &bytes, boundaries[k] + cut, opts, &events, k, true,
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Provenance is derived state: never serialized, always rebuilt. Three
-/// facets, at every snapshot cadence: (1) growing the identical event
-/// sequence from a provenance-*enabled* writer appends byte-identical WAL
-/// streams — the record format carries no provenance; (2) recovery at
-/// every record boundary yields a prov-*disabled* run; (3) enabling
-/// provenance on the recovered run equals the plane stepped incrementally
-/// over the same recovered history — the rebuild loses nothing.
-#[test]
-fn provenance_is_rebuilt_not_persisted_across_recovery() {
-    use collab_workflows::engine::ProvPlane;
-
-    let spec = default_spec();
-    for snapshot_every in [None, Some(1u64), Some(3u64)] {
-        let opts = WalOptions {
-            sync: SyncPolicy::Always,
-            snapshot_every,
-        };
-        let backend = MemBackend::new();
-        let (events, _event_end, boundaries) = grow_log(&spec, &backend, opts, 8, 42);
-
-        // (1) Same events, provenance-enabled writer: same bytes.
-        let annotated = MemBackend::new();
-        let mut wal = Wal::create(Box::new(annotated.clone()), opts).expect("fresh backend");
-        let mut writer = Run::new(Arc::clone(&spec));
-        writer.enable_provenance();
-        for event in &events {
-            writer.push(event.clone()).expect("accepted events replay");
-            wal.append_event(&spec, event).expect("healthy backend");
-            wal.maybe_snapshot(
-                spec.collab().schema(),
-                writer.current(),
-                writer.fresh_watermark(),
-            )
-            .expect("healthy backend");
-        }
-        assert_eq!(
-            backend.bytes(),
-            annotated.bytes(),
-            "enabling provenance must not change the WAL byte format \
-             (snapshot_every {snapshot_every:?})"
-        );
-
-        let bytes = backend.bytes();
-        for (k, &len) in boundaries.iter().enumerate() {
-            let rec = Wal::recover(
-                Box::new(MemBackend::from_bytes(bytes[..len].to_vec())),
-                Arc::clone(&spec),
-                opts,
-            )
-            .unwrap_or_else(|e| panic!("prefix of {k} records must recover: {e}"));
-            let mut run = rec.run;
-            // (2) Recovered runs come back with the plane off.
-            assert!(
-                !run.provenance_enabled(),
-                "recovery must not resurrect a provenance plane (prefix {k})"
-            );
-            // (3) The rebuild equals incremental stepping over the same
-            // recovered history (post-snapshot suffix included).
-            run.enable_provenance();
-            let mut stepped = Run::with_initial(run.spec_arc(), run.initial().clone());
-            stepped.enable_provenance();
-            for e in run.events() {
-                stepped.push(e.clone()).expect("recovered events replay");
-            }
-            assert_eq!(
-                run.provenance().expect("just enabled"),
-                stepped.provenance().expect("enabled"),
-                "rebuilt plane must equal the incrementally stepped one (prefix {k})"
-            );
-            assert_eq!(
-                run.provenance().expect("just enabled"),
-                &ProvPlane::build(&run),
-                "enable_provenance must be the from-scratch build (prefix {k})"
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-shard streams: the distributed-admission analogue of the property
-// ---------------------------------------------------------------------------
-
-use collab_workflows::engine::transport::Transport;
-use collab_workflows::engine::{PerfectTransport, WalBackend};
-use collab_workflows::engine::{ShardPlane, ShardPlaneConfig};
-
-/// Drives `n` accepted events through a durable 4-shard plane, recording
-/// every stream's byte length after each submit. `lens[k]` is the
-/// per-stream boundary holding exactly the first `k` events (protocol
-/// records included).
+/// Drives `n` accepted events through a durable plane with one shard per
+/// backend in `mems`, recording every stream's byte length after each
+/// submit. `lens[k]` is the per-stream boundary holding exactly the first
+/// `k` events (protocol records included).
 fn grow_streams(
     spec: &Arc<WorkflowSpec>,
     mems: &[MemBackend],
@@ -330,8 +108,8 @@ fn assert_streams_recover(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The per-shard analogue: cutting every stream at the consistent
-    /// boundary after submit `k` recovers exactly the first `k` events,
+    /// Cutting every stream at the consistent boundary after submit `k`
+    /// recovers exactly the first `k` events, at one shard and at four,
     /// and a torn tail on any single stream — at every split point class
     /// inside the bytes the next submit appended to it — recovers event
     /// `k+1` iff the kept portion closes a complete deciding record (the
@@ -345,47 +123,100 @@ proptest! {
     ) {
         let spec = default_spec();
         let opts = WalOptions { sync: SyncPolicy::Always, snapshot_every };
-        let mems: Vec<MemBackend> = (0..4).map(|_| MemBackend::new()).collect();
-        let (events, lens) = grow_streams(&spec, &mems, opts, n, seed);
-        let full: Vec<Vec<u8>> = mems.iter().map(|m| m.bytes()).collect();
-        prop_assert_eq!(
-            &lens[n],
-            &full.iter().map(|b| b.len()).collect::<Vec<_>>()
-        );
+        for shards in [1, 4] {
+            let mems: Vec<MemBackend> = (0..shards).map(|_| MemBackend::new()).collect();
+            let (events, lens) = grow_streams(&spec, &mems, opts, n, seed);
+            let full: Vec<Vec<u8>> = mems.iter().map(|m| m.bytes()).collect();
+            prop_assert_eq!(
+                &lens[n],
+                &full.iter().map(|b| b.len()).collect::<Vec<_>>()
+            );
 
-        for k in 0..=n {
-            assert_streams_recover(&spec, &full, &lens[k], opts, &events, k);
-            if k == n {
-                continue;
-            }
-            // Torn tails: cut one stream inside the chunk submit k+1
-            // appended to it, others at the consistent boundary.
-            for s in 0..mems.len() {
-                let span = lens[k + 1][s] - lens[k][s];
-                if span == 0 {
+            for k in 0..=n {
+                assert_streams_recover(&spec, &full, &lens[k], opts, &events, k);
+                if k == n {
                     continue;
                 }
-                for cut in [1, span / 2, span.saturating_sub(1), span] {
-                    if cut == 0 {
+                // Torn tails: cut one stream inside the chunk submit k+1
+                // appended to it, others at the consistent boundary.
+                for s in 0..mems.len() {
+                    let span = lens[k + 1][s] - lens[k][s];
+                    if span == 0 {
                         continue;
                     }
-                    let mut cut_lens = lens[k].clone();
-                    cut_lens[s] += cut;
-                    // The kept chunk decides event k+1 iff it closes a
-                    // complete `e` or `c` line.
-                    let chunk = &full[s][lens[k][s]..lens[k][s] + cut];
-                    let complete = match chunk.iter().rposition(|b| *b == b'\n') {
-                        Some(end) => &chunk[..end],
-                        None => &[][..],
-                    };
-                    let decided = std::str::from_utf8(complete)
-                        .expect("streams are line text")
-                        .lines()
-                        .any(|l| l.starts_with('e') || l.starts_with('c'));
-                    let expect = k + usize::from(decided);
-                    assert_streams_recover(&spec, &full, &cut_lens, opts, &events, expect);
+                    for cut in [1, span / 2, span.saturating_sub(1), span] {
+                        if cut == 0 {
+                            continue;
+                        }
+                        let mut cut_lens = lens[k].clone();
+                        cut_lens[s] += cut;
+                        // The kept chunk decides event k+1 iff it closes a
+                        // complete `e` or `c` line.
+                        let chunk = &full[s][lens[k][s]..lens[k][s] + cut];
+                        let complete = match chunk.iter().rposition(|b| *b == b'\n') {
+                            Some(end) => &chunk[..end],
+                            None => &[][..],
+                        };
+                        let decided = std::str::from_utf8(complete)
+                            .expect("streams are line text")
+                            .lines()
+                            .any(|l| l.starts_with('e') || l.starts_with('c'));
+                        let expect = k + usize::from(decided);
+                        assert_streams_recover(&spec, &full, &cut_lens, opts, &events, expect);
+                    }
                 }
             }
+        }
+    }
+}
+
+/// Provenance is derived state: never serialized, always rebuilt. At every
+/// snapshot cadence and every stream boundary of a single-shard plane:
+/// (1) recovery yields a prov-*disabled* run; (2) enabling provenance on
+/// the recovered run equals the plane stepped incrementally over the same
+/// recovered history, and the from-scratch [`ProvPlane::build`] — the
+/// rebuild loses nothing.
+#[test]
+fn provenance_is_rebuilt_not_persisted_across_recovery() {
+    use collab_workflows::engine::ProvPlane;
+
+    let spec = default_spec();
+    for snapshot_every in [None, Some(1u64), Some(3u64)] {
+        let opts = WalOptions {
+            sync: SyncPolicy::Always,
+            snapshot_every,
+        };
+        let mem = MemBackend::new();
+        let (_events, lens) = grow_streams(&spec, std::slice::from_ref(&mem), opts, 8, 42);
+        let bytes = mem.bytes();
+        for (k, len) in lens.iter().enumerate() {
+            let backend = Box::new(MemBackend::from_bytes(bytes[..len[0]].to_vec()));
+            let (mut run, _) = ShardPlane::replay_wals(&spec, vec![backend], opts)
+                .unwrap_or_else(|e| panic!("boundary {k} must recover: {e}"));
+            // (1) Recovered runs come back with the plane off.
+            assert!(
+                !run.provenance_enabled(),
+                "recovery must not resurrect a provenance plane (boundary {k}, \
+                 snapshot_every {snapshot_every:?})"
+            );
+            // (2) The rebuild equals incremental stepping over the same
+            // recovered history (post-snapshot suffix included).
+            run.enable_provenance();
+            let mut stepped = Run::with_initial(run.spec_arc(), run.initial().clone());
+            stepped.enable_provenance();
+            for e in run.events() {
+                stepped.push(e.clone()).expect("recovered events replay");
+            }
+            assert_eq!(
+                run.provenance().expect("just enabled"),
+                stepped.provenance().expect("enabled"),
+                "rebuilt plane must equal the incrementally stepped one (boundary {k})"
+            );
+            assert_eq!(
+                run.provenance().expect("just enabled"),
+                &ProvPlane::build(&run),
+                "enable_provenance must be the from-scratch build (boundary {k})"
+            );
         }
     }
 }
@@ -397,7 +228,7 @@ proptest! {
 use collab_workflows::engine::ShardId;
 
 /// Pushes one random accepted event through both the scripted run and the
-/// plane, chasing rejections like [`grow_log`] does.
+/// plane, chasing rejections like [`grow_streams`] does.
 fn submit_one(plane: &mut ShardPlane, script: &mut Run, rng: &mut StdRng) -> Event {
     loop {
         let cands = candidates(script);
