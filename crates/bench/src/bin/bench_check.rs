@@ -24,12 +24,15 @@
 //!   speedups over the sequential oracle (the pooled-analysis overhead);
 //! * `BENCH_provenance.json` — the explain-from-index speedup over a
 //!   witness-reconstructing scenario search, and the cone-pruning node
-//!   reduction on byte-identical minimum-scenario verdicts.
+//!   reduction on byte-identical minimum-scenario verdicts;
+//! * `BENCH_run_history.json` — the peak resident set of a process that
+//!   built the `live-explain` procurement run (E23).
 //!
 //! A fresh ratio more than 25% below its baseline is a regression. Some
 //! metrics are deterministic counts instead — the search node counts of
 //! `BENCH_provenance.json`, taken on the sequential pool — and those carry a
-//! ceiling: any fresh count above its baseline is a regression. The check
+//! ceiling: any fresh count above its baseline is a regression. A peak
+//! memory reading more than 25% above its baseline is a regression. The check
 //! prints every comparison, restores the baseline files (the bench binaries
 //! overwrite them in place) on every exit path, and exits non-zero if
 //! anything regressed.
@@ -37,8 +40,9 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
-/// Allowed slack: fresh ratio must be at least this fraction of baseline.
-const FLOOR: f64 = 0.75;
+/// Allowed slack: a fresh ratio must be at least `1 − TOLERANCE` of its
+/// baseline, a fresh peak at most `1 + TOLERANCE` of its baseline.
+const TOLERANCE: f64 = 0.25;
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -63,21 +67,41 @@ fn metric(json: &str, key: &str) -> Option<f64> {
     None
 }
 
+/// How a fresh metric may move against its baseline.
+#[derive(Clone, Copy)]
+enum Bound {
+    /// A normalized ratio (higher is better): at least `1 − TOLERANCE` of
+    /// the baseline.
+    Floor,
+    /// A deterministic count: at most the baseline.
+    Ceiling,
+    /// A measured peak (lower is better): at most `1 + TOLERANCE` of the
+    /// baseline.
+    Peak,
+}
+
+/// One gated metric of a bench file: the numerator key, an optional
+/// denominator key (a ratio with none is the metric itself), and its bound.
+struct Gate {
+    label: String,
+    num: String,
+    den: Option<&'static str>,
+    bound: Bound,
+}
+
 struct Check {
     label: String,
     baseline: f64,
     fresh: f64,
-    /// A deterministic count that must not exceed its baseline, rather than
-    /// a ratio that must stay above the floor.
-    ceiling: bool,
+    bound: Bound,
 }
 
 impl Check {
     fn regressed(&self) -> bool {
-        if self.ceiling {
-            self.fresh > self.baseline
-        } else {
-            self.fresh < self.baseline * FLOOR
+        match self.bound {
+            Bound::Floor => self.fresh < self.baseline * (1.0 - TOLERANCE),
+            Bound::Ceiling => self.fresh > self.baseline,
+            Bound::Peak => self.fresh > self.baseline * (1.0 + TOLERANCE),
         }
     }
 }
@@ -110,77 +134,88 @@ impl Drop for Baselines {
     }
 }
 
-/// The deterministic counts of one bench file that carry a ceiling:
-/// `(label, key)` pairs.
-fn ceilings(experiment: &str) -> Vec<(String, String)> {
-    match experiment {
-        "BENCH_provenance.json" => vec![
-            ("cone search nodes (ceiling)".into(), "cone_nodes".into()),
-            ("no-cone search nodes (ceiling)".into(), "full_nodes".into()),
-        ],
-        _ => Vec::new(),
-    }
-}
-
-/// The normalized ratios of one bench file: `(label, numerator, denominator)`
-/// key pairs; a ratio with no denominator key is the metric itself.
-fn ratios(experiment: &str) -> Vec<(String, String, Option<String>)> {
-    match experiment {
-        "BENCH_view_plane.json" => vec![("speedup".into(), "speedup".into(), None)],
-        "BENCH_shard_plane.json" => [2, 4]
+/// The gated metrics of one bench file.
+fn gates(experiment: &str) -> Vec<Gate> {
+    let gate = |label: &str, num: &str, den: Option<&'static str>, bound| Gate {
+        label: label.into(),
+        num: num.into(),
+        den,
+        bound,
+    };
+    let per_shard = |prefix: &str| -> Vec<Gate> {
+        [2, 4]
             .iter()
             .map(|n| {
-                (
-                    format!("plane_{n}_shards / plane_1_shards"),
-                    format!("plane_{n}_shards_events_per_sec"),
-                    Some("plane_1_shards_events_per_sec".into()),
+                gate(
+                    &format!("{prefix}plane_{n}_shards / plane_1_shards"),
+                    &format!("plane_{n}_shards_events_per_sec"),
+                    Some("plane_1_shards_events_per_sec"),
+                    Bound::Floor,
                 )
             })
-            .collect(),
-        "BENCH_dist_admission.json" => [2, 4]
-            .iter()
-            .map(|n| {
-                (
-                    format!("durable plane_{n}_shards / plane_1_shards"),
-                    format!("plane_{n}_shards_events_per_sec"),
-                    Some("plane_1_shards_events_per_sec".into()),
-                )
-            })
-            .collect(),
-        "BENCH_reshard_admission.json" => vec![(
-            "admission during split / idle".into(),
-            "migrating_4_shards_events_per_sec".into(),
-            Some("idle_4_shards_events_per_sec".into()),
+            .collect()
+    };
+    match experiment {
+        "BENCH_view_plane.json" => vec![gate("speedup", "speedup", None, Bound::Floor)],
+        "BENCH_shard_plane.json" => per_shard(""),
+        "BENCH_dist_admission.json" => per_shard("durable "),
+        "BENCH_reshard_admission.json" => vec![gate(
+            "admission during split / idle",
+            "migrating_4_shards_events_per_sec",
+            Some("idle_4_shards_events_per_sec"),
+            Bound::Floor,
         )],
         "BENCH_provenance.json" => vec![
-            (
-                "explain speedup over scenario search".into(),
-                "explain_speedup".into(),
+            gate(
+                "explain speedup over scenario search",
+                "explain_speedup",
                 None,
+                Bound::Floor,
             ),
-            (
-                "cone node reduction".into(),
-                "cone_node_reduction".into(),
+            gate(
+                "cone node reduction",
+                "cone_node_reduction",
                 None,
+                Bound::Floor,
+            ),
+            gate(
+                "cone search nodes (ceiling)",
+                "cone_nodes",
+                None,
+                Bound::Ceiling,
+            ),
+            gate(
+                "no-cone search nodes (ceiling)",
+                "full_nodes",
+                None,
+                Bound::Ceiling,
             ),
         ],
         "BENCH_par_analysis.json" => vec![
-            (
-                "min-scenario speedup at 4 threads".into(),
-                "min_scenario_speedup_4t".into(),
+            gate(
+                "min-scenario speedup at 4 threads",
+                "min_scenario_speedup_4t",
                 None,
+                Bound::Floor,
             ),
-            (
-                "boundedness speedup at 4 threads".into(),
-                "boundedness_speedup_4t".into(),
+            gate(
+                "boundedness speedup at 4 threads",
+                "boundedness_speedup_4t",
                 None,
+                Bound::Floor,
             ),
         ],
+        "BENCH_run_history.json" => vec![gate(
+            "peak RSS of the built run (MB)",
+            "peak_rss_mb",
+            None,
+            Bound::Peak,
+        )],
         _ => Vec::new(),
     }
 }
 
-fn extract(json: &str, num: &str, den: &Option<String>) -> Option<f64> {
+fn extract(json: &str, num: &str, den: Option<&str>) -> Option<f64> {
     let n = metric(json, num)?;
     match den {
         Some(d) => {
@@ -200,6 +235,7 @@ fn main() -> ExitCode {
         ("BENCH_reshard_admission.json", "reshard_admission"),
         ("BENCH_par_analysis.json", "par_analysis"),
         ("BENCH_provenance.json", "provenance"),
+        ("BENCH_run_history.json", "run_history"),
     ];
     // Snapshot the checked-in baselines before the benches overwrite them;
     // the guard writes them back however this function exits.
@@ -233,30 +269,25 @@ fn main() -> ExitCode {
             }
         }
     }
-    // Compare normalized ratios, then restore the baselines in place so
+    // Compare the gated metrics, then restore the baselines in place so
     // the working tree stays clean.
     let mut checks = Vec::new();
     let mut broken = false;
     for ((file, _), (path, baseline)) in files.iter().zip(&baselines.0) {
         let fresh = std::fs::read_to_string(path).unwrap_or_default();
-        let gates = ratios(file)
-            .into_iter()
-            .map(|(label, num, den)| (label, num, den, false))
-            .chain(
-                ceilings(file)
-                    .into_iter()
-                    .map(|(label, key)| (label, key, None, true)),
-            );
-        for (label, num, den, ceiling) in gates {
-            match (extract(baseline, &num, &den), extract(&fresh, &num, &den)) {
+        for g in gates(file) {
+            match (
+                extract(baseline, &g.num, g.den),
+                extract(&fresh, &g.num, g.den),
+            ) {
                 (Some(b), Some(f)) => checks.push(Check {
-                    label: format!("{file}: {label}"),
+                    label: format!("{file}: {}", g.label),
                     baseline: b,
                     fresh: f,
-                    ceiling,
+                    bound: g.bound,
                 }),
                 _ => {
-                    eprintln!("bench_check: cannot extract {label} from {file}");
+                    eprintln!("bench_check: cannot extract {} from {file}", g.label);
                     broken = true;
                 }
             }
@@ -282,15 +313,16 @@ fn main() -> ExitCode {
     if regressed || broken {
         eprintln!(
             "bench_check: FAILED (a normalized ratio fell more than {:.0}% below baseline, \
-             or a count rose above its ceiling)",
-            (1.0 - FLOOR) * 100.0
+             a count rose above its ceiling, or a peak rose more than {:.0}% above baseline)",
+            TOLERANCE * 100.0,
+            TOLERANCE * 100.0
         );
         ExitCode::FAILURE
     } else {
         println!(
-            "bench_check: all normalized ratios within {:.0}% of baseline, all counts \
-             at or below their ceilings",
-            (1.0 - FLOOR) * 100.0
+            "bench_check: all normalized ratios and peaks within {:.0}% of baseline, all \
+             counts at or below their ceilings",
+            TOLERANCE * 100.0
         );
         ExitCode::SUCCESS
     }

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cwf_lang::WorkflowSpec;
 use cwf_model::{
@@ -25,6 +25,13 @@ use crate::view_plane::{materialize_view, peer_delta, ViewDelta, ViewPlane};
 
 /// A run: spec, initial instance, events, and the instance after each event.
 ///
+/// Only the current instance is stored whole. A run is fixed by its initial
+/// instance and its events, and it keeps every event's diff, so a past
+/// instance is rebuilt from those when first read and cached: the first
+/// read of a cold position costs one clone of the nearest earlier cached
+/// instance (or the initial one) plus the diffs since. A scan over the
+/// whole history refills the cache, after which it holds every instance.
+///
 /// The run also owns the **view plane** — one incrementally maintained
 /// `ViewInstance` per peer, advanced by each push's emitted diff — and the
 /// per-event diffs themselves, which make visibility queries and run views
@@ -34,7 +41,11 @@ pub struct Run {
     spec: Arc<WorkflowSpec>,
     initial: Instance,
     events: Vec<Event>,
-    instances: Vec<Instance>,
+    /// The instance after the last event (the initial one while empty).
+    current: Instance,
+    /// `history[i]` caches `I_i` once read, for every position but the last
+    /// one, which is `current` (its cell stays empty).
+    history: Vec<OnceLock<Instance>>,
     /// `diffs[i] = I_i − I_{i−1}` (emitted by the transition, not rescanned).
     diffs: Vec<InstanceDiff>,
     /// The incrementally maintained `I@p` for every peer, tracking
@@ -76,9 +87,10 @@ impl Run {
         let plane = ViewPlane::new(spec.collab(), &initial);
         Run {
             spec,
+            current: initial.clone(),
             initial,
             events: Vec::new(),
-            instances: Vec::new(),
+            history: Vec::new(),
             diffs: Vec::new(),
             plane,
             last_deltas: Vec::new(),
@@ -124,23 +136,47 @@ impl Run {
         &self.events
     }
 
-    /// The instance `I_i` (after event `i`).
+    /// The instance `I_i` (after event `i`). The last position is the
+    /// current instance; the first read of any other position rebuilds it
+    /// (one clone plus the diffs since the nearest earlier cached instance)
+    /// and caches it.
     pub fn instance(&self, i: usize) -> &Instance {
-        &self.instances[i]
+        if i + 1 == self.len() {
+            &self.current
+        } else {
+            self.past(i)
+        }
     }
 
-    /// The instance *before* event `i` (`I_{i−1}`, or the initial instance).
+    /// The instance *before* event `i` (`I_{i−1}`, or the initial instance),
+    /// rebuilt and cached on first read like [`Run::instance`].
     pub fn pre_instance(&self, i: usize) -> &Instance {
         if i == 0 {
             &self.initial
         } else {
-            &self.instances[i - 1]
+            self.instance(i - 1)
         }
     }
 
     /// The final instance (or the initial one for an empty run).
     pub fn current(&self) -> &Instance {
-        self.instances.last().unwrap_or(&self.initial)
+        &self.current
+    }
+
+    /// `I_i` from the history cache, filled on first read by rolling the
+    /// diffs forward from the nearest earlier filled cell (or `initial`).
+    fn past(&self, i: usize) -> &Instance {
+        self.history[i].get_or_init(|| {
+            let (start, base) = (0..i)
+                .rev()
+                .find_map(|j| Some((j + 1, self.history[j].get()?)))
+                .unwrap_or((0, &self.initial));
+            let mut inst = base.clone();
+            for diff in &self.diffs[start..=i] {
+                diff.apply_to(&mut inst);
+            }
+            inst
+        })
     }
 
     /// Draws a value guaranteed globally fresh for this run.
@@ -194,36 +230,18 @@ impl Run {
         }
         let applied = apply_event_with_view(
             &self.spec,
-            self.current(),
+            &self.current,
             self.plane.view(event.peer),
             &event,
         )?;
         let next = applied.instance;
         let diff = applied.diff;
         let noop_inserts = applied.noop_inserts;
-        // Commit. The avoid-set grows incrementally: a push can only
-        // introduce values through created tuples and modification
-        // after-values (deletions and before-values are already in
-        // past_adom by induction).
-        for (_, t) in &diff.created {
-            for v in t.values() {
-                if !v.is_null() {
-                    self.fresh.observe(v);
-                    if !self.past_adom.contains(v) {
-                        self.past_adom.insert(*v);
-                    }
-                }
-            }
-        }
-        for (_, _, changes) in &diff.modified {
-            for c in changes {
-                if !c.after.is_null() {
-                    self.fresh.observe(&c.after);
-                    if !self.past_adom.contains(&c.after) {
-                        self.past_adom.insert(c.after);
-                    }
-                }
-            }
+        // Commit. The avoid-set grows incrementally from the values the
+        // diff introduces.
+        for v in introduced(&diff) {
+            self.fresh.observe(v);
+            self.past_adom.insert(*v);
         }
         debug_assert!(
             next.adom().iter().all(|v| self.past_adom.contains(v)),
@@ -252,7 +270,8 @@ impl Run {
             );
         }
         self.events.push(event);
-        self.instances.push(next);
+        self.current = next;
+        self.history.push(OnceLock::new());
         self.diffs.push(diff);
         Ok(())
     }
@@ -341,20 +360,26 @@ impl Run {
 
     /// Removes the last event and its instance, returning the event. Used
     /// to roll a just-pushed event back out of memory when it could not be
-    /// made durable. The avoid-set is rebuilt without the popped instance,
-    /// so resubmitting the same event (same fresh values) is accepted; the
-    /// fresh-value *generator* is not rewound — it only over-avoids, which
-    /// is harmless.
+    /// made durable. The current instance is restored from the history
+    /// cache (rebuilt first if cold). The avoid-set is rebuilt from the
+    /// remaining diffs, so resubmitting the same event (same fresh values)
+    /// is accepted; the fresh-value *generator* is not rewound — it only
+    /// over-avoids, which is harmless.
     pub fn pop(&mut self) -> Option<Event> {
         let event = self.events.pop()?;
-        self.instances.pop().expect("events and instances in step");
+        self.history.pop().expect("events and history in step");
         self.diffs.pop().expect("events and diffs in step");
+        self.current = match self.len().checked_sub(1) {
+            Some(last) => {
+                self.past(last);
+                self.history[last].take().expect("just filled")
+            }
+            None => self.initial.clone(),
+        };
         let mut keep = self.spec.program().const_set();
         keep.remove(&Value::Null);
         keep.extend(self.initial.adom());
-        for inst in &self.instances {
-            keep.extend(inst.adom());
-        }
+        keep.extend(self.diffs.iter().flat_map(introduced).copied());
         self.past_adom = keep;
         // Popping is the rare durability-failure path: rebuild the plane
         // from the restored current instance rather than inverting deltas.
@@ -442,6 +467,18 @@ impl Run {
         }
         RunView { peer, steps }
     }
+}
+
+/// The values a diff can bring into the active domain: its created tuples'
+/// values and its modification after-values, `⊥` excluded. Deletions and
+/// before-values were already there.
+fn introduced(diff: &InstanceDiff) -> impl Iterator<Item = &Value> {
+    let created = diff.created.iter().flat_map(|(_, t)| t.values());
+    let after = diff
+        .modified
+        .iter()
+        .flat_map(|(_, _, changes)| changes.iter().map(|c| &c.after));
+    created.chain(after).filter(|v| !v.is_null())
 }
 
 impl fmt::Debug for Run {
@@ -584,6 +621,37 @@ mod tests {
         assert_eq!(run.current().total_tuples(), 3);
         assert_eq!(run.pre_instance(0), run.initial());
         assert_eq!(run.pre_instance(2), run.instance(1));
+    }
+
+    /// The positions whose history cell holds a rebuilt instance.
+    fn filled(run: &Run) -> Vec<usize> {
+        (0..run.history.len())
+            .filter(|&i| run.history[i].get().is_some())
+            .collect()
+    }
+
+    #[test]
+    fn history_cells_fill_on_first_read_only() {
+        let spec = prop_spec();
+        let mut run = Run::new(Arc::clone(&spec));
+        push_all(&mut run, &["a1", "a2", "b1", "b2", "ok"]);
+        assert!(filled(&run).is_empty(), "pushes read no past instance");
+        assert_eq!(run.instance(4).total_tuples(), 4);
+        assert!(filled(&run).is_empty(), "the last position is current");
+        assert_eq!(run.instance(2).total_tuples(), 3);
+        assert_eq!(filled(&run), vec![2], "instance(k) fills no cell after k");
+        assert_eq!(run.pre_instance(2).total_tuples(), 2);
+        assert_eq!(filled(&run), vec![1, 2]);
+        assert_eq!(run.instance(3), run.instance(2), "b2 is a no-op insert");
+        assert_eq!(filled(&run), vec![1, 2, 3]);
+        // Pop restores current from its cell and leaves the new last cell
+        // empty; the popped position's cell is gone.
+        run.pop();
+        assert_eq!(filled(&run), vec![1, 2]);
+        assert_eq!(run.current().total_tuples(), 3);
+        run.pop();
+        assert_eq!(filled(&run), vec![1]);
+        assert_eq!(run.current(), run.instance(2));
     }
 
     #[test]

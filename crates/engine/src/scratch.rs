@@ -2,7 +2,8 @@
 //!
 //! The branch-and-bound searches of `cwf-core` replay event subsequences
 //! millions of times. A full [`Run`] is the wrong vehicle for that: it keeps
-//! every intermediate instance and diff, so cloning one at each search node
+//! every event and diff, plus every past instance a reader has asked for
+//! (rebuilt from the diffs and cached), so cloning one at each search node
 //! is O(history), and the old search recomputed `view_of` per step on top.
 //!
 //! [`ScratchRun`] keeps exactly the state needed to decide whether the next

@@ -80,6 +80,27 @@ impl InstanceDiff {
         self.created.len() + self.deleted.len() + self.modified.len()
     }
 
+    /// Applies the difference in place: turns `before` into `after` when
+    /// `self` is `InstanceDiff::between(before, after)`.
+    pub fn apply_to(&self, inst: &mut Instance) {
+        for (rel, t) in &self.deleted {
+            inst.rel_mut(*rel).remove(t.key());
+        }
+        for (rel, t) in &self.created {
+            inst.rel_mut(*rel)
+                .insert(t.clone())
+                .expect("a diff never creates a null key");
+        }
+        for (rel, key, changes) in &self.modified {
+            let r = inst.rel_mut(*rel);
+            let mut t = r.remove(key).expect("a modified key survives");
+            for c in changes {
+                t.set(c.attr, c.after);
+            }
+            r.insert(t).expect("a surviving key is not null");
+        }
+    }
+
     /// Renders against a schema: `+R(...)`, `-R(...)`, `~R[key].A: a→b`.
     pub fn display<'a>(&'a self, schema: &'a Schema) -> DiffDisplay<'a> {
         DiffDisplay { diff: self, schema }
@@ -187,5 +208,19 @@ mod tests {
         let bwd = InstanceDiff::between(&a, &b);
         assert_eq!(fwd.created, bwd.deleted);
         assert_eq!(fwd.deleted, bwd.created);
+    }
+
+    #[test]
+    fn apply_to_turns_before_into_after() {
+        let s = schema();
+        let mut before = Instance::empty(&s);
+        before.rel_mut(R).insert(t(1, None)).unwrap();
+        before.rel_mut(R).insert(t(2, Some("x"))).unwrap();
+        let mut after = Instance::empty(&s);
+        after.rel_mut(R).insert(t(1, Some("a"))).unwrap();
+        after.rel_mut(R).insert(t(3, Some("n"))).unwrap();
+        let mut rolled = before.clone();
+        InstanceDiff::between(&before, &after).apply_to(&mut rolled);
+        assert_eq!(rolled, after);
     }
 }
