@@ -19,15 +19,16 @@
 //! 3. `main ∪= per_event[e]` iff `e` is visible at `p` or `e` closes a
 //!    lifecycle used by `main`; otherwise unchanged.
 //!
-//! Tests cross-check every maintained set against from-scratch fixpoints.
+//! The direct requirements of step 1 come from the same walker that
+//! [`crate::tp_closure`] and [`crate::why()`] use. Tests cross-check every
+//! maintained set against from-scratch fixpoints.
 
 use cwf_engine::{EngineError, Event, GroundUpdate, Run};
 use cwf_model::PeerId;
 
-use crate::faithful::relevant_attrs;
 use crate::index::RunIndex;
 use crate::set::EventSet;
-use crate::tp::tp_closure;
+use crate::tp::{for_each_requirement, tp_closure};
 
 /// Incrementally maintained explanations of a growing run.
 #[derive(Debug, Clone)]
@@ -134,26 +135,7 @@ impl IncrementalExplainer {
     /// and relevant modifications for every key occurrence of `j`.
     fn direct_requirements(&self, j: usize) -> Vec<usize> {
         let mut out = Vec::new();
-        let q = self.run.event(j).peer;
-        for (rel, keys) in self.index.key_occurrences(j) {
-            let mut relevant = relevant_attrs(&self.run, q, *rel);
-            relevant.extend(relevant_attrs(&self.run, self.peer, *rel));
-            for k in keys {
-                let Some(lc) = self.index.lifecycle_containing(*rel, k, j) else {
-                    continue;
-                };
-                out.push(lc.start);
-                if let Some(end) = lc.end {
-                    out.push(end);
-                }
-                for m in self.index.modifications_of(*rel, k) {
-                    if m.at < j && lc.contains(m.at) && m.attrs.iter().any(|a| relevant.contains(a))
-                    {
-                        out.push(m.at);
-                    }
-                }
-            }
-        }
+        for_each_requirement(&self.run, &self.index, self.peer, j, |i, _| out.push(i));
         out.sort_unstable();
         out.dedup();
         out

@@ -51,7 +51,7 @@ pub use scenario::{is_scenario, is_scenario_against, is_subrun, mask_order, subr
 pub use semiring::Faithful;
 pub use set::EventSet;
 pub use tp::{
-    is_minimum_faithful_run, minimal_faithful_scenario, minimal_faithful_scenario_indexed,
-    minimal_faithful_set, tp_closure, tp_step, FaithfulExplanation,
+    minimal_faithful_scenario, minimal_faithful_scenario_indexed, minimal_faithful_set, tp_closure,
+    tp_step, FaithfulExplanation,
 };
 pub use why::{traced_closure, why, Justification, Obligation, TracedClosure, WhyStep};

@@ -13,13 +13,61 @@
 //! `v̄` is the set of events visible at `p`; it is unique and contained in
 //! every p-faithful scenario.
 
+use std::collections::BTreeSet;
+
 use cwf_engine::Run;
-use cwf_model::PeerId;
+use cwf_model::{AttrId, PeerId, RelId, Value};
 
 use crate::faithful::relevant_attrs;
 use crate::index::RunIndex;
 use crate::scenario::visible_set;
 use crate::set::EventSet;
+
+/// Why [`for_each_requirement`] requires an event of event `j`.
+pub(crate) enum Requirement<'a> {
+    /// Boundary faithfulness: the event opened the lifecycle of
+    /// `(rel, key)` that `j` uses.
+    Opened(RelId, &'a Value),
+    /// Boundary faithfulness: the event closed that lifecycle.
+    Closed(RelId, &'a Value),
+    /// Modification faithfulness: earlier in that lifecycle, the event
+    /// turned the attributes in the first set from `⊥` to a value, and
+    /// they meet the second, `att(R, peer(e_j)) ∪ att(R, p)`.
+    Wrote(RelId, &'a Value, &'a BTreeSet<AttrId>, &'a BTreeSet<AttrId>),
+}
+
+/// Calls `f(i, why)` for every direct requirement `i` of event `j` under
+/// `T_p(ρ, ·)` (Definitions 4.3–4.4), per key occurrence of `j` in index
+/// order: the lifecycle's opening event, its closing event, then its
+/// earlier writers of relevant attributes in chronological order. An event
+/// is reported once per requirement it meets.
+pub(crate) fn for_each_requirement(
+    run: &Run,
+    index: &RunIndex,
+    peer: PeerId,
+    j: usize,
+    mut f: impl FnMut(usize, Requirement<'_>),
+) {
+    let q = run.event(j).peer;
+    for (rel, keys) in index.key_occurrences(j) {
+        let mut relevant = relevant_attrs(run, q, *rel);
+        relevant.extend(relevant_attrs(run, peer, *rel));
+        for key in keys {
+            let Some(lc) = index.lifecycle_containing(*rel, key, j) else {
+                continue;
+            };
+            f(lc.start, Requirement::Opened(*rel, key));
+            if let Some(end) = lc.end {
+                f(end, Requirement::Closed(*rel, key));
+            }
+            for m in index.modifications_of(*rel, key) {
+                if m.at < j && lc.contains(m.at) && m.attrs.iter().any(|a| relevant.contains(a)) {
+                    f(m.at, Requirement::Wrote(*rel, key, &m.attrs, &relevant));
+                }
+            }
+        }
+    }
+}
 
 /// One application of `T_p(ρ, ·)`: `alpha` plus the directly-required
 /// events. (Mostly useful for tests; [`tp_closure`] computes the fixpoint
@@ -27,7 +75,9 @@ use crate::set::EventSet;
 pub fn tp_step(run: &Run, index: &RunIndex, peer: PeerId, alpha: &EventSet) -> EventSet {
     let mut out = alpha.clone();
     for j in alpha.iter() {
-        add_requirements(run, index, peer, j, &mut out, &mut Vec::new());
+        for_each_requirement(run, index, peer, j, |i, _| {
+            out.insert(i);
+        });
     }
     out
 }
@@ -37,51 +87,13 @@ pub fn tp_closure(run: &Run, index: &RunIndex, peer: PeerId, seed: &EventSet) ->
     let mut out = seed.clone();
     let mut worklist: Vec<usize> = seed.iter().collect();
     while let Some(j) = worklist.pop() {
-        add_requirements(run, index, peer, j, &mut out, &mut worklist);
+        for_each_requirement(run, index, peer, j, |i, _| {
+            if out.insert(i) {
+                worklist.push(i);
+            }
+        });
     }
     out
-}
-
-/// Adds the events required by p-faithfulness due to the presence of event
-/// `j`, pushing newly added positions onto `worklist`.
-fn add_requirements(
-    run: &Run,
-    index: &RunIndex,
-    peer: PeerId,
-    j: usize,
-    out: &mut EventSet,
-    worklist: &mut Vec<usize>,
-) {
-    let q = run.event(j).peer;
-    for (rel, keys) in index.key_occurrences(j) {
-        let mut relevant = relevant_attrs(run, q, *rel);
-        relevant.extend(relevant_attrs(run, peer, *rel));
-        for k in keys {
-            let Some(lc) = index.lifecycle_containing(*rel, k, j) else {
-                continue;
-            };
-            // Boundary requirements.
-            if out.insert(lc.start) {
-                worklist.push(lc.start);
-            }
-            if let Some(end) = lc.end {
-                if out.insert(end) {
-                    worklist.push(end);
-                }
-            }
-            // Modification requirements: earlier writers, in this lifecycle,
-            // of attributes relevant to q or to p.
-            for m in index.modifications_of(*rel, k) {
-                if m.at < j
-                    && lc.contains(m.at)
-                    && m.attrs.iter().any(|a| relevant.contains(a))
-                    && out.insert(m.at)
-                {
-                    worklist.push(m.at);
-                }
-            }
-        }
-    }
 }
 
 /// The event positions of the unique minimal p-faithful scenario,
@@ -90,12 +102,6 @@ fn add_requirements(
 /// above — the free PTIME seed of the exact search in [`crate::minimum`].
 pub fn minimal_faithful_set(run: &Run, index: &RunIndex, peer: PeerId) -> EventSet {
     tp_closure(run, index, peer, &visible_set(run, peer))
-}
-
-/// Is the run its *own* minimum p-faithful scenario
-/// (`α = T_p^ω(α, v̄)`, Section 5's "minimum p-faithful run" predicate)?
-pub fn is_minimum_faithful_run(run: &Run, peer: PeerId) -> bool {
-    minimal_faithful_set(run, &RunIndex::build(run), peer).len() == run.len()
 }
 
 /// The unique minimal p-faithful scenario of a run (Theorem 4.7).

@@ -2,10 +2,12 @@
 //!
 //! The minimal p-faithful scenario is a fixpoint of `T_p`, so every event it
 //! contains got there through a chain of faithfulness obligations rooted in
-//! an event visible at `p`. [`traced_closure`] records, for each pulled-in
-//! event, the first obligation that demanded it; [`why`] walks those records
-//! back to a visible root, producing a human-readable justification chain —
-//! the natural drill-down companion to [`crate::explain()`].
+//! an event visible at `p`. [`traced_closure`] runs the same worklist as
+//! [`crate::tp_closure`] over the same requirement walker, and records, for
+//! each pulled-in event, the first obligation that demanded it; [`why`]
+//! walks those records back to a visible root, producing a human-readable
+//! justification chain — the natural drill-down companion to
+//! [`crate::explain()`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -13,10 +15,10 @@ use std::fmt;
 use cwf_engine::Run;
 use cwf_model::{AttrId, PeerId, RelId, Value};
 
-use crate::faithful::relevant_attrs;
 use crate::index::RunIndex;
 use crate::scenario::visible_set;
 use crate::set::EventSet;
+use crate::tp::{for_each_requirement, Requirement};
 
 /// The faithfulness obligation that pulled an event into the closure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,63 +87,29 @@ pub fn traced_closure(run: &Run, index: &RunIndex, peer: PeerId) -> TracedClosur
     let mut reasons: BTreeMap<usize, Obligation> =
         events.iter().map(|i| (i, Obligation::Visible)).collect();
     let mut worklist: Vec<usize> = events.iter().collect();
-    while let Some(j) = worklist.pop() {
-        let q = run.event(j).peer;
-        for (rel, keys) in index.key_occurrences(j) {
-            let mut relevant = relevant_attrs(run, q, *rel);
-            relevant.extend(relevant_attrs(run, peer, *rel));
-            for k in keys {
-                let Some(lc) = index.lifecycle_containing(*rel, k, j) else {
-                    continue;
-                };
-                if events.insert(lc.start) {
-                    reasons.insert(
-                        lc.start,
-                        Obligation::OpenedLifecycle {
-                            by: j,
-                            rel: *rel,
-                            key: *k,
-                        },
-                    );
-                    worklist.push(lc.start);
-                }
-                if let Some(end) = lc.end {
-                    if events.insert(end) {
-                        reasons.insert(
-                            end,
-                            Obligation::ClosedLifecycle {
-                                by: j,
-                                rel: *rel,
-                                key: *k,
-                            },
-                        );
-                        worklist.push(end);
+    while let Some(by) = worklist.pop() {
+        for_each_requirement(run, index, peer, by, |i, req| {
+            if events.insert(i) {
+                let obligation = match req {
+                    Requirement::Opened(rel, key) => {
+                        Obligation::OpenedLifecycle { by, rel, key: *key }
                     }
-                }
-                for m in index.modifications_of(*rel, k) {
-                    if m.at < j && lc.contains(m.at) {
-                        let touched: Vec<AttrId> = m
-                            .attrs
-                            .iter()
-                            .copied()
-                            .filter(|a| relevant.contains(a))
-                            .collect();
-                        if !touched.is_empty() && events.insert(m.at) {
-                            reasons.insert(
-                                m.at,
-                                Obligation::WroteAttributes {
-                                    by: j,
-                                    rel: *rel,
-                                    key: *k,
-                                    attrs: touched,
-                                },
-                            );
-                            worklist.push(m.at);
+                    Requirement::Closed(rel, key) => {
+                        Obligation::ClosedLifecycle { by, rel, key: *key }
+                    }
+                    Requirement::Wrote(rel, key, written, relevant) => {
+                        Obligation::WroteAttributes {
+                            by,
+                            rel,
+                            key: *key,
+                            attrs: written.intersection(relevant).copied().collect(),
                         }
                     }
-                }
+                };
+                reasons.insert(i, obligation);
+                worklist.push(i);
             }
-        }
+        });
     }
     TracedClosure { events, reasons }
 }

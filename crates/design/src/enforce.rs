@@ -21,7 +21,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use cwf_engine::{EngineError, Event, GroundUpdate, Run};
+use cwf_engine::{peer_delta, Applied, EngineError, Event, GroundUpdate, Run};
 use cwf_lang::{Literal, WorkflowSpec};
 use cwf_model::{AttrId, PeerId, RelId, RelSchema, Schema, Value};
 
@@ -199,29 +199,24 @@ impl TransparentEngine {
     /// unchanged either way.
     pub fn push(&mut self, event: Event) -> Result<PushOutcome, EngineError> {
         let spec = self.run.spec_arc();
-        // Validate without cloning the run: freshness against the history,
-        // then a tentative application on the current instance only.
-        let mut seen_fresh: Vec<Value> = Vec::new();
-        for v in event.new_values(&spec) {
-            if self.run.used_values().contains(&v) || seen_fresh.contains(&v) {
-                return Err(EngineError::NotGloballyFresh { value: v });
-            }
-            seen_fresh.push(v);
-        }
-        let next = cwf_engine::apply_event(&spec, self.run.current(), &event)?;
+        // Decide exactly as the run will, without committing: the event is
+        // visible when p owns it or p's view delta is non-empty.
+        let applied = self.run.check(&event)?;
         let visible = event.peer == self.peer
-            || spec.collab().view_of(self.run.current(), self.peer)
-                != spec.collab().view_of(&next, self.peer);
-        // Classify the event.
-        let (transparent, steps) = self.classify(&spec, &event);
+            || !peer_delta(spec.collab(), self.peer, &applied.diff, &applied.instance).is_empty();
+        // Classify the event. The step budget: the event itself is one more
+        // step; exceeding it is a provenance overflow.
+        let (facts_transparent, steps) = self.classify(&spec, &event);
+        let overflow = steps.len() + 1 > self.h;
+        let transparent = facts_transparent && !overflow;
         let touches_visible = event
             .ground_updates(&spec)
             .iter()
             .any(|u| spec.collab().sees(self.peer, u.rel()));
         if !transparent && (touches_visible || visible) {
-            // A non-transparent event may not modify what p sees.
-            let overflow =
-                steps.len() + 1 > self.h && self.would_be_transparent_modulo_steps(&spec, &event);
+            // A non-transparent event may not modify what p sees. The step
+            // cap is to blame only when every body fact was transparent.
+            let overflow = overflow && facts_transparent;
             match self.mode {
                 EnforcementMode::Block => {
                     if overflow {
@@ -245,31 +240,28 @@ impl TransparentEngine {
                         at: self.run.len(),
                         provenance_overflow: overflow,
                     });
-                    self.apply_accepted(&spec, event, (), visible, transparent, steps)?;
+                    self.apply_accepted(&spec, event, &applied, visible, transparent, steps);
                     return Ok(PushOutcome::AppliedWithAlert);
                 }
             }
         }
         // Accept.
-        self.apply_accepted(&spec, event, (), visible, transparent, steps)?;
+        self.apply_accepted(&spec, event, &applied, visible, transparent, steps);
         Ok(PushOutcome::Applied { transparent })
     }
 
-    /// Applies an accepted (or alert-mode) event and updates the shadow
-    /// state. `steps` is the body provenance (without the current step).
+    /// Applies an accepted (or alert-mode) event, whose checked successor
+    /// is `applied`, and updates the shadow state. `steps` is the body
+    /// provenance (without the current step).
     fn apply_accepted(
         &mut self,
         spec: &Arc<WorkflowSpec>,
         event: Event,
-        _marker: (),
+        applied: &Applied,
         visible: bool,
         transparent: bool,
         steps: BTreeSet<u64>,
-    ) -> Result<(), EngineError> {
-        let pre = self.run.current().clone();
-        self.run
-            .push(event.clone())
-            .expect("validated above: the event applies");
+    ) {
         self.step += 1;
         let current_steps: BTreeSet<u64> = {
             let mut s = steps;
@@ -280,11 +272,10 @@ impl TransparentEngine {
             match upd {
                 GroundUpdate::Insert { rel, view_tuple } => {
                     let key = *view_tuple.key();
-                    let existed = pre.rel(rel).contains_key(&key);
+                    let existed = self.run.current().rel(rel).contains_key(&key);
                     let entry = self.meta.entry((rel, key));
-                    let post_tuple = self
-                        .run
-                        .current()
+                    let post_tuple = applied
+                        .instance
                         .rel(rel)
                         .get(&key)
                         .cloned()
@@ -317,6 +308,9 @@ impl TransparentEngine {
                 }
             }
         }
+        self.run
+            .push(event)
+            .expect("checked above: the event applies");
         if transparent {
             self.stats.transparent += 1;
         } else {
@@ -330,7 +324,6 @@ impl TransparentEngine {
             self.stage_start = self.run.len();
             self.stage_meta = self.meta.clone();
         }
-        Ok(())
     }
 
     /// Rollback mode: discards the current stage's silent events, restoring
@@ -352,8 +345,7 @@ impl TransparentEngine {
 
     /// Classifies an event: is every body fact transparently available, and
     /// what is the union of their step provenances? Returns
-    /// `(transparent, steps)` where `transparent` already accounts for the
-    /// `|H| ≤ h` cap.
+    /// `(transparent, steps)`; the `|H| ≤ h` cap is the caller's.
     fn classify(&self, spec: &WorkflowSpec, event: &Event) -> (bool, BTreeSet<u64>) {
         let mut steps = BTreeSet::new();
         let mut all_transparent = true;
@@ -416,10 +408,6 @@ impl TransparentEngine {
                 Literal::Eq(..) | Literal::Neq(..) => {}
             }
         }
-        // The step budget: the event itself is one more step.
-        if steps.len() + 1 > self.h {
-            all_transparent = false;
-        }
         (all_transparent, steps)
     }
 
@@ -441,17 +429,6 @@ impl TransparentEngine {
                 _ => false,
             },
         }
-    }
-
-    /// Would the event be transparent if the step cap were infinite?
-    /// (Distinguishes the two blocking reasons for reporting.)
-    fn would_be_transparent_modulo_steps(&self, spec: &WorkflowSpec, event: &Event) -> bool {
-        let saved_h = self.h;
-        let mut clone = self.clone();
-        clone.h = usize::MAX;
-        let (t, _) = clone.classify(spec, event);
-        let _ = saved_h;
-        t
     }
 }
 
@@ -782,6 +759,52 @@ mod tests {
             PushOutcome::RolledBack { undone: 0 }
         );
         assert_eq!(eng.run().len(), 3);
+    }
+
+    /// Two head-only variables bound to one value are not globally fresh.
+    /// The engine rejects the event in every mode with the error the run
+    /// and its scratch state give, and changes nothing.
+    #[test]
+    fn repeated_fresh_value_is_rejected_in_every_mode() {
+        let spec = Arc::new(
+            parse_workflow(
+                r#"
+                schema { A(K, B); }
+                peers { p sees A(*); }
+                rules { mk @ p: +A(x, y) :- ; }
+                "#,
+            )
+            .unwrap(),
+        );
+        let p = spec.collab().peer("p").unwrap();
+        let first = ev(&spec, "mk", &[Value::Fresh(1), Value::Fresh(2)]);
+        let nu = Value::Fresh(7);
+        let twice = ev(&spec, "mk", &[nu, nu]);
+        let expected = Err(EngineError::NotGloballyFresh { value: nu });
+        let mut run = Run::new(Arc::clone(&spec));
+        run.push(first.clone()).unwrap();
+        assert_eq!(run.check(&twice).map(|_| ()), expected);
+        assert_eq!(
+            cwf_engine::ScratchRun::restart_of(&run).try_push(&twice),
+            expected
+        );
+        assert_eq!(run.push(twice.clone()), expected);
+        for mode in [
+            EnforcementMode::Block,
+            EnforcementMode::Alert,
+            EnforcementMode::Rollback,
+        ] {
+            let mut eng = TransparentEngine::with_mode(Arc::clone(&spec), p, 2, mode);
+            assert!(eng.push(first.clone()).unwrap().applied());
+            let stats = eng.stats();
+            assert_eq!(
+                eng.push(twice.clone()),
+                Err(EngineError::NotGloballyFresh { value: nu })
+            );
+            assert_eq!(eng.run().len(), 1, "{mode:?}");
+            assert_eq!(eng.stats(), stats, "{mode:?}");
+            assert!(eng.alerts().is_empty(), "{mode:?}");
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! A run is a sequence `ρ = (e_i, I_i)_{0≤i≤n}` with `∅ ⊢_{e_0} I_0` and
 //! `I_{i−1} ⊢_{e_i} I_i`, where head-only variables of each rule are
 //! instantiated to *globally fresh* values (not in `const(P)` nor any
-//! earlier instance). [`Run::push`] enforces all of this; [`Run::replay`]
-//! rebuilds a run from a bare event sequence, which is the primitive behind
-//! subruns and scenarios (Section 3).
+//! earlier instance). [`Run::push`] enforces all of this through the step
+//! of its live [`ScratchRun`] state; [`Run::replay`] rebuilds a run from a
+//! bare event sequence, which is the primitive behind subruns and scenarios
+//! (Section 3).
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -19,46 +20,39 @@ use cwf_model::{
 use crate::error::EngineError;
 use crate::event::Event;
 use crate::prov::ProvPlane;
+use crate::scratch::ScratchRun;
 use crate::simulate::CandidateCache;
-use crate::transition::apply_event_with_view;
-use crate::view_plane::{materialize_view, peer_delta, ViewDelta, ViewPlane};
+use crate::transition::Applied;
+use crate::view_plane::{materialize_view, peer_delta, ViewDelta};
 
 /// A run: spec, initial instance, events, and the instance after each event.
 ///
-/// Only the current instance is stored whole. A run is fixed by its initial
-/// instance and its events, and it keeps every event's diff, so a past
-/// instance is rebuilt from those when first read and cached: the first
-/// read of a cold position costs one clone of the nearest earlier cached
-/// instance (or the initial one) plus the diffs since. A scan over the
-/// whole history refills the cache, after which it holds every instance.
+/// A run is its live admission state — a [`ScratchRun`] holding the current
+/// instance, the **view plane** (one incrementally maintained
+/// `ViewInstance` per peer) and the freshness avoid-set — plus history: the
+/// initial instance, the events, and each event's diff. Every push decides
+/// and commits through that state's step, so a `Run` and a `ScratchRun`
+/// admit exactly the same events.
 ///
-/// The run also owns the **view plane** — one incrementally maintained
-/// `ViewInstance` per peer, advanced by each push's emitted diff — and the
-/// per-event diffs themselves, which make visibility queries and run views
-/// delta-driven instead of `view_of` rescans.
+/// Only the current instance is stored whole. A past instance is rebuilt
+/// from the diffs when first read and cached: the first read of a cold
+/// position costs one clone of the nearest earlier cached instance (or the
+/// initial one) plus the diffs since. A scan over the whole history refills
+/// the cache, after which it holds every instance. The diffs also make
+/// visibility queries and run views delta-driven instead of `view_of`
+/// rescans.
 #[derive(Clone)]
 pub struct Run {
-    spec: Arc<WorkflowSpec>,
     initial: Instance,
     events: Vec<Event>,
-    /// The instance after the last event (the initial one while empty).
-    current: Instance,
+    /// The spec, the instance after the last event (the initial one while
+    /// empty), the view plane, the avoid-set and the last push's deltas.
+    state: ScratchRun,
     /// `history[i]` caches `I_i` once read, for every position but the last
-    /// one, which is `current` (its cell stays empty).
+    /// one, which is the current instance (its cell stays empty).
     history: Vec<OnceLock<Instance>>,
     /// `diffs[i] = I_i − I_{i−1}` (emitted by the transition, not rescanned).
     diffs: Vec<InstanceDiff>,
-    /// The incrementally maintained `I@p` for every peer, tracking
-    /// [`Run::current`].
-    plane: ViewPlane,
-    /// The non-empty per-peer view deltas of the most recent push — what a
-    /// coordinator broadcasts. Cleared by [`Run::pop`].
-    last_deltas: Vec<(PeerId, ViewDelta)>,
-    /// `const(P) ∪ adom(initial) ∪ ⋃_{j<len} adom(I_j)` — the values a fresh
-    /// instantiation must avoid. Maintained incrementally from the diffs:
-    /// new values only ever enter through created tuples and modification
-    /// after-values.
-    past_adom: BTreeSet<Value>,
     fresh: FreshGen,
     /// The opt-in provenance plane ([`Run::enable_provenance`]). Derived
     /// state: never persisted, rebuilt (not recovered) after a WAL replay.
@@ -77,24 +71,16 @@ impl Run {
 
     /// An empty run starting from an arbitrary initial instance.
     pub fn with_initial(spec: Arc<WorkflowSpec>, initial: Instance) -> Self {
-        let mut past_adom = spec.program().const_set();
-        past_adom.remove(&Value::Null);
         let mut fresh = FreshGen::new();
         for v in initial.adom() {
             fresh.observe(&v);
-            past_adom.insert(v);
         }
-        let plane = ViewPlane::new(spec.collab(), &initial);
         Run {
-            spec,
-            current: initial.clone(),
+            state: ScratchRun::new(spec, initial.clone()),
             initial,
             events: Vec::new(),
             history: Vec::new(),
             diffs: Vec::new(),
-            plane,
-            last_deltas: Vec::new(),
-            past_adom,
             fresh,
             prov: None,
             candidates: CandidateCache::default(),
@@ -103,12 +89,12 @@ impl Run {
 
     /// The workflow spec of this run.
     pub fn spec(&self) -> &WorkflowSpec {
-        &self.spec
+        self.state.spec()
     }
 
     /// A shared handle to the spec.
     pub fn spec_arc(&self) -> Arc<WorkflowSpec> {
-        Arc::clone(&self.spec)
+        self.state.spec_arc()
     }
 
     /// Number of events.
@@ -142,7 +128,7 @@ impl Run {
     /// and caches it.
     pub fn instance(&self, i: usize) -> &Instance {
         if i + 1 == self.len() {
-            &self.current
+            self.current()
         } else {
             self.past(i)
         }
@@ -160,7 +146,7 @@ impl Run {
 
     /// The final instance (or the initial one for an empty run).
     pub fn current(&self) -> &Instance {
-        &self.current
+        self.state.current()
     }
 
     /// `I_i` from the history cache, filled on first read by rolling the
@@ -187,7 +173,7 @@ impl Run {
     /// The values a fresh instantiation must avoid:
     /// `const(P) ∪ adom(initial) ∪ ⋃ adom(I_j)`.
     pub fn used_values(&self) -> &BTreeSet<Value> {
-        &self.past_adom
+        self.state.used_values()
     }
 
     /// Steers [`Run::draw_fresh`] past `v` *without* marking it used — for
@@ -211,66 +197,52 @@ impl Run {
         self.fresh.raise_to(next);
     }
 
+    /// Decides `event` exactly as [`Run::push`] would — global freshness
+    /// of its head-only values, then the transition on the acting peer's
+    /// view — and returns the successor without committing it.
+    pub fn check(&self, event: &Event) -> Result<Applied, EngineError> {
+        self.state.step(event)
+    }
+
     /// Appends an event, enforcing the transition semantics and the global
     /// freshness of head-only variable instantiations.
     pub fn push(&mut self, event: Event) -> Result<(), EngineError> {
-        // Freshness check first (cheap). Head-only variables must take
-        // values outside const(P) and all earlier instances; we additionally
-        // require *distinct* head-only variables of one event to take
-        // pairwise distinct values (a mild strengthening of the paper that
-        // lets rules rely on the distinctness of created keys).
-        let rule = self.spec.program().rule(event.rule);
-        let mut seen_fresh: Vec<&cwf_model::Value> = Vec::new();
-        for var in rule.fresh_vars() {
-            let v = event.valuation.get(var).expect("valuation is total");
-            if self.past_adom.contains(v) || seen_fresh.contains(&v) {
-                return Err(EngineError::NotGloballyFresh { value: *v });
-            }
-            seen_fresh.push(v);
-        }
-        let applied = apply_event_with_view(
-            &self.spec,
-            &self.current,
-            self.plane.view(event.peer),
-            &event,
-        )?;
-        let next = applied.instance;
-        let diff = applied.diff;
-        let noop_inserts = applied.noop_inserts;
-        // Commit. The avoid-set grows incrementally from the values the
-        // diff introduces.
-        for v in introduced(&diff) {
-            self.fresh.observe(v);
-            self.past_adom.insert(*v);
-        }
-        debug_assert!(
-            next.adom().iter().all(|v| self.past_adom.contains(v)),
-            "incremental avoid-set must cover the full active domain"
-        );
-        for v in event.adom(&self.spec) {
+        let Applied {
+            instance,
+            diff,
+            noop_inserts,
+        } = self.state.step(&event)?;
+        // Every value the diff introduces occurs in the event.
+        for v in event.adom(self.state.spec()) {
             self.fresh.observe(&v);
         }
-        self.last_deltas = self.plane.step(self.spec.collab(), &diff, &next);
+        self.state.commit(instance, &diff);
+        debug_assert!(
+            self.current()
+                .adom()
+                .iter()
+                .all(|v| self.used_values().contains(v)),
+            "incremental avoid-set must cover the full active domain"
+        );
         #[cfg(debug_assertions)]
-        for p in self.spec.collab().peer_ids() {
+        for p in self.spec().collab().peer_ids() {
             debug_assert_eq!(
-                self.plane.view(p),
-                &self.spec.collab().view_of(&next, p),
+                self.peer_view(p),
+                &self.spec().collab().view_of(self.current(), p),
                 "view plane must track view_of"
             );
         }
         if let Some(pp) = self.prov.as_mut() {
             pp.step(
-                &self.spec,
+                self.state.spec(),
                 &event,
                 self.events.len() as u32,
                 &diff,
                 &noop_inserts,
-                &self.last_deltas,
+                self.state.last_deltas(),
             );
         }
         self.events.push(event);
-        self.current = next;
         self.history.push(OnceLock::new());
         self.diffs.push(diff);
         Ok(())
@@ -343,14 +315,14 @@ impl Run {
     /// Peer `p`'s incrementally maintained view of [`Run::current`] — the
     /// engine's replacement for `view_of` rescans.
     pub fn peer_view(&self, p: PeerId) -> &ViewInstance {
-        self.plane.view(p)
+        self.state.view(p)
     }
 
     /// The non-empty per-peer view deltas emitted by the most recent
     /// [`Run::push`], in peer-id order (empty for a fresh or just-popped
     /// run).
     pub fn last_deltas(&self) -> &[(PeerId, ViewDelta)] {
-        &self.last_deltas
+        self.state.last_deltas()
     }
 
     /// The diff `I_i − I_{i−1}` emitted by event `i`.
@@ -361,30 +333,24 @@ impl Run {
     /// Removes the last event and its instance, returning the event. Used
     /// to roll a just-pushed event back out of memory when it could not be
     /// made durable. The current instance is restored from the history
-    /// cache (rebuilt first if cold). The avoid-set is rebuilt from the
-    /// remaining diffs, so resubmitting the same event (same fresh values)
-    /// is accepted; the fresh-value *generator* is not rewound — it only
-    /// over-avoids, which is harmless.
+    /// cache (rebuilt first if cold), and the live state is rebuilt around
+    /// it: the avoid-set from the remaining diffs, so resubmitting the same
+    /// event (same fresh values) is accepted, and the view plane from the
+    /// restored instance rather than by inverting deltas (popping is the
+    /// rare durability-failure path). The fresh-value *generator* is not
+    /// rewound — it only over-avoids, which is harmless.
     pub fn pop(&mut self) -> Option<Event> {
         let event = self.events.pop()?;
         self.history.pop().expect("events and history in step");
         self.diffs.pop().expect("events and diffs in step");
-        self.current = match self.len().checked_sub(1) {
+        let current = match self.len().checked_sub(1) {
             Some(last) => {
                 self.past(last);
                 self.history[last].take().expect("just filled")
             }
             None => self.initial.clone(),
         };
-        let mut keep = self.spec.program().const_set();
-        keep.remove(&Value::Null);
-        keep.extend(self.initial.adom());
-        keep.extend(self.diffs.iter().flat_map(introduced).copied());
-        self.past_adom = keep;
-        // Popping is the rare durability-failure path: rebuild the plane
-        // from the restored current instance rather than inverting deltas.
-        self.plane = ViewPlane::new(self.spec.collab(), self.current());
-        self.last_deltas.clear();
+        self.state = ScratchRun::rebuilt(self.spec_arc(), &self.initial, &self.diffs, current);
         // A pop then a push leaves the length unchanged: the cached matches
         // cannot tell, so drop them.
         self.candidates.clear();
@@ -429,7 +395,7 @@ impl Run {
         if self.events[i].peer == peer {
             return true;
         }
-        let collab = self.spec.collab();
+        let collab = self.spec().collab();
         !peer_delta(collab, peer, &self.diffs[i], self.instance(i)).is_empty()
     }
 
@@ -445,7 +411,7 @@ impl Run {
     /// events, `ω` otherwise) and the view instance `I_i@p`. Built by rolling
     /// the stored diffs through one view instance — no per-step rescan.
     pub fn view(&self, peer: PeerId) -> RunView {
-        let collab = self.spec.collab();
+        let collab = self.spec().collab();
         let mut steps = Vec::new();
         let mut cur = materialize_view(collab, peer, &self.initial);
         for i in 0..self.len() {
@@ -469,23 +435,11 @@ impl Run {
     }
 }
 
-/// The values a diff can bring into the active domain: its created tuples'
-/// values and its modification after-values, `⊥` excluded. Deletions and
-/// before-values were already there.
-fn introduced(diff: &InstanceDiff) -> impl Iterator<Item = &Value> {
-    let created = diff.created.iter().flat_map(|(_, t)| t.values());
-    let after = diff
-        .modified
-        .iter()
-        .flat_map(|(_, _, changes)| changes.iter().map(|c| &c.after));
-    created.chain(after).filter(|v| !v.is_null())
-}
-
 impl fmt::Debug for Run {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Run[{} events]", self.len())?;
         for (i, e) in self.events.iter().enumerate() {
-            writeln!(f, "  {i}: {}", e.describe(&self.spec))?;
+            writeln!(f, "  {i}: {}", e.describe(self.spec()))?;
         }
         Ok(())
     }

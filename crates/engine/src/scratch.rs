@@ -1,30 +1,30 @@
-//! History-free replay state for search loops.
-//!
-//! The branch-and-bound searches of `cwf-core` replay event subsequences
-//! millions of times. A full [`Run`] is the wrong vehicle for that: it keeps
-//! every event and diff, plus every past instance a reader has asked for
-//! (rebuilt from the diffs and cached), so cloning one at each search node
-//! is O(history), and the old search recomputed `view_of` per step on top.
+//! The live admission state of a run, also used alone for search replays.
 //!
 //! [`ScratchRun`] keeps exactly the state needed to decide whether the next
 //! event applies and what each peer observes of it: the current instance,
 //! the incrementally maintained view plane, and the freshness avoid-set.
-//! Cloning is O(current state); a push is one transition plus delta
-//! propagation. [`ScratchRun::try_push`] accepts and rejects exactly the
-//! events [`Run::push`] would — same freshness check, same transition, in
-//! the same order — so searches driven by either are decision-identical.
+//! Its step is the one implementation of admission (Section 2): head-only
+//! values must be globally fresh, the transition is evaluated on the acting
+//! peer's view, and the values the diff introduces join the avoid-set.
+//!
+//! A [`Run`] is this state plus history: it holds a `ScratchRun` and keeps
+//! the events, their diffs, and the derived planes beside it, so
+//! [`Run::push`] and [`ScratchRun::try_push`] accept and reject exactly the
+//! same events. On its own a `ScratchRun` is what the branch-and-bound
+//! searches of `cwf-core` replay event subsequences with, millions of
+//! times: cloning one is O(current state) rather than O(history), and a
+//! push is one transition plus delta propagation.
 //!
 //! Search arenas reuse scratch states across sibling branches:
 //! [`ScratchRun::try_push_into`] applies an event to a parent slot and
 //! fills the child slot only on success, through `Clone::clone_from`, which
-//! the columnar stores turn into buffer reuse instead of fresh allocations
-//! (see [`crate::run`] for the full-run type).
+//! the columnar stores turn into buffer reuse instead of fresh allocations.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use cwf_lang::WorkflowSpec;
-use cwf_model::{Instance, PeerId, Value, ViewInstance};
+use cwf_model::{Instance, InstanceDiff, PeerId, Value, ViewInstance};
 
 use crate::error::EngineError;
 use crate::event::Event;
@@ -32,15 +32,17 @@ use crate::run::Run;
 use crate::transition::{apply_event_with_view, Applied};
 use crate::view_plane::{ViewDelta, ViewPlane};
 
-/// A replayed subrun reduced to its live state: no event history, no
-/// intermediate instances — just what the next push needs.
+/// A run reduced to its live state: no event history, no intermediate
+/// instances — just what the next push needs.
 #[derive(Debug)]
 pub struct ScratchRun {
     spec: Arc<WorkflowSpec>,
     current: Instance,
     plane: ViewPlane,
-    /// `const(P) ∪ adom(initial) ∪ ⋃ adom(I_j)` — maintained exactly like
-    /// [`Run::push`] does, so freshness decisions agree.
+    /// `const(P) ∪ adom(initial) ∪ ⋃ adom(I_j)` — the values a fresh
+    /// instantiation must avoid. Grown from each accepted diff: new values
+    /// only ever enter through created tuples and modification
+    /// after-values.
     past_adom: BTreeSet<Value>,
     /// The non-empty per-peer view deltas of the most recent push.
     last_deltas: Vec<(PeerId, ViewDelta)>,
@@ -48,7 +50,8 @@ pub struct ScratchRun {
 }
 
 impl ScratchRun {
-    /// An empty scratch run over `initial` (mirrors [`Run::with_initial`]).
+    /// An empty state over `initial`: the avoid-set starts as
+    /// `const(P) ∪ adom(initial)`.
     pub fn new(spec: Arc<WorkflowSpec>, initial: Instance) -> Self {
         let mut past_adom = spec.program().const_set();
         past_adom.remove(&Value::Null);
@@ -70,6 +73,25 @@ impl ScratchRun {
         ScratchRun::new(run.spec_arc(), run.initial().clone())
     }
 
+    /// The state `diffs` lead to from `initial`, given the instance
+    /// `current` they produce, rebuilt without re-running the transitions:
+    /// the view plane from `current`, the avoid-set from the diffs.
+    pub(crate) fn rebuilt(
+        spec: Arc<WorkflowSpec>,
+        initial: &Instance,
+        diffs: &[InstanceDiff],
+        current: Instance,
+    ) -> Self {
+        let mut state = ScratchRun::new(spec, initial.clone());
+        for diff in diffs {
+            state.avoid_introduced(diff);
+        }
+        state.plane = ViewPlane::new(state.spec.collab(), &current);
+        state.current = current;
+        state.len = diffs.len();
+        state
+    }
+
     /// Number of events pushed so far.
     pub fn len(&self) -> usize {
         self.len
@@ -85,6 +107,11 @@ impl ScratchRun {
         &self.spec
     }
 
+    /// A shared handle to the spec.
+    pub(crate) fn spec_arc(&self) -> Arc<WorkflowSpec> {
+        Arc::clone(&self.spec)
+    }
+
     /// The current instance.
     pub fn current(&self) -> &Instance {
         &self.current
@@ -95,6 +122,17 @@ impl ScratchRun {
         self.plane.view(p)
     }
 
+    /// The values a fresh instantiation must avoid.
+    pub(crate) fn used_values(&self) -> &BTreeSet<Value> {
+        &self.past_adom
+    }
+
+    /// The non-empty per-peer view deltas of the most recent push, in
+    /// peer-id order.
+    pub(crate) fn last_deltas(&self) -> &[(PeerId, ViewDelta)] {
+        &self.last_deltas
+    }
+
     /// Did the most recent push change `p`'s view? Together with event
     /// ownership this is exactly the visibility test of Section 3
     /// (`I_{i−1}@p ≠ I_i@p` ⟺ the peer's delta is non-empty).
@@ -102,12 +140,12 @@ impl ScratchRun {
         self.last_deltas.iter().any(|(q, _)| *q == p)
     }
 
-    /// Appends an event under the same admission rules as [`Run::push`]:
-    /// the global-freshness check first, then the transition evaluated on
-    /// the acting peer's maintained view. On error the state is untouched.
+    /// Appends an event under the admission rule of the module docs —
+    /// global freshness of head-only values, then the transition on the
+    /// acting peer's maintained view. On error the state is untouched.
     pub fn try_push(&mut self, event: &Event) -> Result<(), EngineError> {
-        let applied = self.apply(event)?;
-        self.absorb(applied);
+        let applied = self.step(event)?;
+        self.commit(applied.instance, &applied.diff);
         Ok(())
     }
 
@@ -118,18 +156,22 @@ impl ScratchRun {
     /// instead of a clone plus that copy; an event rejected before the
     /// transition copies nothing. On error `dst` is untouched.
     pub fn try_push_into(&self, event: &Event, dst: &mut ScratchRun) -> Result<(), EngineError> {
-        let applied = self.apply(event)?;
+        let applied = self.step(event)?;
         dst.spec.clone_from(&self.spec);
         dst.plane.clone_from(&self.plane);
         dst.past_adom.clone_from(&self.past_adom);
         dst.len = self.len;
-        dst.absorb(applied);
+        dst.commit(applied.instance, &applied.diff);
         Ok(())
     }
 
-    /// Decides `event` against this state — freshness, then the transition
-    /// — and returns the successor without changing anything.
-    fn apply(&self, event: &Event) -> Result<Applied, EngineError> {
+    /// Decides `event` against this state and returns the successor
+    /// without changing anything. Head-only variables must take values
+    /// outside the avoid-set, and *distinct* head-only variables of one
+    /// event pairwise distinct values (a mild strengthening of the paper
+    /// that lets rules rely on the distinctness of created keys); then the
+    /// transition is evaluated on the acting peer's maintained view.
+    pub(crate) fn step(&self, event: &Event) -> Result<Applied, EngineError> {
         let rule = self.spec.program().rule(event.rule);
         let mut seen_fresh: Vec<&Value> = Vec::new();
         for var in rule.fresh_vars() {
@@ -147,27 +189,27 @@ impl ScratchRun {
         )
     }
 
-    /// Makes an accepted transition this state's current one.
-    fn absorb(&mut self, applied: Applied) {
-        let next = applied.instance;
-        let diff = applied.diff;
-        for (_, t) in &diff.created {
-            for v in t.values() {
-                if !v.is_null() && !self.past_adom.contains(v) {
-                    self.past_adom.insert(*v);
-                }
-            }
-        }
-        for (_, _, changes) in &diff.modified {
-            for c in changes {
-                if !c.after.is_null() && !self.past_adom.contains(&c.after) {
-                    self.past_adom.insert(c.after);
-                }
-            }
-        }
-        self.last_deltas = self.plane.step(self.spec.collab(), &diff, &next);
+    /// Makes an accepted successor `next`, reached through `diff`, this
+    /// state's current one.
+    pub(crate) fn commit(&mut self, next: Instance, diff: &InstanceDiff) {
+        self.avoid_introduced(diff);
+        self.last_deltas = self.plane.step(self.spec.collab(), diff, &next);
         self.current = next;
         self.len += 1;
+    }
+
+    /// Adds the values `diff` brings into the active domain to the
+    /// avoid-set: its created tuples' values and its modification
+    /// after-values, `⊥` excluded. Deletions and before-values were already
+    /// there.
+    fn avoid_introduced(&mut self, diff: &InstanceDiff) {
+        let created = diff.created.iter().flat_map(|(_, t)| t.values());
+        let after = diff
+            .modified
+            .iter()
+            .flat_map(|(_, _, changes)| changes.iter().map(|c| &c.after));
+        self.past_adom
+            .extend(created.chain(after).filter(|v| !v.is_null()).copied());
     }
 }
 

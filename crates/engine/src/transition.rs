@@ -62,8 +62,9 @@ pub fn apply_event(
 /// Returns the successor instance together with the emitted diff.
 ///
 /// Checks the body condition and every update's applicability. Does **not**
-/// check global freshness of head-only values — that is a run-level property
-/// enforced by [`crate::run::Run::push`].
+/// check global freshness of head-only values — that is a run-level property,
+/// enforced in one place: the step of [`crate::scratch::ScratchRun`], through
+/// which [`crate::run::Run::push`] and [`crate::run::Run::check`] decide too.
 pub fn apply_event_with_view(
     spec: &WorkflowSpec,
     instance: &Instance,
