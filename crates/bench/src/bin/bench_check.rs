@@ -27,6 +27,9 @@
 //!   reduction on byte-identical minimum-scenario verdicts;
 //! * `BENCH_run_history.json` — the peak resident set of a process that
 //!   built the `live-explain` procurement run (E23).
+//! * `BENCH_subrun_replay.json` — the speedup of history-resumed subrun
+//!   replays (`Run::try_subrun`) over `Run::replay` on the faithful index
+//!   sets of the `explain-batch` corpus (E24).
 //!
 //! A fresh ratio more than 25% below its baseline is a regression. Some
 //! metrics are deterministic counts instead — the search node counts of
@@ -211,6 +214,12 @@ fn gates(experiment: &str) -> Vec<Gate> {
             None,
             Bound::Peak,
         )],
+        "BENCH_subrun_replay.json" => vec![gate(
+            "try_subrun speedup over Run::replay",
+            "subrun_speedup",
+            None,
+            Bound::Floor,
+        )],
         _ => Vec::new(),
     }
 }
@@ -236,6 +245,7 @@ fn main() -> ExitCode {
         ("BENCH_par_analysis.json", "par_analysis"),
         ("BENCH_provenance.json", "provenance"),
         ("BENCH_run_history.json", "run_history"),
+        ("BENCH_subrun_replay.json", "subrun_replay"),
     ];
     // Snapshot the checked-in baselines before the benches overwrite them;
     // the guard writes them back however this function exits.

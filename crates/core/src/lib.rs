@@ -52,6 +52,6 @@ pub use semiring::Faithful;
 pub use set::EventSet;
 pub use tp::{
     minimal_faithful_scenario, minimal_faithful_scenario_indexed, minimal_faithful_set, tp_closure,
-    tp_step, FaithfulExplanation,
+    FaithfulExplanation,
 };
 pub use why::{traced_closure, why, Justification, Obligation, TracedClosure, WhyStep};

@@ -446,7 +446,10 @@ struct Ctx<'a> {
     /// current branch after `d` inclusions. Include branches apply their
     /// event to slot `d` and overwrite slot `d + 1` only on success
     /// ([`ScratchRun::try_push_into`]), so sibling branches at the same
-    /// depth reuse the same buffers.
+    /// depth reuse the same buffers. While a branch has included every
+    /// position so far, slot `d` is the run's own `d`-event prefix and the
+    /// include branch takes the run's recorded diff instead
+    /// ([`ScratchRun::step_recorded`]).
     arena: Vec<ScratchRun>,
 }
 
@@ -593,7 +596,13 @@ impl<'a> Ctx<'a> {
         }
         let (head, tail) = self.arena.split_at_mut(slot + 1);
         let event = self.run.event(i);
-        if head[slot].try_push_into(event, &mut tail[0]).is_err() {
+        if chosen.len() == i {
+            // Every earlier position is included, so the slot holds the
+            // run's own `i`-event prefix: the run's recorded diff of event
+            // `i` is what the transition would produce.
+            tail[0].clone_from(&head[slot]);
+            tail[0].step_recorded(self.run);
+        } else if head[slot].try_push_into(event, &mut tail[0]).is_err() {
             return;
         }
         let own = event.peer == self.peer;

@@ -12,9 +12,15 @@ use crate::set::EventSet;
 /// Does the subsequence `events` of `run`'s events yield a subrun?
 /// Streams through a history-free [`ScratchRun`] — no intermediate
 /// instances are retained, and the replay stops at the first rejection.
+/// The longest leading stretch `0..k` of `events` is the run's own prefix,
+/// which always replays: the stream resumes from [`Run::prefix_state`].
 pub fn is_subrun(run: &Run, events: &EventSet) -> bool {
-    let mut sub = ScratchRun::restart_of(run);
-    events.iter().all(|i| sub.try_push(run.event(i)).is_ok())
+    let k = (0..run.len()).take_while(|&i| events.contains(i)).count();
+    let mut sub = run.prefix_state(k);
+    events
+        .iter()
+        .skip(k)
+        .all(|i| sub.try_push(run.event(i)).is_ok())
 }
 
 /// Replays the subsequence, returning the subrun if it exists.

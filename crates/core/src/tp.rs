@@ -70,9 +70,10 @@ pub(crate) fn for_each_requirement(
 }
 
 /// One application of `T_p(ρ, ·)`: `alpha` plus the directly-required
-/// events. (Mostly useful for tests; [`tp_closure`] computes the fixpoint
-/// without re-scanning.)
-pub fn tp_step(run: &Run, index: &RunIndex, peer: PeerId, alpha: &EventSet) -> EventSet {
+/// events. Tests only: [`tp_closure`] computes the fixpoint without
+/// re-scanning.
+#[cfg(test)]
+fn tp_step(run: &Run, index: &RunIndex, peer: PeerId, alpha: &EventSet) -> EventSet {
     let mut out = alpha.clone();
     for j in alpha.iter() {
         for_each_requirement(run, index, peer, j, |i, _| {

@@ -71,17 +71,13 @@ impl Run {
 
     /// An empty run starting from an arbitrary initial instance.
     pub fn with_initial(spec: Arc<WorkflowSpec>, initial: Instance) -> Self {
-        let mut fresh = FreshGen::new();
-        for v in initial.adom() {
-            fresh.observe(&v);
-        }
         Run {
+            fresh: observed(&spec, &initial, &[]),
             state: ScratchRun::new(spec, initial.clone()),
             initial,
             events: Vec::new(),
             history: Vec::new(),
             diffs: Vec::new(),
-            fresh,
             prov: None,
             candidates: CandidateCache::default(),
         }
@@ -149,20 +145,58 @@ impl Run {
         self.state.current()
     }
 
-    /// `I_i` from the history cache, filled on first read by rolling the
-    /// diffs forward from the nearest earlier filled cell (or `initial`).
+    /// `I_i` from the history cache, filled on first read.
     fn past(&self, i: usize) -> &Instance {
-        self.history[i].get_or_init(|| {
-            let (start, base) = (0..i)
-                .rev()
-                .find_map(|j| Some((j + 1, self.history[j].get()?)))
-                .unwrap_or((0, &self.initial));
-            let mut inst = base.clone();
-            for diff in &self.diffs[start..=i] {
-                diff.apply_to(&mut inst);
-            }
-            inst
-        })
+        self.history[i].get_or_init(|| self.rolled(i + 1))
+    }
+
+    /// The instance after the first `k` events (`k < len`), rolled forward
+    /// through the diffs from the nearest earlier filled history cell (or
+    /// `initial`). Fills no cell.
+    pub(crate) fn rolled(&self, k: usize) -> Instance {
+        let (start, base) = (0..k)
+            .rev()
+            .find_map(|j| Some((j + 1, self.history[j].get()?)))
+            .unwrap_or((0, &self.initial));
+        let mut inst = base.clone();
+        for diff in &self.diffs[start..k] {
+            diff.apply_to(&mut inst);
+        }
+        inst
+    }
+
+    /// The live state after the first `k` events, taken from the recorded
+    /// history instead of re-running their transitions: the current
+    /// instance (the state's clone) when `k` is the length, otherwise the
+    /// diffs rolled forward as in [`Run::instance`]; the view plane built
+    /// from that instance; the avoid-set grown from the first `k` diffs;
+    /// and the deltas of event `k − 1`. It equals the state pushing the
+    /// first `k` events into [`ScratchRun::restart_of`] leaves, runs no
+    /// transition and fills no history cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k > len`.
+    pub fn prefix_state(&self, k: usize) -> ScratchRun {
+        assert!(
+            k <= self.len(),
+            "prefix of {k} events of a run of {}",
+            self.len()
+        );
+        let state = if k == self.len() {
+            self.state.clone()
+        } else {
+            ScratchRun::rebuilt(
+                self.spec_arc(),
+                &self.initial,
+                &self.diffs[..k],
+                self.rolled(k),
+            )
+        };
+        match k.checked_sub(1) {
+            Some(last) => state.with_last_deltas_of(&self.diffs[last]),
+            None => state,
+        }
     }
 
     /// Draws a value guaranteed globally fresh for this run.
@@ -379,14 +413,33 @@ impl Run {
     }
 
     /// Attempts to replay the subsequence of this run's events given by
-    /// `indices` (strictly increasing positions into `e(ρ)`).
+    /// `indices` (strictly increasing positions into `e(ρ)`). The result
+    /// equals [`Run::replay`] of those events from the initial instance,
+    /// error index included, but the longest leading stretch `0..k` of
+    /// `indices` is not replayed: the subrun resumes from this run's
+    /// recorded prefix ([`Run::prefix_state`]) and pushes only the rest.
     pub fn try_subrun(&self, indices: &[usize]) -> Result<Run, ReplayError> {
         debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
-        Run::replay(
-            self.spec_arc(),
-            self.initial.clone(),
-            indices.iter().map(|&i| self.events[i].clone()),
-        )
+        let k = indices
+            .iter()
+            .enumerate()
+            .take_while(|&(j, &i)| i == j)
+            .count();
+        let mut sub = Run {
+            state: self.prefix_state(k),
+            initial: self.initial.clone(),
+            events: self.events[..k].to_vec(),
+            history: (0..k).map(|_| OnceLock::new()).collect(),
+            diffs: self.diffs[..k].to_vec(),
+            fresh: observed(self.spec(), &self.initial, &self.events[..k]),
+            prov: None,
+            candidates: CandidateCache::default(),
+        };
+        for (index, &i) in indices.iter().enumerate().skip(k) {
+            sub.push(self.events[i].clone())
+                .map_err(|error| ReplayError { index, error })?;
+        }
+        Ok(sub)
     }
 
     /// Is event `i` visible at `peer`? (`peer(e_i) = p` or
@@ -433,6 +486,19 @@ impl Run {
         }
         RunView { peer, steps }
     }
+}
+
+/// The fresh-value generator of a run over `initial` that has pushed
+/// `events`: it has observed their active domains, as [`Run::push`] does.
+fn observed(spec: &WorkflowSpec, initial: &Instance, events: &[Event]) -> FreshGen {
+    let mut fresh = FreshGen::new();
+    for v in initial.adom() {
+        fresh.observe(&v);
+    }
+    for v in events.iter().flat_map(|e| e.adom(spec)) {
+        fresh.observe(&v);
+    }
+    fresh
 }
 
 impl fmt::Debug for Run {
@@ -606,6 +672,27 @@ mod tests {
         run.pop();
         assert_eq!(filled(&run), vec![1]);
         assert_eq!(run.current(), run.instance(2));
+    }
+
+    /// Resumed subruns and prefix states read the parent's history without
+    /// filling a cell, and a subrun starts with its own cells empty, as a
+    /// replay does.
+    #[test]
+    fn subruns_fill_no_history_cell() {
+        let spec = prop_spec();
+        let mut run = Run::new(Arc::clone(&spec));
+        push_all(&mut run, &["a1", "a2", "b1", "b2", "ok"]);
+        run.instance(1);
+        for idx in [&[][..], &[0, 1, 2], &[0, 1, 2, 3, 4], &[0, 2, 4], &[1, 2]] {
+            let _ = run.try_subrun(idx);
+        }
+        for k in 0..=run.len() {
+            run.prefix_state(k);
+        }
+        assert_eq!(filled(&run), vec![1], "the parent's cells are untouched");
+        let sub = run.try_subrun(&[0, 1, 2, 3]).unwrap();
+        assert!(filled(&sub).is_empty());
+        assert_eq!(sub.instance(2), run.instance(2));
     }
 
     #[test]

@@ -19,6 +19,15 @@
 //! [`ScratchRun::try_push_into`] applies an event to a parent slot and
 //! fills the child slot only on success, through `Clone::clone_from`, which
 //! the columnar stores turn into buffer reuse instead of fresh allocations.
+//!
+//! A replay whose events so far are the run's own first events need not
+//! run their transitions: the run has recorded what they did.
+//! [`Run::prefix_state`] returns the state after the first `k` events from
+//! the recorded history, and [`ScratchRun::step_recorded`] advances such a
+//! prefix state by the run's recorded diff of its next event. Both leave
+//! exactly the state the transitions would; the recorded step's
+//! precondition (the state *is* the run's prefix) is the caller's, checked
+//! in debug builds.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -90,6 +99,14 @@ impl ScratchRun {
         state.current = current;
         state.len = diffs.len();
         state
+    }
+
+    /// This state with the last push's deltas set to those of `diff`, the
+    /// recorded diff that led to the current instance — for a state rebuilt
+    /// or cloned rather than stepped into.
+    pub(crate) fn with_last_deltas_of(mut self, diff: &InstanceDiff) -> Self {
+        self.last_deltas = ViewPlane::deltas(self.spec.collab(), diff, &self.current);
+        self
     }
 
     /// Number of events pushed so far.
@@ -192,9 +209,36 @@ impl ScratchRun {
     /// Makes an accepted successor `next`, reached through `diff`, this
     /// state's current one.
     pub(crate) fn commit(&mut self, next: Instance, diff: &InstanceDiff) {
-        self.avoid_introduced(diff);
-        self.last_deltas = self.plane.step(self.spec.collab(), diff, &next);
         self.current = next;
+        self.advanced(diff);
+    }
+
+    /// Advances this state, which must be `run`'s own prefix of
+    /// [`ScratchRun::len`] events, by the diff the run recorded for its
+    /// next event: the state [`ScratchRun::try_push`] of that event would
+    /// leave, without re-running the transition. The precondition is
+    /// checked in debug builds only (it holds for every state seeded by
+    /// [`Run::prefix_state`] and advanced only by this step).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run has no event at position `len()`.
+    pub fn step_recorded(&mut self, run: &Run) {
+        let i = self.len;
+        debug_assert!(
+            std::ptr::eq(self.spec(), run.spec()) && self.current == run.rolled(i),
+            "step_recorded needs the run's own {i}-event prefix"
+        );
+        let diff = run.diff(i);
+        diff.apply_to(&mut self.current);
+        self.advanced(diff);
+    }
+
+    /// The bookkeeping of an accepted step whose successor is already
+    /// `current`: the avoid-set, the view plane and its deltas, the length.
+    fn advanced(&mut self, diff: &InstanceDiff) {
+        self.avoid_introduced(diff);
+        self.last_deltas = self.plane.step(self.spec.collab(), diff, &self.current);
         self.len += 1;
     }
 
@@ -333,6 +377,46 @@ mod tests {
         slot.try_push(&e).unwrap();
         a.try_push(&e).unwrap();
         assert_eq!(slot.current(), a.current());
+    }
+
+    /// At every position of random walks over the chaos specs (fresh
+    /// values, key deletions, in-place modifications, filtered views), the
+    /// recorded step leaves the state `try_push_into` leaves — and the one
+    /// `Run::prefix_state` returns for the next position.
+    #[test]
+    fn recorded_step_matches_try_push_into() {
+        use crate::chaos::{default_spec, modification_spec};
+        use crate::simulate::Simulator;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        for spec in [default_spec(), modification_spec()] {
+            for seed in 0..4 {
+                let mut sim =
+                    Simulator::new(Run::new(Arc::clone(&spec)), StdRng::seed_from_u64(seed));
+                sim.steps(40).unwrap();
+                let run = sim.into_run();
+                let mut recorded = ScratchRun::restart_of(&run);
+                let mut dst = ScratchRun::restart_of(&run);
+                for i in 0..run.len() {
+                    recorded.try_push_into(run.event(i), &mut dst).unwrap();
+                    recorded.step_recorded(&run);
+                    for want in [&dst, &run.prefix_state(i + 1)] {
+                        assert_eq!(recorded.len(), want.len());
+                        assert_eq!(recorded.current(), want.current(), "instance at {i}");
+                        for p in spec.collab().peer_ids() {
+                            assert_eq!(recorded.view(p), want.view(p), "view at {i}");
+                        }
+                        assert_eq!(
+                            recorded.used_values(),
+                            want.used_values(),
+                            "avoid-set at {i}"
+                        );
+                        assert_eq!(recorded.last_deltas(), want.last_deltas(), "deltas at {i}");
+                    }
+                }
+            }
+        }
     }
 
     /// `try_push_into` leaves `dst` exactly as a clone-then-push would, and

@@ -236,15 +236,25 @@ impl ViewPlane {
         diff: &InstanceDiff,
         post: &Instance,
     ) -> Vec<(PeerId, ViewDelta)> {
-        let mut out = Vec::new();
-        for p in collab.peer_ids() {
-            let delta = peer_delta(collab, p, diff, post);
-            if !delta.is_empty() {
-                delta.apply_to_view(&mut self.views[p.index()]);
-                out.push((p, delta));
-            }
+        let out = Self::deltas(collab, diff, post);
+        for (p, delta) in &out {
+            delta.apply_to_view(&mut self.views[p.index()]);
         }
         out
+    }
+
+    /// The non-empty per-peer deltas [`ViewPlane::step`] derives from
+    /// `diff`, in peer-id order, without applying them.
+    pub(crate) fn deltas(
+        collab: &CollabSchema,
+        diff: &InstanceDiff,
+        post: &Instance,
+    ) -> Vec<(PeerId, ViewDelta)> {
+        collab
+            .peer_ids()
+            .map(|p| (p, peer_delta(collab, p, diff, post)))
+            .filter(|(_, delta)| !delta.is_empty())
+            .collect()
     }
 }
 

@@ -431,13 +431,20 @@ mod scratch_props {
 
     /// The legacy scenario oracle: materialize the full subrun, then compare
     /// whole run views — what `is_scenario_against` did before the streaming
-    /// `ScratchRun` rewrite. Kept here as the differential reference.
+    /// `ScratchRun` rewrite. Kept here as the differential reference, so it
+    /// replays from the initial instance through `Run::replay` rather than
+    /// resuming from the recorded history as `try_subrun` does.
     fn legacy_is_scenario(
         run: &Run,
         peer: collab_workflows::model::PeerId,
         events: &EventSet,
     ) -> bool {
-        match run.try_subrun(&events.to_vec()) {
+        let replayed = Run::replay(
+            run.spec_arc(),
+            run.initial().clone(),
+            events.iter().map(|i| run.event(i).clone()),
+        );
+        match replayed {
             Ok(sub) => sub.view(peer) == run.view(peer),
             Err(_) => false,
         }

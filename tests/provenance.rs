@@ -66,16 +66,19 @@ fn assert_annotation_is_transparent(run: &Run) -> Run {
 }
 
 /// Every monomial of every per-peer fact polynomial replays as a subrun
-/// re-deriving the fact, visible to that peer.
+/// re-deriving the fact, visible to that peer. The replay starts from the
+/// initial instance (`Run::replay`), independent of the history-resumed
+/// `try_subrun`.
 fn assert_monomials_replay(run: &Run) {
     let pp = run.provenance().expect("enabled");
     for p in run.spec().collab().peer_ids() {
         for (rel, key, prov) in pp.peer_iter(p) {
             for mono in prov.monomials() {
-                let indices: Vec<usize> = mono.events().iter().map(|&e| e as usize).collect();
-                let sub = run.try_subrun(&indices).unwrap_or_else(|e| {
-                    panic!("witness {mono} of {rel:?}/{key} does not replay: {e:?}")
-                });
+                let events = mono.events().iter().map(|&e| run.event(e as usize).clone());
+                let sub = Run::replay(run.spec_arc(), run.initial().clone(), events)
+                    .unwrap_or_else(|e| {
+                        panic!("witness {mono} of {rel:?}/{key} does not replay: {e:?}")
+                    });
                 assert!(
                     sub.current().rel(rel).get(key).is_some(),
                     "witness {mono} does not re-derive {rel:?}/{key}"

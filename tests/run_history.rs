@@ -6,16 +6,28 @@
 //! on a clone taken with half the history cached, and when two threads
 //! race to rebuild one cold position. The runs are chaos `default_spec`
 //! walks and procurement streams.
+//!
+//! Subruns resume from the recorded history: `try_subrun(idx)` (and
+//! `is_subrun`) must equal `Run::replay` of the indexed events from the
+//! initial instance in every observable — length, events, diffs, every
+//! instance, every peer view, last deltas, avoid-set, fresh watermark and
+//! the failing index — for empty, full, prefix-only, gapped and failing
+//! index sets, on fresh, popped and half-cached runs and on runs with a
+//! non-empty initial instance. That resuming fills none of the parent's
+//! history cells is checked where the cells are visible, in `run.rs`'s
+//! unit tests.
 
 use std::sync::Barrier;
 
+use collab_workflows::core::is_subrun;
 use collab_workflows::engine::chaos::default_spec;
+use collab_workflows::engine::ReplayError;
 use collab_workflows::prelude::*;
 use collab_workflows::workloads::{build_procurement_run, random_run};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A run under test: a `default_spec` walk of up to `size` steps
 /// (`family` 0) or a procurement stream of `1 + size / 16` completed
@@ -105,6 +117,176 @@ fn warm_half(run: &Run, rng: &mut StdRng) {
     reads.shuffle(rng);
     for r in reads.iter().take(reads.len() / 2) {
         r.on(run);
+    }
+}
+
+/// Equal subrun results, compared observable by observable.
+fn same_subrun(
+    got: &Result<Run, ReplayError>,
+    want: &Result<Run, ReplayError>,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    let (got, want) = match (got, want) {
+        (Ok(got), Ok(want)) => (got, want),
+        (Err(got), Err(want)) => {
+            prop_assert_eq!(got, want, "{}: replay error", what);
+            return Ok(());
+        }
+        _ => {
+            return Err(TestCaseError::fail(format!(
+                "{what}: one way replays, the other fails"
+            )))
+        }
+    };
+    prop_assert_eq!(got.len(), want.len(), "{}: length", what);
+    prop_assert!(got.events() == want.events(), "{}: events", what);
+    for i in 0..want.len() {
+        prop_assert!(got.diff(i) == want.diff(i), "{}: diff {}", what, i);
+        prop_assert!(
+            got.instance(i) == want.instance(i),
+            "{}: instance {}",
+            what,
+            i
+        );
+    }
+    prop_assert!(got.current() == want.current(), "{}: current", what);
+    for p in want.spec().collab().peer_ids() {
+        prop_assert!(
+            got.peer_view(p) == want.peer_view(p),
+            "{}: view of {:?}",
+            what,
+            p
+        );
+        prop_assert!(got.view(p) == want.view(p), "{}: run view at {:?}", what, p);
+    }
+    prop_assert!(
+        got.last_deltas() == want.last_deltas(),
+        "{}: last deltas",
+        what
+    );
+    prop_assert!(
+        got.used_values() == want.used_values(),
+        "{}: avoid-set",
+        what
+    );
+    prop_assert_eq!(
+        got.fresh_watermark(),
+        want.fresh_watermark(),
+        "{}: fresh watermark",
+        what
+    );
+    prop_assert_eq!(
+        got.provenance_enabled(),
+        want.provenance_enabled(),
+        "{}: provenance",
+        what
+    );
+    Ok(())
+}
+
+/// The index sets a subrun is taken on: empty, full, a prefix, gapped at
+/// 0, gapped at the end, a prefix then a random tail, every "all but one"
+/// set (the failing ones among them), and random subsets.
+fn index_sets(n: usize, rng: &mut StdRng) -> Vec<Vec<usize>> {
+    let mut sets = vec![
+        Vec::new(),
+        (0..n).collect(),
+        (0..rng.gen_range(0..=n)).collect(),
+        (1..n).collect(),
+        (0..n.saturating_sub(1)).collect(),
+    ];
+    let k = rng.gen_range(0..=n);
+    sets.push(
+        (0..k)
+            .chain((k + 1..n).filter(|_| rng.gen_bool(0.5)))
+            .collect(),
+    );
+    for j in 0..n {
+        sets.push((0..n).filter(|&i| i != j).collect());
+    }
+    for _ in 0..8 {
+        sets.push((0..n).filter(|_| rng.gen_bool(0.6)).collect());
+    }
+    sets
+}
+
+/// `try_subrun` and `is_subrun` against `Run::replay` on every index set;
+/// returns how many of the sets fail to replay.
+fn check_subruns(run: &Run, rng: &mut StdRng, what: &str) -> Result<usize, TestCaseError> {
+    let current = run.current().clone();
+    let mut failing = 0;
+    for idx in index_sets(run.len(), rng) {
+        let want = Run::replay(
+            run.spec_arc(),
+            run.initial().clone(),
+            idx.iter().map(|&i| run.event(i).clone()),
+        );
+        failing += usize::from(want.is_err());
+        same_subrun(&run.try_subrun(&idx), &want, &format!("{what} {idx:?}"))?;
+        let set = EventSet::from_iter(run.len(), idx.iter().copied());
+        prop_assert_eq!(
+            is_subrun(run, &set),
+            want.is_ok(),
+            "{}: is_subrun on {:?}",
+            what,
+            idx
+        );
+    }
+    prop_assert!(
+        run.current() == &current,
+        "{}: the parent is read only",
+        what
+    );
+    Ok(failing)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Subruns of fresh, popped and half-cached runs, and of a run over a
+    /// non-empty initial instance, equal the replays of their events.
+    #[test]
+    fn subruns_equal_replays_of_their_events(
+        family in 0u8..2,
+        seed in 0u64..10_000,
+        size in 4usize..40,
+    ) {
+        let mut run = source_run(family, seed, size);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5b5b);
+        check_subruns(&run, &mut rng, "fresh")?;
+        warm_half(&run, &mut rng);
+        check_subruns(&run, &mut rng, "half cached")?;
+        // The events after position `m`, replayed over `I_m`.
+        let m = rng.gen_range(0..run.len());
+        let rest = Run::replay(
+            run.spec_arc(),
+            run.instance(m).clone(),
+            run.events()[m + 1..].iter().cloned(),
+        )
+        .expect("a suffix replays over its pre-instance");
+        prop_assert!(!rest.initial().is_empty(), "the initial instance has facts");
+        check_subruns(&rest, &mut rng, "non-empty initial")?;
+        run.pop();
+        prop_assert!(run.last_deltas().is_empty(), "a pop leaves no last deltas");
+        check_subruns(&run, &mut rng, "popped")?;
+    }
+}
+
+/// In both run families some index sets fail to replay, and those report
+/// the replay's failing index and error (checked by `check_subruns`).
+#[test]
+fn failing_subruns_report_the_replay_error() {
+    for family in 0..2 {
+        let mut failing = 0;
+        for seed in 0..6 {
+            let run = source_run(family, seed, 24);
+            let mut rng = StdRng::seed_from_u64(seed);
+            failing += check_subruns(&run, &mut rng, "failing").expect("subruns equal replays");
+        }
+        assert!(
+            failing > 0,
+            "family {family}: some index sets fail to replay"
+        );
     }
 }
 
