@@ -18,7 +18,8 @@
 //! never the item→slot mapping).
 //!
 //! Besides the timings, the bench writes per-thread-count results, the
-//! chunk-sweep rows, the measured speedups, and `hardware_threads` (the
+//! chunk-sweep rows, the measured speedups with the quartiles of their
+//! eleven sequential/4-thread pairs, and `hardware_threads` (the
 //! parallelism the host actually offers) to `BENCH_par_analysis.json` (v2)
 //! at the repository root (consumed by EXPERIMENTS.md E17/E21). Speedups
 //! are only meaningful when `hardware_threads` exceeds the pool size — on
@@ -145,8 +146,11 @@ fn main() {
     // Paired speedup measurement: alternate sequential and 4-thread passes
     // and take the median of per-pair ratios, so slow host drift (frequency
     // scaling, co-tenants) cancels out of the headline metrics instead of
-    // landing on whichever sweep config ran last.
-    const PAIRS: usize = 3;
+    // landing on whichever sweep config ran last. Eleven pairs, because on
+    // a 2-vCPU host single pairs spread from 1.2× to 2× and a median of
+    // three moved with them; the quartiles are written beside it to show
+    // that spread.
+    const PAIRS: usize = 11;
     let seq_pool = Pool::sequential();
     let par_pool = Pool::with_threads(4);
     let mut min_ratios = Vec::with_capacity(PAIRS);
@@ -182,18 +186,26 @@ fn main() {
     bound_ratios.sort_by(f64::total_cmp);
     let min_speedup_4t = min_ratios[PAIRS / 2];
     let bound_speedup_4t = bound_ratios[PAIRS / 2];
+    // Nearest-rank lower and upper quartiles of the paired ratios.
+    let quartiles = |ratios: &[f64]| (ratios[PAIRS / 4], ratios[3 * PAIRS / 4]);
+    let (min_q1, min_q3) = quartiles(&min_ratios);
+    let (bound_q1, bound_q3) = quartiles(&bound_ratios);
 
     let speedup =
         |times: &[f64], t: usize| times[0] / times[THREADS.iter().position(|&x| x == t).unwrap()];
     println!(
         "E17_par_analysis: hardware_threads={hardware}, min-scenario speedup \
-         2t {:.2}x / 4t {:.2}x (paired) / 8t {:.2}x, boundedness speedup \
-         2t {:.2}x / 4t {:.2}x (paired) / 8t {:.2}x",
+         2t {:.2}x / 4t {:.2}x (paired, quartiles {:.2}–{:.2}) / 8t {:.2}x, boundedness \
+         speedup 2t {:.2}x / 4t {:.2}x (paired, quartiles {:.2}–{:.2}) / 8t {:.2}x",
         speedup(&min_times, 2),
         min_speedup_4t,
+        min_q1,
+        min_q3,
         speedup(&min_times, 8),
         speedup(&bound_times, 2),
         bound_speedup_4t,
+        bound_q1,
+        bound_q3,
         speedup(&bound_times, 8),
     );
 
@@ -234,14 +246,22 @@ fn main() {
          \"boundedness_chunk_sweep\": [\n{}\n  ],\n  \
          \"min_scenario_seq_ms\": {:.3},\n  \
          \"min_scenario_speedup_4t\": {:.2},\n  \
-         \"boundedness_speedup_4t\": {:.2}\n}}\n",
+         \"min_scenario_speedup_4t_q1\": {:.2},\n  \
+         \"min_scenario_speedup_4t_q3\": {:.2},\n  \
+         \"boundedness_speedup_4t\": {:.2},\n  \
+         \"boundedness_speedup_4t_q1\": {:.2},\n  \
+         \"boundedness_speedup_4t_q3\": {:.2}\n}}\n",
         row(&min_times),
         chunk_row(&min_chunk_times),
         row(&bound_times),
         chunk_row(&bound_chunk_times),
         min_times[0] * 1e3,
         min_speedup_4t,
+        min_q1,
+        min_q3,
         bound_speedup_4t,
+        bound_q1,
+        bound_q3,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_par_analysis.json");
     if let Err(e) = std::fs::write(path, &json) {

@@ -23,29 +23,17 @@
 use std::time::Instant;
 
 use criterion::black_box;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
+use cwf_bench::explain_batch_corpus;
 use cwf_core::{minimal_faithful_set, RunIndex};
 use cwf_engine::Run;
-use cwf_workloads::{build_procurement_run, build_review_run, build_triage_run};
 
 const WARMUP: usize = 2;
 const ITERS: usize = 40;
 
 /// The `explain-batch` corpus with every history cell filled.
 fn corpus() -> Vec<Run> {
-    let mut rng = StdRng::seed_from_u64(0x00c0_4b05);
-    let mut runs = Vec::new();
-    for (n, stalled) in [(2, 1), (3, 1), (4, 1), (5, 1)] {
-        runs.push(build_procurement_run(n, stalled, &mut rng).run);
-    }
-    for (n, hot) in [(8, 3), (10, 3), (11, 4), (12, 4)] {
-        runs.push(build_triage_run(n, hot, &mut rng).run);
-    }
-    for (n, extra) in [(3, 1), (5, 1), (6, 2), (8, 1)] {
-        runs.push(build_review_run(n, extra, &mut rng).run);
-    }
+    let mut runs = explain_batch_corpus();
     for run in &mut runs {
         run.enable_provenance();
         for i in 0..run.len() {

@@ -30,15 +30,18 @@
 //! * `BENCH_subrun_replay.json` — the speedup of history-resumed subrun
 //!   replays (`Run::try_subrun`) over `Run::replay` on the faithful index
 //!   sets of the `explain-batch` corpus (E24).
+//! * `BENCH_search_node_cost.json` — the minimum-scenario search's time per
+//!   node over `ScratchRun::try_push`'s time per event on the same corpus
+//!   (E25), a cost.
 //!
 //! A fresh ratio more than 25% below its baseline is a regression. Some
 //! metrics are deterministic counts instead — the search node counts of
 //! `BENCH_provenance.json`, taken on the sequential pool — and those carry a
 //! ceiling: any fresh count above its baseline is a regression. A peak
-//! memory reading more than 25% above its baseline is a regression. The check
-//! prints every comparison, restores the baseline files (the bench binaries
-//! overwrite them in place) on every exit path, and exits non-zero if
-//! anything regressed.
+//! memory reading or a cost more than 25% above its baseline is a
+//! regression. The check prints every comparison, restores the baseline
+//! files (the bench binaries overwrite them in place) on every exit path,
+//! and exits non-zero if anything regressed.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
@@ -78,8 +81,8 @@ enum Bound {
     Floor,
     /// A deterministic count: at most the baseline.
     Ceiling,
-    /// A measured peak (lower is better): at most `1 + TOLERANCE` of the
-    /// baseline.
+    /// A measured peak or cost (lower is better): at most `1 + TOLERANCE`
+    /// of the baseline.
     Peak,
 }
 
@@ -220,6 +223,12 @@ fn gates(experiment: &str) -> Vec<Gate> {
             None,
             Bound::Floor,
         )],
+        "BENCH_search_node_cost.json" => vec![gate(
+            "search time per node / try_push per event",
+            "node_cost",
+            None,
+            Bound::Peak,
+        )],
         _ => Vec::new(),
     }
 }
@@ -246,6 +255,7 @@ fn main() -> ExitCode {
         ("BENCH_provenance.json", "provenance"),
         ("BENCH_run_history.json", "run_history"),
         ("BENCH_subrun_replay.json", "subrun_replay"),
+        ("BENCH_search_node_cost.json", "search_node_cost"),
     ];
     // Snapshot the checked-in baselines before the benches overwrite them;
     // the guard writes them back however this function exits.
@@ -323,14 +333,15 @@ fn main() -> ExitCode {
     if regressed || broken {
         eprintln!(
             "bench_check: FAILED (a normalized ratio fell more than {:.0}% below baseline, \
-             a count rose above its ceiling, or a peak rose more than {:.0}% above baseline)",
+             a count rose above its ceiling, or a peak or cost rose more than {:.0}% above \
+             baseline)",
             TOLERANCE * 100.0,
             TOLERANCE * 100.0
         );
         ExitCode::FAILURE
     } else {
         println!(
-            "bench_check: all normalized ratios and peaks within {:.0}% of baseline, all \
+            "bench_check: all normalized ratios, peaks and costs within {:.0}% of baseline, all \
              counts at or below their ceilings",
             TOLERANCE * 100.0
         );

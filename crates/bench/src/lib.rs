@@ -12,6 +12,9 @@ use std::sync::Arc;
 use cwf_engine::Run;
 use cwf_lang::{parse_workflow, WorkflowSpec};
 use cwf_model::PeerId;
+use cwf_workloads::{build_procurement_run, build_review_run, build_triage_run};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A linear silent-chain program `s_0 → … → s_{k−1} → Out` where only `Out`
 /// is visible to `p` — its minimal silent-relevant chain has length `k + 1`,
@@ -61,6 +64,23 @@ pub fn chain_run(spec: &Arc<WorkflowSpec>, k: usize) -> Run {
     run.push(cwf_engine::Event::new(spec, rid, cwf_engine::Bindings::empty(0)).unwrap())
         .unwrap();
     run
+}
+
+/// The 12 runs of perfbench's `explain-batch` workload: the same builders,
+/// shapes and generator seed (fixture for E24/E25).
+pub fn explain_batch_corpus() -> Vec<Run> {
+    let mut rng = StdRng::seed_from_u64(0x00c0_4b05);
+    let mut runs = Vec::new();
+    for (n, stalled) in [(2, 1), (3, 1), (4, 1), (5, 1)] {
+        runs.push(build_procurement_run(n, stalled, &mut rng).run);
+    }
+    for (n, hot) in [(8, 3), (10, 3), (11, 4), (12, 4)] {
+        runs.push(build_triage_run(n, hot, &mut rng).run);
+    }
+    for (n, extra) in [(3, 1), (5, 1), (6, 2), (8, 1)] {
+        runs.push(build_review_run(n, extra, &mut rng).run);
+    }
+    runs
 }
 
 #[cfg(test)]

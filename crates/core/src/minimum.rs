@@ -22,7 +22,7 @@
 //! decides strict-subsequence scenario existence — the coNP-hard minimality
 //! test of Theorem 3.4 (see [`crate::minimal`]).
 
-use cwf_engine::{EventView, Run, RunView, ScratchRun};
+use cwf_engine::{Event, EventView, Run, RunView, ScratchRun};
 use cwf_model::{Bound, FirstHit, Governor, PeerId, Pool, Reason, SharedMin, Verdict};
 
 use crate::index::RunIndex;
@@ -216,10 +216,9 @@ fn search_sequential(
     gov: &Governor,
     target: &RunView,
 ) -> Verdict<Option<EventSet>> {
-    let mut ctx = Ctx::sequential(run, peer, target, opts, plan, gov);
-    ctx.arena.push(ScratchRun::restart_of(run));
-    let mut chosen = Vec::new();
-    ctx.dfs(0, 0, 0, &mut chosen);
+    let start = ScratchRun::restart_of(run);
+    let mut ctx = Ctx::sequential(run, peer, target, opts, plan, gov, start);
+    ctx.dfs(0, 0, &mut Vec::new());
     match ctx.stopped {
         None => Verdict::Done(ctx.best),
         Some(reason) => cutoff_verdict(run, peer, opts, ctx.best, reason),
@@ -266,11 +265,10 @@ fn search_parallel(
     // Phase 1: expand the same exclude-first decision tree sequentially
     // down to the spawn depth, collecting the live branches in DFS order.
     let depth = spawn_depth(pool.threads(), run.len());
-    let mut expander = Ctx::sequential(run, peer, target, opts, plan, gov);
+    let start = ScratchRun::restart_of(run);
+    let mut expander = Ctx::sequential(run, peer, target, opts, plan, gov, start);
     expander.spawn_depth = depth;
-    expander.arena.push(ScratchRun::restart_of(run));
-    let mut chosen = Vec::new();
-    expander.dfs(0, 0, 0, &mut chosen);
+    expander.dfs(0, 0, &mut Vec::new());
     if let Some(reason) = expander.stopped {
         return cutoff_verdict(run, peer, opts, None, reason);
     }
@@ -290,12 +288,11 @@ fn search_parallel(
         first_hit: FirstHit::new(),
     };
     let outs = pool.run(prefixes, |idx, p: Prefix| {
-        let mut ctx = Ctx::sequential(run, peer, target, opts, plan, gov);
+        let mut ctx = Ctx::sequential(run, peer, target, opts, plan, gov, p.sub);
         ctx.shared = Some(&shared);
         ctx.my_index = idx;
-        ctx.arena.push(p.sub);
         let mut chosen = p.chosen;
-        ctx.dfs(depth, 0, p.matched, &mut chosen);
+        ctx.dfs(depth, p.matched, &mut chosen);
         (ctx.best, ctx.stopped)
     });
 
@@ -442,15 +439,14 @@ struct Ctx<'a> {
     shared: Option<&'a ParShared>,
     /// This worker's subproblem index (DFS order of its prefix).
     my_index: usize,
-    /// Per-depth arena of replay states: slot `d` holds the state of the
-    /// current branch after `d` inclusions. Include branches apply their
-    /// event to slot `d` and overwrite slot `d + 1` only on success
-    /// ([`ScratchRun::try_push_into`]), so sibling branches at the same
-    /// depth reuse the same buffers. While a branch has included every
-    /// position so far, slot `d` is the run's own `d`-event prefix and the
-    /// include branch takes the run's recorded diff instead
-    /// ([`ScratchRun::step_recorded`]).
-    arena: Vec<ScratchRun>,
+    /// The replayed subrun of the current branch, the one state this
+    /// context owns. An include branch steps it in place
+    /// ([`ScratchRun::apply`]) and takes the step back when the branch
+    /// returns ([`ScratchRun::undo`]), so no node copies a state. While a
+    /// branch has included every position so far, the state is the run's
+    /// own prefix and the include takes the run's recorded diff instead
+    /// ([`ScratchRun::apply_recorded`]).
+    state: ScratchRun,
 }
 
 impl<'a> Ctx<'a> {
@@ -461,6 +457,7 @@ impl<'a> Ctx<'a> {
         opts: &SearchOptions,
         plan: &'a Plan,
         gov: &'a Governor,
+        state: ScratchRun,
     ) -> Self {
         Ctx {
             run,
@@ -475,7 +472,7 @@ impl<'a> Ctx<'a> {
             prefixes: Vec::new(),
             shared: None,
             my_index: 0,
-            arena: Vec::new(),
+            state,
         }
     }
 
@@ -531,9 +528,9 @@ impl<'a> Ctx<'a> {
         self.best = Some(set);
     }
 
-    /// DFS over positions. `slot` indexes the arena state of the replayed
-    /// subrun so far, `matched` the number of target steps already produced.
-    fn dfs(&mut self, i: usize, slot: usize, matched: usize, chosen: &mut Vec<usize>) {
+    /// DFS over positions, with [`Ctx::state`] the replayed subrun so far
+    /// and `matched` the number of target steps already produced.
+    fn dfs(&mut self, i: usize, matched: usize, chosen: &mut Vec<usize>) {
         if self.done() || self.stopped.is_some() {
             return;
         }
@@ -546,7 +543,7 @@ impl<'a> Ctx<'a> {
         // so every spawned node is charged exactly once — by its worker.
         if i == self.spawn_depth {
             self.prefixes.push(Prefix {
-                sub: self.arena[slot].clone(),
+                sub: self.state.clone(),
                 matched,
                 chosen: chosen.clone(),
             });
@@ -575,7 +572,7 @@ impl<'a> Ctx<'a> {
             return;
         }
         // Branch 1: exclude event i (bias toward short scenarios).
-        self.dfs(i + 1, slot, matched, chosen);
+        self.dfs(i + 1, matched, chosen);
         if self.done() || self.stopped.is_some() {
             return;
         }
@@ -588,45 +585,41 @@ impl<'a> Ctx<'a> {
         if chosen.len() + 1 > self.bound() {
             return;
         }
-        // Apply the event to the current state and, on success, overwrite
-        // the next arena slot with the result (buffer reuse).
-        if self.arena.len() == slot + 1 {
-            let fresh = self.arena[slot].clone();
-            self.arena.push(fresh);
-        }
-        let (head, tail) = self.arena.split_at_mut(slot + 1);
         let event = self.run.event(i);
-        if chosen.len() == i {
-            // Every earlier position is included, so the slot holds the
-            // run's own `i`-event prefix: the run's recorded diff of event
-            // `i` is what the transition would produce.
-            tail[0].clone_from(&head[slot]);
-            tail[0].step_recorded(self.run);
-        } else if head[slot].try_push_into(event, &mut tail[0]).is_err() {
-            return;
-        }
-        let own = event.peer == self.peer;
-        let next = &self.arena[slot + 1];
-        let new_matched = if own || next.changed(self.peer) {
-            // A visible step: must match the next expected observation.
-            let Some(expected) = self.target.steps.get(matched) else {
-                return;
-            };
-            let event_matches = match (&expected.event, own) {
-                (EventView::Own(e), true) => e == event,
-                (EventView::World, false) => true,
-                _ => false,
-            };
-            if !event_matches || expected.view != *next.view(self.peer) {
-                return;
-            }
-            matched + 1
+        let undo = if chosen.len() == i {
+            // Every earlier position is included, so the state is the run's
+            // own `i`-event prefix: the run's recorded diff of event `i` is
+            // what the transition would produce.
+            self.state.apply_recorded(self.run)
         } else {
-            matched
+            match self.state.apply(event) {
+                Ok(undo) => undo,
+                Err(_) => return,
+            }
         };
-        chosen.push(i);
-        self.dfs(i + 1, slot + 1, new_matched, chosen);
-        chosen.pop();
+        if let Some(new_matched) = self.observed(event, matched) {
+            chosen.push(i);
+            self.dfs(i + 1, new_matched, chosen);
+            chosen.pop();
+        }
+        self.state.undo(undo);
+    }
+
+    /// The observations matched once the state has just stepped by `event`,
+    /// or `None` when that step is visible at the peer but is not the next
+    /// expected observation.
+    fn observed(&self, event: &Event, matched: usize) -> Option<usize> {
+        let own = event.peer == self.peer;
+        if !own && !self.state.changed(self.peer) {
+            return Some(matched);
+        }
+        let expected = self.target.steps.get(matched)?;
+        let event_matches = match (&expected.event, own) {
+            (EventView::Own(e), true) => e == event,
+            (EventView::World, false) => true,
+            _ => false,
+        };
+        (event_matches && expected.view == *self.state.view(self.peer)).then_some(matched + 1)
     }
 }
 

@@ -49,7 +49,7 @@ pub use fault::FaultPlan;
 pub use nf_runs::{from_normal_form, to_normal_form, NfTranslateError};
 pub use prov::ProvPlane;
 pub use run::{EventView, ReplayError, Run, RunView, ViewStep};
-pub use scratch::ScratchRun;
+pub use scratch::{ScratchRun, Undo};
 pub use shard::{
     FailoverReport, Hlc, HlcStamp, MigrationKind, MigrationPlan, Oplog, OplogEntry,
     ShardConvergence, ShardId, ShardMap, ShardOp, ShardPlane, ShardPlaneConfig, ShardPlaneStats,

@@ -15,15 +15,19 @@
 //! times: cloning one is O(current state) rather than O(history), and a
 //! push is one transition plus delta propagation.
 //!
-//! Search arenas reuse scratch states across sibling branches:
-//! [`ScratchRun::try_push_into`] applies an event to a parent slot and
-//! fills the child slot only on success, through `Clone::clone_from`, which
-//! the columnar stores turn into buffer reuse instead of fresh allocations.
+//! The searches take every step in place and back: [`ScratchRun::apply`]
+//! and [`ScratchRun::apply_recorded`] advance the state through the same
+//! bookkeeping as a push and return an [`Undo`] record, and
+//! [`ScratchRun::undo`] reverts the step from it — the instance from the
+//! moved-out pre-instance or the diff's inverse, the view plane by stepping
+//! it with that inverse, the avoid-set and the last deltas from what the
+//! step replaced. A branch-and-bound search thus owns one state and copies
+//! none per node.
 //!
 //! A replay whose events so far are the run's own first events need not
 //! run their transitions: the run has recorded what they did.
 //! [`Run::prefix_state`] returns the state after the first `k` events from
-//! the recorded history, and [`ScratchRun::step_recorded`] advances such a
+//! the recorded history, and [`ScratchRun::apply_recorded`] advances such a
 //! prefix state by the run's recorded diff of its next event. Both leave
 //! exactly the state the transitions would; the recorded step's
 //! precondition (the state *is* the run's prefix) is the caller's, checked
@@ -43,7 +47,7 @@ use crate::view_plane::{ViewDelta, ViewPlane};
 
 /// A run reduced to its live state: no event history, no intermediate
 /// instances — just what the next push needs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ScratchRun {
     spec: Arc<WorkflowSpec>,
     current: Instance,
@@ -58,22 +62,47 @@ pub struct ScratchRun {
     len: usize,
 }
 
+/// What [`ScratchRun::undo`] needs to take one in-place step back.
+#[derive(Debug)]
+#[must_use = "a step that is not undone stays applied"]
+pub struct Undo {
+    /// The pre-step instance, moved out by [`ScratchRun::apply`]; `None`
+    /// after a recorded step, which `inverse` reverts instead.
+    pre: Option<Instance>,
+    /// The step's diff, inverted.
+    inverse: InstanceDiff,
+    /// The deltas of the push before the step.
+    last_deltas: Vec<(PeerId, ViewDelta)>,
+    /// The values the step newly added to the avoid-set.
+    added: Vec<Value>,
+}
+
+/// `const(P) ∪ adom(initial)`, `⊥` excluded: the avoid-set of an empty run.
+fn base_avoid_set(spec: &WorkflowSpec, initial: &Instance) -> BTreeSet<Value> {
+    let mut past_adom = spec.program().const_set();
+    past_adom.remove(&Value::Null);
+    past_adom.extend(initial.adom());
+    past_adom
+}
+
+/// The values `diff` brings into the active domain: its created tuples'
+/// values and its modification after-values, `⊥` excluded. Deletions and
+/// before-values were already there.
+fn introduced(diff: &InstanceDiff) -> impl Iterator<Item = Value> + '_ {
+    let created = diff.created.iter().flat_map(|(_, t)| t.values());
+    let after = diff
+        .modified
+        .iter()
+        .flat_map(|(_, _, changes)| changes.iter().map(|c| &c.after));
+    created.chain(after).filter(|v| !v.is_null()).copied()
+}
+
 impl ScratchRun {
     /// An empty state over `initial`: the avoid-set starts as
     /// `const(P) ∪ adom(initial)`.
     pub fn new(spec: Arc<WorkflowSpec>, initial: Instance) -> Self {
-        let mut past_adom = spec.program().const_set();
-        past_adom.remove(&Value::Null);
-        past_adom.extend(initial.adom());
-        let plane = ViewPlane::new(spec.collab(), &initial);
-        ScratchRun {
-            spec,
-            current: initial,
-            plane,
-            past_adom,
-            last_deltas: Vec::new(),
-            len: 0,
-        }
+        let past_adom = base_avoid_set(&spec, &initial);
+        ScratchRun::at(spec, initial, past_adom, 0)
     }
 
     /// An empty scratch run sharing `run`'s spec and starting from its
@@ -91,14 +120,22 @@ impl ScratchRun {
         diffs: &[InstanceDiff],
         current: Instance,
     ) -> Self {
-        let mut state = ScratchRun::new(spec, initial.clone());
-        for diff in diffs {
-            state.avoid_introduced(diff);
+        let mut past_adom = base_avoid_set(&spec, initial);
+        past_adom.extend(diffs.iter().flat_map(introduced));
+        ScratchRun::at(spec, current, past_adom, diffs.len())
+    }
+
+    /// The state after `len` events at `current`, with its view plane built
+    /// from `current` and no last deltas.
+    fn at(spec: Arc<WorkflowSpec>, current: Instance, avoid: BTreeSet<Value>, len: usize) -> Self {
+        ScratchRun {
+            plane: ViewPlane::new(spec.collab(), &current),
+            spec,
+            current,
+            past_adom: avoid,
+            last_deltas: Vec::new(),
+            len,
         }
-        state.plane = ViewPlane::new(state.spec.collab(), &current);
-        state.current = current;
-        state.len = diffs.len();
-        state
     }
 
     /// This state with the last push's deltas set to those of `diff`, the
@@ -166,22 +203,6 @@ impl ScratchRun {
         Ok(())
     }
 
-    /// Writes into `dst` the state [`ScratchRun::try_push`] would leave on a
-    /// clone of `self`, without cloning first: the event is applied to this
-    /// state, and `dst` is overwritten (reusing its buffers) only on
-    /// success. An accepted event costs the transition's one instance copy
-    /// instead of a clone plus that copy; an event rejected before the
-    /// transition copies nothing. On error `dst` is untouched.
-    pub fn try_push_into(&self, event: &Event, dst: &mut ScratchRun) -> Result<(), EngineError> {
-        let applied = self.step(event)?;
-        dst.spec.clone_from(&self.spec);
-        dst.plane.clone_from(&self.plane);
-        dst.past_adom.clone_from(&self.past_adom);
-        dst.len = self.len;
-        dst.commit(applied.instance, &applied.diff);
-        Ok(())
-    }
-
     /// Decides `event` against this state and returns the successor
     /// without changing anything. Head-only variables must take values
     /// outside the avoid-set, and *distinct* head-only variables of one
@@ -207,15 +228,25 @@ impl ScratchRun {
     }
 
     /// Makes an accepted successor `next`, reached through `diff`, this
-    /// state's current one.
-    pub(crate) fn commit(&mut self, next: Instance, diff: &InstanceDiff) {
-        self.current = next;
+    /// state's current one, and returns the instance it replaces.
+    pub(crate) fn commit(&mut self, next: Instance, diff: &InstanceDiff) -> Instance {
+        let pre = std::mem::replace(&mut self.current, next);
         self.advanced(diff);
+        pre
+    }
+
+    /// [`ScratchRun::try_push`] in place, returning the [`Undo`] record
+    /// that takes the step back. On error the state is untouched.
+    pub fn apply(&mut self, event: &Event) -> Result<Undo, EngineError> {
+        let Applied { instance, diff, .. } = self.step(event)?;
+        let mut undo = self.undo_record(&diff);
+        undo.pre = Some(self.commit(instance, &diff));
+        Ok(undo)
     }
 
     /// Advances this state, which must be `run`'s own prefix of
     /// [`ScratchRun::len`] events, by the diff the run recorded for its
-    /// next event: the state [`ScratchRun::try_push`] of that event would
+    /// next event: the state [`ScratchRun::apply`] of that event would
     /// leave, without re-running the transition. The precondition is
     /// checked in debug builds only (it holds for every state seeded by
     /// [`Run::prefix_state`] and advanced only by this step).
@@ -223,61 +254,53 @@ impl ScratchRun {
     /// # Panics
     ///
     /// Panics if the run has no event at position `len()`.
-    pub fn step_recorded(&mut self, run: &Run) {
+    pub fn apply_recorded(&mut self, run: &Run) -> Undo {
         let i = self.len;
         debug_assert!(
             std::ptr::eq(self.spec(), run.spec()) && self.current == run.rolled(i),
-            "step_recorded needs the run's own {i}-event prefix"
+            "apply_recorded needs the run's own {i}-event prefix"
         );
         let diff = run.diff(i);
+        let undo = self.undo_record(diff);
         diff.apply_to(&mut self.current);
         self.advanced(diff);
+        undo
+    }
+
+    /// Takes back the step `undo` was returned by, which must be the last
+    /// step not yet undone: the state is again exactly what it was before.
+    pub fn undo(&mut self, undo: Undo) {
+        match undo.pre {
+            Some(pre) => self.current = pre,
+            None => undo.inverse.apply_to(&mut self.current),
+        }
+        self.plane
+            .step(self.spec.collab(), &undo.inverse, &self.current);
+        for v in &undo.added {
+            self.past_adom.remove(v);
+        }
+        self.last_deltas = undo.last_deltas;
+        self.len -= 1;
+    }
+
+    /// The undo record of a step by `diff` about to be taken, taking out
+    /// the last deltas the step replaces. The pre-instance is the caller's.
+    fn undo_record(&mut self, diff: &InstanceDiff) -> Undo {
+        let added = introduced(diff).filter(|v| !self.past_adom.contains(v));
+        Undo {
+            pre: None,
+            inverse: diff.inverse(),
+            added: added.collect(),
+            last_deltas: std::mem::take(&mut self.last_deltas),
+        }
     }
 
     /// The bookkeeping of an accepted step whose successor is already
     /// `current`: the avoid-set, the view plane and its deltas, the length.
     fn advanced(&mut self, diff: &InstanceDiff) {
-        self.avoid_introduced(diff);
+        self.past_adom.extend(introduced(diff));
         self.last_deltas = self.plane.step(self.spec.collab(), diff, &self.current);
         self.len += 1;
-    }
-
-    /// Adds the values `diff` brings into the active domain to the
-    /// avoid-set: its created tuples' values and its modification
-    /// after-values, `⊥` excluded. Deletions and before-values were already
-    /// there.
-    fn avoid_introduced(&mut self, diff: &InstanceDiff) {
-        let created = diff.created.iter().flat_map(|(_, t)| t.values());
-        let after = diff
-            .modified
-            .iter()
-            .flat_map(|(_, _, changes)| changes.iter().map(|c| &c.after));
-        self.past_adom
-            .extend(created.chain(after).filter(|v| !v.is_null()).copied());
-    }
-}
-
-impl Clone for ScratchRun {
-    fn clone(&self) -> Self {
-        ScratchRun {
-            spec: Arc::clone(&self.spec),
-            current: self.current.clone(),
-            plane: self.plane.clone(),
-            past_adom: self.past_adom.clone(),
-            last_deltas: self.last_deltas.clone(),
-            len: self.len,
-        }
-    }
-
-    /// Reuses the destination's buffers where the columnar layout allows —
-    /// this is what makes per-depth arena slots cheap to overwrite.
-    fn clone_from(&mut self, src: &Self) {
-        self.spec.clone_from(&src.spec);
-        self.current.clone_from(&src.current);
-        self.plane.clone_from(&src.plane);
-        self.past_adom.clone_from(&src.past_adom);
-        self.last_deltas.clone_from(&src.last_deltas);
-        self.len = src.len;
     }
 }
 
@@ -286,6 +309,7 @@ mod tests {
     use super::*;
     use crate::eval::Bindings;
     use cwf_lang::parse_workflow;
+    use proptest::prelude::*;
 
     fn spec() -> Arc<WorkflowSpec> {
         Arc::new(
@@ -357,98 +381,77 @@ mod tests {
         assert_eq!(scratch.len(), 3);
     }
 
-    /// `clone_from` produces a state indistinguishable from a fresh clone.
-    #[test]
-    fn clone_from_matches_clone() {
-        let spec = spec();
-        let mut a = ScratchRun::new(Arc::clone(&spec), Instance::empty(spec.collab().schema()));
-        a.try_push(&ground(&spec, "a1")).unwrap();
-        a.try_push(&ground(&spec, "b1")).unwrap();
-        // A dirty destination from a different branch.
-        let mut slot = ScratchRun::new(Arc::clone(&spec), Instance::empty(spec.collab().schema()));
-        slot.try_push(&ground(&spec, "a2")).unwrap();
-        slot.clone_from(&a);
-        let q = spec.collab().peer("q").unwrap();
-        assert_eq!(slot.current(), a.current());
-        assert_eq!(slot.view(q), a.view(q));
-        assert_eq!(slot.len(), a.len());
-        // Both continue identically.
-        let e = ground(&spec, "ok");
-        slot.try_push(&e).unwrap();
-        a.try_push(&e).unwrap();
-        assert_eq!(slot.current(), a.current());
-    }
-
-    /// At every position of random walks over the chaos specs (fresh
-    /// values, key deletions, in-place modifications, filtered views), the
-    /// recorded step leaves the state `try_push_into` leaves — and the one
-    /// `Run::prefix_state` returns for the next position.
-    #[test]
-    fn recorded_step_matches_try_push_into() {
-        use crate::chaos::{default_spec, modification_spec};
-        use crate::simulate::Simulator;
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-
-        for spec in [default_spec(), modification_spec()] {
-            for seed in 0..4 {
-                let mut sim =
-                    Simulator::new(Run::new(Arc::clone(&spec)), StdRng::seed_from_u64(seed));
-                sim.steps(40).unwrap();
-                let run = sim.into_run();
-                let mut recorded = ScratchRun::restart_of(&run);
-                let mut dst = ScratchRun::restart_of(&run);
-                for i in 0..run.len() {
-                    recorded.try_push_into(run.event(i), &mut dst).unwrap();
-                    recorded.step_recorded(&run);
-                    for want in [&dst, &run.prefix_state(i + 1)] {
-                        assert_eq!(recorded.len(), want.len());
-                        assert_eq!(recorded.current(), want.current(), "instance at {i}");
-                        for p in spec.collab().peer_ids() {
-                            assert_eq!(recorded.view(p), want.view(p), "view at {i}");
-                        }
-                        assert_eq!(
-                            recorded.used_values(),
-                            want.used_values(),
-                            "avoid-set at {i}"
-                        );
-                        assert_eq!(recorded.last_deltas(), want.last_deltas(), "deltas at {i}");
-                    }
-                }
-            }
+    /// Asserts that `got` equals `want` in every part: length, current
+    /// instance, every peer view, avoid-set and last deltas.
+    fn same(got: &ScratchRun, want: &ScratchRun, at: &str) -> Result<(), TestCaseError> {
+        prop_assert_eq!(got.len(), want.len(), "length {}", at);
+        prop_assert_eq!(got.current(), want.current(), "instance {}", at);
+        for p in got.spec().collab().peer_ids() {
+            prop_assert_eq!(got.view(p), want.view(p), "view of {:?} {}", p, at);
         }
+        prop_assert_eq!(got.used_values(), want.used_values(), "avoid-set {}", at);
+        prop_assert_eq!(got.last_deltas(), want.last_deltas(), "deltas {}", at);
+        Ok(())
     }
 
-    /// `try_push_into` leaves `dst` exactly as a clone-then-push would, and
-    /// a rejected event leaves `dst` untouched.
-    #[test]
-    fn push_into_matches_clone_then_push() {
-        let spec = spec();
-        let q = spec.collab().peer("q").unwrap();
-        let mut parent =
-            ScratchRun::new(Arc::clone(&spec), Instance::empty(spec.collab().schema()));
-        parent.try_push(&ground(&spec, "a1")).unwrap();
-        let mut dst = ScratchRun::new(Arc::clone(&spec), Instance::empty(spec.collab().schema()));
-        dst.try_push(&ground(&spec, "a2")).unwrap();
-        let stale = dst.clone();
-        assert!(parent
-            .try_push_into(&ground(&spec, "ok"), &mut dst)
-            .is_err());
-        assert_eq!(dst.current(), stale.current());
-        assert_eq!(dst.len(), stale.len());
-        let e = ground(&spec, "b1");
-        parent.try_push_into(&e, &mut dst).unwrap();
-        let mut expected = parent.clone();
-        expected.try_push(&e).unwrap();
-        assert_eq!(dst.current(), expected.current());
-        assert_eq!(dst.view(q), expected.view(q));
-        assert_eq!(dst.changed(q), expected.changed(q));
-        assert_eq!(dst.len(), expected.len());
-        assert_eq!(parent.len(), 1, "the parent state is read only");
-        // Both continue identically, freshness set included.
-        let e = ground(&spec, "ok");
-        dst.try_push(&e).unwrap();
-        expected.try_push(&e).unwrap();
-        assert_eq!(dst.current(), expected.current());
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Random walks over the chaos specs (fresh values, key deletions,
+        /// in-place modifications, filtered views). At every position both
+        /// in-place steps leave the state `Run::prefix_state` returns for
+        /// the next position, and `undo` restores the pre-state in every
+        /// part. Events of the walk applied out of place are either
+        /// rejected, leaving the state untouched, or accepted and undone.
+        /// Finally, applying the whole walk and undoing every step in
+        /// reverse returns to the start.
+        #[test]
+        fn undo_takes_every_step_back(seed in 0u64..1_000, which in 0usize..2) {
+            use crate::chaos::{default_spec, modification_spec};
+            use crate::simulate::Simulator;
+            use rand::rngs::StdRng;
+            use rand::SeedableRng;
+
+            let spec = [default_spec(), modification_spec()][which].clone();
+            let mut sim = Simulator::new(Run::new(spec), StdRng::seed_from_u64(seed));
+            sim.steps(40).unwrap();
+            let run = sim.into_run();
+            let mut rejected = 0;
+            for i in 0..run.len() {
+                let pre = run.prefix_state(i);
+                let next = run.prefix_state(i + 1);
+                let mut state = pre.clone();
+                let undo = state.apply(run.event(i)).unwrap();
+                same(&state, &next, &format!("after apply {i}"))?;
+                state.undo(undo);
+                same(&state, &pre, &format!("after undoing apply {i}"))?;
+                let undo = state.apply_recorded(&run);
+                same(&state, &next, &format!("after apply_recorded {i}"))?;
+                // Out of place: the same event again, and a later one.
+                for j in [i, i + 2].into_iter().filter(|&j| j < run.len()) {
+                    match state.apply(run.event(j)) {
+                        Ok(undo) => state.undo(undo),
+                        Err(_) => rejected += 1,
+                    }
+                    same(&state, &next, &format!("after event {j} at {}", i + 1))?;
+                }
+                state.undo(undo);
+                same(&state, &pre, &format!("after undoing apply_recorded {i}"))?;
+            }
+            prop_assert!(rejected > 0, "the walk exercised no rejection");
+            let start = ScratchRun::restart_of(&run);
+            let mut state = start.clone();
+            let undos: Vec<Undo> = (0..run.len())
+                .map(|i| match i % 2 {
+                    0 => state.apply_recorded(&run),
+                    _ => state.apply(run.event(i)).unwrap(),
+                })
+                .collect();
+            same(&state, &run.prefix_state(run.len()), "after the whole walk")?;
+            for undo in undos.into_iter().rev() {
+                state.undo(undo);
+            }
+            same(&state, &start, "after undoing the whole walk")?;
+        }
     }
 }

@@ -189,22 +189,9 @@ pub fn materialize_view(collab: &CollabSchema, p: PeerId, instance: &Instance) -
 
 /// The per-run view plane: one incrementally maintained [`ViewInstance`]
 /// per peer, advanced by [`ViewPlane::step`] from each transition's diff.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ViewPlane {
     views: Vec<ViewInstance>,
-}
-
-impl Clone for ViewPlane {
-    fn clone(&self) -> Self {
-        ViewPlane {
-            views: self.views.clone(),
-        }
-    }
-
-    /// Element-wise `clone_from` so search arenas reuse per-view buffers.
-    fn clone_from(&mut self, src: &Self) {
-        self.views.clone_from(&src.views);
-    }
 }
 
 impl ViewPlane {

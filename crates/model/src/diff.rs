@@ -101,6 +101,25 @@ impl InstanceDiff {
         }
     }
 
+    /// The diff that takes `after` back to `before` when `self` is
+    /// `InstanceDiff::between(before, after)`: created and deleted swap, and
+    /// every modification runs from its after-value to its before-value.
+    pub fn inverse(&self) -> InstanceDiff {
+        let modified = self.modified.iter().map(|(rel, key, changes)| {
+            let back = changes.iter().map(|c| AttrChange {
+                attr: c.attr,
+                before: c.after,
+                after: c.before,
+            });
+            (*rel, *key, back.collect())
+        });
+        InstanceDiff {
+            created: self.deleted.clone(),
+            deleted: self.created.clone(),
+            modified: modified.collect(),
+        }
+    }
+
     /// Renders against a schema: `+R(...)`, `-R(...)`, `~R[key].A: a→b`.
     pub fn display<'a>(&'a self, schema: &'a Schema) -> DiffDisplay<'a> {
         DiffDisplay { diff: self, schema }
@@ -222,5 +241,10 @@ mod tests {
         let mut rolled = before.clone();
         InstanceDiff::between(&before, &after).apply_to(&mut rolled);
         assert_eq!(rolled, after);
+        // The inverse takes it back, and is the diff the other way round.
+        let inverse = InstanceDiff::between(&before, &after).inverse();
+        assert_eq!(inverse, InstanceDiff::between(&after, &before));
+        inverse.apply_to(&mut rolled);
+        assert_eq!(rolled, before);
     }
 }

@@ -310,30 +310,9 @@ impl CollabSchema {
 /// (`I_{i−1}@p ≠ I_i@p`, Section 3), so `PartialEq` here is semantic:
 /// same relations, same rows — the sorted stores make this a pair of dense
 /// slice comparisons per relation.
-#[derive(Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ViewInstance {
     rels: BTreeMap<RelId, RelStore>,
-}
-
-impl Clone for ViewInstance {
-    fn clone(&self) -> Self {
-        ViewInstance {
-            rels: self.rels.clone(),
-        }
-    }
-
-    /// When both instances cover the same relations (always true between
-    /// states of one peer's view — the relation set is the view schema),
-    /// overwrite store-by-store so the columnar buffers are reused.
-    fn clone_from(&mut self, src: &Self) {
-        if self.rels.len() == src.rels.len() && self.rels.keys().eq(src.rels.keys()) {
-            for (dst, s) in self.rels.values_mut().zip(src.rels.values()) {
-                dst.clone_from(s);
-            }
-        } else {
-            self.rels = src.rels.clone();
-        }
-    }
 }
 
 impl ViewInstance {

@@ -166,6 +166,47 @@ fn golden_min_scenarios_match_the_checked_in_file() {
     );
 }
 
+/// The search tree, not only its answers: the sequential governor's node
+/// count per (run, peer), cone on and off. A change to how the search steps
+/// its state must visit exactly the same nodes, so the printout must stay
+/// byte-identical to `tests/golden/search_nodes.txt` (same `CWF_BLESS=1`
+/// convention, for changes meant to prune differently).
+#[test]
+fn golden_search_nodes_match_the_checked_in_file() {
+    let mut printout = String::new();
+    for (name, run) in batch_corpus().into_iter().chain(random_corpus()) {
+        for peer in run.spec().collab().peer_ids() {
+            let mut nodes = [0; 2];
+            for (n, no_cone) in nodes.iter_mut().zip([false, true]) {
+                let gov = Governor::with_nodes(GOLDEN_BUDGET);
+                let opts = SearchOptions {
+                    no_cone,
+                    ..Default::default()
+                };
+                let v = search_min_scenario_pooled(&run, peer, &opts, &gov, &Pool::sequential());
+                assert!(v.is_done(), "{name}: the golden searches must complete");
+                *n = gov.nodes_used();
+            }
+            let _ = writeln!(
+                printout,
+                "{name} @ {}: cone {} no-cone {}",
+                run.spec().collab().peer_name(peer),
+                nodes[0],
+                nodes[1]
+            );
+        }
+    }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/search_nodes.txt");
+    if std::env::var_os("CWF_BLESS").is_some() {
+        std::fs::write(path, &printout).unwrap();
+    }
+    let golden = std::fs::read_to_string(path).unwrap();
+    assert!(
+        printout == golden,
+        "scenario-search node counts drifted from the checked-in golden file"
+    );
+}
+
 /// Theorem 3.3 by exhaustion: every subsequence of `run`, visited in the
 /// search's exclude-first order (position 0 excluded before included, then
 /// position 1, …), and the first scenario of minimum length. That order is
