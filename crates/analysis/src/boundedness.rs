@@ -10,7 +10,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use cwf_core::{tp_closure, EventSet, RunIndex};
+use cwf_core::{facts, tp_closure, EventSet};
 use cwf_engine::{Event, Run};
 use cwf_lang::WorkflowSpec;
 use cwf_model::{FirstHit, Governor, Instance, PeerId, Pool, Reason, Verdict};
@@ -355,9 +355,8 @@ fn silent_chain_from(
             if !visible {
                 continue;
             }
-            let index = RunIndex::build(&next);
             let seed = EventSet::from_iter(next.len(), [depth]);
-            let closure = tp_closure(&next, &index, peer, &seed);
+            let closure = tp_closure(&next, facts(&next).index(), peer, &seed);
             if closure.len() == next.len() {
                 if let Some((hit, idx)) = stop {
                     hit.offer(idx);

@@ -11,7 +11,7 @@
 //! pre-instance — the object whose length h-boundedness restricts and whose
 //! transplantability transparency requires (Definitions 5.8 and 6.4).
 
-use cwf_core::{tp_closure, EventSet, RunIndex};
+use cwf_core::{facts, tp_closure, EventSet};
 use cwf_engine::Run;
 use cwf_model::PeerId;
 
@@ -49,15 +49,13 @@ impl Stage {
 pub fn stages(run: &Run, peer: PeerId) -> Vec<Stage> {
     let mut out = Vec::new();
     let mut start = 0;
-    for i in 0..run.len() {
-        if run.visible_at(i, peer) {
-            out.push(Stage {
-                start,
-                visible: Some(i),
-                end: i + 1,
-            });
-            start = i + 1;
-        }
+    for i in facts(run).visible(peer).iter() {
+        out.push(Stage {
+            start,
+            visible: Some(i),
+            end: i + 1,
+        });
+        start = i + 1;
     }
     if start < run.len() {
         out.push(Stage {
@@ -86,9 +84,8 @@ pub fn minimum_faithful_of_stage(
         (stage.start..stage.end).map(|i| run.event(i).clone()),
     )
     .expect("consecutive events of a run replay verbatim");
-    let index = RunIndex::build(&stage_run);
     let seed = EventSet::from_iter(stage_run.len(), [visible - stage.start]);
-    let closure = tp_closure(&stage_run, &index, peer, &seed);
+    let closure = tp_closure(&stage_run, facts(&stage_run).index(), peer, &seed);
     let offsets: Vec<usize> = closure.iter().collect();
     let sub = stage_run
         .try_subrun(&offsets)

@@ -15,7 +15,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use cwf_core::{tp_closure, EventSet, RunIndex};
+use cwf_core::{facts, tp_closure, EventSet};
 use cwf_engine::{Event, Run, Simulator};
 use cwf_lang::WorkflowSpec;
 use cwf_model::{FirstHit, Governor, Instance, PeerId, Pool, Reason, Value, Verdict};
@@ -245,9 +245,8 @@ pub(crate) fn enumerate_chains(
             }
             if next.visible_at(depth, peer) {
                 // Candidate chain end: check minimum p-faithfulness.
-                let index = RunIndex::build(&next);
                 let seed = EventSet::from_iter(next.len(), [depth]);
-                if tp_closure(&next, &index, peer, &seed).len() == next.len() {
+                if tp_closure(&next, facts(&next).index(), peer, &seed).len() == next.len() {
                     out.push(next.events().to_vec());
                 }
             } else if depth + 1 < h {
@@ -339,9 +338,8 @@ pub fn chain_fails_on(
     if !run2.visible_at(n - 1, peer) {
         return Some("final event is silent on the second instance".into());
     }
-    let index = RunIndex::build(&run2);
     let seed = EventSet::from_iter(n, [n - 1]);
-    if tp_closure(&run2, &index, peer, &seed).len() != n {
+    if tp_closure(&run2, facts(&run2).index(), peer, &seed).len() != n {
         return Some("chain is not minimum p-faithful on the second instance".into());
     }
     let v1 = spec.collab().view_of(run1.current(), peer);

@@ -10,9 +10,11 @@
 //! * **rescan** — recompute `CollabSchema::view_of` from scratch for every
 //!   `(step, peer)` pair, what the engine did before the view plane.
 //!
-//! Besides the criterion-style timings, the bench writes the measured totals
-//! and the speedup to `BENCH_view_plane.json` at the repository root
-//! (consumed by EXPERIMENTS.md E16). The acceptance bar is a ≥5× speedup.
+//! The two passes run round-robin, so host noise lands on both alike and
+//! cancels in the speedup. Besides the criterion-style timings, the bench
+//! writes the measured totals and the speedup to `BENCH_view_plane.json` at
+//! the repository root (consumed by EXPERIMENTS.md E16). The acceptance bar
+//! is a ≥5× speedup.
 
 use std::time::Instant;
 
@@ -125,16 +127,11 @@ fn rescan_pass(collab: &CollabSchema, run: &Run, peers: &[PeerId]) -> usize {
     checksum
 }
 
-fn time_passes<F: FnMut() -> usize>(mut f: F) -> (f64, usize) {
-    let mut checksum = 0;
-    for _ in 0..WARMUP {
-        checksum = black_box(f());
-    }
+/// Seconds one call of `f` took, and its checksum.
+fn timed(f: impl FnOnce() -> usize) -> (f64, usize) {
     let start = Instant::now();
-    for _ in 0..ITERS {
-        checksum = black_box(f());
-    }
-    (start.elapsed().as_secs_f64() / ITERS as f64, checksum)
+    let checksum = black_box(f());
+    (start.elapsed().as_secs_f64(), checksum)
 }
 
 fn main() {
@@ -144,12 +141,21 @@ fn main() {
     let final_tuples = run.current().total_tuples();
     let modified: usize = (0..run.len()).map(|i| run.diff(i).modified.len()).sum();
 
-    let (plane_s, plane_sum) = time_passes(|| plane_pass(collab, &run, &peers));
-    let (rescan_s, rescan_sum) = time_passes(|| rescan_pass(collab, &run, &peers));
-    assert_eq!(
-        plane_sum, rescan_sum,
-        "both strategies must produce identical views at every prefix"
-    );
+    // Round-robin over the two strategies, so host noise lands on both
+    // alike and cancels in their ratio.
+    let (mut plane_s, mut rescan_s) = (0.0, 0.0);
+    for round in 0..WARMUP + ITERS {
+        let (plane, plane_sum) = timed(|| plane_pass(collab, &run, &peers));
+        let (rescan, rescan_sum) = timed(|| rescan_pass(collab, &run, &peers));
+        assert_eq!(
+            plane_sum, rescan_sum,
+            "both strategies must produce identical views at every prefix"
+        );
+        if round >= WARMUP {
+            plane_s += plane / ITERS as f64;
+            rescan_s += rescan / ITERS as f64;
+        }
+    }
 
     let pairs = (run.len() * peers.len()) as f64;
     let speedup = rescan_s / plane_s;

@@ -33,6 +33,9 @@
 //! * `BENCH_search_node_cost.json` — the minimum-scenario search's time per
 //!   node over `ScratchRun::try_push`'s time per event on the same corpus
 //!   (E25), a cost.
+//! * `BENCH_run_facts.json` — the median (run, peer) pair's explanation
+//!   request time with the run's facts cached over the same request on a
+//!   fresh clone that rebuilds them (E26), a cost.
 //!
 //! A fresh ratio more than 25% below its baseline is a regression. Some
 //! metrics are deterministic counts instead — the search node counts of
@@ -229,6 +232,12 @@ fn gates(experiment: &str) -> Vec<Gate> {
             None,
             Bound::Peak,
         )],
+        "BENCH_run_facts.json" => vec![gate(
+            "request time, warm facts / cold facts",
+            "warm_over_cold",
+            None,
+            Bound::Peak,
+        )],
         _ => Vec::new(),
     }
 }
@@ -256,6 +265,7 @@ fn main() -> ExitCode {
         ("BENCH_run_history.json", "run_history"),
         ("BENCH_subrun_replay.json", "subrun_replay"),
         ("BENCH_search_node_cost.json", "search_node_cost"),
+        ("BENCH_run_facts.json", "run_facts"),
     ];
     // Snapshot the checked-in baselines before the benches overwrite them;
     // the guard writes them back however this function exits.

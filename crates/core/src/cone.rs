@@ -38,13 +38,19 @@ use std::collections::BTreeMap;
 use cwf_engine::Run;
 use cwf_model::{PeerId, RelId, Value};
 
+use crate::facts::facts;
 use crate::set::EventSet;
 
 /// The closed dependency sets `D(e_i)` of every event: the event itself,
 /// plus — for every key in its footprint `K(e_i)` — the closures of every
 /// earlier event whose head targeted that key (actual writers and no-op
-/// inserters alike).
-pub fn closed_deps(run: &Run) -> Vec<EventSet> {
+/// inserters alike). Built once per run ([`crate::facts`]).
+pub fn closed_deps(run: &Run) -> &[EventSet] {
+    facts(run).closed_deps()
+}
+
+/// Builds [`closed_deps`] from scratch.
+pub(crate) fn build_closed_deps(run: &Run) -> Vec<EventSet> {
     let n = run.len();
     let spec = run.spec();
     let mut hist: BTreeMap<(RelId, Value), EventSet> = BTreeMap::new();
@@ -78,17 +84,12 @@ pub fn closed_deps(run: &Run) -> Vec<EventSet> {
 /// relation `peer` sees. Every minimum and every minimal scenario of the
 /// run at `peer` is a subset of this set.
 pub fn peer_cone(run: &Run, peer: PeerId) -> EventSet {
-    let spec = run.spec();
-    let collab = spec.collab();
-    let deps = closed_deps(run);
+    let collab = run.spec().collab();
+    let facts = facts(run);
+    let visible = facts.visible(peer);
     let mut cone = EventSet::empty(run.len());
-    for (i, d) in deps.iter().enumerate() {
-        let seed = run.visible_at(i, peer)
-            || run
-                .event(i)
-                .ground_updates(spec)
-                .iter()
-                .any(|u| collab.sees(peer, u.rel()));
+    for (i, d) in facts.closed_deps().iter().enumerate() {
+        let seed = visible.contains(i) || facts.heads(i).iter().any(|&r| collab.sees(peer, r));
         if seed {
             cone = cone.union(d);
         }

@@ -10,7 +10,7 @@ use std::fmt;
 use cwf_engine::Run;
 use cwf_model::PeerId;
 
-use crate::index::RunIndex;
+use crate::facts::facts;
 use crate::set::EventSet;
 use crate::tp::{minimal_faithful_scenario_indexed, FaithfulExplanation};
 
@@ -97,15 +97,17 @@ impl fmt::Display for Explanation {
 /// assert_eq!(ex.run_len, 2);
 /// ```
 pub fn explain(run: &Run, peer: PeerId) -> Explanation {
-    let index = RunIndex::build(run);
-    let FaithfulExplanation { events, .. } = minimal_faithful_scenario_indexed(run, &index, peer);
+    let facts = facts(run);
+    let FaithfulExplanation { events, .. } =
+        minimal_faithful_scenario_indexed(run, facts.index(), peer);
     let spec = run.spec();
+    let visible = facts.visible(peer);
     let explained = events
         .iter()
         .map(|i| ExplainedEvent {
             index: i,
             description: run.event(i).describe(spec),
-            visible: run.visible_at(i, peer),
+            visible: visible.contains(i),
         })
         .collect();
     Explanation {

@@ -17,8 +17,8 @@ use std::collections::BTreeSet;
 use cwf_engine::Run;
 use cwf_model::{AttrId, PeerId, RelId};
 
+use crate::facts::facts;
 use crate::index::RunIndex;
-use crate::scenario::visible_set;
 use crate::set::EventSet;
 
 /// `att(R, q) = att(R@q) ∪ att(σ(R@q))` — empty when `q` does not see `R`.
@@ -87,7 +87,7 @@ pub fn is_modification_faithful(
 
 /// Is `alpha` a p-faithful subsequence of `e(ρ)` (Definition 4.5)?
 pub fn is_faithful(run: &Run, index: &RunIndex, peer: PeerId, alpha: &EventSet) -> bool {
-    visible_set(run, peer).is_subset(alpha)
+    facts(run).visible(peer).is_subset(alpha)
         && is_boundary_faithful(run, index, alpha)
         && is_modification_faithful(run, index, peer, alpha)
 }

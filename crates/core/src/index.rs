@@ -45,7 +45,7 @@ pub struct Modification {
 }
 
 /// Index of one run's faithfulness-relevant structure.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunIndex {
     /// Number of indexed events.
     len: usize,

@@ -21,6 +21,7 @@
 
 pub mod cone;
 pub mod explain;
+pub mod facts;
 pub mod faithful;
 pub mod incremental;
 pub mod index;
@@ -34,6 +35,7 @@ pub mod why;
 
 pub use cone::{closed_deps, peer_cone};
 pub use explain::{explain, ExplainedEvent, Explanation};
+pub use facts::{facts, Facts, RunFacts};
 pub use faithful::{
     is_boundary_faithful, is_faithful, is_modification_faithful, is_tp_fixpoint, relevant_attrs,
 };

@@ -21,11 +21,24 @@
 //! The same search, restricted to a subset of positions and capped length,
 //! decides strict-subsequence scenario existence — the coNP-hard minimality
 //! test of Theorem 3.4 (see [`crate::minimal`]).
+//!
+//! The replayed state is stepped only where the branch differs from the
+//! run. A branch that has included every position so far is on the run's
+//! own prefix: its next include is the run's recorded step, and that
+//! step's observation is the target's own, so the search advances only its
+//! position and observation count. The one state a search context owns is
+//! caught up along the prefix by recorded diffs when a branch that has
+//! left the prefix first includes an event; such a branch steps its
+//! includes in place and takes each back on return. The search is
+//! exclude-first, so branches leave the prefix in increasing depth order
+//! and the state only ever moves forward along it. The per-query facts the
+//! search reads — the peer's cone and the faithful seed's index — come
+//! from the run's facts slot ([`crate::facts`]), built once per run.
 
 use cwf_engine::{Event, EventView, Run, RunView, ScratchRun};
 use cwf_model::{Bound, FirstHit, Governor, PeerId, Pool, Reason, SharedMin, Verdict};
 
-use crate::index::RunIndex;
+use crate::facts::facts;
 use crate::set::EventSet;
 
 /// Runs shorter than this stay on the sequential path even under a
@@ -106,7 +119,7 @@ fn initial_bound(run: &Run, peer: PeerId, opts: &SearchOptions) -> usize {
     if opts.first_found {
         return cap;
     }
-    let faithful = crate::tp::minimal_faithful_set(run, &RunIndex::build(run), peer);
+    let faithful = crate::tp::minimal_faithful_set(run, facts(run).index(), peer);
     if opts
         .allowed
         .as_ref()
@@ -439,13 +452,13 @@ struct Ctx<'a> {
     shared: Option<&'a ParShared>,
     /// This worker's subproblem index (DFS order of its prefix).
     my_index: usize,
-    /// The replayed subrun of the current branch, the one state this
-    /// context owns. An include branch steps it in place
-    /// ([`ScratchRun::apply`]) and takes the step back when the branch
-    /// returns ([`ScratchRun::undo`]), so no node copies a state. While a
-    /// branch has included every position so far, the state is the run's
-    /// own prefix and the include takes the run's recorded diff instead
-    /// ([`ScratchRun::apply_recorded`]).
+    /// The one replayed state this context owns: the run's own prefix of
+    /// [`ScratchRun::len`] events, then the includes of the current branch
+    /// past it. Branches on the run's prefix move it not at all; one that
+    /// has left the prefix catches it up by recorded steps
+    /// ([`ScratchRun::apply_recorded`]), then steps each include in place
+    /// ([`ScratchRun::apply`]) and takes it back on return
+    /// ([`ScratchRun::undo`]), so no node copies a state.
     state: ScratchRun,
 }
 
@@ -585,17 +598,26 @@ impl<'a> Ctx<'a> {
         if chosen.len() + 1 > self.bound() {
             return;
         }
+        if chosen.len() == i {
+            // Every earlier position is included: the branch is on the
+            // run's own prefix, and including `i` takes the run's own step,
+            // whose observation is the target's own — event `i` is visible
+            // exactly when it is the target's next step. No state moves.
+            let seen = self.target.steps.get(matched).is_some_and(|s| s.index == i);
+            chosen.push(i);
+            self.dfs(i + 1, matched + usize::from(seen), chosen);
+            chosen.pop();
+            return;
+        }
+        // The branch has left the prefix. The state lags at most on the
+        // prefix part of `chosen`: catch it up by recorded steps, which
+        // are never taken back (later branches leave the prefix deeper).
+        while self.state.len() < chosen.len() {
+            self.state.apply_recorded(self.run);
+        }
         let event = self.run.event(i);
-        let undo = if chosen.len() == i {
-            // Every earlier position is included, so the state is the run's
-            // own `i`-event prefix: the run's recorded diff of event `i` is
-            // what the transition would produce.
-            self.state.apply_recorded(self.run)
-        } else {
-            match self.state.apply(event) {
-                Ok(undo) => undo,
-                Err(_) => return,
-            }
+        let Ok(undo) = self.state.apply(event) else {
+            return;
         };
         if let Some(new_matched) = self.observed(event, matched) {
             chosen.push(i);
@@ -928,7 +950,7 @@ mod tests {
             &["a1", "a2", "b1", "b2", "ok"],
         );
         let p = run.spec().collab().peer("p").unwrap();
-        let faithful = crate::tp::minimal_faithful_set(&run, &RunIndex::build(&run), p);
+        let faithful = crate::tp::minimal_faithful_set(&run, facts(&run).index(), p);
         assert_eq!(faithful.to_vec(), vec![0, 2, 4]);
         for opts in [
             SearchOptions::default(),

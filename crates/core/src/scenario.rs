@@ -7,6 +7,7 @@
 use cwf_engine::{EventView, Run, RunView, ScratchRun};
 use cwf_model::PeerId;
 
+use crate::facts::facts;
 use crate::set::EventSet;
 
 /// Does the subsequence `events` of `run`'s events yield a subrun?
@@ -75,7 +76,7 @@ pub fn is_scenario_against(run: &Run, peer: PeerId, events: &EventSet, target: &
 /// scenario's view must reproduce exactly these observations, and every
 /// p-faithful subsequence must *contain* them (Definition 4.5).
 pub fn visible_set(run: &Run, peer: PeerId) -> EventSet {
-    EventSet::from_iter(run.len(), run.visible_events(peer))
+    facts(run).visible(peer).clone()
 }
 
 /// Total order on event sets by their characteristic bitmask (position 0 is

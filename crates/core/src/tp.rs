@@ -18,9 +18,9 @@ use std::collections::BTreeSet;
 use cwf_engine::Run;
 use cwf_model::{AttrId, PeerId, RelId, Value};
 
+use crate::facts::facts;
 use crate::faithful::relevant_attrs;
 use crate::index::RunIndex;
-use crate::scenario::visible_set;
 use crate::set::EventSet;
 
 /// Why [`for_each_requirement`] requires an event of event `j`.
@@ -102,7 +102,7 @@ pub fn tp_closure(run: &Run, index: &RunIndex, peer: PeerId, seed: &EventSet) ->
 /// the set a scenario, so its length bounds every minimum scenario from
 /// above — the free PTIME seed of the exact search in [`crate::minimum`].
 pub fn minimal_faithful_set(run: &Run, index: &RunIndex, peer: PeerId) -> EventSet {
-    tp_closure(run, index, peer, &visible_set(run, peer))
+    tp_closure(run, index, peer, facts(run).visible(peer))
 }
 
 /// The unique minimal p-faithful scenario of a run (Theorem 4.7).
@@ -122,7 +122,7 @@ pub struct FaithfulExplanation {
 /// Panics if the p-faithful closure fails to replay — that would contradict
 /// Lemma 4.6, i.e. signal a bug in the engine or the index.
 pub fn minimal_faithful_scenario(run: &Run, peer: PeerId) -> FaithfulExplanation {
-    minimal_faithful_scenario_indexed(run, &RunIndex::build(run), peer)
+    minimal_faithful_scenario_indexed(run, facts(run).index(), peer)
 }
 
 /// Same as [`minimal_faithful_scenario`] with a caller-provided index.

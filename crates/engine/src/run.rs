@@ -8,6 +8,7 @@
 //! bare event sequence, which is the primitive behind subruns and scenarios
 //! (Section 3).
 
+use std::any::Any;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -41,6 +42,12 @@ use crate::view_plane::{materialize_view, peer_delta, ViewDelta};
 /// the cache, after which it holds every instance. The diffs also make
 /// visibility queries and run views delta-driven instead of `view_of`
 /// rescans.
+///
+/// Read-only facts about the whole run that a higher layer derives from it
+/// (the explanation layer's index, dependency sets and visible sets) live in
+/// one lazily filled slot ([`Run::facts`]): built on first request, kept
+/// while the run is queried, and dropped by the next [`Run::push`] or
+/// [`Run::pop`]. A clone starts with the slot empty.
 #[derive(Clone)]
 pub struct Run {
     initial: Instance,
@@ -60,6 +67,20 @@ pub struct Run {
     /// The rule-body matches behind [`crate::candidates`], caught up lazily
     /// from `diffs` when listed. Empty on a clone; emptied by [`Run::pop`].
     candidates: CandidateCache,
+    /// The [`Run::facts`] slot: empty on a clone, emptied by every push
+    /// and pop.
+    facts: FactsSlot,
+}
+
+/// The slot behind [`Run::facts`]. A clone starts empty: the copy builds
+/// its own facts on first request.
+#[derive(Default)]
+struct FactsSlot(OnceLock<Box<dyn Any + Send + Sync>>);
+
+impl Clone for FactsSlot {
+    fn clone(&self) -> Self {
+        FactsSlot::default()
+    }
 }
 
 impl Run {
@@ -80,6 +101,7 @@ impl Run {
             diffs: Vec::new(),
             prov: None,
             candidates: CandidateCache::default(),
+            facts: FactsSlot::default(),
         }
     }
 
@@ -279,7 +301,25 @@ impl Run {
         self.events.push(event);
         self.history.push(OnceLock::new());
         self.diffs.push(diff);
+        self.facts = FactsSlot::default();
         Ok(())
+    }
+
+    /// The read-only facts about this run that `build` derives from it,
+    /// built on the first call and returned from the slot by later ones
+    /// until the next [`Run::push`] or [`Run::pop`]. The slot holds one
+    /// value: every caller names the same type `T` (the explanation
+    /// layer's `RunFacts`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot already holds a value of another type.
+    pub fn facts<T: Any + Send + Sync>(&self, build: impl FnOnce(&Run) -> T) -> &T {
+        self.facts
+            .0
+            .get_or_init(|| Box::new(build(self)))
+            .downcast_ref()
+            .expect("a run's facts slot holds one type")
     }
 
     /// Turns on the provenance plane, building it from the stored history.
@@ -388,6 +428,7 @@ impl Run {
         // A pop then a push leaves the length unchanged: the cached matches
         // cannot tell, so drop them.
         self.candidates.clear();
+        self.facts = FactsSlot::default();
         // The provenance plane has no delta inverse either: rebuild it from
         // the truncated history.
         if self.prov.is_some() {
@@ -434,6 +475,7 @@ impl Run {
             fresh: observed(self.spec(), &self.initial, &self.events[..k]),
             prov: None,
             candidates: CandidateCache::default(),
+            facts: FactsSlot::default(),
         };
         for (index, &i) in indices.iter().enumerate().skip(k) {
             sub.push(self.events[i].clone())
@@ -693,6 +735,26 @@ mod tests {
         let sub = run.try_subrun(&[0, 1, 2, 3]).unwrap();
         assert!(filled(&sub).is_empty());
         assert_eq!(sub.instance(2), run.instance(2));
+    }
+
+    /// The facts slot keeps its value across reads and is empty after a
+    /// push, a pop and on a clone.
+    #[test]
+    fn facts_slot_empties_on_push_pop_and_clone() {
+        let spec = prop_spec();
+        let mut run = Run::new(Arc::clone(&spec));
+        push_all(&mut run, &["a1"]);
+        assert_eq!(run.facts(|r| r.len()), &1);
+        assert_eq!(
+            run.facts(|_| 99usize),
+            &1,
+            "a filled slot is read, not rebuilt"
+        );
+        assert_eq!(run.clone().facts(|_| 2usize), &2, "a clone starts empty");
+        push_all(&mut run, &["b1"]);
+        assert_eq!(run.facts(|r| r.len()), &2);
+        run.pop();
+        assert_eq!(run.facts(|r| r.len() + 10), &11);
     }
 
     #[test]

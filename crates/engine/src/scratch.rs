@@ -15,14 +15,13 @@
 //! times: cloning one is O(current state) rather than O(history), and a
 //! push is one transition plus delta propagation.
 //!
-//! The searches take every step in place and back: [`ScratchRun::apply`]
-//! and [`ScratchRun::apply_recorded`] advance the state through the same
-//! bookkeeping as a push and return an [`Undo`] record, and
-//! [`ScratchRun::undo`] reverts the step from it — the instance from the
-//! moved-out pre-instance or the diff's inverse, the view plane by stepping
-//! it with that inverse, the avoid-set and the last deltas from what the
-//! step replaced. A branch-and-bound search thus owns one state and copies
-//! none per node.
+//! The searches take their steps in place: [`ScratchRun::apply`] advances
+//! the state through the same bookkeeping as a push and returns an [`Undo`]
+//! record, and [`ScratchRun::undo`] reverts the step from it — the instance
+//! from the moved-out pre-instance, the view plane by stepping it with the
+//! diff's inverse, the avoid-set and the last deltas from what the step
+//! replaced. A branch-and-bound search thus owns one state and copies none
+//! per node.
 //!
 //! A replay whose events so far are the run's own first events need not
 //! run their transitions: the run has recorded what they did.
@@ -31,7 +30,9 @@
 //! prefix state by the run's recorded diff of its next event. Both leave
 //! exactly the state the transitions would; the recorded step's
 //! precondition (the state *is* the run's prefix) is the caller's, checked
-//! in debug builds.
+//! in debug builds. A recorded step is forward only: the search never
+//! takes one back, because it moves its state along the run's prefix in
+//! one direction (see `cwf-core`'s `minimum` module).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -66,10 +67,9 @@ pub struct ScratchRun {
 #[derive(Debug)]
 #[must_use = "a step that is not undone stays applied"]
 pub struct Undo {
-    /// The pre-step instance, moved out by [`ScratchRun::apply`]; `None`
-    /// after a recorded step, which `inverse` reverts instead.
-    pre: Option<Instance>,
-    /// The step's diff, inverted.
+    /// The pre-step instance, moved out by [`ScratchRun::apply`].
+    pre: Instance,
+    /// The step's diff, inverted: steps the view plane back.
     inverse: InstanceDiff,
     /// The deltas of the push before the step.
     last_deltas: Vec<(PeerId, ViewDelta)>,
@@ -239,41 +239,45 @@ impl ScratchRun {
     /// that takes the step back. On error the state is untouched.
     pub fn apply(&mut self, event: &Event) -> Result<Undo, EngineError> {
         let Applied { instance, diff, .. } = self.step(event)?;
-        let mut undo = self.undo_record(&diff);
-        undo.pre = Some(self.commit(instance, &diff));
-        Ok(undo)
+        let added = introduced(&diff)
+            .filter(|v| !self.past_adom.contains(v))
+            .collect();
+        let last_deltas = std::mem::take(&mut self.last_deltas);
+        Ok(Undo {
+            inverse: diff.inverse(),
+            pre: self.commit(instance, &diff),
+            last_deltas,
+            added,
+        })
     }
 
     /// Advances this state, which must be `run`'s own prefix of
     /// [`ScratchRun::len`] events, by the diff the run recorded for its
     /// next event: the state [`ScratchRun::apply`] of that event would
-    /// leave, without re-running the transition. The precondition is
-    /// checked in debug builds only (it holds for every state seeded by
-    /// [`Run::prefix_state`] and advanced only by this step).
+    /// leave, without re-running the transition. The step is forward only:
+    /// it returns no [`Undo`]. The precondition is checked in debug builds
+    /// only (it holds for every state seeded by [`Run::prefix_state`] and
+    /// advanced only by this step).
     ///
     /// # Panics
     ///
     /// Panics if the run has no event at position `len()`.
-    pub fn apply_recorded(&mut self, run: &Run) -> Undo {
+    pub fn apply_recorded(&mut self, run: &Run) {
         let i = self.len;
         debug_assert!(
             std::ptr::eq(self.spec(), run.spec()) && self.current == run.rolled(i),
             "apply_recorded needs the run's own {i}-event prefix"
         );
         let diff = run.diff(i);
-        let undo = self.undo_record(diff);
         diff.apply_to(&mut self.current);
         self.advanced(diff);
-        undo
     }
 
-    /// Takes back the step `undo` was returned by, which must be the last
-    /// step not yet undone: the state is again exactly what it was before.
+    /// Takes back the [`ScratchRun::apply`] step `undo` was returned by,
+    /// which must be the last step not yet undone: the state is again
+    /// exactly what it was before.
     pub fn undo(&mut self, undo: Undo) {
-        match undo.pre {
-            Some(pre) => self.current = pre,
-            None => undo.inverse.apply_to(&mut self.current),
-        }
+        self.current = undo.pre;
         self.plane
             .step(self.spec.collab(), &undo.inverse, &self.current);
         for v in &undo.added {
@@ -281,18 +285,6 @@ impl ScratchRun {
         }
         self.last_deltas = undo.last_deltas;
         self.len -= 1;
-    }
-
-    /// The undo record of a step by `diff` about to be taken, taking out
-    /// the last deltas the step replaces. The pre-instance is the caller's.
-    fn undo_record(&mut self, diff: &InstanceDiff) -> Undo {
-        let added = introduced(diff).filter(|v| !self.past_adom.contains(v));
-        Undo {
-            pre: None,
-            inverse: diff.inverse(),
-            added: added.collect(),
-            last_deltas: std::mem::take(&mut self.last_deltas),
-        }
     }
 
     /// The bookkeeping of an accepted step whose successor is already
@@ -398,13 +390,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         /// Random walks over the chaos specs (fresh values, key deletions,
-        /// in-place modifications, filtered views). At every position both
-        /// in-place steps leave the state `Run::prefix_state` returns for
-        /// the next position, and `undo` restores the pre-state in every
-        /// part. Events of the walk applied out of place are either
-        /// rejected, leaving the state untouched, or accepted and undone.
-        /// Finally, applying the whole walk and undoing every step in
-        /// reverse returns to the start.
+        /// in-place modifications, filtered views). One state walks the
+        /// run's prefix forward by recorded steps only, as the search does.
+        /// At every position both steps leave the state `Run::prefix_state`
+        /// returns for the next position, and `undo` restores the pre-state
+        /// of an `apply` in every part. Events of the walk applied out of
+        /// place are either rejected, leaving the state untouched, or
+        /// accepted and undone. Finally, applying the whole walk from a
+        /// recorded half-way prefix and undoing every step in reverse
+        /// returns to that prefix.
         #[test]
         fn undo_takes_every_step_back(seed in 0u64..1_000, which in 0usize..2) {
             use crate::chaos::{default_spec, modification_spec};
@@ -417,15 +411,16 @@ mod tests {
             sim.steps(40).unwrap();
             let run = sim.into_run();
             let mut rejected = 0;
+            let mut state = ScratchRun::restart_of(&run);
             for i in 0..run.len() {
                 let pre = run.prefix_state(i);
                 let next = run.prefix_state(i + 1);
-                let mut state = pre.clone();
+                same(&state, &pre, &format!("before step {i}"))?;
                 let undo = state.apply(run.event(i)).unwrap();
                 same(&state, &next, &format!("after apply {i}"))?;
                 state.undo(undo);
                 same(&state, &pre, &format!("after undoing apply {i}"))?;
-                let undo = state.apply_recorded(&run);
+                state.apply_recorded(&run);
                 same(&state, &next, &format!("after apply_recorded {i}"))?;
                 // Out of place: the same event again, and a later one.
                 for j in [i, i + 2].into_iter().filter(|&j| j < run.len()) {
@@ -435,23 +430,23 @@ mod tests {
                     }
                     same(&state, &next, &format!("after event {j} at {}", i + 1))?;
                 }
-                state.undo(undo);
-                same(&state, &pre, &format!("after undoing apply_recorded {i}"))?;
             }
             prop_assert!(rejected > 0, "the walk exercised no rejection");
-            let start = ScratchRun::restart_of(&run);
-            let mut state = start.clone();
-            let undos: Vec<Undo> = (0..run.len())
-                .map(|i| match i % 2 {
-                    0 => state.apply_recorded(&run),
-                    _ => state.apply(run.event(i)).unwrap(),
-                })
+            let half = run.len() / 2;
+            let mut state = ScratchRun::restart_of(&run);
+            for _ in 0..half {
+                state.apply_recorded(&run);
+            }
+            let start = run.prefix_state(half);
+            same(&state, &start, "after the recorded half")?;
+            let undos: Vec<Undo> = (half..run.len())
+                .map(|i| state.apply(run.event(i)).unwrap())
                 .collect();
             same(&state, &run.prefix_state(run.len()), "after the whole walk")?;
             for undo in undos.into_iter().rev() {
                 state.undo(undo);
             }
-            same(&state, &start, "after undoing the whole walk")?;
+            same(&state, &start, "after undoing the walk's second half")?;
         }
     }
 }

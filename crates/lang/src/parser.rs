@@ -51,7 +51,11 @@ use crate::spec::WorkflowSpec;
 /// ```
 pub fn parse_workflow(input: &str) -> Result<WorkflowSpec, LangError> {
     let tokens = lex(input)?;
-    let mut p = Parser { tokens, at: 0 };
+    let mut p = Parser {
+        tokens,
+        at: 0,
+        depth: 0,
+    };
     let spec = p.workflow()?;
     spec.validate()?;
     Ok(spec)
@@ -333,9 +337,16 @@ fn lex(input: &str) -> Result<Vec<Spanned>, LangError> {
 
 // --------------------------------------------------------------- parser --
 
+/// The deepest nesting of `not` and parentheses a condition may have.
+/// Deeper input is refused with a parse error rather than recursed into,
+/// which would exhaust the stack.
+const MAX_NESTING: usize = 256;
+
 struct Parser {
     tokens: Vec<Spanned>,
     at: usize,
+    /// The current condition nesting depth.
+    depth: usize,
 }
 
 impl Parser {
@@ -393,6 +404,21 @@ impl Parser {
 
     fn at_keyword(&self, kw: &str) -> bool {
         matches!(self.peek(), Tok::Ident(s) if s == kw)
+    }
+
+    /// Runs `f` one condition nesting level deeper, refusing input nested
+    /// beyond [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, LangError>,
+    ) -> Result<T, LangError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("condition nested deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn workflow(&mut self) -> Result<WorkflowSpec, LangError> {
@@ -545,11 +571,11 @@ impl Parser {
     fn not_cond(&mut self, collab: &CollabSchema, rel: RelId) -> Result<Condition, LangError> {
         if self.at_keyword("not") {
             self.bump();
-            return Ok(self.not_cond(collab, rel)?.not());
+            return Ok(self.nested(|p| p.not_cond(collab, rel))?.not());
         }
         if self.peek() == &Tok::LParen {
             self.bump();
-            let c = self.condition(collab, rel)?;
+            let c = self.nested(|p| p.condition(collab, rel))?;
             self.expect(Tok::RParen, "`)`")?;
             return Ok(c);
         }
