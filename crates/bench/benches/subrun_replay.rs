@@ -25,7 +25,7 @@ use std::time::Instant;
 use criterion::black_box;
 
 use cwf_bench::explain_batch_corpus;
-use cwf_core::{minimal_faithful_set, RunIndex};
+use cwf_core::facts;
 use cwf_engine::Run;
 
 const WARMUP: usize = 2;
@@ -68,12 +68,10 @@ fn main() {
     let requests: Vec<(&Run, Vec<usize>)> = runs
         .iter()
         .flat_map(|run| {
-            let index = RunIndex::build(run);
             run.spec()
                 .collab()
                 .peer_ids()
-                .map(move |p| (run, minimal_faithful_set(run, &index, p).to_vec()))
-                .collect::<Vec<_>>()
+                .map(move |p| (run, facts(run).faithful(p).to_vec()))
         })
         .collect();
     let whole = requests

@@ -12,7 +12,7 @@ use cwf_model::PeerId;
 
 use crate::facts::facts;
 use crate::set::EventSet;
-use crate::tp::{minimal_faithful_scenario_indexed, FaithfulExplanation};
+use crate::tp::{minimal_faithful_scenario, FaithfulExplanation};
 
 /// One line of an explanation: an event of the minimal faithful scenario.
 #[derive(Debug, Clone)]
@@ -97,11 +97,9 @@ impl fmt::Display for Explanation {
 /// assert_eq!(ex.run_len, 2);
 /// ```
 pub fn explain(run: &Run, peer: PeerId) -> Explanation {
-    let facts = facts(run);
-    let FaithfulExplanation { events, .. } =
-        minimal_faithful_scenario_indexed(run, facts.index(), peer);
+    let FaithfulExplanation { events, .. } = minimal_faithful_scenario(run, peer);
     let spec = run.spec();
-    let visible = facts.visible(peer);
+    let visible = facts(run).visible(peer);
     let explained = events
         .iter()
         .map(|i| ExplainedEvent {

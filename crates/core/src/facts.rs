@@ -1,27 +1,36 @@
-//! Read-only facts about a whole run, built once per run.
+//! Facts about a whole run, built once per run and stepped as it grows.
 //!
-//! The explanation queries are asked again and again of completed runs,
-//! and each of them reads the same facts of the run: the faithfulness
-//! index ([`RunIndex`]), the closed dependency sets `D(e_i)` the pruning
-//! cone is a union of, the set of events visible at each peer, and the
-//! relations each event's head updates. [`RunFacts`] keeps them in the
-//! run's facts slot ([`Run::facts`]). Each part is built on its first read
-//! and kept until the run's next push or pop, so a run queried again pays
-//! for none of them, and a caller that reads one part builds only that
-//! part.
+//! The explanation queries are asked again and again of runs, and each of
+//! them reads the same facts of the run: the faithfulness index
+//! ([`RunIndex`]), the closed dependency sets `D(e_i)` the pruning cone is a
+//! union of, the set of events visible at each peer, the relations each
+//! event's head updates, and each peer's minimal faithful set
+//! `T_p^ω(ρ, v̄)` (Thm 4.7). [`RunFacts`] keeps them in the run's facts slot
+//! ([`Run::facts`]). Each part is built on its first read, so a caller that
+//! reads one part builds only that part.
+//!
+//! The slot is stepped by push and emptied by pop. A push steps every
+//! filled part from the new event's recorded diff, never from a past
+//! instance: the index and the visible and head parts append the event, and
+//! each faithful set advances by the additivity of `T_p` (Lemma A.1) — it
+//! gains the new event `e` when `e` is visible at the peer or closes a
+//! lifecycle one of its members uses, and is then closed from `e` alone.
+//! The closed dependency sets have no per-event step: a push empties them
+//! and the next read rebuilds them.
 
 use std::sync::OnceLock;
 
-use cwf_engine::Run;
+use cwf_engine::{Run, StepFacts};
 use cwf_model::{PeerId, RelId};
 
 use crate::cone::build_closed_deps;
 use crate::index::RunIndex;
 use crate::set::EventSet;
+use crate::tp::{close_from, tp_closure};
 
 /// The cached facts of one run, each part filled on first read through
-/// [`facts`]. Two values are equal when the same parts are filled with the
-/// same facts.
+/// [`facts`] and stepped by every push. Two values are equal when the same
+/// parts are filled with the same facts.
 #[derive(Debug, PartialEq)]
 pub struct RunFacts {
     index: OnceLock<RunIndex>,
@@ -30,18 +39,24 @@ pub struct RunFacts {
     visible: Vec<OnceLock<EventSet>>,
     /// Per event: the relations its head updates, sorted and distinct.
     heads: OnceLock<Vec<Vec<RelId>>>,
+    /// Per peer (by id): its minimal faithful set `T_p^ω(ρ, v̄)`.
+    faithful: Vec<OnceLock<EventSet>>,
 }
 
 impl RunFacts {
     /// No part filled yet, sized for `run`'s peers.
     fn empty(run: &Run) -> Self {
+        let per_peer = || {
+            (0..run.spec().collab().peer_count())
+                .map(|_| OnceLock::new())
+                .collect()
+        };
         RunFacts {
             index: OnceLock::new(),
             deps: OnceLock::new(),
-            visible: (0..run.spec().collab().peer_count())
-                .map(|_| OnceLock::new())
-                .collect(),
+            visible: per_peer(),
             heads: OnceLock::new(),
+            faithful: per_peer(),
         }
     }
 
@@ -52,6 +67,73 @@ impl RunFacts {
         Facts { run, slot: &fresh }.filled();
         fresh
     }
+}
+
+impl StepFacts for RunFacts {
+    fn step(&mut self, run: &Run) {
+        let n = run.len();
+        let e = n - 1;
+        if let Some(index) = self.index.get_mut() {
+            index.extend(run);
+        }
+        self.deps = OnceLock::new();
+        if let Some(heads) = self.heads.get_mut() {
+            heads.push(head_rels(run, e));
+        }
+        let peers = run.spec().collab().peer_ids();
+        for ((peer, visible), faithful) in peers.zip(&mut self.visible).zip(&mut self.faithful) {
+            if visible.get().is_none() && faithful.get().is_none() {
+                continue;
+            }
+            let seen = run.visible_at(e, peer);
+            if let Some(visible) = visible.get_mut() {
+                visible.grow(n);
+                if seen {
+                    visible.insert(e);
+                }
+            }
+            if let Some(faithful) = faithful.get_mut() {
+                let index = self.index.get().expect("a faithful set reads the index");
+                faithful.grow(n);
+                if seen || closes_used_lifecycle(run, index, faithful, e) {
+                    faithful.insert(e);
+                    close_from(run, index, peer, faithful, vec![e]);
+                }
+            }
+        }
+    }
+}
+
+/// Does event `e` close a lifecycle that a member of `set` uses (so that
+/// `T_p` now requires `e` of that member)?
+fn closes_used_lifecycle(run: &Run, index: &RunIndex, set: &EventSet, e: usize) -> bool {
+    run.diff(e).deleted.iter().any(|(rel, t)| {
+        let key = t.key();
+        let Some(lc) = index.lifecycles_of(*rel, key).last() else {
+            return false;
+        };
+        lc.end == Some(e)
+            && set.iter().any(|m| {
+                lc.contains(m)
+                    && index
+                        .key_occurrences(m)
+                        .get(rel)
+                        .is_some_and(|keys| keys.contains(key))
+            })
+    })
+}
+
+/// The relations the head of event `i` updates, sorted and distinct.
+fn head_rels(run: &Run, i: usize) -> Vec<RelId> {
+    let mut rels: Vec<RelId> = run
+        .event(i)
+        .ground_updates(run.spec())
+        .iter()
+        .map(|u| u.rel())
+        .collect();
+    rels.sort_unstable();
+    rels.dedup();
+    rels
 }
 
 /// The facts of `run`, read from (and filled into) its facts slot.
@@ -95,16 +177,17 @@ impl<'a> Facts<'a> {
 
     fn all_heads(self) -> &'a [Vec<RelId>] {
         self.slot.heads.get_or_init(|| {
-            let spec = self.run.spec();
-            let rels = |event: &cwf_engine::Event| {
-                let mut rels: Vec<RelId> =
-                    event.ground_updates(spec).iter().map(|u| u.rel()).collect();
-                rels.sort_unstable();
-                rels.dedup();
-                rels
-            };
-            self.run.events().iter().map(rels).collect()
+            (0..self.run.len())
+                .map(|i| head_rels(self.run, i))
+                .collect()
         })
+    }
+
+    /// The event positions of `peer`'s unique minimal faithful scenario,
+    /// `T_p^ω(ρ, v̄)` (Thm 4.7), without replaying them into a subrun.
+    pub fn faithful(self, peer: PeerId) -> &'a EventSet {
+        self.slot.faithful[peer.index()]
+            .get_or_init(|| tp_closure(self.run, self.index(), peer, self.visible(peer)))
     }
 
     /// Fills every part and returns the cached facts.
@@ -112,9 +195,146 @@ impl<'a> Facts<'a> {
         self.index();
         self.closed_deps();
         for peer in self.run.spec().collab().peer_ids() {
-            self.visible(peer);
+            self.faithful(peer);
         }
         self.all_heads();
         self.slot
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cwf_engine::{Bindings, Event};
+    use cwf_lang::parse_workflow;
+    use std::sync::Arc;
+
+    fn spec() -> Arc<cwf_lang::WorkflowSpec> {
+        Arc::new(
+            parse_workflow(
+                r#"
+                schema { Ok(K); Approval(K); }
+                peers {
+                    cto sees Ok(*), Approval(*);
+                    ceo sees Ok(*), Approval(*);
+                    assistant sees Ok(*), Approval(*);
+                    applicant sees Approval(*);
+                }
+                rules {
+                    e @ cto: +Ok(0) :- ;
+                    f @ cto: -key Ok(0) :- Ok(0);
+                    g @ ceo: +Ok(0) :- ;
+                    h @ assistant: +Approval(0) :- Ok(0);
+                }
+                "#,
+            )
+            .unwrap(),
+        )
+    }
+
+    fn ground(spec: &cwf_lang::WorkflowSpec, name: &str) -> Event {
+        let rid = spec.program().rule_by_name(name).unwrap();
+        Event::new(spec, rid, Bindings::empty(0)).unwrap()
+    }
+
+    /// A fresh run of `spec` whose applicant faithful set is filled, so
+    /// that every push steps it.
+    fn stepped(spec: &Arc<cwf_lang::WorkflowSpec>) -> (Run, PeerId) {
+        let applicant = spec.collab().peer("applicant").unwrap();
+        let run = Run::new(Arc::clone(spec));
+        facts(&run).faithful(applicant);
+        (run, applicant)
+    }
+
+    /// `T_p^ω(ρ, {f})`, closed on demand over the run's index.
+    fn explanation_of(run: &Run, peer: PeerId, f: usize) -> Vec<usize> {
+        let one = EventSet::from_iter(run.len(), [f]);
+        tp_closure(run, facts(run).index(), peer, &one).to_vec()
+    }
+
+    /// The invariant: the stepped facts equal a fresh build.
+    fn check_consistent(run: &Run) {
+        assert_eq!(facts(run).filled(), &RunFacts::build(run));
+    }
+
+    #[test]
+    fn example_4_2_incrementally() {
+        let spec = spec();
+        let (mut run, applicant) = stepped(&spec);
+        for name in ["e", "f", "g", "h"] {
+            run.push(ground(&spec, name)).unwrap();
+            check_consistent(&run);
+        }
+        assert_eq!(
+            facts(&run).faithful(applicant).to_vec(),
+            vec![2, 3],
+            "g then h"
+        );
+        // The explanation of e (invisible at the applicant) includes its
+        // lifecycle closer f.
+        assert_eq!(explanation_of(&run, applicant, 0), vec![0, 1]);
+    }
+
+    #[test]
+    fn closing_event_updates_older_explanations() {
+        let spec = spec();
+        let (mut run, applicant) = stepped(&spec);
+        run.push(ground(&spec, "e")).unwrap();
+        // Before f arrives, e's explanation is {e} (open lifecycle).
+        assert_eq!(explanation_of(&run, applicant, 0), vec![0]);
+        run.push(ground(&spec, "f")).unwrap();
+        // f closes e's lifecycle: e's explanation gains f.
+        assert_eq!(explanation_of(&run, applicant, 0), vec![0, 1]);
+        check_consistent(&run);
+    }
+
+    #[test]
+    fn faithful_set_gains_closing_events() {
+        let spec = spec();
+        let (mut run, applicant) = stepped(&spec);
+        run.push(ground(&spec, "e")).unwrap(); // 0: +Ok by cto
+        run.push(ground(&spec, "h")).unwrap(); // 1: +Approval, visible
+        check_consistent(&run);
+        assert_eq!(facts(&run).faithful(applicant).to_vec(), vec![0, 1]);
+        // Now the cto retracts: f closes Ok's lifecycle, which the faithful
+        // set uses ⇒ f joins it.
+        run.push(ground(&spec, "f")).unwrap(); // 2: -Ok
+        check_consistent(&run);
+        assert_eq!(facts(&run).faithful(applicant).to_vec(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn filled_after_the_pushes_matches_stepped() {
+        let spec = spec();
+        let applicant = spec.collab().peer("applicant").unwrap();
+        let mut late = Run::new(Arc::clone(&spec));
+        let (mut early, _) = stepped(&spec);
+        for name in ["e", "f", "g", "h"] {
+            late.push(ground(&spec, name)).unwrap();
+            early.push(ground(&spec, name)).unwrap();
+        }
+        assert_eq!(
+            facts(&late).faithful(applicant),
+            facts(&early).faithful(applicant)
+        );
+    }
+
+    #[test]
+    fn failed_push_leaves_the_facts_unchanged() {
+        let spec = spec();
+        let (mut run, _) = stepped(&spec);
+        facts(&run).filled();
+        // h requires Ok: not applicable on the empty instance.
+        assert!(run.push(ground(&spec, "h")).is_err());
+        assert_eq!(run.len(), 0, "failed push leaves the run unchanged");
+        assert_eq!(facts(&run).filled(), &RunFacts::build(&run));
+        run.push(ground(&spec, "e")).unwrap();
+        assert!(run.push(ground(&spec, "h")).is_ok());
+        facts(&run).filled();
+        assert!(run.push(ground(&spec, "f")).is_ok());
+        let before = RunFacts::build(&run);
+        facts(&run).filled();
+        assert!(run.push(ground(&spec, "f")).is_err(), "Ok(0) is gone");
+        assert_eq!(facts(&run).filled(), &before);
     }
 }

@@ -2,13 +2,13 @@
 //! key occurrences `K(R, e)`, object lifecycles, and attribute
 //! modifications (Section 4).
 //!
-//! The index is built once per run (and extended incrementally as events are
-//! appended) so the `T_p` fixpoint and the faithfulness checks never rescan
-//! instances.
+//! The index is built once per run from the recorded diffs (and extended
+//! as events are appended), so neither it nor the `T_p` fixpoint and the
+//! faithfulness checks ever read an instance.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cwf_engine::{GroundUpdate, Run};
+use cwf_engine::Run;
 use cwf_model::{AttrId, RelId, Value};
 
 /// An `R`-lifecycle of a key: the interval from the event inserting a *new*
@@ -66,59 +66,46 @@ impl RunIndex {
     }
 
     /// Extends the index with the events of `run` beyond the already-indexed
-    /// prefix (incremental maintenance).
+    /// prefix, reading each event's recorded diff (never a past instance):
+    /// a created tuple opens a lifecycle, a deleted one closes it, and the
+    /// attributes of a surviving tuple that go from `⊥` to a value are a
+    /// modification. Every update of one event targets a distinct
+    /// (relation, key), so the diff holds exactly those changes.
     pub fn extend(&mut self, run: &Run) {
         let spec = run.spec();
         for i in self.len..run.len() {
-            let event = run.event(i);
-            self.key_occs.push(event.key_occurrences(spec));
-            let pre = run.pre_instance(i);
-            for upd in event.ground_updates(spec) {
-                match upd {
-                    GroundUpdate::Insert { rel, view_tuple } => {
-                        let key = *view_tuple.key();
-                        match pre.rel(rel).get(&key) {
-                            None => {
-                                // A new tuple: opens a lifecycle.
-                                self.lifecycles
-                                    .entry((rel, key))
-                                    .or_default()
-                                    .push(Lifecycle {
-                                        start: i,
-                                        end: None,
-                                    });
-                            }
-                            Some(old) => {
-                                // An existing tuple: record ⊥→v attribute flips.
-                                let post = run.instance(i);
-                                let Some(new) = post.rel(rel).get(&key) else {
-                                    continue; // deleted by a sibling update
-                                };
-                                let attrs: BTreeSet<AttrId> = old
-                                    .entries()
-                                    .filter(|(a, v)| v.is_null() && !new.get(*a).is_null())
-                                    .map(|(a, _)| a)
-                                    .collect();
-                                if !attrs.is_empty() {
-                                    self.mods
-                                        .entry((rel, key))
-                                        .or_default()
-                                        .push(Modification { at: i, attrs });
-                                }
-                            }
-                        }
-                    }
-                    GroundUpdate::Delete { rel, key } => {
-                        // Close the open lifecycle (the delete semantics
-                        // guarantee the tuple exists).
-                        if let Some(lcs) = self.lifecycles.get_mut(&(rel, key)) {
-                            if let Some(last) = lcs.last_mut() {
-                                if last.end.is_none() {
-                                    last.end = Some(i);
-                                }
-                            }
-                        }
-                    }
+            self.key_occs.push(run.event(i).key_occurrences(spec));
+            let diff = run.diff(i);
+            for (rel, t) in &diff.created {
+                self.lifecycles
+                    .entry((*rel, *t.key()))
+                    .or_default()
+                    .push(Lifecycle {
+                        start: i,
+                        end: None,
+                    });
+            }
+            for (rel, t) in &diff.deleted {
+                let last = self
+                    .lifecycles
+                    .get_mut(&(*rel, *t.key()))
+                    .and_then(|lcs| lcs.last_mut());
+                // A tuple of the initial instance has no lifecycle.
+                if let Some(last) = last.filter(|lc| lc.end.is_none()) {
+                    last.end = Some(i);
+                }
+            }
+            for (rel, key, changes) in &diff.modified {
+                let attrs: BTreeSet<AttrId> = changes
+                    .iter()
+                    .filter(|c| c.before.is_null() && !c.after.is_null())
+                    .map(|c| c.attr)
+                    .collect();
+                if !attrs.is_empty() {
+                    self.mods
+                        .entry((*rel, *key))
+                        .or_default()
+                        .push(Modification { at: i, attrs });
                 }
             }
             self.len += 1;
@@ -167,6 +154,11 @@ impl RunIndex {
     /// All `(rel, key)` pairs with at least one lifecycle.
     pub fn tracked_objects(&self) -> impl Iterator<Item = (&(RelId, Value), &Vec<Lifecycle>)> {
         self.lifecycles.iter()
+    }
+
+    /// All `(rel, key)` pairs with at least one modification.
+    pub fn modified_objects(&self) -> impl Iterator<Item = (&(RelId, Value), &Vec<Modification>)> {
+        self.mods.iter()
     }
 }
 

@@ -13,8 +13,8 @@
 //!   scenario computable in polynomial time** (Thm 4.7).
 //! * **Semiring structure** (Thm 4.8): closure of faithful subsequences
 //!   under union and intersection.
-//! * **Incremental maintenance** of minimal faithful scenarios and
-//!   per-event explanations.
+//! * **Incremental maintenance** of each peer's minimal faithful scenario:
+//!   the run's facts ([`facts`]) are stepped by every push (Lemma A.1).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +23,6 @@ pub mod cone;
 pub mod explain;
 pub mod facts;
 pub mod faithful;
-pub mod incremental;
 pub mod index;
 pub mod minimal;
 pub mod minimum;
@@ -39,7 +38,6 @@ pub use facts::{facts, Facts, RunFacts};
 pub use faithful::{
     is_boundary_faithful, is_faithful, is_modification_faithful, is_tp_fixpoint, relevant_attrs,
 };
-pub use incremental::IncrementalExplainer;
 pub use index::{Lifecycle, Modification, RunIndex};
 pub use minimal::{
     all_minimal_scenarios, all_minimal_scenarios_pooled, all_minimal_scenarios_unpruned,
@@ -52,8 +50,5 @@ pub use minimum::{
 pub use scenario::{is_scenario, is_scenario_against, is_subrun, mask_order, subrun, visible_set};
 pub use semiring::Faithful;
 pub use set::EventSet;
-pub use tp::{
-    minimal_faithful_scenario, minimal_faithful_scenario_indexed, minimal_faithful_set, tp_closure,
-    FaithfulExplanation,
-};
+pub use tp::{minimal_faithful_scenario, tp_closure, FaithfulExplanation};
 pub use why::{traced_closure, why, Justification, Obligation, TracedClosure, WhyStep};

@@ -119,7 +119,7 @@ fn initial_bound(run: &Run, peer: PeerId, opts: &SearchOptions) -> usize {
     if opts.first_found {
         return cap;
     }
-    let faithful = crate::tp::minimal_faithful_set(run, facts(run).index(), peer);
+    let faithful = facts(run).faithful(peer);
     if opts
         .allowed
         .as_ref()
@@ -950,7 +950,7 @@ mod tests {
             &["a1", "a2", "b1", "b2", "ok"],
         );
         let p = run.spec().collab().peer("p").unwrap();
-        let faithful = crate::tp::minimal_faithful_set(&run, facts(&run).index(), p);
+        let faithful = facts(&run).faithful(p);
         assert_eq!(faithful.to_vec(), vec![0, 2, 4]);
         for opts in [
             SearchOptions::default(),

@@ -86,23 +86,27 @@ fn tp_step(run: &Run, index: &RunIndex, peer: PeerId, alpha: &EventSet) -> Event
 /// The fixpoint `T_p^ω(ρ, seed)`.
 pub fn tp_closure(run: &Run, index: &RunIndex, peer: PeerId, seed: &EventSet) -> EventSet {
     let mut out = seed.clone();
-    let mut worklist: Vec<usize> = seed.iter().collect();
+    close_from(run, index, peer, &mut out, seed.iter().collect());
+    out
+}
+
+/// Closes `set` under `T_p(ρ, ·)` from the members in `worklist`: adds
+/// every event they require, transitively. Members not in the worklist
+/// must already have their requirements in `set`.
+pub(crate) fn close_from(
+    run: &Run,
+    index: &RunIndex,
+    peer: PeerId,
+    set: &mut EventSet,
+    mut worklist: Vec<usize>,
+) {
     while let Some(j) = worklist.pop() {
         for_each_requirement(run, index, peer, j, |i, _| {
-            if out.insert(i) {
+            if set.insert(i) {
                 worklist.push(i);
             }
         });
     }
-    out
-}
-
-/// The event positions of the unique minimal p-faithful scenario,
-/// `T_p^ω(ρ, v̄)`, without replaying them into a subrun. Lemma 4.6 makes
-/// the set a scenario, so its length bounds every minimum scenario from
-/// above — the free PTIME seed of the exact search in [`crate::minimum`].
-pub fn minimal_faithful_set(run: &Run, index: &RunIndex, peer: PeerId) -> EventSet {
-    tp_closure(run, index, peer, facts(run).visible(peer))
 }
 
 /// The unique minimal p-faithful scenario of a run (Theorem 4.7).
@@ -115,23 +119,17 @@ pub struct FaithfulExplanation {
     pub subrun: Run,
 }
 
-/// Computes the unique minimal p-faithful scenario `run(T_p^ω(ρ, v̄))`.
+/// Computes the unique minimal p-faithful scenario `run(T_p^ω(ρ, v̄))`,
+/// where `v̄` is the set of events visible at `peer`. The event set is read
+/// from the run's facts ([`crate::Facts::faithful`]); Lemma 4.6 makes it a
+/// scenario, so its length bounds every minimum scenario from above.
 ///
 /// # Panics
 ///
 /// Panics if the p-faithful closure fails to replay — that would contradict
 /// Lemma 4.6, i.e. signal a bug in the engine or the index.
 pub fn minimal_faithful_scenario(run: &Run, peer: PeerId) -> FaithfulExplanation {
-    minimal_faithful_scenario_indexed(run, facts(run).index(), peer)
-}
-
-/// Same as [`minimal_faithful_scenario`] with a caller-provided index.
-pub fn minimal_faithful_scenario_indexed(
-    run: &Run,
-    index: &RunIndex,
-    peer: PeerId,
-) -> FaithfulExplanation {
-    let events = minimal_faithful_set(run, index, peer);
+    let events = facts(run).faithful(peer).clone();
     let subrun = run
         .try_subrun(&events.to_vec())
         .expect("Lemma 4.6: p-faithful subsequences yield subruns");

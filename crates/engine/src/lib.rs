@@ -48,7 +48,7 @@ pub use event::{Event, GroundUpdate};
 pub use fault::FaultPlan;
 pub use nf_runs::{from_normal_form, to_normal_form, NfTranslateError};
 pub use prov::ProvPlane;
-pub use run::{EventView, ReplayError, Run, RunView, ViewStep};
+pub use run::{EventView, ReplayError, Run, RunView, StepFacts, ViewStep};
 pub use scratch::{ScratchRun, Undo};
 pub use shard::{
     FailoverReport, Hlc, HlcStamp, MigrationKind, MigrationPlan, Oplog, OplogEntry,

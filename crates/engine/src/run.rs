@@ -43,11 +43,11 @@ use crate::view_plane::{materialize_view, peer_delta, ViewDelta};
 /// visibility queries and run views delta-driven instead of `view_of`
 /// rescans.
 ///
-/// Read-only facts about the whole run that a higher layer derives from it
-/// (the explanation layer's index, dependency sets and visible sets) live in
-/// one lazily filled slot ([`Run::facts`]): built on first request, kept
-/// while the run is queried, and dropped by the next [`Run::push`] or
-/// [`Run::pop`]. A clone starts with the slot empty.
+/// Facts about the whole run that a higher layer derives from it (the
+/// explanation layer's index, visible sets and faithful sets) live in one
+/// lazily filled slot ([`Run::facts`]): built on first request, stepped by
+/// every [`Run::push`] from the recorded diff ([`StepFacts`]), and emptied
+/// by [`Run::pop`]. A clone starts with the slot empty.
 #[derive(Clone)]
 pub struct Run {
     initial: Instance,
@@ -67,15 +67,24 @@ pub struct Run {
     /// The rule-body matches behind [`crate::candidates`], caught up lazily
     /// from `diffs` when listed. Empty on a clone; emptied by [`Run::pop`].
     candidates: CandidateCache,
-    /// The [`Run::facts`] slot: empty on a clone, emptied by every push
-    /// and pop.
+    /// The [`Run::facts`] slot: empty on a clone, stepped by every push,
+    /// emptied by every pop. Derived state, never persisted.
     facts: FactsSlot,
+}
+
+/// Facts a higher layer derives from a run and keeps in its facts slot
+/// ([`Run::facts`]). Like the provenance plane, they are stepped forward by
+/// [`Run::push`] and rebuilt, not stepped back, after [`Run::pop`].
+pub trait StepFacts: Any + Send + Sync {
+    /// Advances the facts over the event just pushed: `run` already holds
+    /// it as its last event, with its diff ([`Run::diff`]).
+    fn step(&mut self, run: &Run);
 }
 
 /// The slot behind [`Run::facts`]. A clone starts empty: the copy builds
 /// its own facts on first request.
 #[derive(Default)]
-struct FactsSlot(OnceLock<Box<dyn Any + Send + Sync>>);
+struct FactsSlot(OnceLock<Box<dyn StepFacts>>);
 
 impl Clone for FactsSlot {
     fn clone(&self) -> Self {
@@ -301,23 +310,26 @@ impl Run {
         self.events.push(event);
         self.history.push(OnceLock::new());
         self.diffs.push(diff);
-        self.facts = FactsSlot::default();
+        let mut facts = std::mem::take(&mut self.facts);
+        if let Some(facts) = facts.0.get_mut() {
+            facts.step(self);
+        }
+        self.facts = facts;
         Ok(())
     }
 
-    /// The read-only facts about this run that `build` derives from it,
-    /// built on the first call and returned from the slot by later ones
-    /// until the next [`Run::push`] or [`Run::pop`]. The slot holds one
-    /// value: every caller names the same type `T` (the explanation
-    /// layer's `RunFacts`).
+    /// The facts about this run that `build` derives from it, built on the
+    /// first call and returned from the slot by later ones; every
+    /// [`Run::push`] steps them, and [`Run::pop`] empties the slot. The
+    /// slot holds one value: every caller names the same type `T` (the
+    /// explanation layer's `RunFacts`).
     ///
     /// # Panics
     ///
     /// Panics if the slot already holds a value of another type.
-    pub fn facts<T: Any + Send + Sync>(&self, build: impl FnOnce(&Run) -> T) -> &T {
-        self.facts
-            .0
-            .get_or_init(|| Box::new(build(self)))
+    pub fn facts<T: StepFacts>(&self, build: impl FnOnce(&Run) -> T) -> &T {
+        let facts: &dyn Any = &**self.facts.0.get_or_init(|| Box::new(build(self)));
+        facts
             .downcast_ref()
             .expect("a run's facts slot holds one type")
     }
@@ -737,24 +749,56 @@ mod tests {
         assert_eq!(sub.instance(2), run.instance(2));
     }
 
-    /// The facts slot keeps its value across reads and is empty after a
-    /// push, a pop and on a clone.
+    /// Counts the events of the run and the pushes it was stepped over.
+    #[derive(Debug, PartialEq)]
+    struct Seen {
+        len: usize,
+        steps: usize,
+    }
+
+    impl StepFacts for Seen {
+        fn step(&mut self, run: &Run) {
+            self.len = run.len();
+            self.steps += 1;
+        }
+    }
+
+    fn seen(len: usize) -> Seen {
+        Seen { len, steps: 0 }
+    }
+
+    /// The facts slot keeps its value across reads, is stepped by a push
+    /// (an empty slot stays empty), and is empty after a pop and on a
+    /// clone.
     #[test]
-    fn facts_slot_empties_on_push_pop_and_clone() {
+    fn facts_slot_steps_on_push_and_empties_on_pop_and_clone() {
         let spec = prop_spec();
         let mut run = Run::new(Arc::clone(&spec));
         push_all(&mut run, &["a1"]);
-        assert_eq!(run.facts(|r| r.len()), &1);
+        assert_eq!(run.facts(|r| seen(r.len())), &seen(1));
         assert_eq!(
-            run.facts(|_| 99usize),
-            &1,
+            run.facts(|_| seen(99)),
+            &seen(1),
             "a filled slot is read, not rebuilt"
         );
-        assert_eq!(run.clone().facts(|_| 2usize), &2, "a clone starts empty");
+        assert_eq!(
+            run.clone().facts(|_| seen(2)),
+            &seen(2),
+            "a clone starts empty"
+        );
         push_all(&mut run, &["b1"]);
-        assert_eq!(run.facts(|r| r.len()), &2);
+        assert_eq!(run.facts(|_| seen(99)), &Seen { len: 2, steps: 1 });
+        assert!(run.push(ground(&spec, "b2")).is_err(), "b2 needs V2");
+        assert_eq!(
+            run.facts(|_| seen(99)),
+            &Seen { len: 2, steps: 1 },
+            "a failed push steps nothing"
+        );
+        let mut copy = run.clone();
+        push_all(&mut copy, &["a2"]);
+        assert_eq!(copy.facts(|r| seen(r.len())), &seen(3));
         run.pop();
-        assert_eq!(run.facts(|r| r.len() + 10), &11);
+        assert_eq!(run.facts(|r| seen(r.len() + 10)), &seen(11));
     }
 
     #[test]

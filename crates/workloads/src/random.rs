@@ -148,10 +148,7 @@ pub fn random_run(spec: &Arc<WorkflowSpec>, steps: usize, seed: u64) -> Run {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwf_core::{
-        is_faithful, minimal_faithful_scenario, tp_closure, EventSet, IncrementalExplainer,
-        RunIndex,
-    };
+    use cwf_core::{facts, is_faithful, minimal_faithful_scenario, tp_closure, EventSet, RunIndex};
     use rand::rngs::StdRng;
 
     #[test]
@@ -189,22 +186,25 @@ mod tests {
         for i in 0..10 {
             let w = random_propositional_spec(&RandomSpecParams::default(), &mut rng);
             let run = random_run(&w.spec, 15, 200 + i);
-            let mut inc = IncrementalExplainer::new(Run::new(run.spec_arc()), w.observer);
+            let mut stepped = Run::new(run.spec_arc());
+            facts(&stepped).faithful(w.observer);
             for j in 0..run.len() {
-                inc.push(run.event(j).clone()).unwrap();
+                stepped.push(run.event(j).clone()).unwrap();
             }
             let scratch = minimal_faithful_scenario(&run, w.observer);
-            assert_eq!(inc.minimal_events(), &scratch.events, "seed {i}");
-            // Per-event explanations are closures too.
+            assert_eq!(
+                facts(&stepped).faithful(w.observer),
+                &scratch.events,
+                "seed {i}"
+            );
+            // Per-event explanations are closures on the stepped index too.
             let index = RunIndex::build(&run);
             for f in 0..run.len() {
-                let direct = tp_closure(
-                    &run,
-                    &index,
-                    w.observer,
-                    &EventSet::from_iter(run.len(), [f]),
+                let one = EventSet::from_iter(run.len(), [f]);
+                assert_eq!(
+                    tp_closure(&stepped, facts(&stepped).index(), w.observer, &one),
+                    tp_closure(&run, &index, w.observer, &one),
                 );
-                assert_eq!(inc.explanation_of(f), &direct);
             }
         }
     }

@@ -1,11 +1,11 @@
-//! Live explanations: incremental maintenance of the minimal faithful
-//! scenario while a procurement workflow streams events.
+//! Live explanations: the minimal faithful scenario stepped by every push
+//! while a procurement workflow streams events.
 //!
 //! ```sh
 //! cargo run --example live_explainer
 //! ```
 
-use collab_workflows::core::{minimal_faithful_scenario, IncrementalExplainer};
+use collab_workflows::core::{facts, minimal_faithful_scenario, tp_closure};
 use collab_workflows::prelude::*;
 use collab_workflows::workloads::build_procurement_run;
 use rand::rngs::StdRng;
@@ -22,35 +22,42 @@ fn main() {
         p.run.view(p.emp).len()
     );
 
-    // Feed the events one by one into the incremental explainer, printing
-    // the explanation size as the employee's picture sharpens.
-    let mut inc = IncrementalExplainer::new(Run::new(p.run.spec_arc()), p.emp);
+    // Feed the events one by one into a bare run. Reading the employee's
+    // faithful set fills the run's facts slot; from then on every push
+    // steps it from the event's recorded diff.
+    let mut run = Run::new(p.run.spec_arc());
+    facts(&run).faithful(p.emp);
     for i in 0..p.run.len() {
         let event = p.run.event(i).clone();
         let name = p.run.spec().program().rule(event.rule).name.clone();
-        inc.push(event).unwrap();
+        run.push(event).unwrap();
+        let stepped = facts(&run).faithful(p.emp);
         println!(
             "  event {i:>2} {name:<14} → minimal faithful scenario: {:>2} of {:>2} events",
-            inc.minimal_events().len(),
-            inc.run().len()
+            stepped.len(),
+            run.len()
+        );
+        // A clone starts with an empty slot: it computes from scratch.
+        assert_eq!(
+            stepped,
+            &minimal_faithful_scenario(&run.clone(), p.emp).events
         );
     }
-
-    // The incremental result coincides with the from-scratch computation…
-    let scratch = minimal_faithful_scenario(&p.run, p.emp);
-    assert_eq!(inc.minimal_events(), &scratch.events);
-    println!("\nincremental == from-scratch ✓");
+    println!("\nstepped == from-scratch after every push ✓");
 
     // …and explains each notice through its full invisible chain.
     println!("\n=== final explanation for the employee ===");
-    print!("{}", explain(&p.run, p.emp));
+    print!("{}", explain(&run, p.emp));
 
-    // Individual-event explanations are maintained too (even invisible ones).
-    let some_ship = (0..p.run.len())
-        .find(|&i| p.run.spec().program().rule(p.run.event(i).rule).name == "ship")
+    // An individual event's explanation `T_p^ω(ρ, {f})` (even an invisible
+    // one) is closed on demand over the stepped index.
+    let some_ship = (0..run.len())
+        .find(|&i| run.spec().program().rule(run.event(i).rule).name == "ship")
         .expect("a shipment happened");
+    let one = EventSet::from_iter(run.len(), [some_ship]);
+    let closure = tp_closure(&run, facts(&run).index(), p.emp, &one);
     println!(
         "\nthe explanation of shipment event #{some_ship} alone: {:?}",
-        inc.explanation_of(some_ship).to_vec()
+        closure.to_vec()
     );
 }

@@ -68,8 +68,8 @@ pub mod prelude {
     };
     pub use cwf_core::{
         exists_scenario_at_most, explain, is_scenario, minimal_faithful_scenario,
-        one_minimal_scenario, search_min_scenario, why, EventSet, Explanation,
-        IncrementalExplainer, RunIndex, SearchOptions,
+        one_minimal_scenario, search_min_scenario, why, EventSet, Explanation, RunIndex,
+        SearchOptions,
     };
     pub use cwf_design::{
         add_stage_discipline, check_guidelines, check_tf, is_p_acyclic, EnforcementMode,

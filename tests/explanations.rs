@@ -6,11 +6,13 @@
 //! * the `explain` report (the minimal p-faithful scenario, Thm 4.7);
 //! * the `why` justification chain of every member of that scenario, and
 //!   `None` for every other event;
-//! * the sets an `IncrementalExplainer` maintains when fed the run event by
-//!   event: the minimal scenario after every push, and each event's own
-//!   explanation `T_p^ω(ρ, {f})` at the end.
+//! * the faithful set the run's facts slot steps when the run is fed to it
+//!   event by event (filled before the first push): the minimal scenario
+//!   after every push;
+//! * each event's own explanation `T_p^ω(ρ, {f})`, closed on demand over
+//!   the stepped index at the end.
 //!
-//! The three surfaces walk the same `T_p` requirements; `why` also records
+//! All of these walk the same `T_p` requirements; `why` also records
 //! which requirement reached each event first, so the walk's visit order is
 //! pinned too. On the corpus, the order in which a key's lifecycle
 //! boundaries and its writers are visited never changes a chain, so a small
@@ -18,36 +20,15 @@
 //! `CWF_BLESS=1 cargo test --release --test explanations` only after
 //! auditing the diff.
 
+mod common;
+
 use std::fmt::Write as _;
 
-use collab_workflows::core::{explain, why, IncrementalExplainer, RunIndex};
+use collab_workflows::core::{explain, facts, tp_closure, why, EventSet, RunIndex};
 use collab_workflows::engine::{Bindings, Event, Run};
 use collab_workflows::lang::parse_workflow;
 use collab_workflows::model::PeerId;
-use collab_workflows::workloads::{build_procurement_run, build_review_run, build_triage_run};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
-
-/// The `explain-batch` corpus: the same builders, shapes and generator seed
-/// as the benchmark.
-fn batch_corpus() -> Vec<(String, Run)> {
-    let mut rng = StdRng::seed_from_u64(0x00c0_4b05);
-    let mut corpus = Vec::new();
-    for (n, stalled) in [(2, 1), (3, 1), (4, 1), (5, 1)] {
-        let run = build_procurement_run(n, stalled, &mut rng).run;
-        corpus.push((format!("procurement({n},{stalled})"), run));
-    }
-    for (n, hot) in [(8, 3), (10, 3), (11, 4), (12, 4)] {
-        let run = build_triage_run(n, hot, &mut rng).run;
-        corpus.push((format!("triage({n},{hot})"), run));
-    }
-    for (n, extra) in [(3, 1), (5, 1), (6, 2), (8, 1)] {
-        let run = build_review_run(n, extra, &mut rng).run;
-        corpus.push((format!("review({n},{extra})"), run));
-    }
-    corpus
-}
 
 /// `out` (visible at `p`) uses `R[0]`, which `open` created and `fill`
 /// modified; both use `S[0]`, which `z` created and `gone` deleted. Whether
@@ -107,31 +88,28 @@ fn golden_pair(out: &mut String, name: &str, run: &Run, peer: PeerId) {
         }
     }
 
-    let mut inc = IncrementalExplainer::new(
-        Run::with_initial(run.spec_arc(), run.initial().clone()),
-        peer,
-    );
+    let mut stepped = Run::with_initial(run.spec_arc(), run.initial().clone());
+    facts(&stepped).faithful(peer);
     for (i, e) in run.events().iter().enumerate() {
-        inc.push(e.clone()).expect("a recorded run replays");
-        let _ = writeln!(
-            out,
-            "incremental after #{i}: {:?}",
-            inc.minimal_events().to_vec()
-        );
+        stepped.push(e.clone()).expect("a recorded run replays");
+        let set = facts(&stepped).faithful(peer);
+        let _ = writeln!(out, "incremental after #{i}: {:?}", set.to_vec());
     }
+    let index = facts(&stepped).index();
     for f in 0..run.len() {
-        let _ = writeln!(
-            out,
-            "explanation_of #{f}: {:?}",
-            inc.explanation_of(f).to_vec()
-        );
+        let one = EventSet::from_iter(run.len(), [f]);
+        let closure = tp_closure(&stepped, index, peer, &one);
+        let _ = writeln!(out, "explanation_of #{f}: {:?}", closure.to_vec());
     }
 }
 
 #[test]
 fn golden_explanations_match_the_checked_in_file() {
     let mut printout = String::new();
-    for (name, run) in batch_corpus().into_iter().chain([visit_order_run()]) {
+    for (name, run) in common::batch_corpus()
+        .into_iter()
+        .chain([visit_order_run()])
+    {
         for peer in run.spec().collab().peer_ids() {
             golden_pair(&mut printout, &name, &run, peer);
         }

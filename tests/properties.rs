@@ -8,8 +8,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use collab_workflows::core::{
-    is_faithful, is_scenario, is_tp_fixpoint, minimal_faithful_scenario, tp_closure, EventSet,
-    IncrementalExplainer, RunIndex,
+    facts, is_faithful, is_scenario, is_tp_fixpoint, minimal_faithful_scenario, tp_closure,
+    EventSet, RunIndex,
 };
 use collab_workflows::engine::{Run, Simulator};
 use collab_workflows::lang::{normalize, parse_workflow};
@@ -196,18 +196,24 @@ mod run_props {
             prop_assert_eq!(joint, a.union(&b));
         }
 
-        /// Incremental maintenance agrees with from-scratch computation.
+        /// Incremental maintenance agrees with from-scratch computation:
+        /// the faithful set stepped by every push ≡ the closure over a
+        /// freshly built index.
         #[test]
         fn incremental_agrees(gen_seed in 0u64..500, run_seed in 0u64..500) {
             let mut rng = StdRng::seed_from_u64(gen_seed);
             let w = random_propositional_spec(&params(), &mut rng);
             let run = random_run(&w.spec, 14, run_seed);
-            let mut inc = IncrementalExplainer::new(Run::new(run.spec_arc()), w.observer);
+            let mut stepped = Run::new(run.spec_arc());
+            facts(&stepped).faithful(w.observer);
             for i in 0..run.len() {
-                inc.push(run.event(i).clone()).unwrap();
+                stepped.push(run.event(i).clone()).unwrap();
             }
-            let scratch = minimal_faithful_scenario(&run, w.observer);
-            prop_assert_eq!(inc.minimal_events(), &scratch.events);
+            let n = stepped.len();
+            let visible = EventSet::from_iter(n, stepped.visible_events(w.observer));
+            let scratch = tp_closure(&stepped, &RunIndex::build(&stepped), w.observer, &visible);
+            prop_assert_eq!(facts(&stepped).faithful(w.observer), &scratch);
+            prop_assert_eq!(&minimal_faithful_scenario(&run, w.observer).events, &scratch);
         }
 
         /// Proposition 2.3: normalization preserves runs (same event

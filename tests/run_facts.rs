@@ -1,19 +1,30 @@
 //! Coherence battery for the per-run facts slot: a `Run` keeps the
 //! explanation layer's `RunFacts` (index, closed dependency sets, visible
-//! sets, head relations) from the first query until its next push or pop,
-//! and a clone starts without them. Over chaos-spec walks driven through a
-//! seeded mix of pushes, pops and clones — each taken with every part of
-//! the slot filled just before — the cached facts must equal a fresh build
-//! after every operation, and the faithful (Thm 4.7) and minimum (Thm 3.3)
-//! answers on the mutated run must equal those on a freshly replayed copy.
+//! sets, head relations, faithful sets) from the first query on, each push
+//! steps it from the recorded diff, each pop empties it, and a clone starts
+//! without it. Over chaos-spec walks driven through a seeded mix of pushes,
+//! pops and clones — each taken with every part of the slot filled just
+//! before — the stepped facts must equal a fresh build after every
+//! operation, and the faithful (Thm 4.7) and minimum (Thm 3.3) answers on
+//! the mutated run must equal those on a freshly replayed copy.
+//!
+//! The index is built from the recorded diffs. A reference built the
+//! earlier way, from the instances before and after every event, pins it on
+//! the `explain-batch` corpus, chaos-spec walks and random workflows.
+
+mod common;
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use collab_workflows::core::{
-    facts, minimal_faithful_scenario, search_min_scenario_pooled, RunFacts, SearchOptions,
+    facts, minimal_faithful_scenario, search_min_scenario_pooled, Lifecycle, Modification,
+    RunFacts, RunIndex, SearchOptions,
 };
 use collab_workflows::engine::chaos::{default_spec, modification_spec};
-use collab_workflows::model::{Governor, Pool};
+use collab_workflows::engine::GroundUpdate;
+use collab_workflows::model::{AttrId, Governor, Pool, RelId, Value};
 use collab_workflows::prelude::*;
-use collab_workflows::workloads::random_run;
+use collab_workflows::workloads::{random_propositional_spec, random_run, RandomSpecParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,4 +98,109 @@ proptest! {
         }
         prop_assert!(ops.iter().any(|op| matches!(op, Op::Push)));
     }
+}
+
+/// The faithfulness index of a run, read from the instance before and after
+/// every event: a key absent before an insert opens a lifecycle, a delete
+/// closes the open one, and an insert on a present key records the
+/// attributes it turned from `⊥` to a value.
+#[derive(Debug, PartialEq)]
+struct Reference {
+    key_occs: Vec<BTreeMap<RelId, BTreeSet<Value>>>,
+    lifecycles: BTreeMap<(RelId, Value), Vec<Lifecycle>>,
+    mods: BTreeMap<(RelId, Value), Vec<Modification>>,
+}
+
+impl Reference {
+    fn build(run: &Run) -> Self {
+        let spec = run.spec();
+        let mut out = Reference {
+            key_occs: Vec::new(),
+            lifecycles: BTreeMap::new(),
+            mods: BTreeMap::new(),
+        };
+        for i in 0..run.len() {
+            let event = run.event(i);
+            out.key_occs.push(event.key_occurrences(spec));
+            let pre = run.pre_instance(i);
+            for upd in event.ground_updates(spec) {
+                match upd {
+                    GroundUpdate::Insert { rel, view_tuple } => {
+                        let key = *view_tuple.key();
+                        let Some(old) = pre.rel(rel).get(&key) else {
+                            let lc = Lifecycle {
+                                start: i,
+                                end: None,
+                            };
+                            out.lifecycles.entry((rel, key)).or_default().push(lc);
+                            continue;
+                        };
+                        let Some(new) = run.instance(i).rel(rel).get(&key) else {
+                            continue;
+                        };
+                        let attrs: BTreeSet<AttrId> = old
+                            .entries()
+                            .filter(|(a, v)| v.is_null() && !new.get(*a).is_null())
+                            .map(|(a, _)| a)
+                            .collect();
+                        if !attrs.is_empty() {
+                            let m = Modification { at: i, attrs };
+                            out.mods.entry((rel, key)).or_default().push(m);
+                        }
+                    }
+                    GroundUpdate::Delete { rel, key } => {
+                        let open = out
+                            .lifecycles
+                            .get_mut(&(rel, key))
+                            .and_then(|lcs| lcs.last_mut())
+                            .filter(|lc| lc.end.is_none());
+                        if let Some(lc) = open {
+                            lc.end = Some(i);
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The same view of a diff-built index.
+    fn of(index: &RunIndex) -> Self {
+        Reference {
+            key_occs: (0..index.len())
+                .map(|i| index.key_occurrences(i).clone())
+                .collect(),
+            lifecycles: index
+                .tracked_objects()
+                .map(|(k, lcs)| (*k, lcs.clone()))
+                .collect(),
+            mods: index
+                .modified_objects()
+                .map(|(k, ms)| (*k, ms.clone()))
+                .collect(),
+        }
+    }
+}
+
+#[test]
+fn diff_built_index_equals_the_instance_read_reference() {
+    let mut runs: Vec<(String, Run)> = common::batch_corpus();
+    for seed in 0..150 {
+        for (name, spec) in [("default", default_spec()), ("mod", modification_spec())] {
+            runs.push((format!("{name} walk {seed}"), random_run(&spec, 24, seed)));
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(0x1dea);
+    for seed in 0..100 {
+        let w = random_propositional_spec(&RandomSpecParams::default(), &mut rng);
+        runs.push((format!("random spec {seed}"), random_run(&w.spec, 16, seed)));
+    }
+    let mut modified = 0;
+    for (name, run) in &runs {
+        let index = RunIndex::build(run);
+        let reference = Reference::build(run);
+        assert_eq!(Reference::of(&index), reference, "{name}");
+        modified += reference.mods.len();
+    }
+    assert!(modified > 0, "some run modifies a tuple in place");
 }

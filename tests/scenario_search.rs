@@ -14,6 +14,8 @@
 //!   minimum length. The sequential, pooled and decision-mode searches must
 //!   agree with it exactly.
 
+mod common;
+
 use std::fmt::Write as _;
 
 use proptest::prelude::*;
@@ -25,8 +27,7 @@ use collab_workflows::core::{
 use collab_workflows::engine::Run;
 use collab_workflows::model::{Governor, PeerId, Pool, Verdict};
 use collab_workflows::workloads::{
-    build_procurement_run, build_review_run, build_triage_run, chaos_workload,
-    random_propositional_spec, random_run, RandomSpecParams,
+    chaos_workload, random_propositional_spec, random_run, RandomSpecParams,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,26 +36,6 @@ use rand::SeedableRng;
 /// it; a cut-off search fails the test instead of printing a verdict whose
 /// witness depends on where the budget ran out.
 const GOLDEN_BUDGET: u64 = 50_000_000;
-
-/// The `explain-batch` corpus: the same builders, shapes and generator seed
-/// as the benchmark, so the golden file pins the answers it measures.
-fn batch_corpus() -> Vec<(String, Run)> {
-    let mut rng = StdRng::seed_from_u64(0x00c0_4b05);
-    let mut corpus = Vec::new();
-    for (n, stalled) in [(2, 1), (3, 1), (4, 1), (5, 1)] {
-        let run = build_procurement_run(n, stalled, &mut rng).run;
-        corpus.push((format!("procurement({n},{stalled})"), run));
-    }
-    for (n, hot) in [(8, 3), (10, 3), (11, 4), (12, 4)] {
-        let run = build_triage_run(n, hot, &mut rng).run;
-        corpus.push((format!("triage({n},{hot})"), run));
-    }
-    for (n, extra) in [(3, 1), (5, 1), (6, 2), (8, 1)] {
-        let run = build_review_run(n, extra, &mut rng).run;
-        corpus.push((format!("review({n},{extra})"), run));
-    }
-    corpus
-}
 
 /// Random propositional workflows from the chaos generator.
 fn random_corpus() -> Vec<(String, Run)> {
@@ -147,7 +128,7 @@ fn golden_pair(out: &mut String, name: &str, run: &Run, peer: PeerId) {
 #[test]
 fn golden_min_scenarios_match_the_checked_in_file() {
     let mut printout = String::new();
-    for (name, run) in batch_corpus().into_iter().chain(random_corpus()) {
+    for (name, run) in common::batch_corpus().into_iter().chain(random_corpus()) {
         for peer in run.spec().collab().peer_ids() {
             golden_pair(&mut printout, &name, &run, peer);
         }
@@ -174,7 +155,7 @@ fn golden_min_scenarios_match_the_checked_in_file() {
 #[test]
 fn golden_search_nodes_match_the_checked_in_file() {
     let mut printout = String::new();
-    for (name, run) in batch_corpus().into_iter().chain(random_corpus()) {
+    for (name, run) in common::batch_corpus().into_iter().chain(random_corpus()) {
         for peer in run.spec().collab().peer_ids() {
             let mut nodes = [0; 2];
             for (n, no_cone) in nodes.iter_mut().zip([false, true]) {
