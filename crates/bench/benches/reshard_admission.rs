@@ -63,16 +63,28 @@ fn build_events(spec: &Arc<WorkflowSpec>) -> Vec<Event> {
     events
 }
 
-fn time_passes<F: FnMut() -> usize>(mut f: F) -> (f64, usize) {
-    let mut checksum = 0;
-    for _ in 0..WARMUP {
-        checksum = black_box(f());
+/// Mean seconds per pass of `idle` and of `migrating`, with the checksum
+/// of each one's last pass. The two alternate, one pass each per round,
+/// so host noise lands on both alike and cancels in the ratio the
+/// regression gate compares.
+fn time_alternating<I: FnMut() -> usize, M: FnMut() -> usize>(
+    mut idle: I,
+    mut migrating: M,
+) -> ((f64, usize), (f64, usize)) {
+    let (mut idle_s, mut idle_sum) = (0.0, 0);
+    let (mut mig_s, mut mig_sum) = (0.0, 0);
+    for round in 0..WARMUP + ITERS {
+        let start = Instant::now();
+        idle_sum = black_box(idle());
+        let mid = Instant::now();
+        mig_sum = black_box(migrating());
+        if round >= WARMUP {
+            idle_s += (mid - start).as_secs_f64();
+            mig_s += mid.elapsed().as_secs_f64();
+        }
     }
-    let start = Instant::now();
-    for _ in 0..ITERS {
-        checksum = black_box(f());
-    }
-    (start.elapsed().as_secs_f64() / ITERS as f64, checksum)
+    let n = ITERS as f64;
+    ((idle_s / n, idle_sum), (mig_s / n, mig_sum))
 }
 
 /// A fresh durable plane over per-shard in-memory streams.
@@ -131,13 +143,15 @@ fn main() {
     let spec = default_spec();
     let events = build_events(&spec);
 
-    let (idle_s, idle_sum) = time_passes(|| idle_pass(&spec, &events));
     let mut migrated = 0u64;
-    let (mig_s, mig_sum) = time_passes(|| {
-        let (sum, m) = migrating_pass(&spec, &events);
-        migrated = m;
-        sum
-    });
+    let ((idle_s, idle_sum), (mig_s, mig_sum)) = time_alternating(
+        || idle_pass(&spec, &events),
+        || {
+            let (sum, m) = migrating_pass(&spec, &events);
+            migrated = m;
+            sum
+        },
+    );
     assert_eq!(
         mig_sum, idle_sum,
         "the migrating pass must land on the identical state"

@@ -31,7 +31,7 @@ use crate::chaos::actions::{format_trace, Action};
 use crate::chaos::oracle::{default_oracles, Oracle};
 use crate::chaos::shrink::ddmin;
 use crate::chaos::world::World;
-use crate::delivery::CoordinatorConfig;
+use crate::delivery::DeliveryConfig;
 use crate::fault::FaultPlan;
 use crate::stats::FtStats;
 
@@ -171,8 +171,8 @@ pub struct ChaosConfig {
     /// WAL snapshot cadence (chaos keeps it low so crash–restart regularly
     /// exercises snapshot-based recovery).
     pub snapshot_every: Option<u64>,
-    /// Delivery-protocol and WAL knobs of every shard under test.
-    pub coordinator: CoordinatorConfig,
+    /// Delivery-protocol knobs of every shard under test.
+    pub delivery: DeliveryConfig,
     /// Executions the shrinker may spend minimizing one failure.
     pub shrink_budget: usize,
 }
@@ -182,9 +182,9 @@ impl Default for ChaosConfig {
         ChaosConfig {
             converge_budget: 2_000,
             snapshot_every: Some(5),
-            coordinator: CoordinatorConfig {
+            delivery: DeliveryConfig {
                 resync_lag: 8,
-                ..CoordinatorConfig::default()
+                ..DeliveryConfig::default()
             },
             shrink_budget: 400,
         }

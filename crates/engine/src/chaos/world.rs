@@ -115,8 +115,8 @@ impl World {
             transports,
             Some(wals),
             ShardPlaneConfig {
-                shards,
-                coordinator: config.coordinator,
+                delivery: config.delivery,
+                ..ShardPlaneConfig::with_shards(shards)
             },
         );
         let shadow = Run::new(Arc::clone(&spec));
@@ -408,8 +408,11 @@ impl World {
         match self.plane.handoff_in_progress() {
             None => {
                 let s = ShardId((shard as usize % self.shards) as u16);
-                self.plane.begin_handoff(s);
-                self.note(format!("handoff: {s} snapshot taken"));
+                if self.plane.begin_handoff(s) {
+                    self.note(format!("handoff: {s} snapshot taken"));
+                } else {
+                    self.note(format!("handoff: {s} refused (migration in flight)"));
+                }
             }
             Some((s, 0)) => {
                 let t = self.next_transport(s);
@@ -587,8 +590,8 @@ impl World {
             self.opts,
             transports,
             ShardPlaneConfig {
-                shards: self.shards,
-                coordinator: self.config.coordinator,
+                delivery: self.config.delivery,
+                ..ShardPlaneConfig::with_shards(self.shards)
             },
         )
         .map_err(|e| {

@@ -91,39 +91,11 @@ impl MaterializedView {
     }
 }
 
-/// Tuning knobs of every shard's delivery protocol and WAL appends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoordinatorConfig {
-    /// Base retry backoff, in pump ticks.
-    pub retry_backoff_base: u64,
-    /// Cap on the exponential backoff, in pump ticks.
-    pub retry_backoff_cap: u64,
-    /// Unacknowledged deltas tolerated before a full-snapshot resync.
-    pub resync_lag: usize,
-    /// Retries of one delta tolerated before a full-snapshot resync.
-    pub resync_after_retries: u32,
-    /// Retries of a transiently failing WAL append (EINTR-style) before
-    /// the submit degrades the plane.
-    pub wal_transient_retries: u32,
-}
-
-impl Default for CoordinatorConfig {
-    fn default() -> Self {
-        CoordinatorConfig {
-            retry_backoff_base: 1,
-            retry_backoff_cap: 16,
-            resync_lag: 32,
-            resync_after_retries: 8,
-            wal_transient_retries: 2,
-        }
-    }
-}
-
-/// Tuning knobs of the delivery protocol (the transport-facing subset of
-/// [`CoordinatorConfig`]).
+/// Tuning knobs of the delivery protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeliveryConfig {
-    /// Base retry backoff, in pump ticks.
+    /// Base retry backoff, in pump ticks (also the first backoff of a
+    /// transiently failing WAL append).
     pub retry_backoff_base: u64,
     /// Cap on the exponential backoff, in pump ticks.
     pub retry_backoff_cap: u64,
@@ -135,17 +107,11 @@ pub struct DeliveryConfig {
 
 impl Default for DeliveryConfig {
     fn default() -> Self {
-        CoordinatorConfig::default().into()
-    }
-}
-
-impl From<CoordinatorConfig> for DeliveryConfig {
-    fn from(c: CoordinatorConfig) -> Self {
         DeliveryConfig {
-            retry_backoff_base: c.retry_backoff_base,
-            retry_backoff_cap: c.retry_backoff_cap,
-            resync_lag: c.resync_lag,
-            resync_after_retries: c.resync_after_retries,
+            retry_backoff_base: 1,
+            retry_backoff_cap: 16,
+            resync_lag: 32,
+            resync_after_retries: 8,
         }
     }
 }

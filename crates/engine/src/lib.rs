@@ -41,7 +41,7 @@ pub mod view_plane;
 pub mod wal;
 
 pub use codec::{decode_event, decode_events, encode_event, encode_run, load_run, CodecError};
-pub use delivery::{CoordinatorConfig, Delivery, DeliveryConfig, MaterializedView};
+pub use delivery::{Delivery, DeliveryConfig, MaterializedView};
 pub use error::{CoordinatorError, EngineError, WalError};
 pub use eval::{check_body, match_body, Bindings};
 pub use event::{Event, GroundUpdate};

@@ -66,10 +66,10 @@
 use std::fmt;
 use std::sync::Arc;
 
-use cwf_model::{Instance, PeerId, RelId, Tuple, ViewInstance};
+use cwf_model::{Instance, PeerId, RelId, Tuple, Value, ViewInstance};
 
 use crate::codec::{decode_event, encode_event};
-use crate::delivery::{CoordinatorConfig, Delivery, MaterializedView};
+use crate::delivery::{Delivery, DeliveryConfig, MaterializedView};
 use crate::error::{CoordinatorError, WalError};
 use crate::event::Event;
 use crate::run::Run;
@@ -94,8 +94,12 @@ const ROUTER_STREAM: ShardId = ShardId(0);
 pub struct ShardPlaneConfig {
     /// Number of shards (≥ 1).
     pub shards: usize,
-    /// The per-shard delivery and WAL knobs.
-    pub coordinator: CoordinatorConfig,
+    /// Every shard's delivery knobs (the backoff ones also pace retries
+    /// of a transiently failing WAL append).
+    pub delivery: DeliveryConfig,
+    /// Retries of a transiently failing WAL append (EINTR-style) before
+    /// the submit degrades the plane.
+    pub wal_transient_retries: u32,
 }
 
 impl ShardPlaneConfig {
@@ -103,7 +107,8 @@ impl ShardPlaneConfig {
     pub fn with_shards(shards: usize) -> Self {
         ShardPlaneConfig {
             shards,
-            coordinator: CoordinatorConfig::default(),
+            delivery: DeliveryConfig::default(),
+            wal_transient_retries: 2,
         }
     }
 }
@@ -258,14 +263,38 @@ pub struct ShardBroadcast {
     pub deltas: Vec<(PeerId, ViewDelta)>,
 }
 
-/// The warm standby replica of one shard.
-#[derive(Debug)]
-struct Standby {
+/// An oplog follower: a copy of (part of) one shard's state and the
+/// highest oplog sequence number folded into it. The warm standby, a
+/// hand-off's receiving node and a migration's staged destination are
+/// each one, told apart only by where they start and which keys they
+/// take.
+#[derive(Debug, Default)]
+struct Replica {
     state: MaterializedView,
-    /// Highest oplog sequence number applied.
     applied_seq: u64,
-    /// Is the replication link up? (Cut by partitions; restored by heal.)
-    link_up: bool,
+}
+
+impl Replica {
+    /// Applies up to `max` oplog records above the watermark, keeping
+    /// only the ops on keys `moves` admits (every key, except for a
+    /// migration's staged copy). Returns the records applied.
+    fn catch_up(&mut self, oplog: &Oplog, max: usize, moves: impl Fn(&Value) -> bool) -> u64 {
+        let tail = oplog.tail(self.applied_seq);
+        let take = tail.len().min(max);
+        for e in &tail[..take] {
+            for op in &e.ops {
+                let key = match op {
+                    ShardOp::Upsert { tuple, .. } => tuple.key(),
+                    ShardOp::Remove { key, .. } => key,
+                };
+                if moves(key) {
+                    op.apply_to(&mut self.state);
+                }
+            }
+            self.applied_seq = e.seq;
+        }
+        take as u64
+    }
 }
 
 /// One shard: its state partition, oplog, clock, standby, and
@@ -276,7 +305,11 @@ struct Shard {
     oplog: Oplog,
     state: MaterializedView,
     delivery: Delivery,
-    standby: Standby,
+    /// The warm standby, fed the oplog tail by every pump.
+    standby: Replica,
+    /// Is the standby's replication link up? (Cut by partitions;
+    /// restored by heal.)
+    standby_up: bool,
 }
 
 impl Shard {
@@ -284,50 +317,43 @@ impl Shard {
         id: ShardId,
         peers: usize,
         transport: Box<dyn Transport>,
-        config: CoordinatorConfig,
+        config: DeliveryConfig,
     ) -> Shard {
         Shard {
             id,
             hlc: Hlc::new(id.0),
             oplog: Oplog::new(),
             state: MaterializedView::new(),
-            delivery: Delivery::new(peers, transport, config.into()),
-            standby: Standby {
-                state: MaterializedView::new(),
-                applied_seq: 0,
-                link_up: true,
-            },
+            delivery: Delivery::new(peers, transport, config),
+            standby: Replica::default(),
+            standby_up: true,
         }
     }
 }
 
-/// An in-progress hand-off: the receiving node's state under construction.
-struct HandoffState {
-    shard: ShardId,
-    /// The transferred snapshot plus every oplog record applied so far.
-    state: MaterializedView,
-    /// Highest oplog sequence number transferred.
-    transferred_seq: u64,
-}
-
-/// An in-flight migration: the destination's staged copy of the moving
-/// key space, built from a begin-time snapshot plus a source-oplog tail
-/// catch-up at cutover (the hand-off recipe, re-aimed at a slice of a
-/// shard instead of the whole shard).
-struct ReshardState {
-    plan: MigrationPlan,
-    /// The post-cutover assignment (the moves predicate: a key moves iff
-    /// the target map sends it to `plan.dst`).
-    target: ShardMap,
-    /// Moving facts frozen at begin, awaiting copy.
-    snapshot: Vec<(RelId, Tuple)>,
-    /// How many snapshot facts have been copied so far.
-    copied: usize,
-    /// The destination's staged state for the moving keys.
-    staged: MaterializedView,
-    /// Source-oplog sequence at begin: the catch-up replays the tail
-    /// above it (filtered to moving keys) before the cutover flips.
-    watermark: u64,
+/// The one state transfer a plane runs at a time: a hand-off of a whole
+/// shard to a new node, or a migration of part of a shard's key space to
+/// another shard. Both snapshot, follow the oplog above a watermark, and
+/// cut over.
+enum Transfer {
+    /// The receiving node: cloned from the primary at the oplog head,
+    /// then stepped along the oplog tail.
+    Handoff { shard: ShardId, receiver: Replica },
+    /// A migration: the destination's staged copy of the moving keys
+    /// starts empty at the source's oplog head, is filled from a frozen
+    /// snapshot, and catches up on the source-oplog tail (filtered to the
+    /// moving keys) at the cutover.
+    Migration {
+        plan: MigrationPlan,
+        /// The post-cutover assignment (a key moves iff the target map
+        /// sends it to `plan.dst`).
+        target: ShardMap,
+        /// Moving facts frozen at begin, awaiting copy.
+        snapshot: Vec<(RelId, Tuple)>,
+        /// How many snapshot facts have been copied so far.
+        copied: usize,
+        staged: Replica,
+    },
 }
 
 /// Injected commit-protocol faults (one-shot, armed by the chaos harness).
@@ -378,14 +404,15 @@ pub struct ShardPlane {
     shards: Vec<Shard>,
     /// One WAL stream per shard (index = shard id), when durable.
     wals: Option<Vec<Wal>>,
-    config: CoordinatorConfig,
+    /// The construction-time knobs (`shards` is the count at
+    /// construction; splits add shards).
+    config: ShardPlaneConfig,
     /// The deterministic "physical" tick feeding every HLC (advances on
     /// each submit and each pump).
     clock: u64,
     hlc: Hlc,
     log: Vec<ShardBroadcast>,
-    handoff: Option<HandoffState>,
-    reshard: Option<ReshardState>,
+    transfer: Option<Transfer>,
     ft: FtStats,
     stats: ShardPlaneStats,
     admission: ShardAdmissionStats,
@@ -562,7 +589,7 @@ impl ShardPlane {
         let shards: Vec<Shard> = transports
             .into_iter()
             .enumerate()
-            .map(|(i, t)| Shard::fresh(ShardId(i as u16), peers, t, config.coordinator))
+            .map(|(i, t)| Shard::fresh(ShardId(i as u16), peers, t, config.delivery))
             .collect();
         let admission = ShardAdmissionStats {
             local_admitted: vec![0; shards.len()],
@@ -574,12 +601,11 @@ impl ShardPlane {
             peers,
             shards,
             wals,
-            config: config.coordinator,
+            config,
             clock: 0,
             hlc: Hlc::new(ROUTER_NODE),
             log: Vec::new(),
-            handoff: None,
-            reshard: None,
+            transfer: None,
             ft: FtStats::default(),
             stats: ShardPlaneStats::default(),
             admission,
@@ -656,17 +682,9 @@ impl ShardPlane {
             let s = plane.map.shard_of(t.key());
             plane.shards[s.index()].state.upsert(rel, t.clone());
         }
-        for shard in &mut plane.shards {
-            shard.standby.state = shard.state.clone();
-        }
-        // Replicas restart cold: push everyone a full slice snapshot.
-        let (map, run) = (plane.map.clone(), &plane.run);
-        for shard in &mut plane.shards {
-            for i in 0..plane.peers {
-                let p = PeerId(i as u32);
-                let view = slice_view(&map, shard.id, run.peer_view(p));
-                shard.delivery.resync_with(p, view, &mut plane.ft);
-            }
+        // Standbys and peer replicas restart cold.
+        for i in 0..plane.shards.len() {
+            plane.reseat(ShardId(i as u16));
         }
         plane.pump();
         Ok((plane, report))
@@ -1114,7 +1132,7 @@ impl ShardPlane {
         force_sync: bool,
     ) -> Result<u64, WalError> {
         let mut retries = self.config.wal_transient_retries;
-        let mut backoff = self.config.retry_backoff_base.max(1);
+        let mut backoff = self.config.delivery.retry_backoff_base.max(1);
         loop {
             let wal = &mut self.wals.as_mut().expect("durable plane")[s.index()];
             match wal.append_raw(kind, payload, force_sync) {
@@ -1126,7 +1144,7 @@ impl ShardPlane {
                     retries -= 1;
                     self.ft.wal_transient_retries += 1;
                     self.clock += backoff;
-                    backoff = (backoff * 2).min(self.config.retry_backoff_cap.max(1));
+                    backoff = (backoff * 2).min(self.config.delivery.retry_backoff_cap.max(1));
                 }
                 Err(e) => return Err(e),
             }
@@ -1477,14 +1495,9 @@ impl ShardPlane {
         }
         let (map, run) = (self.map.clone(), &self.run);
         for shard in &mut self.shards {
-            if shard.standby.link_up {
-                for e in shard.oplog.tail(shard.standby.applied_seq) {
-                    for op in &e.ops {
-                        op.apply_to(&mut shard.standby.state);
-                    }
-                    self.stats.standby_applied += 1;
-                }
-                shard.standby.applied_seq = shard.oplog.last_seq();
+            if shard.standby_up {
+                self.stats.standby_applied +=
+                    shard.standby.catch_up(&shard.oplog, usize::MAX, |_| true);
             }
             let id = shard.id;
             shard
@@ -1498,7 +1511,7 @@ impl ShardPlane {
     pub fn heal(&mut self) {
         for shard in &mut self.shards {
             shard.delivery.heal();
-            shard.standby.link_up = true;
+            shard.standby_up = true;
         }
     }
 
@@ -1508,7 +1521,7 @@ impl ShardPlane {
         let shard = &mut self.shards[s.index()];
         match link {
             ShardLink::Peer(p) => shard.delivery.set_link(p, false),
-            ShardLink::Standby => shard.standby.link_up = false,
+            ShardLink::Standby => shard.standby_up = false,
         }
     }
 
@@ -1518,7 +1531,7 @@ impl ShardPlane {
         let shard = &mut self.shards[s.index()];
         match link {
             ShardLink::Peer(p) => shard.delivery.set_link(p, true),
-            ShardLink::Standby => shard.standby.link_up = true,
+            ShardLink::Standby => shard.standby_up = true,
         }
     }
 
@@ -1549,18 +1562,20 @@ impl ShardPlane {
     /// slice is resynced. A hand-off in progress on `s` is aborted — and
     /// **reported**: the returned [`FailoverReport`] carries the abort
     /// (and the `failover_aborted_handoffs` counter logs it), so callers
-    /// can tell a clean promotion from one that killed a hand-off.
+    /// can tell a clean promotion from one that killed a hand-off. A
+    /// migration survives a failover of either endpoint: its snapshot and
+    /// staged copy live outside the primary, and its catch-up reads the
+    /// oplog, which a failover keeps.
     pub fn failover(&mut self, s: ShardId, transport: Box<dyn Transport>) -> FailoverReport {
         let mut report = FailoverReport::default();
-        if self.handoff.as_ref().is_some_and(|h| h.shard == s) {
+        if matches!(self.transfer, Some(Transfer::Handoff { shard, .. }) if shard == s) {
             self.abort_handoff();
             self.stats.failover_aborted_handoffs += 1;
             report.aborted_handoff = true;
         }
         self.stats.failovers += 1;
-        let standby = &self.shards[s.index()].standby;
-        let (state, from) = (standby.state.clone(), standby.applied_seq);
-        report.replayed = self.promote(s, state, from, transport);
+        let standby = std::mem::take(&mut self.shards[s.index()].standby);
+        report.replayed = self.promote(s, standby, transport);
         self.stats.failover_replayed += report.replayed;
         report
     }
@@ -1568,50 +1583,45 @@ impl ShardPlane {
     /// Starts handing shard `s` off to a new node: snapshots the shard
     /// state at the current oplog head (the drain point — admission is
     /// atomic in this deployment, so nothing is in flight mid-submit).
-    /// Returns `false` if another hand-off — or a migration, whose
-    /// cutover would rewrite the partition under the transfer — is
+    /// Returns `false` if a transfer — another hand-off, or a migration,
+    /// whose cutover would rewrite the partition under the hand-off — is
     /// already in progress.
     pub fn begin_handoff(&mut self, s: ShardId) -> bool {
-        if self.handoff.is_some() || self.reshard.is_some() {
+        if self.transfer.is_some() {
             return false;
         }
         self.stats.handoffs_started += 1;
         let shard = &self.shards[s.index()];
-        self.handoff = Some(HandoffState {
-            shard: s,
+        let receiver = Replica {
             state: shard.state.clone(),
-            transferred_seq: shard.oplog.last_seq(),
-        });
+            applied_seq: shard.oplog.last_seq(),
+        };
+        self.transfer = Some(Transfer::Handoff { shard: s, receiver });
         true
     }
 
     /// The in-progress hand-off, if any: its shard and how many oplog
     /// records appended since the snapshot still await transfer.
     pub fn handoff_in_progress(&self) -> Option<(ShardId, u64)> {
-        self.handoff.as_ref().map(|h| {
-            let head = self.shards[h.shard.index()].oplog.last_seq();
-            (h.shard, head - h.transferred_seq)
-        })
+        match &self.transfer {
+            Some(Transfer::Handoff { shard, receiver }) => {
+                let head = self.shards[shard.index()].oplog.last_seq();
+                Some((*shard, head - receiver.applied_seq))
+            }
+            _ => None,
+        }
     }
 
     /// Transfers up to `max_records` oplog records (appended after the
     /// snapshot) to the receiving node; returns how many records still
     /// await transfer afterwards. No-op (returning 0) without a hand-off.
     pub fn step_handoff(&mut self, max_records: usize) -> u64 {
-        let Some(h) = self.handoff.as_mut() else {
+        let Some(Transfer::Handoff { shard, receiver }) = &mut self.transfer else {
             return 0;
         };
-        let shard = &self.shards[h.shard.index()];
-        let tail = shard.oplog.tail(h.transferred_seq);
-        let take = tail.len().min(max_records);
-        for e in &tail[..take] {
-            for op in &e.ops {
-                op.apply_to(&mut h.state);
-            }
-            h.transferred_seq = e.seq;
-            self.stats.handoff_records += 1;
-        }
-        shard.oplog.last_seq() - h.transferred_seq
+        let oplog = &self.shards[shard.index()].oplog;
+        self.stats.handoff_records += receiver.catch_up(oplog, max_records, |_| true);
+        oplog.last_seq() - receiver.applied_seq
     }
 
     /// Abandons the in-progress hand-off: the receiving node's partial
@@ -1619,7 +1629,8 @@ impl ShardPlane {
     /// on the serving path changed, so the rollback is trivially clean.
     /// Returns `false` if no hand-off was in progress.
     pub fn abort_handoff(&mut self) -> bool {
-        if self.handoff.take().is_none() {
+        let handoff = |t: &mut Transfer| matches!(t, Transfer::Handoff { .. });
+        if self.transfer.take_if(handoff).is_none() {
             return false;
         }
         self.stats.handoffs_aborted += 1;
@@ -1632,46 +1643,34 @@ impl ShardPlane {
     /// every peer slice is resynced, and a new standby is provisioned from
     /// the new primary. Returns `false` if no hand-off was in progress.
     pub fn finish_handoff(&mut self, transport: Box<dyn Transport>) -> bool {
-        let Some(h) = self.handoff.take() else {
+        let handoff = |t: &mut Transfer| matches!(t, Transfer::Handoff { .. });
+        let Some(Transfer::Handoff { shard, receiver }) = self.transfer.take_if(handoff) else {
             return false;
         };
         #[cfg(debug_assertions)]
-        let primary = self.shards[h.shard.index()].state.clone();
+        let primary = self.shards[shard.index()].state.clone();
         // Drain + replay tail: transfer everything still missing.
-        self.stats.handoff_records += self.promote(h.shard, h.state, h.transferred_seq, transport);
+        self.stats.handoff_records += self.promote(shard, receiver, transport);
         #[cfg(debug_assertions)]
         debug_assert!(
-            self.shards[h.shard.index()].state.same_facts(&primary),
+            self.shards[shard.index()].state.same_facts(&primary),
             "a fully transferred hand-off state equals the primary's"
         );
         self.stats.handoffs_completed += 1;
         true
     }
 
-    /// Cuts shard `s` over to a new primary seeded with `state`, a copy
-    /// of the shard as of oplog seq `from`: replays the oplog tail above
-    /// `from` into it, re-seeds the node's clock above the durable log,
-    /// resumes delivery on `transport` *past* the per-peer sequence
-    /// watermarks, provisions a fresh standby from the new primary, and
-    /// resyncs every peer slice so the fresh snapshots supersede the old
-    /// streams. Returns how many oplog records were replayed. Failover
-    /// seeds it with the standby, a hand-off with the transferred state.
-    fn promote(
-        &mut self,
-        s: ShardId,
-        mut state: MaterializedView,
-        from: u64,
-        transport: Box<dyn Transport>,
-    ) -> u64 {
+    /// Cuts shard `s` over to `node`, a copy of the shard at some oplog
+    /// watermark: catches it up on the oplog tail, re-seeds the node's
+    /// clock above the durable log, resumes delivery on `transport`
+    /// *past* the per-peer sequence watermarks, and [reseats](Self::reseat)
+    /// the shard so the fresh snapshots supersede the old streams. Returns
+    /// how many oplog records were replayed. Failover promotes the
+    /// standby, a hand-off its receiving node.
+    fn promote(&mut self, s: ShardId, mut node: Replica, transport: Box<dyn Transport>) -> u64 {
         let shard = &mut self.shards[s.index()];
-        let mut replayed = 0;
-        for e in shard.oplog.tail(from) {
-            for op in &e.ops {
-                op.apply_to(&mut state);
-            }
-            replayed += 1;
-        }
-        shard.state = state;
+        let replayed = node.catch_up(&shard.oplog, usize::MAX, |_| true);
+        shard.state = node.state;
         // The promoted node's clock must dominate the durable log.
         let mut hlc = Hlc::new(s.0);
         if let Some(e) = shard.oplog.last() {
@@ -1679,19 +1678,26 @@ impl ShardPlane {
         }
         shard.hlc = hlc;
         let seqs = shard.delivery.next_seqs();
-        shard.delivery = Delivery::resuming(self.peers, transport, self.config.into(), &seqs);
-        shard.standby = Standby {
+        shard.delivery = Delivery::resuming(self.peers, transport, self.config.delivery, &seqs);
+        self.reseat(s);
+        replayed
+    }
+
+    /// Re-provisions shard `s`'s standby from its primary (link up) and
+    /// queues a full snapshot resync of every peer slice of `s`: the step
+    /// after anything replaces a shard's state wholesale.
+    fn reseat(&mut self, s: ShardId) {
+        let shard = &mut self.shards[s.index()];
+        shard.standby = Replica {
             state: shard.state.clone(),
             applied_seq: shard.oplog.last_seq(),
-            link_up: true,
         };
-        let (map, run) = (self.map.clone(), &self.run);
+        shard.standby_up = true;
         for i in 0..self.peers {
             let p = PeerId(i as u32);
-            let view = slice_view(&map, s, run.peer_view(p));
+            let view = slice_view(&self.map, s, self.run.peer_view(p));
             shard.delivery.resync_with(p, view, &mut self.ft);
         }
-        replayed
     }
 
     // -----------------------------------------------------------------
@@ -1701,14 +1707,20 @@ impl ShardPlane {
     /// The in-flight migration, if any: its kind, endpoints, and how many
     /// snapshot facts still await copy.
     pub fn reshard_in_progress(&self) -> Option<(MigrationKind, ShardId, ShardId, u64)> {
-        self.reshard.as_ref().map(|r| {
-            (
-                r.plan.kind,
-                r.plan.src,
-                r.plan.dst,
-                (r.snapshot.len() - r.copied) as u64,
-            )
-        })
+        match &self.transfer {
+            Some(Transfer::Migration {
+                plan,
+                snapshot,
+                copied,
+                ..
+            }) => Some((
+                plan.kind,
+                plan.src,
+                plan.dst,
+                (snapshot.len() - copied) as u64,
+            )),
+            _ => None,
+        }
     }
 
     /// Begins a **split**: half of `src`'s key space will move to a
@@ -1768,7 +1780,7 @@ impl ShardPlane {
             self.ft.degraded_rejected += 1;
             return Err(CoordinatorError::Degraded);
         }
-        if self.reshard.is_some() || self.handoff.is_some() {
+        if self.transfer.is_some() {
             return Ok(false);
         }
         // The migration exists once the plan record is down, not before:
@@ -1786,17 +1798,22 @@ impl ShardPlane {
         // behind, idle and owning nothing — streams only ever grow.
         if let Some((transport, wal)) = new_shard {
             debug_assert_eq!(plan.dst.index(), self.shards.len());
-            self.shards
-                .push(Shard::fresh(plan.dst, self.peers, transport, self.config));
+            self.shards.push(Shard::fresh(
+                plan.dst,
+                self.peers,
+                transport,
+                self.config.delivery,
+            ));
             if let Some(w) = wal {
                 self.wals.as_mut().expect("durable plane").push(w);
             }
             self.admission.local_admitted.push(0);
         }
-        // Freeze the moving facts (snapshot copy source) and the source
-        // oplog watermark (the catch-up tail starts above it). During the
-        // migration every admission keeps routing by the *old* map, so
-        // the source stays authoritative until the cutover.
+        // Freeze the moving facts (snapshot copy source) and start the
+        // staged copy at the source oplog head (the catch-up tail starts
+        // above it). During the migration every admission keeps routing
+        // by the *old* map, so the source stays authoritative until the
+        // cutover.
         let target = ShardMap::from_parts(plan.epoch + 1, plan.streams, plan.slots.clone());
         let src_shard = &self.shards[plan.src.index()];
         let mut snapshot = Vec::new();
@@ -1805,17 +1822,19 @@ impl ShardPlane {
                 snapshot.push((rel, t.clone()));
             }
         }
-        let watermark = src_shard.oplog.last_seq();
+        let staged = Replica {
+            state: MaterializedView::new(),
+            applied_seq: src_shard.oplog.last_seq(),
+        };
         self.map.begin(&plan);
         self.stats.resharding_started += 1;
         self.stats.epoch = self.map.epoch();
-        self.reshard = Some(ReshardState {
+        self.transfer = Some(Transfer::Migration {
             plan,
             target,
             snapshot,
             copied: 0,
-            staged: MaterializedView::new(),
-            watermark,
+            staged,
         });
         Ok(true)
     }
@@ -1824,15 +1843,21 @@ impl ShardPlane {
     /// destination's staged state; returns how many facts still await
     /// copy afterwards. No-op (returning 0) without a migration.
     pub fn step_reshard(&mut self, max_facts: usize) -> u64 {
-        let Some(r) = self.reshard.as_mut() else {
+        let Some(Transfer::Migration {
+            snapshot,
+            copied,
+            staged,
+            ..
+        }) = &mut self.transfer
+        else {
             return 0;
         };
-        let take = (r.snapshot.len() - r.copied).min(max_facts);
-        for (rel, t) in &r.snapshot[r.copied..r.copied + take] {
-            r.staged.upsert(*rel, t.clone());
+        let take = (snapshot.len() - *copied).min(max_facts);
+        for (rel, t) in &snapshot[*copied..*copied + take] {
+            staged.state.upsert(*rel, t.clone());
         }
-        r.copied += take;
-        (r.snapshot.len() - r.copied) as u64
+        *copied += take;
+        (snapshot.len() - *copied) as u64
     }
 
     /// The fenced cutover: completes the copy, replays the source-oplog
@@ -1850,77 +1875,51 @@ impl ShardPlane {
             self.ft.degraded_rejected += 1;
             return Err(CoordinatorError::Degraded);
         }
-        let Some(mut r) = self.reshard.take() else {
+        // Complete the snapshot copy…
+        self.step_reshard(usize::MAX);
+        let Some(Transfer::Migration {
+            plan,
+            target,
+            staged,
+            ..
+        }) = &mut self.transfer
+        else {
             return Ok(false);
         };
-        // Complete the snapshot copy…
-        for (rel, t) in &r.snapshot[r.copied..] {
-            r.staged.upsert(*rel, t.clone());
-        }
-        r.copied = r.snapshot.len();
-        // …then catch up: replay the source-oplog tail filtered to the
-        // moving keys (idempotent ops — a stale snapshot copy is simply
+        // …then catch up on the source-oplog tail, filtered to the moving
+        // keys (idempotent ops — a stale snapshot copy is simply
         // overwritten by its later tail entry).
-        let tail_ops: Vec<ShardOp> = self.shards[r.plan.src.index()]
-            .oplog
-            .tail(r.watermark)
-            .iter()
-            .flat_map(|e| e.ops.iter().cloned())
-            .collect();
-        for op in &tail_ops {
-            let key = match op {
-                ShardOp::Upsert { tuple, .. } => tuple.key(),
-                ShardOp::Remove { key, .. } => key,
-            };
-            if r.target.shard_of(key) == r.plan.dst {
-                op.apply_to(&mut r.staged);
-            }
-        }
+        let dst = plan.dst;
+        let src_oplog = &self.shards[plan.src.index()].oplog;
+        staged.catch_up(src_oplog, usize::MAX, |k| target.shard_of(k) == dst);
         // The commit point: the fenced cutover record, force-synced on
         // the router stream. Past this record the new assignment is the
         // truth; before it, recovery presumes the migration away.
         if self.wals.is_some() {
-            let payload = format!("e{}", r.plan.epoch + 1);
+            let payload = format!("e{}", plan.epoch + 1);
             if let Err(e) = self.append_with_retry(ROUTER_STREAM, 'f', &payload, true) {
                 self.ft.wal_failures += 1;
                 self.degraded = true;
-                self.reshard = Some(r);
                 return Err(CoordinatorError::Wal(e));
             }
         }
-        let moved = r.staged.total_tuples() as u64;
-        self.map.cutover(&r.plan);
-        let map = self.map.clone();
-        {
-            let dst = &mut self.shards[r.plan.dst.index()];
-            for (rel, t) in r.staged.facts() {
-                dst.state.upsert(rel, t.clone());
-            }
-            dst.standby = Standby {
-                state: dst.state.clone(),
-                applied_seq: dst.oplog.last_seq(),
-                link_up: true,
-            };
+        let Some(Transfer::Migration { plan, staged, .. }) = self.transfer.take() else {
+            unreachable!("the migration is still in flight");
+        };
+        let moved = staged.state.total_tuples() as u64;
+        self.map.cutover(&plan);
+        let dst = &mut self.shards[plan.dst.index()];
+        for (rel, t) in staged.state.facts() {
+            dst.state.upsert(rel, t.clone());
         }
-        {
-            let src = &mut self.shards[r.plan.src.index()];
-            let keep: Vec<(RelId, Tuple)> = src
-                .state
-                .facts()
-                .filter(|(_, t)| map.shard_of(t.key()) == r.plan.src)
-                .map(|(rel, t)| (rel, t.clone()))
-                .collect();
-            let mut state = MaterializedView::new();
-            for (rel, t) in keep {
-                state.upsert(rel, t);
+        let src = &mut self.shards[plan.src.index()];
+        let mut kept = MaterializedView::new();
+        for (rel, t) in src.state.facts() {
+            if self.map.shard_of(t.key()) == plan.src {
+                kept.upsert(rel, t.clone());
             }
-            src.state = state;
-            src.standby = Standby {
-                state: src.state.clone(),
-                applied_seq: src.oplog.last_seq(),
-                link_up: true,
-            };
         }
+        src.state = kept;
         debug_assert!(
             self.state_matches(self.run.current()),
             "the cutover preserves the union invariant"
@@ -1937,15 +1936,8 @@ impl ShardPlane {
         // apply on top and leave a state no single (prefix, map) pair
         // explains. With it, the slice applies in seq order: old-epoch
         // deltas, the full new-shape snapshot, then new-epoch deltas.
-        let run = &self.run;
-        for sid in [r.plan.src, r.plan.dst] {
-            let shard = &mut self.shards[sid.index()];
-            for i in 0..self.peers {
-                let p = PeerId(i as u32);
-                let view = slice_view(&map, sid, run.peer_view(p));
-                shard.delivery.resync_with(p, view, &mut self.ft);
-            }
-        }
+        self.reseat(plan.src);
+        self.reseat(plan.dst);
         self.pump();
         Ok(true)
     }
@@ -1956,11 +1948,12 @@ impl ShardPlane {
     /// (recovery presumes it), so a write failure costs nothing but
     /// explicitness. Returns `false` without a migration.
     pub fn abort_reshard(&mut self) -> bool {
-        let Some(r) = self.reshard.take() else {
+        let migration = |t: &mut Transfer| matches!(t, Transfer::Migration { .. });
+        let Some(Transfer::Migration { plan, .. }) = self.transfer.take_if(migration) else {
             return false;
         };
         if let Some(wals) = self.wals.as_mut() {
-            let payload = format!("e{}", r.plan.epoch + 1);
+            let payload = format!("e{}", plan.epoch + 1);
             let _ = wals[ROUTER_STREAM.index()].append_raw('x', &payload, false);
         }
         self.map.abort();
@@ -2107,15 +2100,15 @@ mod tests {
         spec: &Arc<cwf_lang::WorkflowSpec>,
         transport: Box<dyn Transport>,
         wal: Option<Wal>,
-        config: CoordinatorConfig,
+        delivery: DeliveryConfig,
     ) -> ShardPlane {
         ShardPlane::with_parts(
             Arc::clone(spec),
             vec![transport],
             wal.map(|w| vec![w]),
             ShardPlaneConfig {
-                shards: 1,
-                coordinator: config,
+                delivery,
+                ..ShardPlaneConfig::default()
             },
         )
     }
@@ -2127,7 +2120,7 @@ mod tests {
             spec,
             Box::new(PerfectTransport::new()),
             Some(wal),
-            CoordinatorConfig::default(),
+            DeliveryConfig::default(),
         )
     }
 
@@ -2144,7 +2137,7 @@ mod tests {
             spec,
             Box::new(PerfectTransport::new()),
             Some(wal),
-            CoordinatorConfig::default(),
+            DeliveryConfig::default(),
         );
         for _ in 0..n {
             let d = c.draw_fresh();
@@ -2279,9 +2272,9 @@ mod tests {
             &spec,
             Box::new(FaultyTransport::new(plan)),
             None,
-            CoordinatorConfig {
+            DeliveryConfig {
                 resync_lag: 4,
-                ..CoordinatorConfig::default()
+                ..DeliveryConfig::default()
             },
         );
         for _ in 0..6 {
@@ -2307,7 +2300,7 @@ mod tests {
             &spec,
             Box::new(FaultyTransport::new(plan)),
             None,
-            CoordinatorConfig::default(),
+            DeliveryConfig::default(),
         );
         let d = c.draw_fresh();
         c.submit(ev(&spec, "draft", std::slice::from_ref(&d)))
@@ -2476,7 +2469,7 @@ mod tests {
         let retries = c.ft_stats().wal_transient_retries;
         assert_eq!(
             retries,
-            CoordinatorConfig::default().wal_transient_retries as u64
+            ShardPlaneConfig::default().wal_transient_retries as u64
         );
         // Nothing was ever written: rearm is a clean no-op truncation, and
         // once the transient condition clears the submit goes through.

@@ -76,7 +76,7 @@ pub mod prelude {
         PushOutcome, TransparentEngine,
     };
     pub use cwf_engine::{
-        encode_run, load_run, Bindings, CoordinatorConfig, CoordinatorError, Event, FaultPlan,
+        encode_run, load_run, Bindings, CoordinatorError, DeliveryConfig, Event, FaultPlan,
         FaultyTransport, FileBackend, IoFaultBackend, MemBackend, PerfectTransport, Run, RunStats,
         ShardId, ShardPlane, ShardPlaneConfig, Simulator, SyncPolicy, Wal, WalOptions,
     };

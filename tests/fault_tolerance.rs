@@ -10,8 +10,8 @@ use proptest::prelude::*;
 
 use collab_workflows::engine::transport::Transport;
 use collab_workflows::engine::{
-    candidates, complete, decode_events, encode_event, encode_run, CoordinatorConfig,
-    CoordinatorError, Event, FaultPlan, FaultyTransport, FileBackend, IoFaultBackend, MemBackend,
+    candidates, complete, decode_events, encode_event, encode_run, CoordinatorError,
+    DeliveryConfig, Event, FaultPlan, FaultyTransport, FileBackend, IoFaultBackend, MemBackend,
     PerfectTransport, Run, ShardPlane, ShardPlaneConfig, SyncPolicy, Wal, WalBackend, WalOptions,
 };
 use collab_workflows::lang::{parse_workflow, WorkflowSpec};
@@ -48,15 +48,15 @@ fn single(
     spec: &Arc<WorkflowSpec>,
     transport: Box<dyn Transport>,
     wal: Option<Wal>,
-    config: CoordinatorConfig,
+    delivery: DeliveryConfig,
 ) -> ShardPlane {
     ShardPlane::with_parts(
         Arc::clone(spec),
         vec![transport],
         wal.map(|w| vec![w]),
         ShardPlaneConfig {
-            shards: 1,
-            coordinator: config,
+            delivery,
+            ..ShardPlaneConfig::default()
         },
     )
 }
@@ -124,7 +124,7 @@ proptest! {
             &spec,
             Box::new(PerfectTransport::new()),
             Some(wal),
-            CoordinatorConfig::default(),
+            DeliveryConfig::default(),
         );
         let mut rng = StdRng::seed_from_u64(seed);
         let accepted = drive(&mut c, &mut rng, warmup);
@@ -219,12 +219,11 @@ proptest! {
     ) {
         let spec = spec();
         let plan = FaultPlan::seeded(seed).with_rates(0.35, 0.25, 0.35, 3, 0.3);
-        let config = CoordinatorConfig {
+        let config = DeliveryConfig {
             retry_backoff_base: 1,
             retry_backoff_cap: 8,
             resync_lag,
             resync_after_retries: 4,
-            ..CoordinatorConfig::default()
         };
         let mut c = single(&spec, Box::new(FaultyTransport::new(plan)), None, config);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(31).wrapping_add(7));
@@ -329,7 +328,7 @@ proptest! {
             &spec,
             Box::new(PerfectTransport::new()),
             Some(wal),
-            CoordinatorConfig::default(),
+            DeliveryConfig::default(),
         );
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(17).wrapping_add(3));
         drive(&mut c, &mut rng, warmup);

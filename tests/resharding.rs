@@ -487,3 +487,149 @@ fn explore_reshard_seeds() {
         }
     }
 }
+
+/// One transfer at a time: a hand-off cannot begin while a migration is
+/// in flight, and no split, merge or rebalance can begin while a
+/// hand-off is. Neither refusal moves a counter, bumps the epoch or
+/// provisions a shard, and each refused begin goes through once the
+/// other transfer is done.
+#[test]
+fn hand_off_and_migration_refuse_each_other() {
+    let spec = default_spec();
+    let mut script = Run::new(Arc::clone(&spec));
+    let events = scripted_events(&mut script, 12);
+    let mut plane = ShardPlane::new(Arc::clone(&spec), 2);
+    for event in &events[..6] {
+        plane.submit(event.clone()).expect("plane accepts");
+    }
+
+    // A migration in flight refuses every hand-off.
+    assert!(plane
+        .begin_split(ShardId(0), Box::new(PerfectTransport::new()), None)
+        .expect("healthy plane"));
+    let (stats, ft) = (*plane.plane_stats(), plane.ft_stats().clone());
+    for s in [ShardId(0), ShardId(1), ShardId(2)] {
+        assert!(!plane.begin_handoff(s), "{s}: a hand-off during a split");
+    }
+    assert!(plane.handoff_in_progress().is_none());
+    assert!(plane.reshard_in_progress().is_some(), "the split is kept");
+    assert_eq!(
+        *plane.plane_stats(),
+        stats,
+        "a refused hand-off counts nothing"
+    );
+    assert_eq!(*plane.ft_stats(), ft);
+    assert!(plane.finish_reshard().expect("healthy plane"));
+    assert!(
+        plane.begin_handoff(ShardId(1)),
+        "free again after the cutover"
+    );
+
+    // A hand-off in flight refuses every migration.
+    plane.submit(events[6].clone()).expect("plane accepts");
+    let (stats, ft) = (*plane.plane_stats(), plane.ft_stats().clone());
+    let (epoch, shards) = (plane.map().epoch(), plane.shard_count());
+    assert_eq!(
+        plane.begin_split(ShardId(0), Box::new(PerfectTransport::new()), None),
+        Ok(false)
+    );
+    assert_eq!(plane.begin_merge(ShardId(2), ShardId(0)), Ok(false));
+    assert_eq!(plane.begin_rebalance(ShardId(0), ShardId(1)), Ok(false));
+    assert!(plane.reshard_in_progress().is_none());
+    assert_eq!(
+        plane.handoff_in_progress().map(|(s, _)| s),
+        Some(ShardId(1))
+    );
+    assert_eq!(*plane.plane_stats(), stats, "a refused plan counts nothing");
+    assert_eq!(*plane.ft_stats(), ft);
+    assert_eq!(
+        (plane.map().epoch(), plane.shard_count()),
+        (epoch, shards),
+        "a refused plan neither bumps the epoch nor provisions a shard"
+    );
+    assert!(plane.finish_handoff(Box::new(PerfectTransport::new())));
+    assert_eq!(plane.begin_rebalance(ShardId(0), ShardId(1)), Ok(true));
+    assert!(plane.finish_reshard().expect("healthy plane"));
+
+    for event in &events[7..] {
+        plane.submit(event.clone()).expect("plane accepts");
+    }
+    assert!(plane.converge(1_000).is_converged());
+    plane.audit().expect("every slice matches its view");
+    assert!(plane.state_matches(script.current()));
+}
+
+/// A migration survives a failover of its source, of its destination and
+/// of a shard it does not touch: its snapshot and staged copy live
+/// outside the primary, and its catch-up reads the oplog, which a
+/// failover keeps. The failover itself replays nothing (the standby feed
+/// is up) and aborts no hand-off; the cutover then moves the same keys
+/// as a split without a failover, and the plane converges on the shadow
+/// run.
+#[test]
+fn failover_mid_split_keeps_the_migration() {
+    let spec = default_spec();
+    let mut script = Run::new(Arc::clone(&spec));
+    let events = scripted_events(&mut script, 24);
+    // Split shard 0 of two onto shard 2; shard 1 is the bystander.
+    for victim in [None, Some(ShardId(0)), Some(ShardId(2)), Some(ShardId(1))] {
+        let mut plane = ShardPlane::new(Arc::clone(&spec), 2);
+        for event in &events[..12] {
+            plane.submit(event.clone()).expect("plane accepts");
+        }
+        assert!(plane
+            .begin_split(ShardId(0), Box::new(PerfectTransport::new()), None)
+            .expect("healthy plane"));
+        for event in &events[12..18] {
+            plane.step_reshard(1);
+            plane
+                .submit(event.clone())
+                .expect("admission during migration");
+        }
+        if let Some(s) = victim {
+            let report = plane.failover(s, Box::new(PerfectTransport::new()));
+            assert_eq!(
+                report,
+                collab_workflows::engine::FailoverReport {
+                    replayed: 0,
+                    aborted_handoff: false
+                },
+                "failover of {s}"
+            );
+        }
+        let (kind, src, dst, _) = plane
+            .reshard_in_progress()
+            .expect("the split survives the failover");
+        assert_eq!(
+            (kind, src, dst),
+            (MigrationKind::Split, ShardId(0), ShardId(2))
+        );
+        for event in &events[18..21] {
+            plane
+                .submit(event.clone())
+                .expect("admission after failover");
+        }
+        assert!(plane.finish_reshard().expect("healthy plane"));
+        for event in &events[21..] {
+            plane
+                .submit(event.clone())
+                .expect("admission after cutover");
+        }
+
+        let stats = plane.plane_stats();
+        assert_eq!(stats.failovers, u64::from(victim.is_some()));
+        assert_eq!(stats.resharding_completed, 1);
+        assert_eq!(stats.resharding_aborted, 0);
+        assert_eq!(stats.keys_migrated, 4, "victim {victim:?}");
+        let map = plane.map().clone();
+        for i in 0..plane.shard_count() {
+            let s = ShardId(i as u16);
+            for (_, t) in plane.shard_state(s).facts() {
+                assert_eq!(map.shard_of(t.key()), s, "key owned by the wrong shard");
+            }
+        }
+        assert!(plane.converge(1_000).is_converged(), "victim {victim:?}");
+        plane.audit().expect("every slice matches its view");
+        assert!(plane.state_matches(script.current()));
+    }
+}

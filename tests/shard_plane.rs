@@ -54,11 +54,11 @@ fn four_shard_plane_converges_under_faults_partitions_and_failover() {
         transports,
         None,
         ShardPlaneConfig {
-            shards: 4,
-            coordinator: CoordinatorConfig {
+            delivery: DeliveryConfig {
                 resync_lag: 6,
-                ..CoordinatorConfig::default()
+                ..DeliveryConfig::default()
             },
+            ..ShardPlaneConfig::with_shards(4)
         },
     );
 
