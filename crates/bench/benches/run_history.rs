@@ -9,18 +9,23 @@
 //! process floor, with no counting allocator (every crate forbids
 //! `unsafe`).
 //!
-//! A second reading, taken after one scan over every past instance, shows
-//! what a history reader pays: the scan fills the cache, after which the
-//! run holds every instance again. Only the first reading is gated.
+//! A second reading is taken after the first explanation read: every
+//! peer's minimal faithful set (`facts(&run).faithful(p)`), which builds the
+//! run's index and visible sets from the recorded diffs and fills no
+//! history cell. A third reading, taken after one scan over every past
+//! instance, shows what a history reader pays: the scan fills the cache,
+//! after which the run holds every instance again. The first two readings
+//! are gated.
 //!
 //! The numbers land in `BENCH_run_history.json` at the repository root
-//! (consumed by EXPERIMENTS.md E23 and gated by `bench_check`: the peak may
-//! exceed its baseline by at most 25%). Linux only, like perfbench's
-//! `peak_rss_mb`.
+//! (consumed by EXPERIMENTS.md E23 and gated by `bench_check`: each gated
+//! peak may exceed its baseline by at most 25%). Linux only, like
+//! perfbench's `peak_rss_mb`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use cwf_core::facts;
 use cwf_engine::Run;
 use cwf_workloads::build_procurement_run;
 
@@ -54,6 +59,14 @@ fn main() {
     let peak = peak_rss_mb();
     let tuples = run.current().total_tuples();
 
+    let faithful: usize = run
+        .spec()
+        .collab()
+        .peer_ids()
+        .map(|p| facts(&run).faithful(p).len())
+        .sum();
+    let explained = peak_rss_mb();
+
     // Every past instance, read once in order, as the explanation index
     // and the run view do.
     let history_tuples: usize = (0..run.len()).map(|i| run.instance(i).total_tuples()).sum();
@@ -61,22 +74,28 @@ fn main() {
 
     println!(
         "E23_run_history: {} events, {} tuples in the current instance, \
-         {} over the history; peak RSS {:.1} MB built, {:.1} MB after a full \
-         history scan",
+         {} over the history, {} events over the faithful sets; peak RSS \
+         {:.1} MB built, {:.1} MB after every peer's faithful set, {:.1} MB \
+         after a full history scan",
         run.len(),
         tuples,
         history_tuples,
+        faithful,
         peak,
+        explained,
         scanned
     );
     let json = format!(
         "{{\n  \"experiment\": \"E23_run_history\",\n  \"events\": {},\n  \
-         \"tuples\": {},\n  \"history_tuples\": {},\n  \"peak_rss_mb\": {:.2},\n  \
+         \"tuples\": {},\n  \"history_tuples\": {},\n  \"faithful_events\": {},\n  \
+         \"peak_rss_mb\": {:.2},\n  \"peak_rss_after_explain_mb\": {:.2},\n  \
          \"peak_rss_after_scan_mb\": {:.2}\n}}\n",
         run.len(),
         tuples,
         history_tuples,
+        faithful,
         peak,
+        explained,
         scanned
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_run_history.json");

@@ -2,8 +2,9 @@
 //!
 //! Builds the corpus of perfbench's `explain-batch` workload (the same
 //! builders, shapes and generator seed) and, for every (run, peer) pair,
-//! the index set of its minimal faithful scenario — the subrun the
-//! faithful query replays (Lemma 4.6). Each set is then replayed two ways:
+//! the index set of its minimal faithful scenario — the subrun
+//! `cwf_core::subrun` replays (Lemma 4.6). Each set is then replayed two
+//! ways:
 //!
 //! * **replay** — [`Run::replay`] of the indexed events from the initial
 //!   instance, every event through the transition;
@@ -11,8 +12,9 @@
 //!   recorded prefix (the longest leading stretch `0..k` of the set) and
 //!   pushes only the rest.
 //!
-//! The history cells are filled first, as the faithful query's index
-//! build fills them. Passes run round-robin over the two ways, so host
+//! Every history cell is filled first, so both ways start from a warm
+//! cache (the faithful query itself reads no past instance). Passes run
+//! round-robin over the two ways, so host
 //! noise lands on both alike and cancels in their ratio, `subrun_speedup`
 //! (replay time over subrun time). Both ways must return equal runs.
 //!

@@ -26,7 +26,8 @@
 //!   witness-reconstructing scenario search, and the cone-pruning node
 //!   reduction on byte-identical minimum-scenario verdicts;
 //! * `BENCH_run_history.json` — the peak resident set of a process that
-//!   built the `live-explain` procurement run (E23).
+//!   built the `live-explain` procurement run, and again after it read
+//!   every peer's minimal faithful set (E23).
 //! * `BENCH_subrun_replay.json` — the speedup of history-resumed subrun
 //!   replays (`Run::try_subrun`) over `Run::replay` on the faithful index
 //!   sets of the `explain-batch` corpus (E24).
@@ -214,12 +215,20 @@ fn gates(experiment: &str) -> Vec<Gate> {
                 Bound::Floor,
             ),
         ],
-        "BENCH_run_history.json" => vec![gate(
-            "peak RSS of the built run (MB)",
-            "peak_rss_mb",
-            None,
-            Bound::Peak,
-        )],
+        "BENCH_run_history.json" => vec![
+            gate(
+                "peak RSS of the built run (MB)",
+                "peak_rss_mb",
+                None,
+                Bound::Peak,
+            ),
+            gate(
+                "peak RSS after the first faithful reads (MB)",
+                "peak_rss_after_explain_mb",
+                None,
+                Bound::Peak,
+            ),
+        ],
         "BENCH_subrun_replay.json" => vec![gate(
             "try_subrun speedup over Run::replay",
             "subrun_speedup",

@@ -12,7 +12,6 @@ use cwf_model::PeerId;
 
 use crate::facts::facts;
 use crate::set::EventSet;
-use crate::tp::{minimal_faithful_scenario, FaithfulExplanation};
 
 /// One line of an explanation: an event of the minimal faithful scenario.
 #[derive(Debug, Clone)]
@@ -97,9 +96,10 @@ impl fmt::Display for Explanation {
 /// assert_eq!(ex.run_len, 2);
 /// ```
 pub fn explain(run: &Run, peer: PeerId) -> Explanation {
-    let FaithfulExplanation { events, .. } = minimal_faithful_scenario(run, peer);
+    let facts = facts(run);
+    let events = facts.faithful(peer);
+    let visible = facts.visible(peer);
     let spec = run.spec();
-    let visible = facts(run).visible(peer);
     let explained = events
         .iter()
         .map(|i| ExplainedEvent {
@@ -113,7 +113,7 @@ pub fn explain(run: &Run, peer: PeerId) -> Explanation {
         peer_name: spec.collab().peer_name(peer).to_string(),
         run_len: run.len(),
         events: explained,
-        set: events,
+        set: events.clone(),
     }
 }
 

@@ -21,6 +21,7 @@ use cwf_model::{AttrId, PeerId, RelId, Value};
 use crate::facts::facts;
 use crate::faithful::relevant_attrs;
 use crate::index::RunIndex;
+use crate::scenario::is_subrun;
 use crate::set::EventSet;
 
 /// Why [`for_each_requirement`] requires an event of event `j`.
@@ -112,35 +113,30 @@ pub(crate) fn close_from(
 /// The unique minimal p-faithful scenario of a run (Theorem 4.7).
 #[derive(Debug, Clone)]
 pub struct FaithfulExplanation {
-    /// The scenario's event positions within the original run.
+    /// The scenario's event positions within the original run. Lemma 4.6
+    /// makes them a subrun; [`crate::subrun`] replays it.
     pub events: EventSet,
-    /// The replayed scenario (a subrun of the original — Lemma 4.6
-    /// guarantees the replay succeeds).
-    pub subrun: Run,
 }
 
 /// Computes the unique minimal p-faithful scenario `run(T_p^ω(ρ, v̄))`,
 /// where `v̄` is the set of events visible at `peer`. The event set is read
-/// from the run's facts ([`crate::Facts::faithful`]); Lemma 4.6 makes it a
-/// scenario, so its length bounds every minimum scenario from above.
-///
-/// # Panics
-///
-/// Panics if the p-faithful closure fails to replay — that would contradict
-/// Lemma 4.6, i.e. signal a bug in the engine or the index.
+/// from the run's facts ([`crate::Facts::faithful`]), not replayed; Lemma
+/// 4.6 makes it a scenario, so its length bounds every minimum scenario
+/// from above. Debug builds check that it replays.
 pub fn minimal_faithful_scenario(run: &Run, peer: PeerId) -> FaithfulExplanation {
     let events = facts(run).faithful(peer).clone();
-    let subrun = run
-        .try_subrun(&events.to_vec())
-        .expect("Lemma 4.6: p-faithful subsequences yield subruns");
-    FaithfulExplanation { events, subrun }
+    debug_assert!(
+        is_subrun(run, &events),
+        "Lemma 4.6: p-faithful subsequences yield subruns"
+    );
+    FaithfulExplanation { events }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faithful::{is_faithful, is_tp_fixpoint};
-    use crate::scenario::is_scenario;
+    use crate::scenario::{is_scenario, subrun};
     use cwf_engine::{Bindings, Event};
     use cwf_lang::parse_workflow;
     use std::sync::Arc;
@@ -185,7 +181,7 @@ mod tests {
             vec![2, 3],
             "g then h — not the misleading e h"
         );
-        assert_eq!(expl.subrun.len(), 2);
+        assert_eq!(subrun(&run, &expl.events).unwrap().len(), 2);
     }
 
     #[test]
@@ -264,6 +260,6 @@ mod tests {
         let p = run.spec().collab().peer("p").unwrap();
         let expl = minimal_faithful_scenario(&run, p);
         assert!(expl.events.is_empty());
-        assert!(expl.subrun.is_empty());
+        assert!(subrun(&run, &expl.events).unwrap().is_empty());
     }
 }

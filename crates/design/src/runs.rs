@@ -90,10 +90,15 @@ pub fn p_fresh_candidates(run: &Run, peer: PeerId) -> Vec<Instance> {
     if run.initial().is_empty() {
         out.push(run.initial().clone());
     }
-    for i in 0..run.len() {
-        if run.visible_at(i, peer) {
-            out.push(run.instance(i).clone());
+    // Rolled through the diffs, so harvesting fills no history cell.
+    let mut inst = run.initial().clone();
+    let mut rolled = 0;
+    for i in run.visible_events(peer) {
+        for j in rolled..=i {
+            run.diff(j).apply_to(&mut inst);
         }
+        rolled = i + 1;
+        out.push(inst.clone());
     }
     out
 }

@@ -39,9 +39,9 @@ use crate::view_plane::{materialize_view, peer_delta, ViewDelta};
 /// from the diffs when first read and cached: the first read of a cold
 /// position costs one clone of the nearest earlier cached instance (or the
 /// initial one) plus the diffs since. A scan over the whole history refills
-/// the cache, after which it holds every instance. The diffs also make
-/// visibility queries and run views delta-driven instead of `view_of`
-/// rescans.
+/// the cache, after which it holds every instance. Visible sets and run
+/// views read no cell: they roll one instance forward through the diffs,
+/// delta-driven instead of `view_of` rescans.
 ///
 /// Facts about the whole run that a higher layer derives from it (the
 /// explanation layer's index, visible sets and faithful sets) live in one
@@ -385,10 +385,8 @@ impl Run {
     pub fn prov_cone(&self, peer: PeerId) -> Option<Vec<usize>> {
         let pp = self.prov.as_ref()?;
         let mut cone = Mono::one();
-        for i in 0..self.len() {
-            if self.visible_at(i, peer) {
-                cone = cone.union(pp.dep(i));
-            }
+        for i in self.visible_events(peer) {
+            cone = cone.union(pp.dep(i));
         }
         Some(cone.events().iter().map(|&e| e as usize).collect())
     }
@@ -497,7 +495,9 @@ impl Run {
     }
 
     /// Is event `i` visible at `peer`? (`peer(e_i) = p` or
-    /// `I_{i−1}@p ≠ I_i@p`, Section 3.)
+    /// `I_{i−1}@p ≠ I_i@p`, Section 3.) Reads `I_i` through
+    /// [`Run::instance`]; [`Run::visible_events`] answers for every
+    /// position without the history cache.
     pub fn visible_at(&self, i: usize, peer: PeerId) -> bool {
         if self.events[i].peer == peer {
             return true;
@@ -506,23 +506,38 @@ impl Run {
         !peer_delta(collab, peer, &self.diffs[i], self.instance(i)).is_empty()
     }
 
+    /// Calls `f(i, delta)` with each event's view delta at `peer`, in run
+    /// order. One instance, cloned from `initial`, is rolled forward
+    /// through the recorded diffs: no history cell is read or filled.
+    fn for_each_peer_delta(&self, peer: PeerId, mut f: impl FnMut(usize, ViewDelta)) {
+        let collab = self.spec().collab();
+        let mut inst = self.initial.clone();
+        for (i, diff) in self.diffs.iter().enumerate() {
+            diff.apply_to(&mut inst);
+            f(i, peer_delta(collab, peer, diff, &inst));
+        }
+    }
+
     /// The positions of the events visible at `peer`.
     pub fn visible_events(&self, peer: PeerId) -> Vec<usize> {
-        (0..self.len())
-            .filter(|&i| self.visible_at(i, peer))
-            .collect()
+        let mut out = Vec::new();
+        self.for_each_peer_delta(peer, |i, delta| {
+            if self.events[i].peer == peer || !delta.is_empty() {
+                out.push(i);
+            }
+        });
+        out
     }
 
     /// The view `ρ@p` of the run at `peer` (Definition 3.1): the transitions
     /// visible at `p`, each carrying `e_i@p` (the event itself for `p`'s own
     /// events, `ω` otherwise) and the view instance `I_i@p`. Built by rolling
-    /// the stored diffs through one view instance — no per-step rescan.
+    /// the stored diffs through one instance and one view instance — no
+    /// per-step rescan.
     pub fn view(&self, peer: PeerId) -> RunView {
-        let collab = self.spec().collab();
         let mut steps = Vec::new();
-        let mut cur = materialize_view(collab, peer, &self.initial);
-        for i in 0..self.len() {
-            let delta = peer_delta(collab, peer, &self.diffs[i], self.instance(i));
+        let mut cur = materialize_view(self.spec().collab(), peer, &self.initial);
+        self.for_each_peer_delta(peer, |i, delta| {
             let changed = !delta.is_empty();
             delta.apply_to_view(&mut cur);
             let own = self.events[i].peer == peer;
@@ -537,7 +552,7 @@ impl Run {
                     view: cur.clone(),
                 });
             }
-        }
+        });
         RunView { peer, steps }
     }
 }
@@ -747,6 +762,24 @@ mod tests {
         let sub = run.try_subrun(&[0, 1, 2, 3]).unwrap();
         assert!(filled(&sub).is_empty());
         assert_eq!(sub.instance(2), run.instance(2));
+    }
+
+    /// Visible sets, run views, provenance cones and run statistics roll
+    /// one instance forward through the diffs: on a cold run they fill no
+    /// history cell.
+    #[test]
+    fn visibility_readers_fill_no_history_cell() {
+        let spec = prop_spec();
+        let mut run = Run::new(Arc::clone(&spec));
+        run.enable_provenance();
+        push_all(&mut run, &["a1", "a2", "b1", "b2", "ok"]);
+        for p in spec.collab().peer_ids() {
+            run.visible_events(p);
+            run.view(p);
+            run.prov_cone(p).expect("provenance is on");
+        }
+        crate::stats::RunStats::of(&run);
+        assert!(filled(&run).is_empty(), "no reader filled a cell");
     }
 
     /// Counts the events of the run and the pushes it was stepped over.

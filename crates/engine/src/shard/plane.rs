@@ -73,7 +73,7 @@ use crate::delivery::{Delivery, DeliveryConfig, MaterializedView};
 use crate::error::{CoordinatorError, WalError};
 use crate::event::Event;
 use crate::run::Run;
-use crate::stats::{FtStats, RunStats, ShardAdmissionStats};
+use crate::stats::{FtStats, ShardAdmissionStats};
 use crate::transport::{PerfectTransport, Transport};
 use crate::view_plane::ViewDelta;
 use crate::wal::{decode_snapshot, encode_snapshot, RecoveryReport, Wal, WalBackend, WalOptions};
@@ -1041,15 +1041,6 @@ impl ShardPlane {
     /// Plane-level robustness counters.
     pub fn plane_stats(&self) -> &ShardPlaneStats {
         &self.stats
-    }
-
-    /// Run statistics with the fault-tolerance counters attached.
-    pub fn stats(&self) -> RunStats {
-        let mut s = RunStats::of(&self.run);
-        s.fault_tolerance = Some(self.ft.clone());
-        s.sharding = Some(self.admission.clone());
-        s.plane = Some(self.stats);
-        s
     }
 
     /// Is the plane in degraded (read-only) mode after a durability
@@ -2286,9 +2277,7 @@ mod tests {
         let verdict = c.converge(500);
         assert!(verdict.is_converged(), "heals to convergence: {verdict}");
         c.audit().unwrap();
-        let stats = c.stats();
-        let ft = stats.fault_tolerance.expect("counters attached");
-        assert!(ft.deltas_sent >= 6);
+        assert!(c.ft_stats().deltas_sent >= 6);
     }
 
     #[test]

@@ -10,7 +10,6 @@ use std::fmt;
 use cwf_model::PeerId;
 
 use crate::run::Run;
-use crate::shard::ShardPlaneStats;
 
 /// Per-peer activity counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -26,8 +25,8 @@ pub struct PeerStats {
 }
 
 /// Fault-tolerance counters of a plane deployment: how hard the delivery
-/// and durability machinery had to work. `None` in plain [`RunStats::of`]
-/// output; attached by [`ShardPlane::stats`](crate::ShardPlane::stats).
+/// and durability machinery had to work. Read through
+/// [`ShardPlane::ft_stats`](crate::ShardPlane::ft_stats).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FtStats {
     /// View-delta messages enqueued toward replicas.
@@ -62,9 +61,8 @@ pub struct FtStats {
 
 /// Distributed-admission counters of a sharded plane: how events were
 /// committed (shard-locally vs through the cross-shard protocol) and how
-/// recovery resolved in-doubt transactions. `None` in plain
-/// [`RunStats::of`] output; attached by
-/// [`ShardPlane::stats`](crate::ShardPlane::stats).
+/// recovery resolved in-doubt transactions. Read through
+/// [`ShardPlane::admission_stats`](crate::ShardPlane::admission_stats).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardAdmissionStats {
     /// Per shard: events admitted entirely on that shard's path (single
@@ -101,13 +99,6 @@ pub struct RunStats {
     pub visibility: Vec<Vec<usize>>,
     /// Tuples in the final instance.
     pub final_tuples: usize,
-    /// Fault-tolerance counters, when the run was driven by a plane.
-    pub fault_tolerance: Option<FtStats>,
-    /// Distributed-admission counters, when the run was driven by a plane.
-    pub sharding: Option<ShardAdmissionStats>,
-    /// Plane-level robustness counters (failovers, hand-offs, elastic
-    /// resharding, live map epoch), when the run was driven by a plane.
-    pub plane: Option<ShardPlaneStats>,
 }
 
 impl RunStats {
@@ -117,9 +108,7 @@ impl RunStats {
         let n_peers = spec.collab().peer_count();
         let mut peers = vec![PeerStats::default(); n_peers];
         let mut visibility = vec![vec![0usize; n_peers]; n_peers];
-        // Precompute visibility flags once per (event, observer).
-        for i in 0..run.len() {
-            let e = run.event(i);
+        for e in run.events() {
             let actor = e.peer.index();
             peers[actor].performed += 1;
             for u in e.ground_updates(spec) {
@@ -129,11 +118,11 @@ impl RunStats {
                     peers[actor].deletions += 1;
                 }
             }
-            for p in spec.collab().peer_ids() {
-                if run.visible_at(i, p) {
-                    peers[p.index()].observed += 1;
-                    visibility[p.index()][actor] += 1;
-                }
+        }
+        for p in spec.collab().peer_ids() {
+            for i in run.visible_events(p) {
+                peers[p.index()].observed += 1;
+                visibility[p.index()][run.event(i).peer.index()] += 1;
             }
         }
         RunStats {
@@ -141,9 +130,6 @@ impl RunStats {
             peers,
             visibility,
             final_tuples: run.current().total_tuples(),
-            fault_tolerance: None,
-            sharding: None,
-            plane: None,
         }
     }
 

@@ -204,7 +204,7 @@ proptest! {
             let _ = rc.submit(lost);
         }
         rc.audit().unwrap();
-        let ft = rc.stats().fault_tolerance.expect("plane stats");
+        let ft = rc.ft_stats();
         prop_assert_eq!(ft.recovered_events, report.events_replayed as u64);
     }
 
@@ -235,7 +235,7 @@ proptest! {
         prop_assert!(verdict.is_converged(), "must converge after healing: {}", verdict);
         c.audit().unwrap();
 
-        let ft = c.stats().fault_tolerance.expect("plane stats");
+        let ft = c.ft_stats();
         prop_assert!(ft.deltas_sent > 0);
         // Convergence implies every enqueued delta was eventually
         // acknowledged (directly or superseded by a resync snapshot).
@@ -386,7 +386,7 @@ proptest! {
         c.audit().unwrap();
         let expected: Vec<String> =
             c.run().events().iter().map(|e| encode_event(&spec, e)).collect();
-        let ft = c.stats().fault_tolerance.expect("plane stats");
+        let ft = c.ft_stats();
         prop_assert!(ft.wal_failures >= 1);
         prop_assert_eq!(ft.degraded_recoveries, 1);
 

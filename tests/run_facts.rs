@@ -6,7 +6,8 @@
 //! pops and clones — each taken with every part of the slot filled just
 //! before — the stepped facts must equal a fresh build after every
 //! operation, and the faithful (Thm 4.7) and minimum (Thm 3.3) answers on
-//! the mutated run must equal those on a freshly replayed copy.
+//! the mutated run must equal those on a freshly replayed copy. Every
+//! faithful answer must replay into a scenario (Lemma 4.6).
 //!
 //! The index is built from the recorded diffs. A reference built the
 //! earlier way, from the instances before and after every event, pins it on
@@ -17,8 +18,8 @@ mod common;
 use std::collections::{BTreeMap, BTreeSet};
 
 use collab_workflows::core::{
-    facts, minimal_faithful_scenario, search_min_scenario_pooled, Lifecycle, Modification,
-    RunFacts, RunIndex, SearchOptions,
+    facts, is_scenario, minimal_faithful_scenario, search_min_scenario_pooled, Lifecycle,
+    Modification, RunFacts, RunIndex, SearchOptions,
 };
 use collab_workflows::engine::chaos::{default_spec, modification_spec};
 use collab_workflows::engine::GroundUpdate;
@@ -47,7 +48,15 @@ fn answers(run: &Run) -> Vec<(Vec<usize>, String)> {
         .collab()
         .peer_ids()
         .map(|p| {
-            let faithful = minimal_faithful_scenario(run, p).events.to_vec();
+            let faithful = minimal_faithful_scenario(run, p).events;
+            // Lemma 4.6 in release builds: the faithful set replays into a
+            // scenario.
+            assert!(
+                is_scenario(run, p, &faithful),
+                "the minimal faithful set {:?} is not a scenario",
+                faithful.to_vec()
+            );
+            let faithful = faithful.to_vec();
             let gov = Governor::with_nodes(NODES);
             let opts = SearchOptions::default();
             let minimum = search_min_scenario_pooled(run, p, &opts, &gov, &Pool::sequential());

@@ -4,8 +4,11 @@
 //! random order, must equal the last instance of `Run::replay` on the
 //! matching event prefix: on a freshly built run, after pops and re-pushes,
 //! on a clone taken with half the history cached, and when two threads
-//! race to rebuild one cold position. The runs are chaos `default_spec`
-//! walks and procurement streams.
+//! race to rebuild one cold position. Before each pass, every peer's
+//! `visible_events` and `view` must equal a reference built from the same
+//! prefix replays; those readers roll one instance through the diffs, so
+//! they are checked on cold, half-cached and popped runs alike. The runs
+//! are chaos `default_spec` walks and procurement streams.
 //!
 //! Subruns resume from the recorded history: `try_subrun(idx)` (and
 //! `is_subrun`) must equal `Run::replay` of the indexed events from the
@@ -21,7 +24,7 @@ use std::sync::Barrier;
 
 use collab_workflows::core::is_subrun;
 use collab_workflows::engine::chaos::default_spec;
-use collab_workflows::engine::ReplayError;
+use collab_workflows::engine::{EventView, ReplayError};
 use collab_workflows::prelude::*;
 use collab_workflows::workloads::{build_procurement_run, random_run};
 use proptest::prelude::*;
@@ -88,8 +91,45 @@ fn all_reads(len: usize) -> Vec<Read> {
         .collect()
 }
 
-/// Reads every position of `run` in a shuffled order and compares each
-/// with its prefix replay.
+/// Every peer's visible events and run view against a reference read from
+/// the prefix replays: event `i` is visible at `p` when `p` performed it or
+/// `want[i]@p ≠ want[i + 1]@p`, and its view step carries `want[i + 1]@p`.
+fn check_views(run: &Run, want: &[Instance], what: &str) -> Result<(), TestCaseError> {
+    let collab = run.spec().collab();
+    for p in collab.peer_ids() {
+        let views: Vec<_> = want.iter().map(|inst| collab.view_of(inst, p)).collect();
+        let visible: Vec<usize> = (0..run.len())
+            .filter(|&i| run.event(i).peer == p || views[i] != views[i + 1])
+            .collect();
+        prop_assert_eq!(
+            run.visible_events(p),
+            visible.clone(),
+            "{}: visible events of {:?}",
+            what,
+            p
+        );
+        let got = run.view(p);
+        prop_assert_eq!(got.steps.len(), visible.len(), "{}: view of {:?}", what, p);
+        for (step, &i) in got.steps.iter().zip(&visible) {
+            let event = if run.event(i).peer == p {
+                EventView::Own(run.event(i).clone())
+            } else {
+                EventView::World
+            };
+            prop_assert!(
+                step.index == i && step.event == event && step.view == views[i + 1],
+                "{}: view step {} of {:?}",
+                what,
+                i,
+                p
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Checks the visibility readers, then reads every position of `run` in a
+/// shuffled order and compares each with its prefix replay.
 fn check_all(
     run: &Run,
     want: &[Instance],
@@ -98,6 +138,7 @@ fn check_all(
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(run.len() + 1, want.len(), "{}: run length", what);
     prop_assert!(run.current() == &want[run.len()], "{}: current", what);
+    check_views(run, want, what)?;
     let mut reads = all_reads(run.len());
     reads.shuffle(rng);
     for r in reads {

@@ -3,7 +3,8 @@
 //! * **Golden answers.** Every search mode — cone on and off, pooled at 2
 //!   and 4 threads, the decision variant either side of the minimum, the
 //!   first-found search capped at the minimum, and the exact minimality
-//!   test of the minimal faithful scenario — over the `explain-batch`
+//!   test of the minimal faithful scenario, which must replay into a
+//!   scenario (Lemma 4.6) — over the `explain-batch`
 //!   corpus shapes and 80 random workflows, for every peer. Pruning
 //!   changes how many nodes a search visits, never what it answers, so the
 //!   printout must stay byte-identical to `tests/golden/min_scenarios.txt`.
@@ -117,6 +118,13 @@ fn golden_pair(out: &mut String, name: &str, run: &Run, peer: PeerId) {
     );
     let _ = writeln!(out, "  first <= {m:<4} {}", show(&first));
     let faithful = minimal_faithful_scenario(run, peer).events;
+    // Lemma 4.6 in release builds: the faithful set replays, and its
+    // replay is a scenario.
+    assert!(
+        is_scenario(run, peer, &faithful),
+        "{what}: the minimal faithful set {:?} is not a scenario",
+        faithful.to_vec()
+    );
     let minimal = done(&what, is_minimal_exact(run, peer, &faithful, &gov()));
     let _ = writeln!(
         out,
