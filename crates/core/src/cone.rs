@@ -38,7 +38,7 @@ use std::collections::BTreeMap;
 use cwf_engine::Run;
 use cwf_model::{PeerId, RelId, Value};
 
-use crate::facts::facts;
+use crate::facts::{facts, Facts};
 use crate::set::EventSet;
 
 /// The closed dependency sets `D(e_i)` of every event: the event itself,
@@ -82,12 +82,18 @@ pub(crate) fn build_closed_deps(run: &Run) -> Vec<EventSet> {
 /// The pruning cone of `peer`: the union of [`closed_deps`] over the
 /// seed events — those visible at `peer` plus those whose head updates a
 /// relation `peer` sees. Every minimum and every minimal scenario of the
-/// run at `peer` is a subset of this set.
+/// run at `peer` is a subset of this set. Built from the run's cached
+/// facts on every call; the searches read the copy the facts slot keeps
+/// ([`crate::Facts::cone`]).
 pub fn peer_cone(run: &Run, peer: PeerId) -> EventSet {
-    let collab = run.spec().collab();
-    let facts = facts(run);
+    build_peer_cone(facts(run), peer)
+}
+
+/// Builds [`peer_cone`] from `facts`.
+pub(crate) fn build_peer_cone(facts: Facts<'_>, peer: PeerId) -> EventSet {
+    let collab = facts.run.spec().collab();
     let visible = facts.visible(peer);
-    let mut cone = EventSet::empty(run.len());
+    let mut cone = EventSet::empty(facts.run.len());
     for (i, d) in facts.closed_deps().iter().enumerate() {
         let seed = visible.contains(i) || facts.heads(i).iter().any(|&r| collab.sees(peer, r));
         if seed {

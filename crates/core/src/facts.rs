@@ -20,10 +20,10 @@
 
 use std::sync::OnceLock;
 
-use cwf_engine::{Run, StepFacts};
+use cwf_engine::{EventView, Run, StepFacts, ViewDelta};
 use cwf_model::{PeerId, RelId};
 
-use crate::cone::build_closed_deps;
+use crate::cone::{build_closed_deps, build_peer_cone};
 use crate::index::RunIndex;
 use crate::set::EventSet;
 use crate::tp::{close_from, tp_closure};
@@ -35,8 +35,12 @@ use crate::tp::{close_from, tp_closure};
 pub struct RunFacts {
     index: OnceLock<RunIndex>,
     deps: OnceLock<Vec<EventSet>>,
+    /// Per peer (by id): its pruning cone ([`crate::cone::peer_cone`]).
+    cones: Vec<OnceLock<EventSet>>,
     /// Per peer (by id): the positions of the events visible at it.
     visible: Vec<OnceLock<EventSet>>,
+    /// Per peer (by id): its observations, one per visible event.
+    observations: Vec<OnceLock<Vec<Observation>>>,
     /// Per event: the relations its head updates, sorted and distinct.
     heads: OnceLock<Vec<Vec<RelId>>>,
     /// Per peer (by id): its minimal faithful set `T_p^ω(ρ, v̄)`.
@@ -46,17 +50,14 @@ pub struct RunFacts {
 impl RunFacts {
     /// No part filled yet, sized for `run`'s peers.
     fn empty(run: &Run) -> Self {
-        let per_peer = || {
-            (0..run.spec().collab().peer_count())
-                .map(|_| OnceLock::new())
-                .collect()
-        };
         RunFacts {
             index: OnceLock::new(),
             deps: OnceLock::new(),
-            visible: per_peer(),
+            cones: per_peer(run),
+            visible: per_peer(run),
+            observations: per_peer(run),
             heads: OnceLock::new(),
-            faithful: per_peer(),
+            faithful: per_peer(run),
         }
     }
 
@@ -69,6 +70,13 @@ impl RunFacts {
     }
 }
 
+/// One empty part per peer of `run`.
+fn per_peer<T>(run: &Run) -> Vec<OnceLock<T>> {
+    (0..run.spec().collab().peer_count())
+        .map(|_| OnceLock::new())
+        .collect()
+}
+
 impl StepFacts for RunFacts {
     fn step(&mut self, run: &Run) {
         let n = run.len();
@@ -77,20 +85,33 @@ impl StepFacts for RunFacts {
             index.extend(run);
         }
         self.deps = OnceLock::new();
+        for cone in &mut self.cones {
+            cone.take();
+        }
         if let Some(heads) = self.heads.get_mut() {
             heads.push(head_rels(run, e));
         }
         let peers = run.spec().collab().peer_ids();
-        for ((peer, visible), faithful) in peers.zip(&mut self.visible).zip(&mut self.faithful) {
-            if visible.get().is_none() && faithful.get().is_none() {
+        let parts = self.visible.iter_mut().zip(&mut self.observations);
+        for ((peer, (visible, observations)), faithful) in peers.zip(parts).zip(&mut self.faithful)
+        {
+            if visible.get().is_none() && observations.get().is_none() && faithful.get().is_none() {
                 continue;
             }
-            let seen = run.visible_at(e, peer);
+            let delta = run
+                .last_deltas()
+                .iter()
+                .find_map(|(q, delta)| (*q == peer).then_some(delta));
+            let seen = delta.is_some() || run.event(e).peer == peer;
             if let Some(visible) = visible.get_mut() {
                 visible.grow(n);
                 if seen {
                     visible.insert(e);
                 }
+            }
+            if let Some(observations) = observations.get_mut() {
+                let delta = delta.cloned().unwrap_or_default();
+                observations.extend(Observation::of(run, peer, e, delta));
             }
             if let Some(faithful) = faithful.get_mut() {
                 let index = self.index.get().expect("a faithful set reads the index");
@@ -102,6 +123,52 @@ impl StepFacts for RunFacts {
             }
         }
     }
+}
+
+/// One visible step of a run at a peer (Definition 3.1), kept as the change
+/// it made to the peer's view rather than as the view it led to: the step's
+/// view is the run's initial view at the peer with the deltas of every
+/// observation up to it applied. A scenario search compares its replay's
+/// visible steps with these one at a time ([`crate::scenario`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Observation {
+    /// Position of the event in the run.
+    pub index: usize,
+    /// `e_i@p`: the event itself for the peer's own events, `ω` otherwise.
+    pub event: EventView,
+    /// `I_i@p − I_{i−1}@p`, in [`ViewDelta::canonical`] form; empty only
+    /// for one of the peer's own events that changed nothing it sees.
+    pub delta: ViewDelta,
+}
+
+impl Observation {
+    /// The observation event `i` of `run`, whose delta at `peer` is
+    /// `delta`, gives `peer`: `None` when the event is invisible at it.
+    fn of(run: &Run, peer: PeerId, i: usize, delta: ViewDelta) -> Option<Observation> {
+        let event = run.event(i);
+        let event = if event.peer == peer {
+            EventView::Own(event.clone())
+        } else if delta.is_empty() {
+            return None;
+        } else {
+            EventView::World
+        };
+        Some(Observation {
+            index: i,
+            event,
+            delta: delta.canonical(),
+        })
+    }
+}
+
+/// Every observation of `run` at `peer`, from the recorded diffs.
+fn observations_of(run: &Run, peer: PeerId) -> Vec<Observation> {
+    let mut out = Vec::new();
+    run.for_each_peer_delta(peer, |i, delta| {
+        out.extend(Observation::of(run, peer, i, delta))
+    });
+    out.shrink_to_fit();
+    out
 }
 
 /// Does event `e` close a lifecycle that a member of `set` uses (so that
@@ -148,7 +215,7 @@ pub fn facts(run: &Run) -> Facts<'_> {
 /// part, building it on first read.
 #[derive(Clone, Copy)]
 pub struct Facts<'a> {
-    run: &'a Run,
+    pub(crate) run: &'a Run,
     slot: &'a RunFacts,
 }
 
@@ -164,10 +231,21 @@ impl<'a> Facts<'a> {
         self.slot.deps.get_or_init(|| build_closed_deps(self.run))
     }
 
+    /// The pruning cone of `peer` ([`crate::cone::peer_cone`]).
+    pub fn cone(self, peer: PeerId) -> &'a EventSet {
+        self.slot.cones[peer.index()].get_or_init(|| build_peer_cone(self, peer))
+    }
+
     /// The positions of the events visible at `peer`.
     pub fn visible(self, peer: PeerId) -> &'a EventSet {
         self.slot.visible[peer.index()]
             .get_or_init(|| EventSet::from_iter(self.run.len(), self.run.visible_events(peer)))
+    }
+
+    /// The observations of `peer`: the run view `ρ@p` as one
+    /// [`Observation`] per visible event, in run order.
+    pub fn observations(self, peer: PeerId) -> &'a [Observation] {
+        self.slot.observations[peer.index()].get_or_init(|| observations_of(self.run, peer))
     }
 
     /// The relations the head of event `i` updates, sorted and distinct.
@@ -196,6 +274,8 @@ impl<'a> Facts<'a> {
         self.closed_deps();
         for peer in self.run.spec().collab().peer_ids() {
             self.faithful(peer);
+            self.cone(peer);
+            self.observations(peer);
         }
         self.all_heads();
         self.slot

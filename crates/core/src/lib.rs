@@ -34,7 +34,7 @@ pub mod why;
 
 pub use cone::{closed_deps, peer_cone};
 pub use explain::{explain, ExplainedEvent, Explanation};
-pub use facts::{facts, Facts, RunFacts};
+pub use facts::{facts, Facts, Observation, RunFacts};
 pub use faithful::{
     is_boundary_faithful, is_faithful, is_modification_faithful, is_tp_fixpoint, relevant_attrs,
 };
@@ -47,7 +47,7 @@ pub use minimum::{
     exists_scenario_at_most, exists_scenario_at_most_pooled, search_min_scenario,
     search_min_scenario_pooled, SearchOptions,
 };
-pub use scenario::{is_scenario, is_scenario_against, is_subrun, mask_order, subrun, visible_set};
+pub use scenario::{is_scenario, is_subrun, mask_order, subrun, visible_set};
 pub use semiring::Faithful;
 pub use set::EventSet;
 pub use tp::{minimal_faithful_scenario, tp_closure, FaithfulExplanation};

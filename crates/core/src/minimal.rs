@@ -12,11 +12,12 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use cwf_engine::{Run, RunView};
+use cwf_engine::Run;
 use cwf_model::{Bound, Governor, PeerId, Pool, Reason, Verdict};
 
+use crate::facts::facts;
 use crate::minimum::{search_min_scenario, SearchOptions};
-use crate::scenario::{is_scenario, is_scenario_against};
+use crate::scenario::is_scenario;
 use crate::set::EventSet;
 
 /// Runs with fewer events than this (i.e. fewer than 2^10 candidate masks)
@@ -32,14 +33,13 @@ const PAR_MIN_MASK_BITS: usize = 10;
 /// Panics (debug assertion) if `start` is not a scenario.
 pub fn shrink_to_one_minimal(run: &Run, peer: PeerId, start: &EventSet) -> EventSet {
     debug_assert!(is_scenario(run, peer, start), "start must be a scenario");
-    let target = run.view(peer);
     let mut current = start.clone();
     loop {
         let mut shrunk = false;
         for i in current.to_vec().into_iter().rev() {
             let mut candidate = current.clone();
             candidate.remove(i);
-            if is_scenario_against(run, peer, &candidate, &target) {
+            if is_scenario(run, peer, &candidate) {
                 current = candidate;
                 shrunk = true;
             }
@@ -58,14 +58,13 @@ pub fn one_minimal_scenario(run: &Run, peer: PeerId) -> EventSet {
 /// Is `candidate` 1-minimal: a scenario none of whose single-event removals
 /// is a scenario? (Polynomial.)
 pub fn is_one_minimal(run: &Run, peer: PeerId, candidate: &EventSet) -> bool {
-    let target = run.view(peer);
-    if !is_scenario_against(run, peer, candidate, &target) {
+    if !is_scenario(run, peer, candidate) {
         return false;
     }
     for i in candidate.iter() {
         let mut c = candidate.clone();
         c.remove(i);
-        if is_scenario_against(run, peer, &c, &target) {
+        if is_scenario(run, peer, &c) {
             return false;
         }
     }
@@ -315,10 +314,9 @@ fn all_minimal_impl(
         // also a scenario). Masks range over subsets of the provenance cone
         // (every minimal scenario lies inside it, see [`crate::cone`]), so
         // the sweep costs 2^|cone| instead of 2^n.
-        let target = run.view(peer);
         let n = run.len();
         let cone: Vec<usize> = if use_cone {
-            crate::cone::peer_cone(run, peer).to_vec()
+            facts(run).cone(peer).to_vec()
         } else {
             (0..n).collect()
         };
@@ -330,9 +328,9 @@ fn all_minimal_impl(
         }
         let bits = cone.len();
         let (scenarios, stopped) = if pool.is_sequential() || bits < PAR_MIN_MASK_BITS {
-            collect_scenarios_range(run, peer, &target, &cone, 0, 1u64 << bits, gov, max, None)
+            collect_scenarios_range(run, peer, &cone, 0, 1u64 << bits, gov, max, None)
         } else {
-            collect_scenarios_parallel(run, peer, &target, &cone, gov, max, pool)
+            collect_scenarios_parallel(run, peer, &cone, gov, max, pool)
         };
         // Masks are enumerated in increasing numeric order, not subset
         // order, so finish with an exact minimality filter.
@@ -371,7 +369,6 @@ fn all_minimal_impl(
 fn collect_scenarios_range(
     run: &Run,
     peer: PeerId,
-    target: &RunView,
     cone: &[usize],
     lo: u64,
     hi: u64,
@@ -401,7 +398,7 @@ fn collect_scenarios_range(
         if scenarios.iter().any(|s| s.is_strict_subset(&set)) {
             continue;
         }
-        if is_scenario_against(run, peer, &set, target) {
+        if is_scenario(run, peer, &set) {
             scenarios.push(set);
             let total = match found {
                 Some(counter) => counter.fetch_add(1, Ordering::Relaxed) + 1,
@@ -421,7 +418,6 @@ fn collect_scenarios_range(
 fn collect_scenarios_parallel(
     run: &Run,
     peer: PeerId,
-    target: &RunView,
     cone: &[usize],
     gov: &Governor,
     max: usize,
@@ -434,7 +430,7 @@ fn collect_scenarios_parallel(
         .map(|c| (total * c / chunks, total * (c + 1) / chunks))
         .collect();
     let outs = pool.run(bounds, |_, (lo, hi)| {
-        collect_scenarios_range(run, peer, target, cone, lo, hi, gov, max, Some(&found))
+        collect_scenarios_range(run, peer, cone, lo, hi, gov, max, Some(&found))
     });
     let mut scenarios: Vec<EventSet> = Vec::new();
     let mut stopped = None;

@@ -25,20 +25,30 @@
 //! The replayed state is stepped only where the branch differs from the
 //! run. A branch that has included every position so far is on the run's
 //! own prefix: its next include is the run's recorded step, and that
-//! step's observation is the target's own, so the search advances only its
+//! step's observation is the run's own, so the search advances only its
 //! position and observation count. The one state a search context owns is
 //! caught up along the prefix by recorded diffs when a branch that has
 //! left the prefix first includes an event; such a branch steps its
 //! includes in place and takes each back on return. The search is
 //! exclude-first, so branches leave the prefix in increasing depth order
 //! and the state only ever moves forward along it. The per-query facts the
-//! search reads — the peer's cone and the faithful seed's index — come
-//! from the run's facts slot ([`crate::facts`]), built once per run.
+//! search reads — the peer's observations, its cone and the faithful seed —
+//! come from the run's facts slot ([`crate::facts`]), built once per run.
+//!
+//! A visible step of the replay is checked against the peer's next
+//! observation by its view delta, not by its whole view
+//! ([`crate::scenario`]'s step check). That is exact because at every node
+//! with `k` observations matched the replay's view equals the view of the
+//! run's `k`-th observation: the root replays the initial instance, a
+//! branch that catches up along the run's prefix takes the run's own
+//! steps, an invisible step changes nothing the peer sees, and each
+//! matched step made the same, normalised, change.
 
-use cwf_engine::{Event, EventView, Run, RunView, ScratchRun};
+use cwf_engine::{EventView, Run, ScratchRun};
 use cwf_model::{Bound, FirstHit, Governor, PeerId, Pool, Reason, SharedMin, Verdict};
 
-use crate::facts::facts;
+use crate::facts::{facts, Observation};
+use crate::scenario::observe;
 use crate::set::EventSet;
 
 /// Runs shorter than this stay on the sequential path even under a
@@ -86,17 +96,17 @@ struct Plan {
 }
 
 impl Plan {
-    fn new(run: &Run, peer: PeerId, target: &RunView, opts: &SearchOptions) -> Self {
+    fn new(run: &Run, peer: PeerId, observations: &[Observation], opts: &SearchOptions) -> Self {
         let allowed = if opts.no_cone || opts.first_found {
             opts.allowed.clone()
         } else {
-            let cone = crate::cone::peer_cone(run, peer);
+            let cone = facts(run).cone(peer);
             Some(match &opts.allowed {
                 Some(allowed) => cone.intersection(allowed),
-                None => cone,
+                None => cone.clone(),
             })
         };
-        let reach = observation_reach(run, peer, target, &allowed);
+        let reach = observation_reach(run, peer, observations, &allowed);
         Plan {
             max_len: initial_bound(run, peer, opts),
             allowed,
@@ -137,12 +147,12 @@ fn initial_bound(run: &Run, peer: PeerId, opts: &SearchOptions) -> usize {
 fn observation_reach(
     run: &Run,
     peer: PeerId,
-    target: &RunView,
+    observations: &[Observation],
     allowed: &Option<EventSet>,
 ) -> Vec<usize> {
-    let mut reach = vec![run.len() + 1; target.steps.len() + 1];
+    let mut reach = vec![run.len() + 1; observations.len() + 1];
     let mut before = run.len();
-    for (k, step) in target.steps.iter().enumerate().rev() {
+    for (k, step) in observations.iter().enumerate().rev() {
         let latest = (0..before).rev().find(|&i| {
             let event = run.event(i);
             allowed.as_ref().is_none_or(|a| a.contains(i))
@@ -211,12 +221,12 @@ pub fn search_min_scenario_pooled(
         if let Err(reason) = gov.check() {
             return cutoff_verdict(run, peer, opts, None, reason);
         }
-        let target = run.view(peer);
-        let plan = Plan::new(run, peer, &target, opts);
+        let observations = facts(run).observations(peer);
+        let plan = Plan::new(run, peer, observations, opts);
         if pool.is_sequential() || run.len() < PAR_MIN_EVENTS {
-            return search_sequential(run, peer, opts, &plan, gov, &target);
+            return search_sequential(run, peer, opts, &plan, gov, observations);
         }
-        search_parallel(run, peer, opts, &plan, gov, &target, pool)
+        search_parallel(run, peer, opts, &plan, gov, observations, pool)
     })
 }
 
@@ -227,10 +237,10 @@ fn search_sequential(
     opts: &SearchOptions,
     plan: &Plan,
     gov: &Governor,
-    target: &RunView,
+    observations: &[Observation],
 ) -> Verdict<Option<EventSet>> {
     let start = ScratchRun::restart_of(run);
-    let mut ctx = Ctx::sequential(run, peer, target, opts, plan, gov, start);
+    let mut ctx = Ctx::sequential(run, peer, observations, opts, plan, gov, start);
     ctx.dfs(0, 0, &mut Vec::new());
     match ctx.stopped {
         None => Verdict::Done(ctx.best),
@@ -272,14 +282,14 @@ fn search_parallel(
     opts: &SearchOptions,
     plan: &Plan,
     gov: &Governor,
-    target: &RunView,
+    observations: &[Observation],
     pool: &Pool,
 ) -> Verdict<Option<EventSet>> {
     // Phase 1: expand the same exclude-first decision tree sequentially
     // down to the spawn depth, collecting the live branches in DFS order.
     let depth = spawn_depth(pool.threads(), run.len());
     let start = ScratchRun::restart_of(run);
-    let mut expander = Ctx::sequential(run, peer, target, opts, plan, gov, start);
+    let mut expander = Ctx::sequential(run, peer, observations, opts, plan, gov, start);
     expander.spawn_depth = depth;
     expander.dfs(0, 0, &mut Vec::new());
     if let Some(reason) = expander.stopped {
@@ -301,7 +311,7 @@ fn search_parallel(
         first_hit: FirstHit::new(),
     };
     let outs = pool.run(prefixes, |idx, p: Prefix| {
-        let mut ctx = Ctx::sequential(run, peer, target, opts, plan, gov, p.sub);
+        let mut ctx = Ctx::sequential(run, peer, observations, opts, plan, gov, p.sub);
         ctx.shared = Some(&shared);
         ctx.my_index = idx;
         let mut chosen = p.chosen;
@@ -372,7 +382,7 @@ fn cutoff_verdict(
         Some(w) => {
             let bound = Bound {
                 reason,
-                lower: Some(run.view(peer).steps.len() as u64),
+                lower: Some(facts(run).observations(peer).len() as u64),
                 upper: Some(w.len() as u64),
             };
             Verdict::Anytime(Some(w), bound)
@@ -412,7 +422,7 @@ pub fn exists_scenario_at_most_pooled(
                 false,
                 Bound {
                     reason,
-                    lower: Some(run.view(peer).steps.len() as u64),
+                    lower: Some(facts(run).observations(peer).len() as u64),
                     upper: Some(greedy.len() as u64),
                 },
             )
@@ -437,7 +447,8 @@ pub fn exists_scenario_at_most_pooled(
 struct Ctx<'a> {
     run: &'a Run,
     peer: PeerId,
-    target: &'a RunView,
+    /// The peer's observations, which the replay must reproduce in order.
+    observations: &'a [Observation],
     plan: &'a Plan,
     first_found: bool,
     gov: &'a Governor,
@@ -466,7 +477,7 @@ impl<'a> Ctx<'a> {
     fn sequential(
         run: &'a Run,
         peer: PeerId,
-        target: &'a RunView,
+        observations: &'a [Observation],
         opts: &SearchOptions,
         plan: &'a Plan,
         gov: &'a Governor,
@@ -475,7 +486,7 @@ impl<'a> Ctx<'a> {
         Ctx {
             run,
             peer,
-            target,
+            observations,
             plan,
             first_found: opts.first_found,
             gov,
@@ -542,7 +553,7 @@ impl<'a> Ctx<'a> {
     }
 
     /// DFS over positions, with [`Ctx::state`] the replayed subrun so far
-    /// and `matched` the number of target steps already produced.
+    /// and `matched` the number of observations already matched.
     fn dfs(&mut self, i: usize, matched: usize, chosen: &mut Vec<usize>) {
         if self.done() || self.stopped.is_some() {
             return;
@@ -566,7 +577,7 @@ impl<'a> Ctx<'a> {
             self.stopped = Some(reason);
             return;
         }
-        let remaining_steps = self.target.steps.len() - matched;
+        let remaining_steps = self.observations.len() - matched;
         // Lower bound: each missing observation needs at least one event.
         if chosen.len() + remaining_steps > self.bound() {
             return;
@@ -601,9 +612,9 @@ impl<'a> Ctx<'a> {
         if chosen.len() == i {
             // Every earlier position is included: the branch is on the
             // run's own prefix, and including `i` takes the run's own step,
-            // whose observation is the target's own — event `i` is visible
-            // exactly when it is the target's next step. No state moves.
-            let seen = self.target.steps.get(matched).is_some_and(|s| s.index == i);
+            // whose observation is the run's own — event `i` is visible
+            // exactly when it is the next observation. No state moves.
+            let seen = self.observations.get(matched).is_some_and(|o| o.index == i);
             chosen.push(i);
             self.dfs(i + 1, matched + usize::from(seen), chosen);
             chosen.pop();
@@ -619,29 +630,13 @@ impl<'a> Ctx<'a> {
         let Ok(undo) = self.state.apply(event) else {
             return;
         };
-        if let Some(new_matched) = self.observed(event, matched) {
+        let observed = observe(&self.state, self.peer, event, self.observations, matched);
+        if let Some(new_matched) = observed {
             chosen.push(i);
             self.dfs(i + 1, new_matched, chosen);
             chosen.pop();
         }
         self.state.undo(undo);
-    }
-
-    /// The observations matched once the state has just stepped by `event`,
-    /// or `None` when that step is visible at the peer but is not the next
-    /// expected observation.
-    fn observed(&self, event: &Event, matched: usize) -> Option<usize> {
-        let own = event.peer == self.peer;
-        if !own && !self.state.changed(self.peer) {
-            return Some(matched);
-        }
-        let expected = self.target.steps.get(matched)?;
-        let event_matches = match (&expected.event, own) {
-            (EventView::Own(e), true) => e == event,
-            (EventView::World, false) => true,
-            _ => false,
-        };
-        (event_matches && expected.view == *self.state.view(self.peer)).then_some(matched + 1)
     }
 }
 

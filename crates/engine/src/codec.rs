@@ -123,6 +123,26 @@ pub(crate) fn encode_value(v: &Value, out: &mut String) {
     }
 }
 
+/// Is `digits` a number as `encode_value` writes it: an optional `-`
+/// (when `signed`), then `0` alone or digits without a leading zero, and
+/// never `-0`? Rust's integer parsers also take a leading `+` and leading
+/// zeros, which would decode to a value that re-encodes differently.
+fn canonical_number(digits: &str, signed: bool) -> bool {
+    let magnitude = match digits.strip_prefix('-') {
+        Some(m) if signed => m,
+        Some(_) => return false,
+        None => digits,
+    };
+    let bytes = magnitude.as_bytes();
+    let plain = !bytes.is_empty() && bytes.iter().all(u8::is_ascii_digit);
+    let zero_ok = bytes.first() != Some(&b'0') || (bytes.len() == 1 && magnitude == digits);
+    plain && zero_ok
+}
+
+/// Decodes one value token: the exact inverse of [`encode_value`], which
+/// refuses every token `encode_value` would not have written (a leading `+`
+/// or zero on a number, an unescaped quote inside a string), so a log that
+/// decodes re-encodes to itself.
 pub(crate) fn decode_value(token: &str, line: usize) -> Result<Value, CodecError> {
     let bad = || CodecError::BadValue {
         line,
@@ -134,10 +154,12 @@ pub(crate) fn decode_value(token: &str, line: usize) -> Result<Value, CodecError
     let (tag, rest) = token.split_once(':').ok_or_else(bad)?;
     match tag {
         "b" => rest.parse::<bool>().map(Value::Bool).map_err(|_| bad()),
-        "i" => rest.parse::<i64>().map(Value::Int).map_err(|_| bad()),
-        // No fresh symbol is ever drawn at `u64::MAX`: the generator would
-        // overflow moving past it.
-        "f" => match rest.parse::<u64>() {
+        "i" if canonical_number(rest, true) => {
+            rest.parse::<i64>().map(Value::Int).map_err(|_| bad())
+        }
+        // No fresh symbol is ever drawn at `u64::MAX`: that counter marks
+        // an exhausted generator (`FreshGen::draw`).
+        "f" if canonical_number(rest, false) => match rest.parse::<u64>() {
             Ok(n) if n < u64::MAX => Ok(Value::Fresh(n)),
             _ => Err(bad()),
         },
@@ -156,6 +178,9 @@ pub(crate) fn decode_value(token: &str, line: usize) -> Result<Value, CodecError
                         Some('n') => s.push('\n'),
                         _ => return Err(bad()),
                     }
+                } else if c == '"' {
+                    // `encode_value` escapes every inner quote.
+                    return Err(bad());
                 } else {
                     s.push(c);
                 }
@@ -383,6 +408,44 @@ mod tests {
             let mut s = String::new();
             encode_value(&v, &mut s);
             assert_eq!(decode_value(&s, 1).unwrap(), v, "token {s}");
+        }
+    }
+
+    #[test]
+    fn non_canonical_tokens_are_refused() {
+        for token in [
+            r#"s:"a"b""#,
+            "s:\"\"\"",
+            "i:+5",
+            "i:05",
+            "i:-0",
+            "i:-",
+            "f:+3",
+            "f:03",
+            "f:-1",
+            "f:18446744073709551615",
+        ] {
+            assert_eq!(
+                decode_value(token, 3),
+                Err(CodecError::BadValue {
+                    line: 3,
+                    token: token.into()
+                }),
+                "{token}"
+            );
+        }
+        let canonical = [
+            "i:0",
+            "i:-7",
+            "i:10",
+            "f:0",
+            "f:18446744073709551614",
+            "s:\"\"",
+        ];
+        for token in canonical {
+            let mut back = String::new();
+            encode_value(&decode_value(token, 1).unwrap(), &mut back);
+            assert_eq!(back, token);
         }
     }
 

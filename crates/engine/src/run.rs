@@ -231,6 +231,13 @@ impl Run {
     }
 
     /// Draws a value guaranteed globally fresh for this run.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build profile, when the run's fresh values are
+    /// exhausted: it has observed `ν18446744073709551614`, the largest value
+    /// a generator draws, and drawing never wraps around
+    /// ([`FreshGen::draw`]).
     pub fn draw_fresh(&mut self) -> Value {
         self.fresh.draw()
     }
@@ -508,8 +515,9 @@ impl Run {
 
     /// Calls `f(i, delta)` with each event's view delta at `peer`, in run
     /// order. One instance, cloned from `initial`, is rolled forward
-    /// through the recorded diffs: no history cell is read or filled.
-    fn for_each_peer_delta(&self, peer: PeerId, mut f: impl FnMut(usize, ViewDelta)) {
+    /// through the recorded diffs: no history cell is read or filled, and
+    /// no view instance is built.
+    pub fn for_each_peer_delta(&self, peer: PeerId, mut f: impl FnMut(usize, ViewDelta)) {
         let collab = self.spec().collab();
         let mut inst = self.initial.clone();
         for (i, diff) in self.diffs.iter().enumerate() {

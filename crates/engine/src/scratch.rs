@@ -191,7 +191,15 @@ impl ScratchRun {
     /// ownership this is exactly the visibility test of Section 3
     /// (`I_{i−1}@p ≠ I_i@p` ⟺ the peer's delta is non-empty).
     pub fn changed(&self, p: PeerId) -> bool {
-        self.last_deltas.iter().any(|(q, _)| *q == p)
+        self.delta(p).is_some()
+    }
+
+    /// The change the most recent push made to `p`'s view, `None` when it
+    /// made none.
+    pub fn delta(&self, p: PeerId) -> Option<&ViewDelta> {
+        self.last_deltas
+            .iter()
+            .find_map(|(q, delta)| (*q == p).then_some(delta))
     }
 
     /// Appends an event under the admission rule of the module docs —

@@ -64,6 +64,35 @@ impl ViewDelta {
         delta
     }
 
+    /// This delta with its upserts and removals sorted, and no spare
+    /// capacity: the form in which a delta is stored to be compared later
+    /// ([`ViewDelta::matches`]).
+    pub fn canonical(mut self) -> Self {
+        self.upserts.sort_unstable();
+        self.upserts.shrink_to_fit();
+        self.removals.sort_unstable();
+        self.removals.shrink_to_fit();
+        self
+    }
+
+    /// Does this delta make the same changes as `canonical`, a delta in
+    /// [`ViewDelta::canonical`] form, in whatever order it lists them?
+    /// Exact for deltas of one step, whose upserts (and removals) name
+    /// distinct keys: a diff creates, deletes or modifies each key at most
+    /// once.
+    pub fn matches(&self, canonical: &ViewDelta) -> bool {
+        self.upserts.len() == canonical.upserts.len()
+            && self.removals.len() == canonical.removals.len()
+            && self
+                .upserts
+                .iter()
+                .all(|u| canonical.upserts.binary_search(u).is_ok())
+            && self
+                .removals
+                .iter()
+                .all(|r| canonical.removals.binary_search(r).is_ok())
+    }
+
     /// Is this a no-op?
     pub fn is_empty(&self) -> bool {
         self.upserts.is_empty() && self.removals.is_empty()

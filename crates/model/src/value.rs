@@ -116,6 +116,12 @@ impl From<String> for Value {
 /// neither in `const(P)` nor in any earlier instance of the run. Because
 /// [`Value::Fresh`] symbols are not denotable by programs, a strictly
 /// increasing counter satisfies this for any single run.
+///
+/// The counter draws `ν0` up to `ν18446744073709551614` (`u64::MAX − 1`).
+/// A counter at `u64::MAX` is exhausted: it refuses to draw rather than
+/// wrap around and re-mint a value already used, in every build profile.
+/// (The event-log codec refuses `f:18446744073709551615` for the same
+/// reason: no drawn value is ever `u64::MAX`.)
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FreshGen {
     next: u64,
@@ -134,7 +140,16 @@ impl FreshGen {
     }
 
     /// Draws the next fresh value.
+    ///
+    /// # Panics
+    ///
+    /// Panics, in every build profile, when the generator is exhausted:
+    /// every value up to `u64::MAX − 1` has been drawn or observed.
     pub fn draw(&mut self) -> Value {
+        assert!(
+            self.next < u64::MAX,
+            "fresh values exhausted: the counter has reached u64::MAX"
+        );
         let v = Value::Fresh(self.next);
         self.next += 1;
         v
@@ -150,7 +165,7 @@ impl FreshGen {
     pub fn observe(&mut self, v: &Value) {
         if let Value::Fresh(n) = v {
             if *n >= self.next {
-                self.next = n + 1;
+                self.next = n.saturating_add(1);
             }
         }
     }
@@ -204,6 +219,20 @@ mod tests {
         // Observing an already-passed fresh value does nothing.
         g.observe(&Value::Fresh(3));
         assert_eq!(g.draw(), Value::Fresh(13));
+    }
+
+    #[test]
+    fn fresh_gen_refuses_to_wrap() {
+        let exhausted = |mut g: FreshGen| std::panic::catch_unwind(move || g.draw()).is_err();
+        let mut g = FreshGen::new();
+        g.observe(&Value::Fresh(u64::MAX - 2));
+        assert_eq!(g.draw(), Value::Fresh(u64::MAX - 1));
+        assert_eq!(g.peek(), u64::MAX);
+        assert!(exhausted(g.clone()), "u64::MAX is never drawn");
+        let mut g = FreshGen::new();
+        g.observe(&Value::Fresh(u64::MAX));
+        assert_eq!(g.peek(), u64::MAX, "observing u64::MAX does not wrap");
+        assert!(exhausted(g));
     }
 
     #[test]

@@ -17,14 +17,21 @@
 //! one of the edited lines. A replay error of an edited log must come at or
 //! after the first edited event, since the events before it are the logged
 //! ones. Valid logs round-trip: decoding gives the run's events, loading
-//! gives its instance, and re-encoding the loaded run gives the log.
+//! gives its instance, and re-encoding the loaded run gives the log. The
+//! decoder is the exact inverse of the encoder: every edited log that
+//! decodes re-encodes to its own event lines byte for byte, up to the
+//! whitespace between tokens. Fresh values drawn after a log that holds the
+//! largest one are refused, never wrapped around.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use collab_workflows::engine::chaos::{default_spec, modification_spec};
-use collab_workflows::engine::{decode_events, encode_run, load_run, CodecError, Event, Run};
+use collab_workflows::engine::{
+    decode_events, encode_event, encode_run, load_run, CodecError, Event, Run,
+};
 use collab_workflows::lang::WorkflowSpec;
+use collab_workflows::model::Value;
 use collab_workflows::workloads::{build_procurement_run, random_run};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -104,6 +111,55 @@ fn check(
             }
             Err(e) => return Err(TestCaseError::fail(format!("decoded, then {e}"))),
         },
+    }
+    Ok(())
+}
+
+/// `line` as the encoder writes it if its tokens are canonical: trimmed,
+/// with each run of whitespace between tokens (outside a quoted string) cut
+/// to one space.
+fn single_spaced(line: &str) -> String {
+    let mut out = String::new();
+    let (mut in_str, mut escaped, mut gap) = (false, false, false);
+    for c in line.trim().chars() {
+        if !in_str && c.is_whitespace() {
+            gap = true;
+            continue;
+        }
+        if gap {
+            out.push(' ');
+            gap = false;
+        }
+        out.push(c);
+        if in_str && escaped {
+            escaped = false;
+        } else if in_str && c == '\\' {
+            escaped = true;
+        } else if c == '"' {
+            in_str = !in_str;
+        }
+    }
+    out
+}
+
+/// A log that decodes re-encodes to itself: the encoding of each decoded
+/// event is its event line, single-spaced.
+fn reencodes(spec: &WorkflowSpec, log: &str) -> Result<(), TestCaseError> {
+    let Ok(events) = decode_events(spec, log) else {
+        return Ok(());
+    };
+    let lines: Vec<&str> = log
+        .lines()
+        .filter(|l| !l.trim().is_empty() && !l.trim().starts_with('#'))
+        .collect();
+    prop_assert_eq!(lines.len(), events.len(), "one event per event line");
+    for (line, event) in lines.iter().zip(&events) {
+        prop_assert_eq!(
+            encode_event(spec, event),
+            single_spaced(line),
+            "the line {:?} decodes to an event that re-encodes differently",
+            line
+        );
     }
     Ok(())
 }
@@ -283,6 +339,7 @@ proptest! {
         let first = edited.iter().min().copied().unwrap_or(2) - 2;
         let hostile = lines.join("\n");
         check(&run.spec_arc(), &hostile, Some(&edited), first)?;
+        reencodes(run.spec(), &hostile)?;
     }
 
     /// Arbitrary bytes, decoded lossily, never panic the decoder.
@@ -298,4 +355,55 @@ proptest! {
         }
         check(&spec, &glued, None, 0)?;
     }
+}
+
+/// Every edge token in the place of every value of a logged event: each
+/// edited log fails on its line or loads, and re-encodes to itself when it
+/// decodes — so a token the encoder never writes (`i:+5`, `s:"a"b"`) is
+/// refused, not read as a value that re-encodes differently.
+#[test]
+fn edge_tokens_are_refused_or_reencode_exactly() {
+    for family in 0..3 {
+        let (run, log) = logged(family, 1);
+        let spec = run.spec_arc();
+        let lines: Vec<&str> = log.lines().collect();
+        for (at, line) in lines.iter().enumerate().skip(1) {
+            let tokens: Vec<&str> = line.split(' ').collect();
+            for slot in 1..tokens.len() {
+                for edge in EDGE_TOKENS {
+                    let mut edited = tokens.clone();
+                    edited[slot] = edge;
+                    let mut hostile = lines.clone();
+                    let line = edited.join(" ");
+                    hostile[at] = &line;
+                    let hostile = hostile.join("\n");
+                    check(&spec, &hostile, Some(&[at + 1]), at - 1).unwrap();
+                    reencodes(&spec, &hostile).unwrap();
+                }
+            }
+        }
+    }
+}
+
+/// A logged fresh value one below `u64::MAX` leaves the loaded run's
+/// generator exhausted: every later draw is refused with a panic, in every
+/// build profile, instead of wrapping around to re-mint `ν0`. One value
+/// lower, the last value is drawn once before the refusals start.
+#[test]
+fn fresh_draws_after_the_largest_logged_value_are_refused() {
+    let spec = default_spec();
+    let initial = Run::new(Arc::clone(&spec)).initial().clone();
+    let load =
+        |log: &str| load_run(Arc::clone(&spec), initial.clone(), log).expect("the log loads");
+    let refused = |run: &mut Run| catch_unwind(AssertUnwindSafe(|| run.draw_fresh())).is_err();
+
+    let mut run = load("draft f:18446744073709551614\n");
+    assert_eq!(run.fresh_watermark(), u64::MAX);
+    assert!(refused(&mut run), "the first draw is refused");
+    assert!(refused(&mut run), "and so is every later one");
+
+    let mut run = load("draft f:18446744073709551613\n");
+    assert_eq!(run.draw_fresh(), Value::Fresh(u64::MAX - 1));
+    assert!(refused(&mut run), "u64::MAX is never drawn");
+    assert_eq!(run.fresh_watermark(), u64::MAX);
 }

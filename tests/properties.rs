@@ -432,14 +432,17 @@ mod par_analysis_props {
 
 mod scratch_props {
     use super::*;
-    use collab_workflows::core::{is_scenario_against, is_subrun, visible_set};
+    use collab_workflows::core::{is_subrun, visible_set};
+    use collab_workflows::engine::chaos::{default_spec, modification_spec};
     use collab_workflows::engine::ScratchRun;
 
     /// The legacy scenario oracle: materialize the full subrun, then compare
-    /// whole run views — what `is_scenario_against` did before the streaming
-    /// `ScratchRun` rewrite. Kept here as the differential reference, so it
-    /// replays from the initial instance through `Run::replay` rather than
-    /// resuming from the recorded history as `try_subrun` does.
+    /// whole run views (`Run::view`, every step's view instance) — what the
+    /// scenario test did before it streamed a `ScratchRun` and checked each
+    /// visible step by its view delta. Kept here as the differential
+    /// reference, so it replays from the initial instance through
+    /// `Run::replay` rather than resuming from the recorded history as
+    /// `try_subrun` and `is_scenario` do.
     fn legacy_is_scenario(
         run: &Run,
         peer: collab_workflows::model::PeerId,
@@ -480,38 +483,51 @@ mod scratch_props {
             }
         }
 
-        /// The streaming scenario test is decision-identical to the legacy
-        /// subrun-then-compare oracle on random subsets — including subsets
-        /// that fail to replay, miss observations, or match exactly.
+        /// The streaming, delta-checking scenario test is decision-identical
+        /// to the legacy subrun-then-compare-views oracle on random subsets,
+        /// at every peer — including subsets that fail to replay, miss
+        /// observations, make a different change at a visible step, or
+        /// match exactly. Runs come from random propositional specs and from
+        /// walks of the chaos specs, whose selections make tuples enter and
+        /// leave a peer's view by in-place modification.
         #[test]
         fn streaming_scenario_test_matches_legacy_oracle(
-            gen_seed in 0u64..500, run_seed in 0u64..500, masks in prop::collection::vec(0u64..4096, 1..24)
+            family in 0u8..3, gen_seed in 0u64..500, run_seed in 0u64..500,
+            masks in prop::collection::vec(0u64..4096, 1..24)
         ) {
-            let mut rng = StdRng::seed_from_u64(gen_seed);
-            let w = random_propositional_spec(&RandomSpecParams::default(), &mut rng);
-            let run = random_run(&w.spec, 10, run_seed);
-            let target = run.view(w.observer);
+            let spec = match family {
+                0 => {
+                    let mut rng = StdRng::seed_from_u64(gen_seed);
+                    random_propositional_spec(&RandomSpecParams::default(), &mut rng).spec
+                }
+                1 => default_spec(),
+                _ => modification_spec(),
+            };
+            let run = random_run(&spec, 10, run_seed);
             let n = run.len();
-            let mut candidates: Vec<EventSet> = masks
-                .into_iter()
-                .map(|m| EventSet::from_iter(n, (0..n).filter(|i| m & (1 << i) != 0)))
-                .collect();
-            // Always include the interesting endpoints: everything, nothing,
-            // and the visible set (supersets of it are scenario candidates).
-            candidates.push(EventSet::full(n));
-            candidates.push(EventSet::empty(n));
-            candidates.push(visible_set(&run, w.observer));
-            for set in &candidates {
-                prop_assert_eq!(
-                    is_scenario_against(&run, w.observer, set, &target),
-                    legacy_is_scenario(&run, w.observer, set),
-                    "streaming vs legacy disagree on {:?}", set
-                );
-                prop_assert_eq!(
-                    is_subrun(&run, set),
-                    run.try_subrun(&set.to_vec()).is_ok(),
-                    "is_subrun vs try_subrun disagree on {:?}", set
-                );
+            for peer in run.spec().collab().peer_ids() {
+                let mut candidates: Vec<EventSet> = masks
+                    .iter()
+                    .map(|m| EventSet::from_iter(n, (0..n).filter(|i| m & (1 << i) != 0)))
+                    .collect();
+                // Always include the interesting endpoints: everything,
+                // nothing, and the visible set (supersets of it are scenario
+                // candidates).
+                candidates.push(EventSet::full(n));
+                candidates.push(EventSet::empty(n));
+                candidates.push(visible_set(&run, peer));
+                for set in &candidates {
+                    prop_assert_eq!(
+                        is_scenario(&run, peer, set),
+                        legacy_is_scenario(&run, peer, set),
+                        "streaming vs legacy disagree at {:?} on {:?}", peer, set
+                    );
+                    prop_assert_eq!(
+                        is_subrun(&run, set),
+                        run.try_subrun(&set.to_vec()).is_ok(),
+                        "is_subrun vs try_subrun disagree on {:?}", set
+                    );
+                }
             }
         }
     }

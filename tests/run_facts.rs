@@ -1,13 +1,16 @@
 //! Coherence battery for the per-run facts slot: a `Run` keeps the
-//! explanation layer's `RunFacts` (index, closed dependency sets, visible
-//! sets, head relations, faithful sets) from the first query on, each push
-//! steps it from the recorded diff, each pop empties it, and a clone starts
-//! without it. Over chaos-spec walks driven through a seeded mix of pushes,
-//! pops and clones — each taken with every part of the slot filled just
-//! before — the stepped facts must equal a fresh build after every
-//! operation, and the faithful (Thm 4.7) and minimum (Thm 3.3) answers on
-//! the mutated run must equal those on a freshly replayed copy. Every
-//! faithful answer must replay into a scenario (Lemma 4.6).
+//! explanation layer's `RunFacts` (index, closed dependency sets, cones,
+//! visible sets, observations, head relations, faithful sets) from the
+//! first query on, each push steps it from the recorded diff, each pop
+//! empties it, and a clone starts without it. Over chaos-spec walks driven
+//! through a seeded mix of pushes, refused pushes, pops and clones — each
+//! taken with every part of the slot filled just before — the stepped
+//! facts must equal a fresh build after every operation, each peer's
+//! observations must equal the deltas between consecutive steps of the
+//! whole-view reference `Run::view`, and the faithful (Thm 4.7) and minimum
+//! (Thm 3.3) answers on the mutated run must equal those on a freshly
+//! replayed copy. Every faithful answer must replay into a scenario
+//! (Lemma 4.6).
 //!
 //! The index is built from the recorded diffs. A reference built the
 //! earlier way, from the instances before and after every event, pins it on
@@ -19,11 +22,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use collab_workflows::core::{
     facts, is_scenario, minimal_faithful_scenario, search_min_scenario_pooled, Lifecycle,
-    Modification, RunFacts, RunIndex, SearchOptions,
+    Modification, Observation, RunFacts, RunIndex, SearchOptions,
 };
 use collab_workflows::engine::chaos::{default_spec, modification_spec};
-use collab_workflows::engine::GroundUpdate;
-use collab_workflows::model::{AttrId, Governor, Pool, RelId, Value};
+use collab_workflows::engine::{materialize_view, GroundUpdate, ViewDelta};
+use collab_workflows::model::{AttrId, Governor, PeerId, Pool, RelId, Value};
 use collab_workflows::prelude::*;
 use collab_workflows::workloads::{random_propositional_spec, random_run, RandomSpecParams};
 use proptest::prelude::*;
@@ -38,6 +41,8 @@ const NODES: u64 = 1_500;
 #[derive(Clone, Copy, Debug)]
 enum Op {
     Push,
+    /// A push the run refuses (when the walk has an event it refuses).
+    Refused,
     Pop,
     Clone,
 }
@@ -65,10 +70,40 @@ fn answers(run: &Run) -> Vec<(Vec<usize>, String)> {
         .collect()
 }
 
+/// `peer`'s observations derived from the whole-view reference: the
+/// `ViewDelta::between` consecutive steps of `Run::view`, the first from
+/// the view of the initial instance.
+fn reference_observations(run: &Run, peer: PeerId) -> Vec<Observation> {
+    let mut before = materialize_view(run.spec().collab(), peer, run.initial());
+    run.view(peer)
+        .steps
+        .into_iter()
+        .map(|step| {
+            let delta = ViewDelta::between(&before, &step.view).canonical();
+            before = step.view;
+            Observation {
+                index: step.index,
+                event: step.event,
+                delta,
+            }
+        })
+        .collect()
+}
+
 /// The cached facts of `run` with every part filled must equal a fresh
-/// build, and its answers those of a replayed copy.
+/// build, its observations the whole-view reference, and its answers those
+/// of a replayed copy.
 fn coherent(run: &Run, at: &str) -> Result<(), TestCaseError> {
     prop_assert_eq!(facts(run).filled(), &RunFacts::build(run), "facts {}", at);
+    for peer in run.spec().collab().peer_ids() {
+        prop_assert_eq!(
+            facts(run).observations(peer),
+            &reference_observations(run, peer)[..],
+            "observations of {:?} {}",
+            peer,
+            at
+        );
+    }
     let fresh = Run::replay(run.spec_arc(), run.initial().clone(), run.events().to_vec())
         .expect("a run's own events replay");
     prop_assert_eq!(answers(run), answers(&fresh), "answers {}", at);
@@ -86,9 +121,10 @@ proptest! {
         let mut run = Run::with_initial(walk.spec_arc(), walk.initial().clone());
         let mut ops = Vec::new();
         for step in 0..40 {
-            let op = match rng.gen_range(0..6) {
+            let op = match rng.gen_range(0..7) {
                 0 if !run.is_empty() => Op::Pop,
                 1 => Op::Clone,
+                2 => Op::Refused,
                 _ if run.len() < walk.len() => Op::Push,
                 _ => Op::Pop,
             };
@@ -98,6 +134,14 @@ proptest! {
             answers(&run);
             match op {
                 Op::Push => run.push(walk.event(run.len()).clone()).unwrap(),
+                Op::Refused => {
+                    let refused = walk.events().iter().find(|e| run.check(e).is_err());
+                    if let Some(event) = refused {
+                        let len = run.len();
+                        prop_assert!(run.push(event.clone()).is_err());
+                        prop_assert_eq!(run.len(), len, "a refused push leaves the run");
+                    }
+                }
                 Op::Pop => {
                     run.pop().expect("a non-empty run pops");
                 }
@@ -106,6 +150,30 @@ proptest! {
             coherent(&run, &format!("after {op:?} at step {step} (ops {ops:?})"))?;
         }
         prop_assert!(ops.iter().any(|op| matches!(op, Op::Push)));
+    }
+}
+
+/// Observations stepped by every push of the `explain-batch` corpus equal
+/// the whole-view reference at every prefix, at every peer.
+#[test]
+fn stepped_observations_equal_the_view_reference_at_every_prefix() {
+    for (name, walk) in common::batch_corpus() {
+        let mut run = Run::with_initial(walk.spec_arc(), walk.initial().clone());
+        let peers: Vec<PeerId> = run.spec().collab().peer_ids().collect();
+        for &peer in &peers {
+            facts(&run).observations(peer);
+        }
+        for event in walk.events() {
+            run.push(event.clone()).unwrap();
+            for &peer in &peers {
+                assert_eq!(
+                    facts(&run).observations(peer),
+                    &reference_observations(&run, peer)[..],
+                    "{name} at {peer:?} after {} events",
+                    run.len()
+                );
+            }
+        }
     }
 }
 
