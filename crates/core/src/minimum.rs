@@ -26,14 +26,18 @@
 //! run. A branch that has included every position so far is on the run's
 //! own prefix: its next include is the run's recorded step, and that
 //! step's observation is the run's own, so the search advances only its
-//! position and observation count. The one state a search context owns is
-//! caught up along the prefix by recorded diffs when a branch that has
-//! left the prefix first includes an event; such a branch steps its
-//! includes in place and takes each back on return. The search is
-//! exclude-first, so branches leave the prefix in increasing depth order
-//! and the state only ever moves forward along it. The per-query facts the
-//! search reads — the peer's observations, its cone and the faithful seed —
-//! come from the run's facts slot ([`crate::facts`]), built once per run.
+//! position and observation count. A search context owns at most one
+//! state, and builds it only when a branch first includes an event off
+//! the prefix: the recorded run already is the state along its prefix, so
+//! a search that never leaves it replays nothing and copies nothing. Once
+//! built, the state is caught up along the prefix by recorded diffs when a
+//! branch that has left the prefix first includes an event; such a branch
+//! steps its includes in place and takes each back on return. The search
+//! is exclude-first, so branches leave the prefix in increasing depth
+//! order and the state only ever moves forward along it. The per-query
+//! facts the search reads — the peer's observations, its cone and the
+//! faithful seed — come from the run's facts slot ([`crate::facts`]),
+//! built once per run.
 //!
 //! A visible step of the replay is checked against the peer's next
 //! observation by its view delta, not by its whole view
@@ -43,6 +47,8 @@
 //! branch that catches up along the run's prefix takes the run's own
 //! steps, an invisible step changes nothing the peer sees, and each
 //! matched step made the same, normalised, change.
+
+use std::borrow::Cow;
 
 use cwf_engine::{EventView, Run, ScratchRun};
 use cwf_model::{Bound, FirstHit, Governor, PeerId, Pool, Reason, SharedMin, Verdict};
@@ -80,12 +86,14 @@ pub struct SearchOptions {
 }
 
 /// What every search context of one query shares, computed once per query.
-struct Plan {
+struct Plan<'a> {
     /// The position set the branch-and-bound actually searches: the
     /// caller's `allowed` set intersected with the peer's provenance cone
     /// (optimize mode, pruning on), or the caller's set verbatim (decision
     /// mode, or `no_cone`). The original `opts` still drive cutoff verdicts.
-    allowed: Option<EventSet>,
+    /// Only the intersection is a new set; the cone and the caller's set
+    /// are borrowed.
+    allowed: Option<Cow<'a, EventSet>>,
     /// The length bound the search starts from (see [`initial_bound`]).
     max_len: usize,
     /// `reach[k]`: one past the latest position at which observation `k` can
@@ -95,18 +103,23 @@ struct Plan {
     reach: Vec<usize>,
 }
 
-impl Plan {
-    fn new(run: &Run, peer: PeerId, observations: &[Observation], opts: &SearchOptions) -> Self {
+impl<'a> Plan<'a> {
+    fn new(
+        run: &'a Run,
+        peer: PeerId,
+        observations: &[Observation],
+        opts: &'a SearchOptions,
+    ) -> Self {
         let allowed = if opts.no_cone || opts.first_found {
-            opts.allowed.clone()
+            opts.allowed.as_ref().map(Cow::Borrowed)
         } else {
             let cone = facts(run).cone(peer);
             Some(match &opts.allowed {
-                Some(allowed) => cone.intersection(allowed),
-                None => cone.clone(),
+                Some(allowed) => Cow::Owned(cone.intersection(allowed)),
+                None => Cow::Borrowed(cone),
             })
         };
-        let reach = observation_reach(run, peer, observations, &allowed);
+        let reach = observation_reach(run, peer, observations, allowed.as_deref());
         Plan {
             max_len: initial_bound(run, peer, opts),
             allowed,
@@ -148,14 +161,14 @@ fn observation_reach(
     run: &Run,
     peer: PeerId,
     observations: &[Observation],
-    allowed: &Option<EventSet>,
+    allowed: Option<&EventSet>,
 ) -> Vec<usize> {
     let mut reach = vec![run.len() + 1; observations.len() + 1];
     let mut before = run.len();
     for (k, step) in observations.iter().enumerate().rev() {
         let latest = (0..before).rev().find(|&i| {
             let event = run.event(i);
-            allowed.as_ref().is_none_or(|a| a.contains(i))
+            allowed.is_none_or(|a| a.contains(i))
                 && match &step.event {
                     EventView::Own(e) => event.peer == peer && e == event,
                     EventView::World => event.peer != peer,
@@ -239,8 +252,7 @@ fn search_sequential(
     gov: &Governor,
     observations: &[Observation],
 ) -> Verdict<Option<EventSet>> {
-    let start = ScratchRun::restart_of(run);
-    let mut ctx = Ctx::sequential(run, peer, observations, opts, plan, gov, start);
+    let mut ctx = Ctx::sequential(run, peer, observations, opts, plan, gov, None);
     ctx.dfs(0, 0, &mut Vec::new());
     match ctx.stopped {
         None => Verdict::Done(ctx.best),
@@ -252,7 +264,11 @@ fn search_sequential(
 /// to a worker: the replayed subrun state, the observations matched so far,
 /// and the chosen positions.
 struct Prefix {
-    sub: ScratchRun,
+    /// The branch's replayed state ([`Ctx::state`]), only when it has
+    /// included an event off the run's prefix: a branch whose includes are
+    /// all the run's own first events carries none, and its worker builds
+    /// the state on its own first off-prefix include.
+    sub: Option<ScratchRun>,
     matched: usize,
     chosen: Vec<usize>,
 }
@@ -288,8 +304,7 @@ fn search_parallel(
     // Phase 1: expand the same exclude-first decision tree sequentially
     // down to the spawn depth, collecting the live branches in DFS order.
     let depth = spawn_depth(pool.threads(), run.len());
-    let start = ScratchRun::restart_of(run);
-    let mut expander = Ctx::sequential(run, peer, observations, opts, plan, gov, start);
+    let mut expander = Ctx::sequential(run, peer, observations, opts, plan, gov, None);
     expander.spawn_depth = depth;
     expander.dfs(0, 0, &mut Vec::new());
     if let Some(reason) = expander.stopped {
@@ -449,7 +464,7 @@ struct Ctx<'a> {
     peer: PeerId,
     /// The peer's observations, which the replay must reproduce in order.
     observations: &'a [Observation],
-    plan: &'a Plan,
+    plan: &'a Plan<'a>,
     first_found: bool,
     gov: &'a Governor,
     best: Option<EventSet>,
@@ -463,14 +478,17 @@ struct Ctx<'a> {
     shared: Option<&'a ParShared>,
     /// This worker's subproblem index (DFS order of its prefix).
     my_index: usize,
-    /// The one replayed state this context owns: the run's own prefix of
-    /// [`ScratchRun::len`] events, then the includes of the current branch
-    /// past it. Branches on the run's prefix move it not at all; one that
-    /// has left the prefix catches it up by recorded steps
+    /// The one replayed state this context owns, once a branch has needed
+    /// it: the run's own prefix of [`ScratchRun::len`] events, then the
+    /// includes of the current branch past it. It stays `None` until a
+    /// branch first includes an event off the run's prefix, which builds
+    /// it ([`ScratchRun::restart_of`]); a search that stays on the prefix
+    /// builds none. Branches on the run's prefix move it not at all; one
+    /// that has left the prefix catches it up by recorded steps
     /// ([`ScratchRun::apply_recorded`]), then steps each include in place
     /// ([`ScratchRun::apply`]) and takes it back on return
     /// ([`ScratchRun::undo`]), so no node copies a state.
-    state: ScratchRun,
+    state: Option<ScratchRun>,
 }
 
 impl<'a> Ctx<'a> {
@@ -479,9 +497,9 @@ impl<'a> Ctx<'a> {
         peer: PeerId,
         observations: &'a [Observation],
         opts: &SearchOptions,
-        plan: &'a Plan,
+        plan: &'a Plan<'a>,
         gov: &'a Governor,
-        state: ScratchRun,
+        state: Option<ScratchRun>,
     ) -> Self {
         Ctx {
             run,
@@ -566,8 +584,14 @@ impl<'a> Ctx<'a> {
         // Expansion phase: freeze this branch for a worker. Before the tick,
         // so every spawned node is charged exactly once — by its worker.
         if i == self.spawn_depth {
+            // Only a branch with an include off the prefix has stepped the
+            // state, and then every include of `chosen` is in it.
+            let off_prefix = chosen.last().is_some_and(|&c| c >= chosen.len());
+            debug_assert!(
+                !off_prefix || self.state.as_ref().map(ScratchRun::len) == Some(chosen.len())
+            );
             self.prefixes.push(Prefix {
-                sub: self.state.clone(),
+                sub: if off_prefix { self.state.clone() } else { None },
                 matched,
                 chosen: chosen.clone(),
             });
@@ -620,23 +644,31 @@ impl<'a> Ctx<'a> {
             chosen.pop();
             return;
         }
-        // The branch has left the prefix. The state lags at most on the
-        // prefix part of `chosen`: catch it up by recorded steps, which
-        // are never taken back (later branches leave the prefix deeper).
-        while self.state.len() < chosen.len() {
-            self.state.apply_recorded(self.run);
+        // The branch has left the prefix: build the state on the first
+        // such include. It lags at most on the prefix part of `chosen`:
+        // catch it up by recorded steps, which are never taken back (later
+        // branches leave the prefix deeper).
+        let run = self.run;
+        let state = self
+            .state
+            .get_or_insert_with(|| ScratchRun::restart_of(run));
+        while state.len() < chosen.len() {
+            state.apply_recorded(run);
         }
-        let event = self.run.event(i);
-        let Ok(undo) = self.state.apply(event) else {
+        let event = run.event(i);
+        let Ok(undo) = state.apply(event) else {
             return;
         };
-        let observed = observe(&self.state, self.peer, event, self.observations, matched);
+        let observed = observe(state, self.peer, event, self.observations, matched);
         if let Some(new_matched) = observed {
             chosen.push(i);
             self.dfs(i + 1, new_matched, chosen);
             chosen.pop();
         }
-        self.state.undo(undo);
+        self.state
+            .as_mut()
+            .expect("an applied step has its state")
+            .undo(undo);
     }
 }
 
@@ -821,6 +853,89 @@ mod tests {
         let q = run.spec().collab().peer("q").unwrap();
         let res = search_min_scenario(&run, q, &SearchOptions::default(), &Governor::unlimited());
         assert_eq!(res.found().unwrap().len(), run.len());
+    }
+
+    /// Every event of the run is visible at q and its own, so excluding
+    /// one leaves an observation unmatchable: every branch stays on the
+    /// run's prefix, and the search builds no replay state at all.
+    #[test]
+    fn a_search_on_the_run_prefix_builds_no_state() {
+        let run = hitting_run();
+        let q = run.spec().collab().peer("q").unwrap();
+        let observations = facts(&run).observations(q);
+        let opts = SearchOptions::default();
+        let plan = Plan::new(&run, q, observations, &opts);
+        let gov = Governor::unlimited();
+        let mut ctx = Ctx::sequential(&run, q, observations, &opts, &plan, &gov, None);
+        ctx.dfs(0, 0, &mut Vec::new());
+        assert!(ctx.state.is_none(), "no branch left the run's prefix");
+        assert_eq!(ctx.best, Some(EventSet::full(run.len())));
+        assert_eq!(ctx.stopped, None);
+        assert_eq!(gov.nodes_used(), 7, "one node per prefix length");
+    }
+
+    /// p sees only `OK`, whose cone is `a`, `b` and `ok` (positions 0, 5
+    /// and 6). The churn in positions 1–4 is outside it, so the two
+    /// branches that reach the spawn depth, `[]` and `[0]`, have included
+    /// nothing off the run's prefix and are frozen without a state; each
+    /// worker builds its own on its first off-prefix include below the
+    /// spawn depth, and the pooled answer is the sequential one.
+    #[test]
+    fn pooled_prefixes_carry_no_state_until_a_worker_leaves_the_prefix() {
+        let run = run_of(
+            r#"
+            schema { A(K); N(K); B(K); OK(K); }
+            peers { p sees OK(*); q sees A(*), N(*), B(*), OK(*); }
+            rules {
+                a @ q: +A(0) :- ;
+                churn @ q: +N(0) :- ;
+                wipe @ q: -key N(0) :- N(0);
+                b @ q: +B(0) :- A(0);
+                ok @ q: +OK(0) :- B(0);
+            }
+            "#,
+            &["a", "churn", "wipe", "churn", "wipe", "b", "ok", "churn"],
+        );
+        assert!(run.len() >= PAR_MIN_EVENTS);
+        let p = run.spec().collab().peer("p").unwrap();
+        let opts = SearchOptions::default();
+        let sequential =
+            search_min_scenario_pooled(&run, p, &opts, &Governor::unlimited(), &Pool::sequential());
+        assert_eq!(
+            sequential,
+            Verdict::Done(Some(EventSet::from_iter(run.len(), [0, 5, 6])))
+        );
+        let pool = Pool::with_threads(2);
+        let pooled = search_min_scenario_pooled(&run, p, &opts, &Governor::unlimited(), &pool);
+        assert_eq!(pooled, sequential);
+
+        // The two phases of `search_parallel`, one worker after another.
+        let observations = facts(&run).observations(p);
+        let plan = Plan::new(&run, p, observations, &opts);
+        let gov = Governor::unlimited();
+        let depth = spawn_depth(pool.threads(), run.len());
+        let mut expander = Ctx::sequential(&run, p, observations, &opts, &plan, &gov, None);
+        expander.spawn_depth = depth;
+        expander.dfs(0, 0, &mut Vec::new());
+        assert!(expander.state.is_none());
+        let chosen: Vec<_> = expander.prefixes.iter().map(|p| p.chosen.clone()).collect();
+        assert_eq!(chosen, [vec![], vec![0]]);
+        for prefix in std::mem::take(&mut expander.prefixes) {
+            assert!(
+                prefix.sub.is_none(),
+                "{:?} is frozen without a state",
+                prefix.chosen
+            );
+            let mut ctx = Ctx::sequential(&run, p, observations, &opts, &plan, &gov, prefix.sub);
+            let mut chosen = prefix.chosen;
+            ctx.dfs(depth, prefix.matched, &mut chosen);
+            let state = ctx.state.expect("the worker left the prefix");
+            assert_eq!(
+                state.len(),
+                chosen.len(),
+                "every off-prefix step was undone"
+            );
+        }
     }
 
     #[test]

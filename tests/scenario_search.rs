@@ -14,6 +14,11 @@
 //!   subsequence in the search's exclude-first order and keep the first of
 //!   minimum length. The sequential, pooled and decision-mode searches must
 //!   agree with it exactly.
+//! * **Brute-force Thm 3.4 oracle.** On the same runs, a set is minimal
+//!   exactly when it is a scenario and none of its strict subsequences is
+//!   one, found by enumerating subsets. The exact minimality test must
+//!   agree on the whole run, the minimal faithful set and the brute-force
+//!   minimum.
 
 mod common;
 
@@ -216,6 +221,31 @@ fn brute_force_min(run: &Run, peer: PeerId) -> Option<EventSet> {
     best
 }
 
+/// Theorem 3.4 by exhaustion: `scenarios[mask]` says whether the positions
+/// of `mask` (bit `i` for position `i`) form a scenario, and a set is
+/// minimal when it is a scenario and no strict submask of it is one.
+fn brute_force_minimal(scenarios: &[bool], set: &EventSet) -> bool {
+    let mask = set.iter().fold(0usize, |m, i| m | 1 << i);
+    if !scenarios[mask] {
+        return false;
+    }
+    let mut sub = mask;
+    while sub != 0 {
+        sub = (sub - 1) & mask;
+        if scenarios[sub] {
+            return false;
+        }
+    }
+    true
+}
+
+/// A random propositional run of at most `steps` events.
+fn small_random_run(gen_seed: u64, run_seed: u64, steps: usize) -> Run {
+    let mut rng = StdRng::seed_from_u64(gen_seed);
+    let w = random_propositional_spec(&RandomSpecParams::default(), &mut rng);
+    random_run(&w.spec, steps, run_seed)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -226,9 +256,7 @@ proptest! {
     fn searches_match_the_brute_force_oracle(
         gen_seed in 0u64..1_000, run_seed in 0u64..1_000, steps in 1usize..13
     ) {
-        let mut rng = StdRng::seed_from_u64(gen_seed);
-        let w = random_propositional_spec(&RandomSpecParams::default(), &mut rng);
-        let run = random_run(&w.spec, steps, run_seed);
+        let run = small_random_run(gen_seed, run_seed, steps);
         for peer in run.spec().collab().peer_ids() {
             let oracle = brute_force_min(&run, peer);
             let m = oracle.as_ref().expect("a run is its own scenario").len();
@@ -253,6 +281,37 @@ proptest! {
                 let shorter = exists_scenario_at_most_pooled(
                     &run, peer, m - 1, &Governor::unlimited(), &Pool::sequential());
                 prop_assert_eq!(shorter, Verdict::Done(false));
+            }
+        }
+    }
+
+    /// The exact minimality test (the restricted, decision-mode search on
+    /// the global pool) agrees with the brute-force Thm 3.4 oracle on the
+    /// whole run, the minimal faithful set and the brute-force minimum of
+    /// random runs of at most 12 events, for every peer.
+    #[test]
+    fn minimality_matches_the_brute_force_oracle(
+        gen_seed in 0u64..1_000, run_seed in 0u64..1_000, steps in 1usize..13
+    ) {
+        let run = small_random_run(gen_seed, run_seed, steps);
+        let n = run.len();
+        for peer in run.spec().collab().peer_ids() {
+            let scenarios: Vec<bool> = (0usize..1 << n)
+                .map(|mask| {
+                    let set = EventSet::from_iter(n, (0..n).filter(|i| mask & 1 << i != 0));
+                    is_scenario(&run, peer, &set)
+                })
+                .collect();
+            let minimum = brute_force_min(&run, peer).expect("a run is its own scenario");
+            let faithful = minimal_faithful_scenario(&run, peer).events;
+            for set in [EventSet::full(n), faithful, minimum] {
+                let exact = is_minimal_exact(&run, peer, &set, &Governor::unlimited());
+                prop_assert_eq!(
+                    exact,
+                    Verdict::Done(brute_force_minimal(&scenarios, &set)),
+                    "{:?}",
+                    set.to_vec()
+                );
             }
         }
     }
