@@ -4,9 +4,16 @@
 //! chain buried in unrelated churn, then measures:
 //!
 //! * **explain** — answering "why does the peer see this fact?" from the
-//!   maintained provenance index ([`Run::explain_fact`]) versus the
-//!   pre-provenance way: a minimum-scenario search that reconstructs a
-//!   witness set from scratch. The ratio is `explain_speedup`.
+//!   provenance plane ([`Run::explain_fact`]). Its cost is timed against a
+//!   fixed reference operation, a lookup of the same key in a map the bench
+//!   builds itself from the peer's polynomials. Batches of the two run
+//!   round-robin, so host noise lands on both alike; the median per-round
+//!   ratio is `explain_cost`. A slower explain path raises it, and nothing
+//!   outside that path moves it.
+//! * **search** — the pre-provenance way to answer: a minimum-scenario
+//!   search that reconstructs a witness set from scratch. Its time over the
+//!   explain time is `explain_speedup`, reported but not gated: a faster
+//!   search lowers it with no change on the explain path.
 //! * **cone pruning** — the same minimum-scenario search with the
 //!   provenance-cone restriction on (the default) and off
 //!   ([`SearchOptions::no_cone`]), compared by governor node count on
@@ -17,8 +24,10 @@
 //!
 //! Timings print criterion-style; the measured numbers land in
 //! `BENCH_provenance.json` at the repository root (consumed by
-//! EXPERIMENTS.md E22 and gated by `bench_check`).
+//! EXPERIMENTS.md E22 and gated by `bench_check`: `explain_cost` may rise
+//! at most 25% above its baseline, and each node count is a ceiling).
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -27,10 +36,15 @@ use criterion::black_box;
 use cwf_core::{search_min_scenario_pooled, SearchOptions};
 use cwf_engine::{Bindings, Event, Run};
 use cwf_lang::parse_workflow;
-use cwf_model::{Governor, Pool, RelId, Value};
+use cwf_model::{Governor, Pool, Provenance, RelId, Value};
 
 const WARMUP: usize = 2;
 const ITERS: usize = 30;
+/// Round-robin rounds of the explain and reference batches.
+const ROUNDS: usize = 101;
+/// Lookups per batch: a lookup takes nanoseconds, so a batch keeps the
+/// timer's own cost out of the ratio.
+const BATCH: usize = 10_000;
 /// Churn events surrounding the five-event derivation chain.
 const NOISE: usize = 27;
 
@@ -78,7 +92,6 @@ fn fire(run: &mut Run, name: &str) {
 fn build_run() -> Run {
     let spec = bench_spec();
     let mut run = Run::new(Arc::clone(&spec));
-    run.enable_provenance();
     let mut fired = 0usize;
     while fired < NOISE {
         match fired {
@@ -125,25 +138,57 @@ fn main() {
         .peer_ids()
         .last()
         .expect("the bench spec has peers");
-    let facts: Vec<(RelId, Value)> = run
+    let reference: BTreeMap<(RelId, Value), Provenance> = run
         .provenance()
-        .expect("enabled")
         .peer_iter(p)
-        .map(|(rel, key, _)| (rel, *key))
+        .map(|(rel, key, prov)| ((rel, *key), prov.clone()))
         .collect();
+    let facts: Vec<(RelId, Value)> = reference.keys().copied().collect();
     assert!(!facts.is_empty(), "the observer must see the chain tip");
 
-    // Explain from the index vs reconstructing a witness by search. The
-    // lookup is nanoseconds, so batch it to keep the timer noise-free.
-    const BATCH: usize = 1_000;
-    let explain_s = time_passes(|| {
+    // Explain through the run against the reference lookup, round-robin.
+    let explain_batch = || {
         for _ in 0..BATCH {
             for (rel, key) in &facts {
-                let prov = run.explain_fact(p, *rel, key).expect("visible fact");
+                let prov = black_box(&run)
+                    .explain_fact(p, *rel, black_box(key))
+                    .expect("visible fact");
                 assert!(!black_box(prov).is_zero());
             }
         }
-    }) / BATCH as f64;
+    };
+    let reference_batch = || {
+        for _ in 0..BATCH {
+            for fact in &facts {
+                let prov = black_box(&reference)
+                    .get(black_box(fact))
+                    .expect("visible fact");
+                assert!(!black_box(prov).is_zero());
+            }
+        }
+    };
+    let lookups = (BATCH * facts.len()) as f64;
+    let mut rounds = Vec::with_capacity(ROUNDS);
+    for round in 0..WARMUP + ROUNDS {
+        let start = Instant::now();
+        explain_batch();
+        let explained = start.elapsed().as_secs_f64() / lookups;
+        let start = Instant::now();
+        reference_batch();
+        let looked_up = start.elapsed().as_secs_f64() / lookups;
+        if round >= WARMUP {
+            rounds.push((explained, looked_up));
+        }
+    }
+    let median = |mut xs: Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+    let explain_s = median(rounds.iter().map(|r| r.0).collect());
+    let reference_s = median(rounds.iter().map(|r| r.1).collect());
+    let explain_cost = median(rounds.iter().map(|r| r.0 / r.1).collect());
+
+    // Reconstructing a witness by search instead.
     let search = |opts: &SearchOptions, gov: &Governor| {
         search_min_scenario_pooled(&run, p, opts, gov, &Pool::sequential())
     };
@@ -174,18 +219,23 @@ fn main() {
     let cone_node_reduction = full_nodes as f64 / cone_nodes as f64;
 
     println!(
-        "E22_provenance/explain ... {:>10.0} ns/iter ({} facts)",
+        "E22_provenance/explain ... {:>10.1} ns/iter ({} facts)",
         explain_s * 1e9,
         facts.len()
+    );
+    println!(
+        "E22_provenance/reference . {:>10.1} ns/iter",
+        reference_s * 1e9
     );
     println!(
         "E22_provenance/search  ... {:>10.0} ns/iter",
         search_s * 1e9
     );
     println!(
-        "E22_provenance: {} events, explain speedup {:.0}x, search nodes \
-         {} pruned vs {} unpruned ({:.1}x reduction)",
+        "E22_provenance: {} events, explain cost {:.2}x the reference lookup, explain \
+         speedup {:.0}x over search, search nodes {} pruned vs {} unpruned ({:.1}x reduction)",
         run.len(),
+        explain_cost,
         explain_speedup,
         cone_nodes,
         full_nodes,
@@ -194,12 +244,15 @@ fn main() {
 
     let json = format!(
         "{{\n  \"experiment\": \"E22_provenance\",\n  \"events\": {},\n  \
-         \"facts\": {},\n  \"explain_ns\": {:.1},\n  \"search_ns\": {:.1},\n  \
+         \"facts\": {},\n  \"explain_ns\": {:.1},\n  \"reference_ns\": {:.1},\n  \
+         \"explain_cost\": {:.3},\n  \"search_ns\": {:.1},\n  \
          \"explain_speedup\": {:.2},\n  \"cone_nodes\": {},\n  \
          \"full_nodes\": {},\n  \"cone_node_reduction\": {:.2}\n}}\n",
         run.len(),
         facts.len(),
         explain_s * 1e9,
+        reference_s * 1e9,
+        explain_cost,
         search_s * 1e9,
         explain_speedup,
         cone_nodes,

@@ -306,10 +306,11 @@ impl Oracle for ViewPlaneOracle {
 /// plane equals a from-scratch [`crate::prov::ProvPlane::build`] after
 /// every single action — crashes, recoveries, and rollbacks included.
 ///
-/// Stateful: keeps a provenance-enabled mirror of the shadow run, extended
-/// incrementally (so the plane is *stepped*, never rebuilt, along the
-/// accepted history) and rebuilt from scratch only when the shadow turns
-/// out not to extend the mirror (first check, or a rolled-back suffix).
+/// Stateful: keeps a mirror of the shadow run whose plane is built while it
+/// is empty, extended incrementally (so the plane is *stepped*, never
+/// rebuilt, along the accepted history) and rebuilt from scratch only when
+/// the shadow turns out not to extend the mirror (first check, or a
+/// rolled-back suffix).
 #[derive(Default)]
 pub struct ProvenanceSound {
     mirror: Option<Run>,
@@ -330,7 +331,7 @@ impl Oracle for ProvenanceSound {
                 m.len()
             }
             _ => {
-                let mut fresh = Run::with_initial(shadow.spec_arc(), shadow.initial().clone());
+                let fresh = Run::with_initial(shadow.spec_arc(), shadow.initial().clone());
                 fresh.enable_provenance();
                 self.mirror = Some(fresh);
                 0
@@ -345,8 +346,7 @@ impl Oracle for ProvenanceSound {
         if mirror.current() != shadow.current() {
             return Err("provenance annotation perturbed evaluation".to_string());
         }
-        let stepped = mirror.provenance().expect("enabled");
-        if stepped != &crate::prov::ProvPlane::build(mirror) {
+        if mirror.provenance() != &crate::prov::ProvPlane::build(mirror) {
             return Err(
                 "incrementally stepped provenance plane diverges from from-scratch build"
                     .to_string(),

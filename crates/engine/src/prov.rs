@@ -34,19 +34,19 @@
 //! from the key's raw writer set, so at replay the key is simply absent and
 //! the insert re-creates the identical fact.
 //!
-//! The plane is **derived state**: it is never persisted (WAL recovery
-//! yields provenance-disabled runs) and [`crate::run::Run`] rebuilds it
-//! from history on demand ([`ProvPlane::build`]) or steps it incrementally
-//! on each push ([`ProvPlane::step`]).
+//! The plane is **derived state** of a [`crate::run::Run`], never
+//! persisted: [`Run::provenance`] builds it from the recorded trace on
+//! first read ([`ProvPlane::build`]), every push steps it from the event's
+//! diff ([`StepFacts::step`]), and a pop or a clone empties it. WAL
+//! recovery yields a run whose plane is built on its first read.
 
 use std::collections::BTreeMap;
 
 use cwf_lang::WorkflowSpec;
-use cwf_model::{InstanceDiff, Mono, PeerId, ProvStore, Provenance, RelId, Value};
+use cwf_model::{Instance, InstanceDiff, Mono, PeerId, ProvStore, Provenance, RelId, Value};
 
 use crate::event::{Event, GroundUpdate};
-use crate::run::Run;
-use crate::view_plane::ViewDelta;
+use crate::run::{Run, StepFacts};
 
 /// Incrementally maintained why-provenance for every fact of a run, at the
 /// global instance level and restricted to each peer's view.
@@ -67,8 +67,12 @@ pub struct ProvPlane {
 }
 
 impl ProvPlane {
-    /// Builds the plane from a run's stored history — the from-scratch
-    /// reference that incremental stepping must agree with.
+    /// Builds the plane from a run's recorded trace — the from-scratch
+    /// reference that incremental stepping must agree with. An event with
+    /// no-op inserts reads the instance it left: one instance, cloned from
+    /// the initial one, is rolled forward through the diffs as far as such
+    /// an event, so no history cell is read or filled, and a run without
+    /// no-op inserts rolls nothing.
     pub fn build(run: &Run) -> ProvPlane {
         let spec = run.spec();
         let mut plane = ProvPlane {
@@ -88,9 +92,17 @@ impl ProvPlane {
                     .upsert(*k, Provenance::one());
             }
         }
+        let (mut inst, mut rolled) = (run.initial().clone(), 0);
         for i in 0..run.len() {
-            let noops = noop_inserts_of(run, i);
-            plane.fold(spec, run.event(i), i as u32, run.diff(i), &noops);
+            let (event, diff) = (run.event(i), run.diff(i));
+            let noops = noop_inserts(spec, event, diff, || {
+                for j in rolled..=i {
+                    run.diff(j).apply_to(&mut inst);
+                }
+                rolled = i + 1;
+                &inst
+            });
+            plane.fold(spec, event, i as u32, diff, &noops);
         }
         // Peer stores are the global polynomials restricted to the keys the
         // maintained view plane holds for each peer.
@@ -114,60 +126,6 @@ impl ProvPlane {
             }
         }
         plane
-    }
-
-    /// Advances the plane over one accepted event: `idx` is the event's
-    /// position, `diff` the emitted instance diff, `noops` the transition's
-    /// no-op inserts, and `deltas` the view plane's per-peer deltas for the
-    /// same push.
-    pub fn step(
-        &mut self,
-        spec: &WorkflowSpec,
-        event: &Event,
-        idx: u32,
-        diff: &InstanceDiff,
-        noops: &[(RelId, Value, bool)],
-        deltas: &[(PeerId, ViewDelta)],
-    ) {
-        let changed = self.fold(spec, event, idx, diff, noops);
-        // Visibility first: removals, then upserts, mirroring
-        // `ViewDelta::apply_to_view`.
-        for (p, delta) in deltas {
-            let store = &mut self.views[p.index()];
-            for (rel, k) in &delta.removals {
-                if let Some(s) = store.get_mut(rel) {
-                    s.remove(k);
-                }
-            }
-            for (rel, t) in &delta.upserts {
-                let prov = self
-                    .global
-                    .get(rel)
-                    .and_then(|s| s.get(t.key()))
-                    .cloned()
-                    .unwrap_or_else(Provenance::one);
-                store.entry(*rel).or_default().upsert(*t.key(), prov);
-            }
-            // Emptied-out relations drop their store entirely, keeping the
-            // stepped map byte-identical to a from-scratch build (which
-            // never materializes empty stores).
-            store.retain(|_, s| !s.is_empty());
-        }
-        // A polynomial can change without any view delta (a no-op insert
-        // adds an alternative; a modification may be invisible to a peer):
-        // refresh every view store that already holds the key.
-        for (rel, k) in &changed {
-            let Some(prov) = self.global.get(rel).and_then(|s| s.get(k)).cloned() else {
-                continue;
-            };
-            for store in &mut self.views {
-                if let Some(s) = store.get_mut(rel) {
-                    if s.get(k).is_some() {
-                        s.upsert(*k, prov.clone());
-                    }
-                }
-            }
-        }
     }
 
     /// Folds one event into `deps`/`hist`/`touch`/`global`, returning the
@@ -328,17 +286,6 @@ impl ProvPlane {
         self.deps[i]
     }
 
-    /// The closed writer history of `(rel, key)`, if the key was ever
-    /// written.
-    pub fn writer_history(&self, rel: RelId, key: &Value) -> Option<Mono> {
-        self.hist.get(&(rel, *key)).copied()
-    }
-
-    /// The polynomial of the fact `(rel, key)` in the current instance.
-    pub fn global_fact(&self, rel: RelId, key: &Value) -> Option<&Provenance> {
-        self.global.get(&rel).and_then(|s| s.get(key))
-    }
-
     /// The polynomial of the fact `(rel, key)` as visible at `peer`; `None`
     /// when the peer does not see the fact.
     pub fn explain(&self, peer: PeerId, rel: RelId, key: &Value) -> Option<&Provenance> {
@@ -360,6 +307,57 @@ impl ProvPlane {
     }
 }
 
+impl StepFacts for ProvPlane {
+    /// Advances the plane over the event `run` just pushed, from its diff,
+    /// the current instance (for its no-op inserts) and the view plane's
+    /// per-peer deltas of the same push.
+    fn step(&mut self, run: &Run) {
+        let spec = run.spec();
+        let i = run.len() - 1;
+        let (event, diff) = (run.event(i), run.diff(i));
+        let noops = noop_inserts(spec, event, diff, || run.current());
+        let changed = self.fold(spec, event, i as u32, diff, &noops);
+        // Visibility first: removals, then upserts, mirroring
+        // `ViewDelta::apply_to_view`.
+        for (p, delta) in run.last_deltas() {
+            let store = &mut self.views[p.index()];
+            for (rel, k) in &delta.removals {
+                if let Some(s) = store.get_mut(rel) {
+                    s.remove(k);
+                }
+            }
+            for (rel, t) in &delta.upserts {
+                let prov = self
+                    .global
+                    .get(rel)
+                    .and_then(|s| s.get(t.key()))
+                    .cloned()
+                    .unwrap_or_else(Provenance::one);
+                store.entry(*rel).or_default().upsert(*t.key(), prov);
+            }
+            // Emptied-out relations drop their store entirely, keeping the
+            // stepped map byte-identical to a from-scratch build (which
+            // never materializes empty stores).
+            store.retain(|_, s| !s.is_empty());
+        }
+        // A polynomial can change without any view delta (a no-op insert
+        // adds an alternative; a modification may be invisible to a peer):
+        // refresh every view store that already holds the key.
+        for (rel, k) in &changed {
+            let Some(prov) = self.global.get(rel).and_then(|s| s.get(k)).cloned() else {
+                continue;
+            };
+            for store in &mut self.views {
+                if let Some(s) = store.get_mut(rel) {
+                    if s.get(k).is_some() {
+                        s.upsert(*k, prov.clone());
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The keys written by a diff: created, modified, and deleted.
 fn written_keys(diff: &InstanceDiff) -> impl Iterator<Item = (RelId, Value)> + '_ {
     diff.created
@@ -369,39 +367,54 @@ fn written_keys(diff: &InstanceDiff) -> impl Iterator<Item = (RelId, Value)> + '
         .chain(diff.deleted.iter().map(|(r, t)| (*r, *t.key())))
 }
 
-/// Reconstructs the transition's no-op inserts for event `i` of a stored
-/// run: ground inserts whose key appears in neither `created` nor
-/// `modified` of the diff left the instance untouched. The flag records
-/// whether the padded insert equals the stored tuple outright.
-fn noop_inserts_of(run: &Run, i: usize) -> Vec<(RelId, Value, bool)> {
-    let spec = run.spec();
+/// The no-op inserts of `event`, whose transition emitted `diff`: ground
+/// inserts whose key appears in neither `created` nor `modified` of the
+/// diff left the instance untouched. The flag records whether the padded
+/// insert equals the stored tuple outright (the insert alone determines the
+/// fact's full content), which gates the alternative derivation's
+/// soundness; `post` yields the instance the event left, read only when
+/// the event has a no-op insert.
+fn noop_inserts<'a>(
+    spec: &WorkflowSpec,
+    event: &Event,
+    diff: &InstanceDiff,
+    post: impl FnOnce() -> &'a Instance,
+) -> Vec<(RelId, Value, bool)> {
     let schema = spec.collab().schema();
-    let event = run.event(i);
-    let diff = run.diff(i);
-    let mut out = Vec::new();
-    for upd in event.ground_updates(spec) {
-        let GroundUpdate::Insert { rel, view_tuple } = upd else {
-            continue;
-        };
-        let k = view_tuple.key();
-        let written = diff.created.iter().any(|(r, t)| *r == rel && t.key() == k)
-            || diff.modified.iter().any(|(r, mk, _)| *r == rel && mk == k);
-        if written {
-            continue;
-        }
-        let vr = spec
-            .collab()
-            .view(event.peer, rel)
-            .expect("validated events only update visible relations");
-        let stored = run
-            .instance(i)
-            .rel(rel)
-            .get(k)
-            .expect("no-op insert implies presence");
-        let exact = vr.pad(&view_tuple, schema.relation(rel).arity()) == *stored;
-        out.push((rel, *k, exact));
+    let unwritten: Vec<_> = event
+        .ground_updates(spec)
+        .into_iter()
+        .filter_map(|upd| {
+            let GroundUpdate::Insert { rel, view_tuple } = upd else {
+                return None;
+            };
+            let k = *view_tuple.key();
+            let written = diff.created.iter().any(|(r, t)| *r == rel && *t.key() == k)
+                || diff.modified.iter().any(|(r, mk, _)| *r == rel && *mk == k);
+            if written {
+                return None;
+            }
+            let vr = spec
+                .collab()
+                .view(event.peer, rel)
+                .expect("validated events only update visible relations");
+            Some((rel, k, vr.pad(&view_tuple, schema.relation(rel).arity())))
+        })
+        .collect();
+    if unwritten.is_empty() {
+        return Vec::new();
     }
-    out
+    let post = post();
+    unwritten
+        .into_iter()
+        .map(|(rel, k, padded)| {
+            let stored = post
+                .rel(rel)
+                .get(&k)
+                .expect("no-op insert implies presence");
+            (rel, k, padded == *stored)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -458,22 +471,21 @@ mod tests {
     fn noop_insert_records_alternative_derivation() {
         let spec = spec();
         let mut run = Run::new(Arc::clone(&spec));
-        run.enable_provenance();
         for name in ["a1", "b1", "a2", "b2", "ok"] {
             run.push(ground(&spec, name)).unwrap();
         }
         let c1 = spec.collab().schema().rel("C1").unwrap();
         let ok = spec.collab().schema().rel("OK").unwrap();
-        let pp = run.provenance().unwrap();
+        let pp = run.provenance();
         // b2 (index 3) re-derived C1(0) without touching the instance: the
         // polynomial gains the independent witness {a2, b2}.
-        let c = pp.global_fact(c1, &Value::int(0)).unwrap();
+        let c = pp.global[&c1].get(&Value::int(0)).unwrap();
         assert_eq!(
             c.monomials(),
             &[Mono::new(vec![0, 1]), Mono::new(vec![2, 3])]
         );
         // ok multiplies the alternatives through.
-        let o = pp.global_fact(ok, &Value::int(0)).unwrap();
+        let o = pp.global[&ok].get(&Value::int(0)).unwrap();
         assert_eq!(
             o.monomials(),
             &[Mono::new(vec![0, 1, 4]), Mono::new(vec![2, 3, 4])]
@@ -484,15 +496,12 @@ mod tests {
     fn every_monomial_replays_and_rederives_the_fact() {
         let spec = spec();
         let mut run = Run::new(Arc::clone(&spec));
-        run.enable_provenance();
         for name in ["a1", "b1", "a2", "b2", "ok"] {
             run.push(ground(&spec, name)).unwrap();
         }
         let ok = spec.collab().schema().rel("OK").unwrap();
-        let prov = run
-            .provenance()
-            .unwrap()
-            .global_fact(ok, &Value::int(0))
+        let prov = run.provenance().global[&ok]
+            .get(&Value::int(0))
             .unwrap()
             .clone();
         let want = run.current().rel(ok).get(&Value::int(0)).unwrap().clone();
@@ -512,11 +521,11 @@ mod tests {
     fn incremental_step_matches_from_scratch_build_at_every_prefix() {
         let spec = spec();
         let mut run = Run::new(Arc::clone(&spec));
-        run.enable_provenance();
+        run.provenance();
         for name in ["a1", "b1", "a2", "b2", "ok"] {
             run.push(ground(&spec, name)).unwrap();
             let rebuilt = ProvPlane::build(&run);
-            assert_same(run.provenance().unwrap(), &rebuilt, &spec);
+            assert_same(run.provenance(), &rebuilt, &spec);
         }
     }
 
@@ -524,7 +533,6 @@ mod tests {
     fn explain_respects_visibility() {
         let spec = spec();
         let mut run = Run::new(Arc::clone(&spec));
-        run.enable_provenance();
         for name in ["a1", "b1", "ok"] {
             run.push(ground(&spec, name)).unwrap();
         }
@@ -545,41 +553,12 @@ mod tests {
     fn prov_cone_covers_visible_dependencies() {
         let spec = spec();
         let mut run = Run::new(Arc::clone(&spec));
-        run.enable_provenance();
         for name in ["a1", "b1", "a2", "ok"] {
             run.push(ground(&spec, name)).unwrap();
         }
         let p = spec.collab().peer("p").unwrap();
         // p sees only ok (index 3), whose closed dependencies are
         // {a1, b1, ok}; the irrelevant a2 (index 2) is outside the cone.
-        assert_eq!(run.prov_cone(p), Some(vec![0, 1, 3]));
-    }
-
-    #[test]
-    fn pop_rebuilds_the_plane() {
-        let spec = spec();
-        let mut run = Run::new(Arc::clone(&spec));
-        run.enable_provenance();
-        for name in ["a1", "b1", "ok"] {
-            run.push(ground(&spec, name)).unwrap();
-        }
-        run.pop().unwrap();
-        assert!(run.provenance_enabled());
-        let rebuilt = ProvPlane::build(&run);
-        assert_same(run.provenance().unwrap(), &rebuilt, &spec);
-        assert_eq!(run.provenance().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn enable_is_idempotent_and_disable_drops() {
-        let spec = spec();
-        let mut run = Run::new(Arc::clone(&spec));
-        run.push(ground(&spec, "a1")).unwrap();
-        assert!(!run.provenance_enabled());
-        run.enable_provenance();
-        run.enable_provenance();
-        assert_eq!(run.provenance().unwrap().len(), 1);
-        run.disable_provenance();
-        assert!(run.provenance().is_none());
+        assert_eq!(run.prov_cone(p), vec![0, 1, 3]);
     }
 }

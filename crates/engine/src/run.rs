@@ -22,7 +22,7 @@ use crate::error::EngineError;
 use crate::event::Event;
 use crate::prov::ProvPlane;
 use crate::scratch::ScratchRun;
-use crate::simulate::CandidateCache;
+use crate::simulate::Listing;
 use crate::transition::Applied;
 use crate::view_plane::{materialize_view, peer_delta, ViewDelta};
 
@@ -43,11 +43,12 @@ use crate::view_plane::{materialize_view, peer_delta, ViewDelta};
 /// views read no cell: they roll one instance forward through the diffs,
 /// delta-driven instead of `view_of` rescans.
 ///
-/// Facts about the whole run that a higher layer derives from it (the
-/// explanation layer's index, visible sets and faithful sets) live in one
-/// lazily filled slot ([`Run::facts`]): built on first request, stepped by
-/// every [`Run::push`] from the recorded diff ([`StepFacts`]), and emptied
-/// by [`Run::pop`]. A clone starts with the slot empty.
+/// State derived from the recorded trace — the candidate listing behind
+/// [`crate::candidates`], the provenance plane ([`Run::provenance`]) and
+/// the facts a higher layer keeps ([`Run::facts`]) — has one lifecycle:
+/// each part is built on first read, stepped by every [`Run::push`] from
+/// the recorded diff while filled ([`StepFacts`]), and emptied by
+/// [`Run::pop`] and on a clone. None of it is persisted.
 #[derive(Clone)]
 pub struct Run {
     initial: Instance,
@@ -61,34 +62,50 @@ pub struct Run {
     /// `diffs[i] = I_i − I_{i−1}` (emitted by the transition, not rescanned).
     diffs: Vec<InstanceDiff>,
     fresh: FreshGen,
-    /// The opt-in provenance plane ([`Run::enable_provenance`]). Derived
-    /// state: never persisted, rebuilt (not recovered) after a WAL replay.
-    prov: Option<ProvPlane>,
-    /// The rule-body matches behind [`crate::candidates`], caught up lazily
-    /// from `diffs` when listed. Empty on a clone; emptied by [`Run::pop`].
-    candidates: CandidateCache,
-    /// The [`Run::facts`] slot: empty on a clone, stepped by every push,
-    /// emptied by every pop. Derived state, never persisted.
-    facts: FactsSlot,
+    derived: Derived,
 }
 
-/// Facts a higher layer derives from a run and keeps in its facts slot
-/// ([`Run::facts`]). Like the provenance plane, they are stepped forward by
-/// [`Run::push`] and rebuilt, not stepped back, after [`Run::pop`].
+/// State derived from a run's recorded trace, kept in the run
+/// ([`Run::facts`], [`Run::provenance`], the candidate listing): stepped
+/// forward by [`Run::push`] and rebuilt, not stepped back, after
+/// [`Run::pop`].
 pub trait StepFacts: Any + Send + Sync {
-    /// Advances the facts over the event just pushed: `run` already holds
+    /// Advances the state over the event just pushed: `run` already holds
     /// it as its last event, with its diff ([`Run::diff`]).
     fn step(&mut self, run: &Run);
 }
 
-/// The slot behind [`Run::facts`]. A clone starts empty: the copy builds
-/// its own facts on first request.
+/// A run's derived state: each part built from the recorded trace on first
+/// read, stepped by every push while filled, and emptied by a pop and on a
+/// clone (the copy builds its own on first read).
 #[derive(Default)]
-struct FactsSlot(OnceLock<Box<dyn StepFacts>>);
+struct Derived {
+    /// The rule-body matches behind [`crate::candidates`].
+    listing: OnceLock<Listing>,
+    /// The provenance plane ([`Run::provenance`]).
+    prov: OnceLock<ProvPlane>,
+    /// The [`Run::facts`] slot.
+    facts: OnceLock<Box<dyn StepFacts>>,
+}
 
-impl Clone for FactsSlot {
+impl Clone for Derived {
     fn clone(&self) -> Self {
-        FactsSlot::default()
+        Derived::default()
+    }
+}
+
+impl Derived {
+    /// Steps every filled part over the event `run` just pushed.
+    fn step(&mut self, run: &Run) {
+        if let Some(listing) = self.listing.get_mut() {
+            listing.step(run);
+        }
+        if let Some(prov) = self.prov.get_mut() {
+            prov.step(run);
+        }
+        if let Some(facts) = self.facts.get_mut() {
+            facts.step(run);
+        }
     }
 }
 
@@ -108,9 +125,7 @@ impl Run {
             events: Vec::new(),
             history: Vec::new(),
             diffs: Vec::new(),
-            prov: None,
-            candidates: CandidateCache::default(),
-            facts: FactsSlot::default(),
+            derived: Derived::default(),
         }
     }
 
@@ -279,11 +294,7 @@ impl Run {
     /// Appends an event, enforcing the transition semantics and the global
     /// freshness of head-only variable instantiations.
     pub fn push(&mut self, event: Event) -> Result<(), EngineError> {
-        let Applied {
-            instance,
-            diff,
-            noop_inserts,
-        } = self.state.step(&event)?;
+        let Applied { instance, diff } = self.state.step(&event)?;
         // Every value the diff introduces occurs in the event.
         for v in event.adom(self.state.spec()) {
             self.fresh.observe(&v);
@@ -304,24 +315,12 @@ impl Run {
                 "view plane must track view_of"
             );
         }
-        if let Some(pp) = self.prov.as_mut() {
-            pp.step(
-                self.state.spec(),
-                &event,
-                self.events.len() as u32,
-                &diff,
-                &noop_inserts,
-                self.state.last_deltas(),
-            );
-        }
         self.events.push(event);
         self.history.push(OnceLock::new());
         self.diffs.push(diff);
-        let mut facts = std::mem::take(&mut self.facts);
-        if let Some(facts) = facts.0.get_mut() {
-            facts.step(self);
-        }
-        self.facts = facts;
+        let mut derived = std::mem::take(&mut self.derived);
+        derived.step(self);
+        self.derived = derived;
         Ok(())
     }
 
@@ -329,47 +328,35 @@ impl Run {
     /// first call and returned from the slot by later ones; every
     /// [`Run::push`] steps them, and [`Run::pop`] empties the slot. The
     /// slot holds one value: every caller names the same type `T` (the
-    /// explanation layer's `RunFacts`).
+    /// explanation layer's `RunFacts`, so `engine` need not depend on it).
     ///
     /// # Panics
     ///
     /// Panics if the slot already holds a value of another type.
     pub fn facts<T: StepFacts>(&self, build: impl FnOnce(&Run) -> T) -> &T {
-        let facts: &dyn Any = &**self.facts.0.get_or_init(|| Box::new(build(self)));
+        let facts: &dyn Any = &**self.derived.facts.get_or_init(|| Box::new(build(self)));
         facts
             .downcast_ref()
             .expect("a run's facts slot holds one type")
     }
 
-    /// Turns on the provenance plane, building it from the stored history.
-    /// Subsequent pushes maintain it incrementally; [`Run::pop`] rebuilds
-    /// it. Idempotent.
-    pub fn enable_provenance(&mut self) {
-        if self.prov.is_none() {
-            self.prov = Some(ProvPlane::build(self));
-        }
+    /// Builds the provenance plane now rather than on its first read, so
+    /// that later pushes step it.
+    pub fn enable_provenance(&self) {
+        self.provenance();
     }
 
-    /// Turns the provenance plane off, dropping its state.
-    pub fn disable_provenance(&mut self) {
-        self.prov = None;
-    }
-
-    /// Is the provenance plane maintained?
-    pub fn provenance_enabled(&self) -> bool {
-        self.prov.is_some()
-    }
-
-    /// The provenance plane, when enabled.
-    pub fn provenance(&self) -> Option<&ProvPlane> {
-        self.prov.as_ref()
+    /// The provenance plane, built from the recorded trace on first read
+    /// ([`ProvPlane::build`]) and stepped by every later push.
+    pub fn provenance(&self) -> &ProvPlane {
+        self.derived.prov.get_or_init(|| ProvPlane::build(self))
     }
 
     /// Why does `peer` see the fact with key `key` in `rel`? Answers from
-    /// the maintained provenance index — no scenario search. `None` when
-    /// the plane is disabled or the peer does not see the fact.
+    /// the provenance plane — no scenario search. `None` when the peer does
+    /// not see the fact.
     pub fn explain_fact(&self, peer: PeerId, rel: RelId, key: &Value) -> Option<&Provenance> {
-        self.prov.as_ref()?.explain(peer, rel, key)
+        self.provenance().explain(peer, rel, key)
     }
 
     /// The support set of a visible fact: every event index appearing in
@@ -381,26 +368,26 @@ impl Run {
 
     /// The provenance cone of `peer`: the union of the closed dependency
     /// monomials `D(e_i)` of the events visible at `peer` — every event
-    /// whose effects the peer's observations were derived from. `None`
-    /// when the plane is disabled.
+    /// whose effects the peer's observations were derived from.
     ///
     /// This is the *explanation* cone. Scenario search prunes with the
     /// slightly wider cone of `cwf_core`'s `cone` module, which must also
     /// retain events that could impersonate a visible write in a
     /// sub-replay (e.g. an insertion that was a no-op here but re-creates
     /// the fact once the original writer is dropped).
-    pub fn prov_cone(&self, peer: PeerId) -> Option<Vec<usize>> {
-        let pp = self.prov.as_ref()?;
+    pub fn prov_cone(&self, peer: PeerId) -> Vec<usize> {
+        let pp = self.provenance();
         let mut cone = Mono::one();
         for i in self.visible_events(peer) {
             cone = cone.union(pp.dep(i));
         }
-        Some(cone.events().iter().map(|&e| e as usize).collect())
+        cone.events().iter().map(|&e| e as usize).collect()
     }
 
-    /// The cached rule-body matches that [`crate::candidates`] catches up.
-    pub(crate) fn candidate_cache(&self) -> &CandidateCache {
-        &self.candidates
+    /// The rule-body matches behind [`crate::candidates`], built on first
+    /// read and stepped by every later push.
+    pub(crate) fn listing(&self) -> &Listing {
+        self.derived.listing.get_or_init(|| Listing::build(self))
     }
 
     /// Peer `p`'s incrementally maintained view of [`Run::current`] — the
@@ -428,8 +415,9 @@ impl Run {
     /// it: the avoid-set from the remaining diffs, so resubmitting the same
     /// event (same fresh values) is accepted, and the view plane from the
     /// restored instance rather than by inverting deltas (popping is the
-    /// rare durability-failure path). The fresh-value *generator* is not
-    /// rewound — it only over-avoids, which is harmless.
+    /// rare durability-failure path). The derived state is emptied, to be
+    /// rebuilt on its next read. The fresh-value *generator* is not rewound
+    /// — it only over-avoids, which is harmless.
     pub fn pop(&mut self) -> Option<Event> {
         let event = self.events.pop()?;
         self.history.pop().expect("events and history in step");
@@ -442,16 +430,7 @@ impl Run {
             None => self.initial.clone(),
         };
         self.state = ScratchRun::rebuilt(self.spec_arc(), &self.initial, &self.diffs, current);
-        // A pop then a push leaves the length unchanged: the cached matches
-        // cannot tell, so drop them.
-        self.candidates.clear();
-        self.facts = FactsSlot::default();
-        // The provenance plane has no delta inverse either: rebuild it from
-        // the truncated history.
-        if self.prov.is_some() {
-            let rebuilt = ProvPlane::build(self);
-            self.prov = Some(rebuilt);
-        }
+        self.derived = Derived::default();
         Some(event)
     }
 
@@ -490,9 +469,7 @@ impl Run {
             history: (0..k).map(|_| OnceLock::new()).collect(),
             diffs: self.diffs[..k].to_vec(),
             fresh: observed(self.spec(), &self.initial, &self.events[..k]),
-            prov: None,
-            candidates: CandidateCache::default(),
-            facts: FactsSlot::default(),
+            derived: Derived::default(),
         };
         for (index, &i) in indices.iter().enumerate().skip(k) {
             sub.push(self.events[i].clone())
@@ -772,19 +749,24 @@ mod tests {
         assert_eq!(sub.instance(2), run.instance(2));
     }
 
-    /// Visible sets, run views, provenance cones and run statistics roll
-    /// one instance forward through the diffs: on a cold run they fill no
-    /// history cell.
+    /// The provenance build (first read after the pushes; `b2` is a no-op
+    /// insert it must look up), visible sets, run views, provenance cones
+    /// and run statistics roll one instance forward through the diffs: on a
+    /// cold run they fill no history cell.
     #[test]
     fn visibility_readers_fill_no_history_cell() {
         let spec = prop_spec();
         let mut run = Run::new(Arc::clone(&spec));
-        run.enable_provenance();
         push_all(&mut run, &["a1", "a2", "b1", "b2", "ok"]);
+        assert_eq!(run.provenance().len(), 5);
+        assert!(
+            filled(&run).is_empty(),
+            "the provenance build filled a cell"
+        );
         for p in spec.collab().peer_ids() {
             run.visible_events(p);
             run.view(p);
-            run.prov_cone(p).expect("provenance is on");
+            run.prov_cone(p);
         }
         crate::stats::RunStats::of(&run);
         assert!(filled(&run).is_empty(), "no reader filled a cell");

@@ -5,8 +5,6 @@
 //! for head-only variables. It powers the workload generators, the property
 //! tests ("for random runs, …") and the sampling falsifiers of Section 5.
 
-use std::sync::{Mutex, PoisonError};
-
 use rand::prelude::*;
 
 use cwf_lang::{Literal, Rule, RuleId, Term, VarId};
@@ -15,7 +13,7 @@ use cwf_model::{RelId, Value, ViewInstance};
 use crate::error::EngineError;
 use crate::eval::{cmp_in_order, match_body, match_body_pinned, match_order, Bindings};
 use crate::event::Event;
-use crate::run::Run;
+use crate::run::{Run, StepFacts};
 
 /// A candidate instantiation: rule plus body bindings (head-only variables
 /// still unbound).
@@ -27,59 +25,26 @@ pub struct Candidate {
     pub bindings: Bindings,
 }
 
-/// The body matches of every rule on a run's current instance, owned by
-/// the [`Run`] and caught up by [`candidates`] from the diffs pushed since
-/// the previous listing. Pushes never touch it; a clone starts empty and
-/// [`Run::pop`] empties it, so the next listing rebuilds from scratch.
-#[derive(Default)]
-pub(crate) struct CandidateCache(Mutex<Option<Listing>>);
-
-impl Clone for CandidateCache {
-    fn clone(&self) -> Self {
-        CandidateCache::default()
-    }
-}
-
-impl CandidateCache {
-    /// Drops the cached matches.
-    pub(crate) fn clear(&mut self) {
-        *self.0.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
-    }
-}
-
-/// Per rule (by id), its body matches in [`match_body`] order, current for
-/// the run's first `synced` events.
-struct Listing {
-    synced: usize,
+/// Per rule (by id), its body matches on a run's current instance, in
+/// [`match_body`] order. It lives in the run's derived state: built on the
+/// first [`candidates`] call, stepped by every push, and emptied by a pop
+/// and on a clone.
+pub(crate) struct Listing {
     rules: Vec<Vec<Bindings>>,
 }
 
 /// Enumerates all candidate instantiations on the current instance of `run`
 /// (deterministic order: rules by id, valuations in [`match_body`] order).
 ///
-/// The matches are maintained incrementally: a listing re-derives only the
-/// matches that read a key some event since the previous listing created,
-/// deleted or modified. The result is always identical to re-running
-/// [`match_body`] for every rule (a debug assertion checks it).
+/// The matches are maintained incrementally: each push re-derives only the
+/// matches that read a key its event created, deleted or modified. The
+/// result is always identical to re-running [`match_body`] for every rule
+/// (a debug assertion checks it).
 ///
 /// A candidate's updates may still fail (chase conflict, subsumption); the
 /// simulator skips such candidates.
 pub fn candidates(run: &Run) -> Vec<Candidate> {
-    let mut slot = run
-        .candidate_cache()
-        .0
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    // Taken out while it catches up, so a panic leaves an empty cache.
-    let listing = match slot.take() {
-        Some(mut listing) => {
-            listing.catch_up(run);
-            listing
-        }
-        None => Listing::build(run),
-    };
-    let out = listing.flatten();
-    *slot = Some(listing);
+    let out = run.listing().flatten();
     debug_assert!(
         out == Listing::build(run).flatten(),
         "incremental candidates must equal the from-scratch listing"
@@ -89,43 +54,14 @@ pub fn candidates(run: &Run) -> Vec<Candidate> {
 
 impl Listing {
     /// Every rule's matches, from scratch.
-    fn build(run: &Run) -> Listing {
+    pub(crate) fn build(run: &Run) -> Listing {
         let program = run.spec().program();
         let rules = program
             .rules()
             .iter()
             .map(|rule| match_body(rule, run.peer_view(rule.peer)))
             .collect();
-        Listing {
-            synced: run.len(),
-            rules,
-        }
-    }
-
-    /// Folds the diffs of events `synced..run.len()` into the matches.
-    ///
-    /// A literal's truth depends only on the view tuple at its resolved key,
-    /// and a view tuple at key `k` only on the base tuple at `k`. So a match
-    /// that appeared or disappeared reads, through some literal, a key one
-    /// of the diffs touched: dropping those matches and re-deriving them
-    /// with that literal's key pinned to each touched key is exact.
-    fn catch_up(&mut self, run: &Run) {
-        if self.synced == run.len() {
-            return;
-        }
-        let mut touched: Vec<(RelId, Value)> = Vec::new();
-        for i in self.synced..run.len() {
-            let d = run.diff(i);
-            touched.extend(d.created.iter().map(|(r, t)| (*r, *t.key())));
-            touched.extend(d.deleted.iter().map(|(r, t)| (*r, *t.key())));
-            touched.extend(d.modified.iter().map(|(r, k, _)| (*r, *k)));
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        for (rule, matches) in run.spec().program().rules().iter().zip(&mut self.rules) {
-            refresh_rule(rule, run.peer_view(rule.peer), &touched, matches);
-        }
-        self.synced = run.len();
+        Listing { rules }
     }
 
     /// The listing as candidates: rules by id, matches in order.
@@ -140,6 +76,27 @@ impl Listing {
                 })
             })
             .collect()
+    }
+}
+
+impl StepFacts for Listing {
+    /// Folds the last push's diff into the matches.
+    ///
+    /// A literal's truth depends only on the view tuple at its resolved key,
+    /// and a view tuple at key `k` only on the base tuple at `k`. So a match
+    /// that appeared or disappeared reads, through some literal, a key the
+    /// diff touched: dropping those matches and re-deriving them with that
+    /// literal's key pinned to each touched key is exact.
+    fn step(&mut self, run: &Run) {
+        let d = run.diff(run.len() - 1);
+        let mut touched: Vec<(RelId, Value)> = Vec::new();
+        touched.extend(d.created.iter().map(|(r, t)| (*r, *t.key())));
+        touched.extend(d.deleted.iter().map(|(r, t)| (*r, *t.key())));
+        touched.extend(d.modified.iter().map(|(r, k, _)| (*r, *k)));
+        touched.sort_unstable();
+        for (rule, matches) in run.spec().program().rules().iter().zip(&mut self.rules) {
+            refresh_rule(rule, run.peer_view(rule.peer), &touched, matches);
+        }
     }
 }
 

@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use cwf_model::PeerId;
-
 use crate::run::Run;
 
 /// Per-peer activity counters.
@@ -133,17 +131,6 @@ impl RunStats {
         }
     }
 
-    /// The fraction of `q`'s events that `p` noticed (`None` when `q` did
-    /// nothing).
-    pub fn visibility_ratio(&self, p: PeerId, q: PeerId) -> Option<f64> {
-        let performed = self.peers[q.index()].performed;
-        if performed == 0 {
-            None
-        } else {
-            Some(self.visibility[p.index()][q.index()] as f64 / performed as f64)
-        }
-    }
-
     /// Renders a table against a run's peer names.
     pub fn render(&self, run: &Run) -> String {
         let collab = run.spec().collab();
@@ -236,7 +223,7 @@ mod tests {
     }
 
     #[test]
-    fn visibility_matrix_and_ratio() {
+    fn visibility_matrix() {
         let run = run();
         let s = RunStats::of(&run);
         let collab = run.spec().collab();
@@ -245,9 +232,11 @@ mod tests {
         let lurker = collab.peer("lurker").unwrap();
         assert_eq!(s.visibility[lurker.index()][worker.index()], 0);
         assert_eq!(s.visibility[lurker.index()][boss.index()], 1);
-        assert_eq!(s.visibility_ratio(lurker, worker), Some(0.0));
-        assert_eq!(s.visibility_ratio(lurker, boss), Some(1.0));
-        assert_eq!(s.visibility_ratio(worker, lurker), None, "lurker is idle");
+        assert_eq!(
+            s.visibility[worker.index()][lurker.index()],
+            0,
+            "lurker is idle"
+        );
     }
 
     #[test]

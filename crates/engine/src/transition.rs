@@ -32,13 +32,6 @@ pub struct Applied {
     /// `J − I`, normalized to `(rel, key)` order — identical to what
     /// [`InstanceDiff::between`] would compute.
     pub diff: InstanceDiff,
-    /// Insertions whose key already held exactly the merged tuple — the
-    /// update succeeded but changed nothing, so it never appears in `diff`.
-    /// The provenance plane records these as *alternative* derivations of
-    /// the unchanged fact. The flag is true when the padded insert equals
-    /// the stored tuple outright (the insert alone determines the fact's
-    /// full content), which gates the alternative's soundness.
-    pub noop_inserts: Vec<(cwf_model::RelId, cwf_model::Value, bool)>,
 }
 
 /// Applies `event` to `instance`, returning the successor instance.
@@ -100,7 +93,6 @@ pub fn apply_updates(
     let schema = spec.collab().schema();
     let mut current = instance.clone();
     let mut diff = InstanceDiff::default();
-    let mut noop_inserts = Vec::new();
     for upd in updates {
         match upd {
             GroundUpdate::Delete { rel, key } => {
@@ -142,7 +134,7 @@ pub fn apply_updates(
                         key: *view_tuple.key(),
                     });
                 }
-                // Emit the key's change: created, modified, or no-op.
+                // Emit the key's change: created, modified, or none.
                 let merged = merged.expect("subsumption implies presence");
                 match current.rel(*rel).get(view_tuple.key()) {
                     None => diff.created.push((*rel, merged.clone())),
@@ -158,10 +150,7 @@ pub fn apply_updates(
                             .collect();
                         diff.modified.push((*rel, *view_tuple.key(), changes));
                     }
-                    Some(_) => {
-                        let exact = vr.pad(view_tuple, arity) == *merged;
-                        noop_inserts.push((*rel, *view_tuple.key(), exact));
-                    }
+                    Some(_) => {}
                 }
                 current = next;
             }
@@ -182,7 +171,6 @@ pub fn apply_updates(
     Ok(Applied {
         instance: current,
         diff,
-        noop_inserts,
     })
 }
 

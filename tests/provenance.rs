@@ -56,7 +56,7 @@ fn assert_annotation_is_transparent(run: &Run) -> Run {
             );
         }
         assert_eq!(
-            annotated.provenance().expect("enabled"),
+            annotated.provenance(),
             &ProvPlane::build(&annotated),
             "incrementally stepped plane diverges from scratch at prefix {}",
             i + 1
@@ -70,7 +70,7 @@ fn assert_annotation_is_transparent(run: &Run) -> Run {
 /// initial instance (`Run::replay`), independent of the history-resumed
 /// `try_subrun`.
 fn assert_monomials_replay(run: &Run) {
-    let pp = run.provenance().expect("enabled");
+    let pp = run.provenance();
     for p in run.spec().collab().peer_ids() {
         for (rel, key, prov) in pp.peer_iter(p) {
             for mono in prov.monomials() {
@@ -160,16 +160,16 @@ fn cone_pruned_search_matches_unpruned_on_chaos_corpus() {
 
 #[test]
 fn explain_fact_answers_without_search() {
-    // The index answers explanations for every visible fact directly; a
-    // disabled plane answers nothing.
+    // The index answers explanations for every visible fact directly, and
+    // nothing for a fact the peer does not see.
     let w = chaos_workload(3);
-    let mut run = random_run(&w.spec, 14, 3);
+    let run = random_run(&w.spec, 14, 3);
     let p = w.observer;
-    assert!(run.explain_fact(p, RelId(0), &Value::int(0)).is_none());
-    run.enable_provenance();
+    assert!(run
+        .explain_fact(p, RelId(0), &Value::str("unseen"))
+        .is_none());
     let facts: Vec<_> = run
         .provenance()
-        .unwrap()
         .peer_iter(p)
         .map(|(rel, key, _)| (rel, *key))
         .collect();
@@ -183,7 +183,7 @@ fn explain_fact_answers_without_search() {
 
 /// Renders every dependency monomial and fact polynomial of a run.
 fn polynomial_printout(run: &Run) -> String {
-    let pp = run.provenance().expect("enabled");
+    let pp = run.provenance();
     let collab = run.spec().collab();
     let schema = collab.schema();
     let mut out = String::new();

@@ -8,8 +8,10 @@
 //! whole chunk) recovers event `k+1` iff the kept bytes close a complete
 //! deciding record, never a refusal. At one shard (the single-node
 //! deployment) this is the single stream pinned boundary by boundary.
-//! Mid-migration cuts must recover one consistent owner per key, and
-//! provenance, never persisted, is rebuilt exactly at every boundary.
+//! Mid-migration cuts must recover one consistent owner per key. Derived
+//! state (the candidate listing, the provenance plane and the explanation
+//! facts), never persisted, is rebuilt exactly at every boundary and steps
+//! on from there.
 //!
 //! This is the durability contract the chaos harness's `shard-wal-replay`
 //! oracle leans on.
@@ -20,11 +22,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use collab_workflows::core::{facts, RunFacts};
 use collab_workflows::engine::chaos::default_spec;
 use collab_workflows::engine::transport::Transport;
 use collab_workflows::engine::{
-    candidates, complete, Event, MemBackend, PerfectTransport, Run, ShardPlane, ShardPlaneConfig,
-    SyncPolicy, Wal, WalBackend, WalOptions,
+    candidates, complete, match_body, Candidate, Event, MemBackend, PerfectTransport, ProvPlane,
+    Run, ShardPlane, ShardPlaneConfig, SyncPolicy, Wal, WalBackend, WalOptions,
 };
 use collab_workflows::lang::WorkflowSpec;
 
@@ -170,16 +173,53 @@ proptest! {
     }
 }
 
-/// Provenance is derived state: never serialized, always rebuilt. At every
-/// snapshot cadence and every stream boundary of a single-shard plane:
-/// (1) recovery yields a prov-*disabled* run; (2) enabling provenance on
-/// the recovered run equals the plane stepped incrementally over the same
-/// recovered history, and the from-scratch [`ProvPlane::build`] — the
-/// rebuild loses nothing.
+/// The specification of the candidate listing: every rule's `match_body`
+/// on its peer's view, rules in id order.
+fn reference_listing(run: &Run) -> Vec<Candidate> {
+    let program = run.spec().program();
+    program
+        .rule_ids()
+        .flat_map(|rid| {
+            let rule = program.rule(rid);
+            match_body(rule, run.peer_view(rule.peer))
+                .into_iter()
+                .map(move |bindings| Candidate {
+                    rule: rid,
+                    bindings,
+                })
+        })
+        .collect()
+}
+
+/// Each derived part of `run`, read through its slot, equals its
+/// from-scratch build.
+fn assert_parts_built(run: &Run, what: &str) {
+    assert_eq!(
+        candidates(run),
+        reference_listing(run),
+        "candidate listing ({what})"
+    );
+    assert!(
+        run.provenance() == &ProvPlane::build(run),
+        "provenance plane ({what})"
+    );
+    assert!(
+        facts(run).filled() == &RunFacts::build(run),
+        "explanation facts ({what})"
+    );
+}
+
+/// Derived state is never persisted: a recovered run builds its candidate
+/// listing, provenance plane and explanation facts from the recovered
+/// trace. At every snapshot cadence and every stream boundary of a
+/// single-shard plane, each part of the recovered run equals the part of a
+/// run that filled it while empty and was stepped over the recovered
+/// history (post-snapshot suffix included), and the from-scratch build:
+/// the rebuild loses nothing. The recovered run, every part filled, then
+/// takes the rest of the accepted events, and each stepped part still
+/// equals its build: recovery leaves nothing stale.
 #[test]
 fn provenance_is_rebuilt_not_persisted_across_recovery() {
-    use collab_workflows::engine::ProvPlane;
-
     let spec = default_spec();
     for snapshot_every in [None, Some(1u64), Some(3u64)] {
         let opts = WalOptions {
@@ -187,36 +227,37 @@ fn provenance_is_rebuilt_not_persisted_across_recovery() {
             snapshot_every,
         };
         let mem = MemBackend::new();
-        let (_events, lens) = grow_streams(&spec, std::slice::from_ref(&mem), opts, 8, 42);
+        let (events, lens) = grow_streams(&spec, std::slice::from_ref(&mem), opts, 8, 42);
         let bytes = mem.bytes();
         for (k, len) in lens.iter().enumerate() {
+            let what = format!("boundary {k}, snapshot_every {snapshot_every:?}");
             let backend = Box::new(MemBackend::from_bytes(bytes[..len[0]].to_vec()));
             let (mut run, _) = ShardPlane::replay_wals(&spec, vec![backend], opts)
-                .unwrap_or_else(|e| panic!("boundary {k} must recover: {e}"));
-            // (1) Recovered runs come back with the plane off.
-            assert!(
-                !run.provenance_enabled(),
-                "recovery must not resurrect a provenance plane (boundary {k}, \
-                 snapshot_every {snapshot_every:?})"
-            );
-            // (2) The rebuild equals incremental stepping over the same
-            // recovered history (post-snapshot suffix included).
-            run.enable_provenance();
+                .unwrap_or_else(|e| panic!("{what} must recover: {e}"));
             let mut stepped = Run::with_initial(run.spec_arc(), run.initial().clone());
-            stepped.enable_provenance();
+            assert_parts_built(&stepped, &format!("{what}, empty"));
             for e in run.events() {
                 stepped.push(e.clone()).expect("recovered events replay");
             }
             assert_eq!(
-                run.provenance().expect("just enabled"),
-                stepped.provenance().expect("enabled"),
-                "rebuilt plane must equal the incrementally stepped one (boundary {k})"
+                candidates(&run),
+                candidates(&stepped),
+                "rebuilt listing must equal the stepped one ({what})"
             );
-            assert_eq!(
-                run.provenance().expect("just enabled"),
-                &ProvPlane::build(&run),
-                "enable_provenance must be the from-scratch build (boundary {k})"
+            assert!(
+                run.provenance() == stepped.provenance(),
+                "rebuilt plane must equal the stepped one ({what})"
             );
+            assert!(
+                facts(&run).filled() == facts(&stepped).filled(),
+                "rebuilt facts must equal the stepped ones ({what})"
+            );
+            assert_parts_built(&run, &what);
+            for e in &events[k..] {
+                run.push(e.clone())
+                    .expect("accepted events apply after recovery");
+            }
+            assert_parts_built(&run, &format!("{what}, then the rest"));
         }
     }
 }
