@@ -26,8 +26,8 @@ pub enum Decision<W> {
     Holds,
     /// A counterexample was found.
     CounterExample(W),
-    /// A governor limit (nodes, deadline, cancellation, memory) was hit
-    /// before the search completed.
+    /// A governor limit (nodes, deadline, cancellation) or a runaway cap was
+    /// hit before the search completed.
     Exhausted(Reason),
 }
 
@@ -41,14 +41,6 @@ impl<W> Decision<W> {
     pub fn counter_example(self) -> Option<W> {
         match self {
             Decision::CounterExample(w) => Some(w),
-            _ => None,
-        }
-    }
-
-    /// The exhaustion reason, if the search was cut off.
-    pub fn exhausted_reason(&self) -> Option<&Reason> {
-        match self {
-            Decision::Exhausted(r) => Some(r),
             _ => None,
         }
     }
@@ -91,11 +83,11 @@ pub fn check_h_bounded(
     )
 }
 
-/// [`check_h_bounded`] under an explicit [`Governor`] (deadline,
-/// cancellation, and memory limits in addition to the node budget). The
-/// search body runs behind the governor's panic guard: a panicking evaluator
-/// is reported as [`Decision::Exhausted`] rather than unwinding.
-pub fn check_h_bounded_with(
+/// [`check_h_bounded`] under an explicit [`Governor`] (deadline and
+/// cancellation in addition to the node budget). The search body runs behind
+/// the governor's panic guard: a panicking evaluator is reported as
+/// [`Decision::Exhausted`] rather than unwinding.
+pub(crate) fn check_h_bounded_with(
     spec: &Arc<WorkflowSpec>,
     peer: PeerId,
     h: usize,

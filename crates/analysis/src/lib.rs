@@ -22,21 +22,17 @@ pub mod tree;
 pub mod view_program;
 
 pub use boundedness::{
-    check_h_bounded, check_h_bounded_pooled, check_h_bounded_with, find_bound, find_bound_pooled,
-    BoundednessWitness, Decision,
+    check_h_bounded, check_h_bounded_pooled, find_bound, find_bound_pooled, BoundednessWitness,
+    Decision,
 };
-pub use space::{constant_pool, event_templates, fresh_instances, InstanceEnumerator, Limits};
+pub use space::{InstanceEnumerator, Limits};
 pub use stage::{minimum_faithful_of_stage, stages, Stage};
-pub use synthesis::{
-    synthesize_view_program, synthesize_view_program_with, view_as_instance, OmegaMeta, Synthesis,
-    SynthesisError,
-};
+pub use synthesis::{synthesize_view_program, OmegaMeta, Synthesis, SynthesisError};
 pub use transparency::{
-    chain_fails_on, check_transparent, check_transparent_pooled, check_transparent_with,
-    sample_transparency_violation, TransparencyWitness,
+    chain_fails_on, check_transparent, check_transparent_pooled, sample_transparency_violation,
+    TransparencyWitness,
 };
 pub use tree::{sample_tree_divergence, TreeMismatch, MAX_FRESH};
 pub use view_program::{
-    expand_view_run, match_omega_step, mirror_run, ExpandError, MatchedStep, MirrorError,
-    MirroredStep,
+    expand_view_run, mirror_run, ExpandError, MatchedStep, MirrorError, MirroredStep,
 };

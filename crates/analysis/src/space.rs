@@ -8,8 +8,6 @@
 //! provides:
 //!
 //! * the pool `C_m` ([`constant_pool`]);
-//! * enumeration of *event templates* — rule instantiations with values from
-//!   the pool ([`event_templates`]);
 //! * enumeration of bounded instances over the pool
 //!   ([`InstanceEnumerator`]);
 //! * enumeration of the *p-fresh* instances (Definition 5.5) reachable from
@@ -22,8 +20,8 @@
 
 use std::collections::BTreeSet;
 
-use cwf_engine::{apply_event, event_visible, Bindings, Event};
-use cwf_lang::{VarId, WorkflowSpec};
+use cwf_engine::{apply_event, event_visible, Event};
+use cwf_lang::WorkflowSpec;
 use cwf_model::{Bound, Governor, Instance, PeerId, Reason, Tuple, Value, Verdict};
 
 /// Budgets and caps for the bounded searches.
@@ -51,7 +49,7 @@ impl Default for Limits {
 /// The constant pool `C_m`: `const(P) ∖ {⊥}` plus fresh constants
 /// `$c0, $c1, …` (denotable by nothing in the program, hence usable as the
 /// canonical "new values" of Lemma A.2).
-pub fn constant_pool(spec: &WorkflowSpec, m: usize, limits: &Limits) -> Vec<Value> {
+pub(crate) fn constant_pool(spec: &WorkflowSpec, m: usize, limits: &Limits) -> Vec<Value> {
     let mut pool: Vec<Value> = spec
         .program()
         .const_set()
@@ -80,7 +78,7 @@ pub fn constant_pool(spec: &WorkflowSpec, m: usize, limits: &Limits) -> Vec<Valu
 /// pool plus reserved constants `$f0, $f1, …` that never appear in
 /// enumerated instances, so a chain of up to `m` events always has fresh
 /// headroom regardless of how saturated the instance is.
-pub fn completion_pool(spec: &WorkflowSpec, m: usize, pool: &[Value]) -> Vec<Value> {
+pub(crate) fn completion_pool(spec: &WorkflowSpec, m: usize, pool: &[Value]) -> Vec<Value> {
     let max_fresh = spec
         .program()
         .rules()
@@ -95,53 +93,6 @@ pub fn completion_pool(spec: &WorkflowSpec, m: usize, pool: &[Value]) -> Vec<Val
     full
 }
 
-/// All rule instantiations (events) with variable values drawn from `pool`.
-/// Returns `None` if their number would exceed `cap`.
-pub fn event_templates(spec: &WorkflowSpec, pool: &[Value], cap: usize) -> Option<Vec<Event>> {
-    let mut out = Vec::new();
-    for rid in spec.program().rule_ids() {
-        let rule = spec.program().rule(rid);
-        let nvars = rule.vars.len();
-        // |pool|^nvars instantiations.
-        let count = pool.len().checked_pow(nvars as u32)?;
-        if out.len() + count > cap {
-            return None;
-        }
-        let mut idx = vec![0usize; nvars];
-        loop {
-            let mut b = Bindings::empty(nvars);
-            for (v, &i) in idx.iter().enumerate() {
-                b.set(VarId(v as u32), pool[i]);
-            }
-            out.push(Event {
-                rule: rid,
-                peer: rule.peer,
-                valuation: b,
-            });
-            // Odometer.
-            let mut d = 0;
-            loop {
-                if d == nvars {
-                    break;
-                }
-                idx[d] += 1;
-                if idx[d] < pool.len() {
-                    break;
-                }
-                idx[d] = 0;
-                d += 1;
-            }
-            if d == nvars {
-                break;
-            }
-        }
-        if nvars == 0 && pool.is_empty() {
-            // handled above: single empty instantiation already pushed
-        }
-    }
-    Some(out)
-}
-
 /// Enumerates the events applicable on `instance` whose body variables are
 /// bound by matching and whose head-only variables take *canonical fresh
 /// values*: the first pool constants outside `avoid ∪ const(P) ∪
@@ -151,7 +102,7 @@ pub fn event_templates(spec: &WorkflowSpec, pool: &[Value], cap: usize) -> Optio
 ///
 /// Returns `None` when the pool has too few unused constants for some
 /// completion (raise `extra_constants`).
-pub fn applicable_events(
+pub(crate) fn applicable_events(
     spec: &WorkflowSpec,
     instance: &Instance,
     pool: &[Value],
@@ -201,7 +152,7 @@ pub fn applicable_events(
 
 /// [`applicable_events`] against a run's full history (fresh completions
 /// avoid everything the run has ever used).
-pub fn applicable_events_for_run(
+pub(crate) fn applicable_events_for_run(
     spec: &WorkflowSpec,
     run: &cwf_engine::Run,
     pool: &[Value],
@@ -348,7 +299,7 @@ impl InstanceEnumerator {
 /// space (or never) — combine with an external [`Governor`].
 impl InstanceEnumerator {
     /// The next valid instance, or `None` when the space is exhausted.
-    pub fn next_instance(&mut self, spec: &WorkflowSpec) -> Option<Instance> {
+    pub(crate) fn next_instance(&mut self, spec: &WorkflowSpec) -> Option<Instance> {
         while self.state.is_some() {
             let built = self.build(spec);
             self.advance();
@@ -375,7 +326,7 @@ impl InstanceEnumerator {
 /// Section 6 (Example 5.7) cannot establish transparency. Fresh values are
 /// completed canonically (Lemma A.2), so each `(I, rule, body valuation)`
 /// contributes one representative per isomorphism class.
-pub fn fresh_instances(
+pub(crate) fn fresh_instances(
     spec: &WorkflowSpec,
     peer: PeerId,
     pool: &[Value],
@@ -428,7 +379,7 @@ pub fn fresh_instances(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwf_lang::parse_workflow;
+    use cwf_lang::{parse_workflow, VarId};
 
     fn prop_spec() -> WorkflowSpec {
         parse_workflow(
@@ -464,31 +415,6 @@ mod tests {
         };
         let pool = constant_pool(&spec, 2, &limits);
         assert_eq!(pool.len(), 1 + 3, "const 0 plus three fresh");
-    }
-
-    #[test]
-    fn templates_enumerate_ground_rules() {
-        let spec = prop_spec();
-        let pool = vec![Value::int(0)];
-        let ts = event_templates(&spec, &pool, 100).unwrap();
-        // Both rules are ground: one template each.
-        assert_eq!(ts.len(), 2);
-    }
-
-    #[test]
-    fn templates_respect_cap() {
-        let spec = parse_workflow(
-            r#"
-            schema { R(K, A); }
-            peers { p sees R(*); }
-            rules { r @ p: +R(x, y) :- ; }
-            "#,
-        )
-        .unwrap();
-        let pool: Vec<Value> = (0..10).map(Value::int).collect();
-        // 10^2 = 100 instantiations.
-        assert_eq!(event_templates(&spec, &pool, 100).unwrap().len(), 100);
-        assert!(event_templates(&spec, &pool, 99).is_none());
     }
 
     #[test]

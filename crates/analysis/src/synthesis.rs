@@ -111,10 +111,10 @@ pub fn synthesize_view_program(
     )
 }
 
-/// [`synthesize_view_program`] under an explicit [`Governor`] (deadline,
-/// cancellation, and memory limits in addition to the node budget). Runs
-/// behind the governor's panic guard.
-pub fn synthesize_view_program_with(
+/// [`synthesize_view_program`] under an explicit [`Governor`] (deadline and
+/// cancellation in addition to the node budget). Runs behind the governor's
+/// panic guard.
+pub(crate) fn synthesize_view_program_with(
     spec: &Arc<WorkflowSpec>,
     peer: PeerId,
     h: usize,
@@ -562,7 +562,7 @@ fn term_shape(t: &Term) -> String {
 /// Converts a [`ViewInstance`] (over the original schema) into an
 /// [`Instance`] of the synthesized view-program schema — the state a run of
 /// `P@p` should be in after mirroring the corresponding observations.
-pub fn view_as_instance(synth: &Synthesis, view: &ViewInstance) -> Instance {
+pub(crate) fn view_as_instance(synth: &Synthesis, view: &ViewInstance) -> Instance {
     let mut out = Instance::empty(synth.view_spec.collab().schema());
     for (&old, &new) in &synth.rel_map {
         for t in view.rel(old) {

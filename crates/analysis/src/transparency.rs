@@ -61,10 +61,10 @@ pub fn check_transparent(
     )
 }
 
-/// [`check_transparent`] under an explicit [`Governor`] (deadline,
-/// cancellation, and memory limits in addition to the node budget). Runs
-/// behind the governor's panic guard.
-pub fn check_transparent_with(
+/// [`check_transparent`] under an explicit [`Governor`] (deadline and
+/// cancellation in addition to the node budget). Runs behind the governor's
+/// panic guard.
+pub(crate) fn check_transparent_with(
     spec: &Arc<WorkflowSpec>,
     peer: PeerId,
     h: usize,

@@ -116,7 +116,7 @@ pub fn mirror_run(synth: &Synthesis, run: &Run) -> Result<Vec<MirroredStep>, Mir
 }
 
 /// Finds an ω-rule instantiation transforming `current` into `expected`.
-pub fn match_omega_step(
+pub(crate) fn match_omega_step(
     synth: &Synthesis,
     current: &Instance,
     expected: &Instance,

@@ -49,7 +49,7 @@ fn journal(spec: &Arc<WorkflowSpec>, n: usize, opts: WalOptions) -> Vec<u8> {
 
 fn bench_recovery(c: &mut Criterion) {
     let spec = spec();
-    let mut group = c.benchmark_group("E12_coordinator_recovery");
+    let mut group = c.benchmark_group("E12_plane_recovery");
     group.sample_size(10);
     for n in [1_000usize, 10_000] {
         group.throughput(Throughput::Elements(n as u64));

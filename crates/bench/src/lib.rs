@@ -52,20 +52,6 @@ pub fn chain_observer(spec: &WorkflowSpec) -> PeerId {
     spec.collab().peer("p").expect("observer exists")
 }
 
-/// Fires the full chain of a [`chain_program`] as one run.
-pub fn chain_run(spec: &Arc<WorkflowSpec>, k: usize) -> Run {
-    let mut run = Run::new(Arc::clone(spec));
-    for i in 0..k {
-        let rid = spec.program().rule_by_name(&format!("s{i}")).unwrap();
-        run.push(cwf_engine::Event::new(spec, rid, cwf_engine::Bindings::empty(0)).unwrap())
-            .unwrap();
-    }
-    let rid = spec.program().rule_by_name("out").unwrap();
-    run.push(cwf_engine::Event::new(spec, rid, cwf_engine::Bindings::empty(0)).unwrap())
-        .unwrap();
-    run
-}
-
 /// The 12 runs of perfbench's `explain-batch` workload: the same builders,
 /// shapes and generator seed (fixture for E24/E25).
 pub fn explain_batch_corpus() -> Vec<Run> {
@@ -86,6 +72,20 @@ pub fn explain_batch_corpus() -> Vec<Run> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fires the full chain of a [`chain_program`] as one run.
+    fn chain_run(spec: &Arc<WorkflowSpec>, k: usize) -> Run {
+        let mut run = Run::new(Arc::clone(spec));
+        for i in 0..k {
+            let rid = spec.program().rule_by_name(&format!("s{i}")).unwrap();
+            run.push(cwf_engine::Event::new(spec, rid, cwf_engine::Bindings::empty(0)).unwrap())
+                .unwrap();
+        }
+        let rid = spec.program().rule_by_name("out").unwrap();
+        run.push(cwf_engine::Event::new(spec, rid, cwf_engine::Bindings::empty(0)).unwrap())
+            .unwrap();
+        run
+    }
 
     #[test]
     fn chain_program_shapes() {

@@ -44,12 +44,8 @@ use crate::set::EventSet;
 /// The closed dependency sets `D(e_i)` of every event: the event itself,
 /// plus — for every key in its footprint `K(e_i)` — the closures of every
 /// earlier event whose head targeted that key (actual writers and no-op
-/// inserters alike). Built once per run ([`crate::facts`]).
-pub fn closed_deps(run: &Run) -> &[EventSet] {
-    facts(run).closed_deps()
-}
-
-/// Builds [`closed_deps`] from scratch.
+/// inserters alike). Built once per run, into the run's facts
+/// ([`crate::Facts::closed_deps`]).
 pub(crate) fn build_closed_deps(run: &Run) -> Vec<EventSet> {
     let n = run.len();
     let spec = run.spec();
@@ -79,7 +75,8 @@ pub(crate) fn build_closed_deps(run: &Run) -> Vec<EventSet> {
     deps
 }
 
-/// The pruning cone of `peer`: the union of [`closed_deps`] over the
+/// The pruning cone of `peer`: the union of the closed dependency sets
+/// ([`crate::Facts::closed_deps`]) over the
 /// seed events — those visible at `peer` plus those whose head updates a
 /// relation `peer` sees. Every minimum and every minimal scenario of the
 /// run at `peer` is a subset of this set. Built from the run's cached

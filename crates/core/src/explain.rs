@@ -39,17 +39,6 @@ pub struct Explanation {
     pub set: EventSet,
 }
 
-impl Explanation {
-    /// Fraction of the run retained by the explanation (0 for an empty run).
-    pub fn compression(&self) -> f64 {
-        if self.run_len == 0 {
-            0.0
-        } else {
-            self.events.len() as f64 / self.run_len as f64
-        }
-    }
-}
-
 impl fmt::Display for Explanation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -168,7 +157,6 @@ mod tests {
             "g itself is hidden from the applicant"
         );
         assert!(ex.events[1].visible, "h changes the applicant's view");
-        assert!((ex.compression() - 0.5).abs() < 1e-9);
         assert_eq!(ex.set.to_vec(), vec![2, 3]);
     }
 
@@ -189,6 +177,5 @@ mod tests {
         let cto = run.spec().collab().peer("cto").unwrap();
         let ex = explain(&run, cto);
         assert_eq!(ex.events.len(), 4);
-        assert!((ex.compression() - 1.0).abs() < 1e-9);
     }
 }

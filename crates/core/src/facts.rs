@@ -118,7 +118,7 @@ impl StepFacts for RunFacts {
                 faithful.grow(n);
                 if seen || closes_used_lifecycle(run, index, faithful, e) {
                     faithful.insert(e);
-                    close_from(run, index, peer, faithful, vec![e]);
+                    close_from(run, index, peer, faithful, vec![e], |_, _, _| {});
                 }
             }
         }
@@ -227,7 +227,7 @@ impl<'a> Facts<'a> {
 
     /// The closed dependency sets `D(e_i)` of every event (see
     /// [`crate::cone::closed_deps`]).
-    pub fn closed_deps(self) -> &'a [EventSet] {
+    pub(crate) fn closed_deps(self) -> &'a [EventSet] {
         self.slot.deps.get_or_init(|| build_closed_deps(self.run))
     }
 

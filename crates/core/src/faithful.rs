@@ -32,7 +32,7 @@ pub fn relevant_attrs(run: &Run, peer: PeerId, rel: RelId) -> BTreeSet<AttrId> {
 /// Boundary faithfulness of `alpha` (Definition 4.3). (The run itself is
 /// not needed — the index carries all lifecycle structure — but the
 /// signature mirrors the other checks.)
-pub fn is_boundary_faithful(_run: &Run, index: &RunIndex, alpha: &EventSet) -> bool {
+pub(crate) fn is_boundary_faithful(_run: &Run, index: &RunIndex, alpha: &EventSet) -> bool {
     for j in alpha.iter() {
         for (rel, keys) in index.key_occurrences(j) {
             for k in keys {

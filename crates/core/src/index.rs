@@ -128,7 +128,7 @@ impl RunIndex {
     }
 
     /// All lifecycles of `(rel, key)`.
-    pub fn lifecycles_of(&self, rel: RelId, key: &Value) -> &[Lifecycle] {
+    pub(crate) fn lifecycles_of(&self, rel: RelId, key: &Value) -> &[Lifecycle] {
         self.lifecycles
             .get(&(rel, *key))
             .map(Vec::as_slice)
@@ -136,7 +136,12 @@ impl RunIndex {
     }
 
     /// The lifecycle of `(rel, key)` containing position `i`, if any.
-    pub fn lifecycle_containing(&self, rel: RelId, key: &Value, i: usize) -> Option<Lifecycle> {
+    pub(crate) fn lifecycle_containing(
+        &self,
+        rel: RelId,
+        key: &Value,
+        i: usize,
+    ) -> Option<Lifecycle> {
         self.lifecycles_of(rel, key)
             .iter()
             .find(|lc| lc.contains(i))
@@ -144,7 +149,7 @@ impl RunIndex {
     }
 
     /// The modification events of `(rel, key)` (chronological).
-    pub fn modifications_of(&self, rel: RelId, key: &Value) -> &[Modification] {
+    pub(crate) fn modifications_of(&self, rel: RelId, key: &Value) -> &[Modification] {
         self.mods
             .get(&(rel, *key))
             .map(Vec::as_slice)

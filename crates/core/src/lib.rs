@@ -32,22 +32,20 @@ pub mod set;
 pub mod tp;
 pub mod why;
 
-pub use cone::{closed_deps, peer_cone};
+pub use cone::peer_cone;
 pub use explain::{explain, ExplainedEvent, Explanation};
 pub use facts::{facts, Facts, Observation, RunFacts};
-pub use faithful::{
-    is_boundary_faithful, is_faithful, is_modification_faithful, is_tp_fixpoint, relevant_attrs,
-};
+pub use faithful::{is_faithful, is_modification_faithful, is_tp_fixpoint, relevant_attrs};
 pub use index::{Lifecycle, Modification, RunIndex};
 pub use minimal::{
     all_minimal_scenarios, all_minimal_scenarios_pooled, all_minimal_scenarios_unpruned,
-    is_minimal_exact, is_one_minimal, one_minimal_scenario, shrink_to_one_minimal,
+    is_minimal_exact, is_one_minimal, one_minimal_scenario,
 };
 pub use minimum::{
     exists_scenario_at_most, exists_scenario_at_most_pooled, search_min_scenario,
     search_min_scenario_pooled, SearchOptions,
 };
-pub use scenario::{is_scenario, is_subrun, mask_order, subrun, visible_set};
+pub use scenario::{is_scenario, is_subrun, subrun, visible_set};
 pub use semiring::Faithful;
 pub use set::EventSet;
 pub use tp::{minimal_faithful_scenario, tp_closure, FaithfulExplanation};

@@ -31,7 +31,7 @@ const PAR_MIN_MASK_BITS: usize = 10;
 /// # Panics
 ///
 /// Panics (debug assertion) if `start` is not a scenario.
-pub fn shrink_to_one_minimal(run: &Run, peer: PeerId, start: &EventSet) -> EventSet {
+pub(crate) fn shrink_to_one_minimal(run: &Run, peer: PeerId, start: &EventSet) -> EventSet {
     debug_assert!(is_scenario(run, peer, start), "start must be a scenario");
     let mut current = start.clone();
     loop {

@@ -104,7 +104,7 @@ pub fn visible_set(run: &Run, peer: PeerId) -> EventSet {
 /// [`crate::minimal::all_minimal_scenarios`] visits candidates in. The
 /// parallel enumeration asserts its merged output respects this order,
 /// which is what makes it byte-identical to the sequential sweep.
-pub fn mask_order(a: &EventSet, b: &EventSet) -> std::cmp::Ordering {
+pub(crate) fn mask_order(a: &EventSet, b: &EventSet) -> std::cmp::Ordering {
     use std::cmp::Ordering;
     // Compare the *largest* differing position: whichever set contains it
     // has the numerically larger mask. Walk both sorted position lists from

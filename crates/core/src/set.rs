@@ -146,7 +146,7 @@ impl EventSet {
     }
 
     /// Is `self ⊂ other` strictly?
-    pub fn is_strict_subset(&self, other: &EventSet) -> bool {
+    pub(crate) fn is_strict_subset(&self, other: &EventSet) -> bool {
         self.is_subset(other) && self != other
     }
 

@@ -87,23 +87,34 @@ fn tp_step(run: &Run, index: &RunIndex, peer: PeerId, alpha: &EventSet) -> Event
 /// The fixpoint `T_p^ω(ρ, seed)`.
 pub fn tp_closure(run: &Run, index: &RunIndex, peer: PeerId, seed: &EventSet) -> EventSet {
     let mut out = seed.clone();
-    close_from(run, index, peer, &mut out, seed.iter().collect());
+    close_from(
+        run,
+        index,
+        peer,
+        &mut out,
+        seed.iter().collect(),
+        |_, _, _| {},
+    );
     out
 }
 
 /// Closes `set` under `T_p(ρ, ·)` from the members in `worklist`: adds
 /// every event they require, transitively. Members not in the worklist
-/// must already have their requirements in `set`.
+/// must already have their requirements in `set`. Each event that enters
+/// `set` is reported once, as `pulled(by, i, why)`: the first requirement
+/// of `by` that demanded it.
 pub(crate) fn close_from(
     run: &Run,
     index: &RunIndex,
     peer: PeerId,
     set: &mut EventSet,
     mut worklist: Vec<usize>,
+    mut pulled: impl FnMut(usize, usize, Requirement<'_>),
 ) {
-    while let Some(j) = worklist.pop() {
-        for_each_requirement(run, index, peer, j, |i, _| {
+    while let Some(by) = worklist.pop() {
+        for_each_requirement(run, index, peer, by, |i, why| {
             if set.insert(i) {
+                pulled(by, i, why);
                 worklist.push(i);
             }
         });

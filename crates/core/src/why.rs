@@ -2,12 +2,11 @@
 //!
 //! The minimal p-faithful scenario is a fixpoint of `T_p`, so every event it
 //! contains got there through a chain of faithfulness obligations rooted in
-//! an event visible at `p`. [`traced_closure`] runs the same worklist as
-//! [`crate::tp_closure`] over the same requirement walker, and records, for
-//! each pulled-in event, the first obligation that demanded it; [`why`]
-//! walks those records back to a visible root, producing a human-readable
-//! justification chain — the natural drill-down companion to
-//! [`crate::explain()`].
+//! an event visible at `p`. [`traced_closure`] runs [`crate::tp_closure`]'s
+//! worklist and records, for each pulled-in event, the first obligation that
+//! demanded it; [`why`] walks those records back to a visible root,
+//! producing a human-readable justification chain — the natural drill-down
+//! companion to [`crate::explain()`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -18,7 +17,7 @@ use cwf_model::{AttrId, PeerId, RelId, Value};
 use crate::index::RunIndex;
 use crate::scenario::visible_set;
 use crate::set::EventSet;
-use crate::tp::{for_each_requirement, Requirement};
+use crate::tp::{close_from, Requirement};
 
 /// The faithfulness obligation that pulled an event into the closure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,7 +60,7 @@ pub enum Obligation {
 
 impl Obligation {
     /// The demanding event, if any (`None` for roots).
-    pub fn demanded_by(&self) -> Option<usize> {
+    pub(crate) fn demanded_by(&self) -> Option<usize> {
         match self {
             Obligation::Visible => None,
             Obligation::OpenedLifecycle { by, .. }
@@ -86,31 +85,20 @@ pub fn traced_closure(run: &Run, index: &RunIndex, peer: PeerId) -> TracedClosur
     let mut events = visible_set(run, peer);
     let mut reasons: BTreeMap<usize, Obligation> =
         events.iter().map(|i| (i, Obligation::Visible)).collect();
-    let mut worklist: Vec<usize> = events.iter().collect();
-    while let Some(by) = worklist.pop() {
-        for_each_requirement(run, index, peer, by, |i, req| {
-            if events.insert(i) {
-                let obligation = match req {
-                    Requirement::Opened(rel, key) => {
-                        Obligation::OpenedLifecycle { by, rel, key: *key }
-                    }
-                    Requirement::Closed(rel, key) => {
-                        Obligation::ClosedLifecycle { by, rel, key: *key }
-                    }
-                    Requirement::Wrote(rel, key, written, relevant) => {
-                        Obligation::WroteAttributes {
-                            by,
-                            rel,
-                            key: *key,
-                            attrs: written.intersection(relevant).copied().collect(),
-                        }
-                    }
-                };
-                reasons.insert(i, obligation);
-                worklist.push(i);
-            }
-        });
-    }
+    let worklist = events.iter().collect();
+    close_from(run, index, peer, &mut events, worklist, |by, i, why| {
+        let obligation = match why {
+            Requirement::Opened(rel, key) => Obligation::OpenedLifecycle { by, rel, key: *key },
+            Requirement::Closed(rel, key) => Obligation::ClosedLifecycle { by, rel, key: *key },
+            Requirement::Wrote(rel, key, written, relevant) => Obligation::WroteAttributes {
+                by,
+                rel,
+                key: *key,
+                attrs: written.intersection(relevant).copied().collect(),
+            },
+        };
+        reasons.insert(i, obligation);
+    });
     TracedClosure { events, reasons }
 }
 

@@ -22,10 +22,7 @@ pub use enforce::{
     enrich_schema, Alert, EnforceStats, EnforcementMode, PushOutcome, TransparentEngine,
 };
 pub use guidelines::{check_guidelines, Classification, GuidelineViolation};
-pub use pgraph::{acyclicity_bound, is_p_acyclic, p_graph, satisfies_c1, thm_6_3_applies, PGraph};
-pub use runs::{
-    in_t_runs, is_run_h_bounded, p_fresh_candidates, run_transparency_violation, Projection,
-    RunTransparencyViolation,
-};
+pub use pgraph::{acyclicity_bound, is_p_acyclic, p_graph, thm_6_3_applies, PGraph};
+pub use runs::{in_t_runs, p_fresh_candidates, RunTransparencyViolation};
 pub use stage_transform::{add_stage_discipline, StageTransformError, Staged};
 pub use tf::{check_tf, TfViolation};

@@ -22,7 +22,7 @@ pub struct PGraph {
 
 impl PGraph {
     /// Successors of `r`.
-    pub fn successors(&self, r: RelId) -> impl Iterator<Item = RelId> + '_ {
+    pub(crate) fn successors(&self, r: RelId) -> impl Iterator<Item = RelId> + '_ {
         self.edges
             .iter()
             .filter(move |(from, _)| *from == r)
@@ -42,7 +42,7 @@ impl PGraph {
     }
 
     /// Is the subgraph induced by `nodes` acyclic?
-    pub fn acyclic_within(&self, nodes: &BTreeSet<RelId>) -> bool {
+    pub(crate) fn acyclic_within(&self, nodes: &BTreeSet<RelId>) -> bool {
         // Kahn-style: repeatedly strip nodes with no in-edges from within.
         let mut remaining: BTreeSet<RelId> = nodes.clone();
         loop {
@@ -137,7 +137,7 @@ pub fn thm_6_3_applies(spec: &WorkflowSpec, peer: PeerId) -> bool {
 
 /// Condition (C1): every peer that sees a relation visible at `peer` sees it
 /// fully (all attributes, selection `true`).
-pub fn satisfies_c1(spec: &WorkflowSpec, peer: PeerId) -> bool {
+pub(crate) fn satisfies_c1(spec: &WorkflowSpec, peer: PeerId) -> bool {
     let collab = spec.collab();
     collab.visible_rels(peer).all(|r| {
         collab.peer_ids().all(|q| match collab.view(q, r) {

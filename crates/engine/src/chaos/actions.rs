@@ -84,7 +84,7 @@ pub enum Action {
     /// [g]: cwf_model::govern::Governor
     ParCancel,
     /// While degraded, attempt a mutation and require it to be rejected
-    /// with `CoordinatorError::Degraded`, leaving the run and every replica
+    /// with `PlaneError::Degraded`, leaving the run and every replica
     /// untouched (reads keep being served). A no-op when not degraded.
     DegradeProbe,
     /// Cut one delivery link. The raw selector is reduced modulo the link

@@ -52,12 +52,11 @@ mod world;
 
 pub use actions::{format_trace, parse_trace, Action, ActionParseError};
 pub use oracle::{
-    default_oracles, governed_view_audit, governed_wellformed, Checkpoint, EventCountOracle,
-    HlcCausality, Oracle, ProvenanceSound, ShardOwnership, ShardSlicePrefix, ShardStateUnion,
-    ViewPlaneOracle,
+    Checkpoint, EventCountOracle, HlcCausality, Oracle, ProvenanceSound, ShardOwnership,
+    ShardSlicePrefix, ShardStateUnion, ViewPlaneOracle,
 };
 pub use shrink::ddmin;
-pub use sim::{generate_trace, ChaosConfig, ChaosFailure, ChaosProfile, ChaosSim, TraceReport};
+pub use sim::{ChaosFailure, ChaosProfile, ChaosSim, TraceReport};
 
 use std::sync::Arc;
 

@@ -86,7 +86,7 @@ pub trait Oracle {
 }
 
 /// The default oracle battery (see the module docs).
-pub fn default_oracles() -> Vec<Box<dyn Oracle>> {
+pub(crate) fn default_oracles() -> Vec<Box<dyn Oracle>> {
     vec![
         Box::new(ShadowEquivalence),
         Box::new(ShardStateUnion),
@@ -110,7 +110,10 @@ pub fn default_oracles() -> Vec<Box<dyn Oracle>> {
 /// Returns `Done(Ok(n))` when all `n` events replay, `Done(Err(e))` when
 /// the history is ill-formed, and an `Anytime`/`Exhausted` verdict when the
 /// governor cut the replay short.
-pub fn governed_wellformed(run: &Run, gov: &Governor) -> Verdict<Result<usize, ReplayError>> {
+pub(crate) fn governed_wellformed(
+    run: &Run,
+    gov: &Governor,
+) -> Verdict<Result<usize, ReplayError>> {
     if let Err(reason) = gov.check() {
         return Verdict::Exhausted(reason);
     }
@@ -141,7 +144,7 @@ pub fn governed_wellformed(run: &Run, gov: &Governor) -> Verdict<Result<usize, R
 /// cutoff verdicts mirroring [`governed_wellformed`] (`Exhausted` when the
 /// first peer was already cut off, `Anytime(Ok(i), _)` after `i` audited
 /// peers otherwise).
-pub fn governed_view_audit(
+pub(crate) fn governed_view_audit(
     run: &Run,
     gov: &Governor,
     pool: &Pool,

@@ -33,6 +33,7 @@ use crate::chaos::shrink::ddmin;
 use crate::chaos::world::World;
 use crate::delivery::DeliveryConfig;
 use crate::fault::FaultPlan;
+use crate::shard::ShardPlaneConfig;
 use crate::stats::FtStats;
 
 /// Splits the one seed into independent streams (generation, network,
@@ -163,31 +164,26 @@ impl ChaosProfile {
     }
 }
 
-/// Tuning knobs of the chaos harness.
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosConfig {
-    /// Pump budget of the final post-heal convergence check.
-    pub converge_budget: u64,
-    /// WAL snapshot cadence (chaos keeps it low so crash–restart regularly
-    /// exercises snapshot-based recovery).
-    pub snapshot_every: Option<u64>,
-    /// Delivery-protocol knobs of every shard under test.
-    pub delivery: DeliveryConfig,
-    /// Executions the shrinker may spend minimizing one failure.
-    pub shrink_budget: usize,
-}
+/// Pump budget of the final post-heal convergence check.
+pub(crate) const CONVERGE_BUDGET: u64 = 2_000;
 
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            converge_budget: 2_000,
-            snapshot_every: Some(5),
-            delivery: DeliveryConfig {
-                resync_lag: 8,
-                ..DeliveryConfig::default()
-            },
-            shrink_budget: 400,
-        }
+/// WAL snapshot cadence (chaos keeps it low so crash–restart regularly
+/// exercises snapshot-based recovery).
+pub(crate) const SNAPSHOT_EVERY: Option<u64> = Some(5);
+
+/// Executions the shrinker may spend minimizing one failure.
+const SHRINK_BUDGET: usize = 400;
+
+/// The plane configuration of every deployment under test, fresh or
+/// recovered: `shards` shards whose delivery protocol resyncs after a short
+/// unacknowledged lag.
+pub(crate) fn plane_config(shards: usize) -> ShardPlaneConfig {
+    ShardPlaneConfig {
+        delivery: DeliveryConfig {
+            resync_lag: 8,
+            ..DeliveryConfig::default()
+        },
+        ..ShardPlaneConfig::with_shards(shards)
     }
 }
 
@@ -264,36 +260,27 @@ pub(crate) fn inv(detail: impl Into<String>) -> Violation {
     ("action-invariant".to_string(), detail.into())
 }
 
-/// The chaos harness: a spec, a fault profile, a shard count, tuning
-/// knobs, and the oracle battery. One sim is reusable across seeds; each
+/// The chaos harness: a spec, a fault profile, a shard count, and the
+/// oracle battery. One sim is reusable across seeds; each
 /// [`run_trace`](ChaosSim::run_trace) builds a fresh universe.
 pub struct ChaosSim {
     spec: Arc<WorkflowSpec>,
     profile: ChaosProfile,
     shards: usize,
-    config: ChaosConfig,
     #[allow(clippy::type_complexity)]
     extra: Vec<Box<dyn Fn() -> Box<dyn Oracle> + Send + Sync>>,
 }
 
 impl ChaosSim {
-    /// A sim over `spec` with `shards` shards, the given fault profile, and
-    /// default knobs.
+    /// A sim over `spec` with `shards` shards and the given fault profile.
     pub fn new(spec: Arc<WorkflowSpec>, profile: ChaosProfile, shards: usize) -> Self {
         assert!(shards >= 1, "a plane needs at least one shard");
         ChaosSim {
             spec,
             profile,
             shards,
-            config: ChaosConfig::default(),
             extra: Vec::new(),
         }
-    }
-
-    /// Builder: overrides the tuning knobs.
-    pub fn with_config(mut self, config: ChaosConfig) -> Self {
-        self.config = config;
-        self
     }
 
     /// Builder: plugs an extra oracle into the battery. The factory is
@@ -321,7 +308,7 @@ impl ChaosSim {
 
 /// Generates the `seed`-determined action trace of a profile. The trace
 /// does not depend on the shard count, so one trace replays at any.
-pub fn generate_trace(profile: ChaosProfile, seed: u64, steps: usize) -> Vec<Action> {
+pub(crate) fn generate_trace(profile: ChaosProfile, seed: u64, steps: usize) -> Vec<Action> {
     let mut rng = StdRng::seed_from_u64(mix(seed, GEN_SALT));
     let weights = profile.weights();
     let total: u32 = weights.iter().sum();
@@ -409,13 +396,7 @@ impl ChaosSim {
             trace: trace.to_vec(),
             minimized: None,
         };
-        let mut world = World::new(
-            Arc::clone(&self.spec),
-            self.profile,
-            self.config,
-            self.shards,
-            seed,
-        );
+        let mut world = World::new(Arc::clone(&self.spec), self.profile, self.shards, seed);
         let mut oracles = default_oracles();
         for factory in &self.extra {
             oracles.push(factory());
@@ -453,11 +434,15 @@ impl ChaosSim {
     /// Delta-debugs a failing trace, re-executing from `seed`; returns the
     /// minimized trace and its failure. Any oracle failure keeps a
     /// candidate (a shrunk trace may trip a different oracle).
-    pub fn minimize(&self, seed: u64, trace: &[Action]) -> (Vec<Action>, Option<ChaosFailure>) {
+    pub(crate) fn minimize(
+        &self,
+        seed: u64,
+        trace: &[Action],
+    ) -> (Vec<Action>, Option<ChaosFailure>) {
         let minimized = ddmin(
             trace,
             |cand| self.run_trace(seed, cand).is_err(),
-            self.config.shrink_budget,
+            SHRINK_BUDGET,
         );
         let failure = self.run_trace(seed, &minimized).err();
         (minimized, failure)

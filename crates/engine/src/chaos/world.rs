@@ -27,14 +27,15 @@ use cwf_model::PeerId;
 use crate::chaos::actions::Action;
 use crate::chaos::oracle::{governed_view_audit, governed_wellformed, Checkpoint};
 use crate::chaos::sim::{
-    inv, mix, par_probe_condition, ChaosConfig, ChaosProfile, Violation, NET_SALT, STORAGE_SALT,
+    inv, mix, par_probe_condition, plane_config, ChaosProfile, Violation, CONVERGE_BUDGET,
+    NET_SALT, SNAPSHOT_EVERY, STORAGE_SALT,
 };
 use crate::delivery::MaterializedView;
-use crate::error::CoordinatorError;
+use crate::error::PlaneError;
 use crate::event::Event;
 use crate::fault::FaultPlan;
 use crate::run::Run;
-use crate::shard::{ShardConvergence, ShardId, ShardLink, ShardPlane, ShardPlaneConfig};
+use crate::shard::{ShardConvergence, ShardId, ShardLink, ShardPlane};
 use crate::simulate::{candidates, complete, Candidate};
 use crate::transport::{FaultyTransport, Transport};
 use crate::wal::{IoFaultBackend, MemBackend, SyncPolicy, Wal, WalOptions};
@@ -43,7 +44,6 @@ use crate::wal::{IoFaultBackend, MemBackend, SyncPolicy, Wal, WalOptions};
 pub(crate) struct World {
     spec: Arc<WorkflowSpec>,
     profile: ChaosProfile,
-    config: ChaosConfig,
     seed: u64,
     shards: usize,
     pub(crate) plane: ShardPlane,
@@ -69,13 +69,12 @@ impl World {
     pub(crate) fn new(
         spec: Arc<WorkflowSpec>,
         profile: ChaosProfile,
-        config: ChaosConfig,
         shards: usize,
         seed: u64,
     ) -> Self {
         let opts = WalOptions {
             sync: SyncPolicy::Always,
-            snapshot_every: config.snapshot_every,
+            snapshot_every: SNAPSHOT_EVERY,
         };
         let mems: Vec<MemBackend> = (0..shards).map(|_| MemBackend::new()).collect();
         let ios: Vec<IoFaultBackend> = mems
@@ -114,16 +113,12 @@ impl World {
             Arc::clone(&spec),
             transports,
             Some(wals),
-            ShardPlaneConfig {
-                delivery: config.delivery,
-                ..ShardPlaneConfig::with_shards(shards)
-            },
+            plane_config(shards),
         );
         let shadow = Run::new(Arc::clone(&spec));
         World {
             spec,
             profile,
-            config,
             seed,
             shards,
             plane,
@@ -291,11 +286,11 @@ impl World {
                     Ok(())
                 }
                 Ok(false) => Err(inv("finish_reshard refused an in-progress migration")),
-                Err(CoordinatorError::Degraded) => {
+                Err(PlaneError::Degraded) => {
                     self.note(format!("{kind}: cutover refused while degraded"));
                     Ok(())
                 }
-                Err(CoordinatorError::Wal(e)) => {
+                Err(PlaneError::Wal(e)) => {
                     if !self.plane.degraded() {
                         return Err(inv(format!(
                             "cutover wal failure did not degrade the plane: {e}"
@@ -384,11 +379,11 @@ impl World {
                 self.note("reshard: plan refused (degenerate endpoints or busy)");
                 Ok(())
             }
-            Err(CoordinatorError::Degraded) => {
+            Err(PlaneError::Degraded) => {
                 self.note("reshard refused: degraded");
                 Ok(())
             }
-            Err(CoordinatorError::Wal(e)) => {
+            Err(PlaneError::Wal(e)) => {
                 if !self.plane.degraded() {
                     return Err(inv(format!(
                         "reshard plan-record failure did not degrade the plane: {e}"
@@ -493,18 +488,18 @@ impl World {
                 }
                 Ok(())
             }
-            Err(CoordinatorError::Degraded) => {
+            Err(PlaneError::Degraded) => {
                 if !was_degraded {
                     return Err(inv("armed plane rejected a submit as Degraded"));
                 }
                 self.note("submit rejected: degraded");
                 Ok(())
             }
-            Err(CoordinatorError::Engine(e)) => {
+            Err(PlaneError::Engine(e)) => {
                 self.note(format!("submit rejected by engine: {e}"));
                 Ok(())
             }
-            Err(CoordinatorError::Wal(e)) => {
+            Err(PlaneError::Wal(e)) => {
                 if !self.plane.degraded() {
                     return Err(inv(format!("wal failure did not degrade the plane: {e}")));
                 }
@@ -512,14 +507,14 @@ impl World {
                 self.note(format!("submit hit wal failure: {e}"));
                 Ok(())
             }
-            Err(CoordinatorError::CommitAborted) => {
+            Err(PlaneError::CommitAborted) => {
                 if self.plane.degraded() {
                     return Err(inv("a clean commit abort degraded the plane"));
                 }
                 self.note("submit aborted by the commit protocol (post-prepare timeout)");
                 Ok(())
             }
-            Err(CoordinatorError::InDoubt) => {
+            Err(PlaneError::InDoubt) => {
                 if self.plane.degraded() {
                     return Err(inv("an in-doubt commit degraded the live plane"));
                 }
@@ -589,10 +584,7 @@ impl World {
                 .collect(),
             self.opts,
             transports,
-            ShardPlaneConfig {
-                delivery: self.config.delivery,
-                ..ShardPlaneConfig::with_shards(self.shards)
-            },
+            plane_config(self.shards),
         )
         .map_err(|e| {
             (
@@ -750,7 +742,7 @@ impl World {
             },
         };
         match self.plane.submit(event) {
-            Err(CoordinatorError::Degraded) => {}
+            Err(PlaneError::Degraded) => {}
             Ok(_) => {
                 return Err((
                     "degraded-safety".into(),
@@ -820,15 +812,12 @@ impl World {
                 }
             }
         }
-        let ticks = match self.plane.converge(self.config.converge_budget) {
+        let ticks = match self.plane.converge(CONVERGE_BUDGET) {
             ShardConvergence::Converged { ticks } => ticks,
             s @ ShardConvergence::Stalled { .. } => {
                 return Err((
                     NAME.into(),
-                    format!(
-                        "plane failed to settle within {} ticks: {s}",
-                        self.config.converge_budget
-                    ),
+                    format!("plane failed to settle within {CONVERGE_BUDGET} ticks: {s}"),
                 ));
             }
         };

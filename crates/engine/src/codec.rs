@@ -272,7 +272,11 @@ pub(crate) fn decode_event_tokens(
 
 /// Decodes one event from its single-line encoding (the inverse of
 /// [`encode_event`]).
-pub fn decode_event(spec: &WorkflowSpec, text: &str, line: usize) -> Result<Event, CodecError> {
+pub(crate) fn decode_event(
+    spec: &WorkflowSpec,
+    text: &str,
+    line: usize,
+) -> Result<Event, CodecError> {
     let tokens = tokenize(text.trim());
     if tokens.is_empty() {
         return Err(CodecError::BadValue {

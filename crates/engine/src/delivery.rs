@@ -33,15 +33,6 @@ impl MaterializedView {
         Self::default()
     }
 
-    /// Materializes a view instance (used for resync snapshots).
-    pub fn from_view(view: &ViewInstance) -> Self {
-        let mut out = Self::new();
-        for (rel, t) in view.facts() {
-            out.upsert(rel, t.clone());
-        }
-        out
-    }
-
     pub(crate) fn upsert(&mut self, rel: RelId, t: Tuple) {
         self.rels.entry(rel).or_default().insert(*t.key(), t);
     }
@@ -245,12 +236,12 @@ impl Delivery {
 
     /// Highest sequence number assigned so far toward each peer (the
     /// watermark a successor must resume past).
-    pub fn next_seqs(&self) -> Vec<u64> {
+    pub(crate) fn next_seqs(&self) -> Vec<u64> {
         self.outboxes.iter().map(|o| o.next_seq).collect()
     }
 
     /// Enqueues one sequence-numbered delta toward peer `p`.
-    pub fn enqueue(&mut self, p: PeerId, delta: ViewDelta, ft: &mut FtStats) {
+    pub(crate) fn enqueue(&mut self, p: PeerId, delta: ViewDelta, ft: &mut FtStats) {
         let seq = self.outboxes[p.index()].assign_seq();
         let msg = PeerMsg::Delta { seq, delta };
         self.outboxes[p.index()].unacked.push_back(Pending {
@@ -271,7 +262,7 @@ impl Delivery {
     /// ack a state no prefix of the history explains. With a fresh number
     /// the snapshot still supersedes every older delta, and any delta
     /// numbered past a lost snapshot is deferred instead of misapplied.
-    pub fn resync_with(&mut self, p: PeerId, view: MaterializedView, ft: &mut FtStats) {
+    pub(crate) fn resync_with(&mut self, p: PeerId, view: MaterializedView, ft: &mut FtStats) {
         let outbox = &mut self.outboxes[p.index()];
         let msg = PeerMsg::Snapshot {
             seq: outbox.assign_seq(),
@@ -352,7 +343,7 @@ impl Delivery {
 
     /// Peers with messages awaiting acknowledgement, with their counts, in
     /// peer-id order (only peers with outstanding work appear).
-    pub fn undelivered_by_peer(&self) -> Vec<(PeerId, usize)> {
+    pub(crate) fn undelivered_by_peer(&self) -> Vec<(PeerId, usize)> {
         self.outboxes
             .iter()
             .enumerate()

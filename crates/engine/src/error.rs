@@ -134,17 +134,16 @@ impl fmt::Display for WalError {
 impl std::error::Error for WalError {}
 
 /// Errors surfaced by the fault-tolerant [`ShardPlane`](crate::ShardPlane)
-/// (the name predates the plane: a shards=1 plane is the paper's master
-/// server, the "coordinator").
+/// (a shards=1 plane is the paper's master server).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CoordinatorError {
+pub enum PlaneError {
     /// The event was rejected by the transition semantics (not applied, not
     /// logged, nothing broadcast).
     Engine(EngineError),
     /// The write-ahead log failed while persisting an accepted event. The
     /// event is rolled back out of memory (it is *not* durable) and the
     /// plane enters read-only **degraded mode**: view reads keep working,
-    /// mutations are rejected with [`CoordinatorError::Degraded`] until
+    /// mutations are rejected with [`PlaneError::Degraded`] until
     /// [`ShardPlane::rearm`](crate::ShardPlane::rearm) succeeds.
     Wal(WalError),
     /// The plane is in degraded (read-only) mode after a durability
@@ -164,21 +163,21 @@ pub enum CoordinatorError {
     InDoubt,
 }
 
-impl fmt::Display for CoordinatorError {
+impl fmt::Display for PlaneError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CoordinatorError::Engine(e) => write!(f, "event rejected: {e}"),
-            CoordinatorError::Wal(e) => write!(f, "durability failure: {e}"),
-            CoordinatorError::Degraded => {
+            PlaneError::Engine(e) => write!(f, "event rejected: {e}"),
+            PlaneError::Wal(e) => write!(f, "durability failure: {e}"),
+            PlaneError::Degraded => {
                 write!(
                     f,
                     "plane is degraded (read-only) after a durability failure"
                 )
             }
-            CoordinatorError::CommitAborted => {
+            PlaneError::CommitAborted => {
                 write!(f, "cross-shard commit aborted before its commit point")
             }
-            CoordinatorError::InDoubt => {
+            PlaneError::InDoubt => {
                 write!(
                     f,
                     "router died mid-commit; the transaction is in doubt until recovery"
@@ -188,26 +187,24 @@ impl fmt::Display for CoordinatorError {
     }
 }
 
-impl std::error::Error for CoordinatorError {
+impl std::error::Error for PlaneError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CoordinatorError::Engine(e) => Some(e),
-            CoordinatorError::Wal(e) => Some(e),
-            CoordinatorError::Degraded
-            | CoordinatorError::CommitAborted
-            | CoordinatorError::InDoubt => None,
+            PlaneError::Engine(e) => Some(e),
+            PlaneError::Wal(e) => Some(e),
+            PlaneError::Degraded | PlaneError::CommitAborted | PlaneError::InDoubt => None,
         }
     }
 }
 
-impl From<EngineError> for CoordinatorError {
+impl From<EngineError> for PlaneError {
     fn from(e: EngineError) -> Self {
-        CoordinatorError::Engine(e)
+        PlaneError::Engine(e)
     }
 }
 
-impl From<WalError> for CoordinatorError {
+impl From<WalError> for PlaneError {
     fn from(e: WalError) -> Self {
-        CoordinatorError::Wal(e)
+        PlaneError::Wal(e)
     }
 }

@@ -74,14 +74,6 @@ impl Bindings {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
-
-    /// Converts into a total valuation, panicking on unbound slots.
-    pub fn into_values(self) -> Vec<Value> {
-        self.0
-            .into_iter()
-            .map(|v| v.expect("binding is total"))
-            .collect()
-    }
 }
 
 /// The key term of a positive literal (position 0 of a `Pos`, the key of a
@@ -373,7 +365,7 @@ fn filters_hold(rule: &Rule, view: &ViewInstance, b: &Bindings) -> bool {
 /// literals with the same bind/undo trail as the join — no per-literal
 /// clone (any variable the caller left unbound acts as a per-literal
 /// wildcard, exactly as before).
-pub fn check_body(rule: &Rule, view: &ViewInstance, bindings: &Bindings) -> bool {
+pub(crate) fn check_body(rule: &Rule, view: &ViewInstance, bindings: &Bindings) -> bool {
     let mut scratch = bindings.clone();
     let mut trail = Vec::new();
     // Positive literals must match existing visible tuples.
@@ -622,6 +614,5 @@ mod tests {
             b.resolve(&Term::Const(Value::str("c"))),
             Some(Value::str("c"))
         );
-        assert_eq!(b.clone().into_values(), vec![Value::int(1), Value::int(2)]);
     }
 }

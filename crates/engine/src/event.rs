@@ -103,7 +103,7 @@ impl Event {
     /// polynomial; negative reads (`¬R@q(k, ū)` / `¬Key_{R@q}(k)`) require
     /// *absence*, so provenance joins the key's closed writer history
     /// instead. Head updates are not included.
-    pub fn body_key_reads(
+    pub(crate) fn body_key_reads(
         &self,
         spec: &WorkflowSpec,
     ) -> (
@@ -125,11 +125,6 @@ impl Event {
             out.entry(*rel).or_default().insert(v);
         }
         (pos, neg)
-    }
-
-    /// The keys of `rel` occurring in this event (`K(rel, e)`).
-    pub fn keys_of(&self, spec: &WorkflowSpec, rel: RelId) -> BTreeSet<Value> {
-        self.key_occurrences(spec).remove(&rel).unwrap_or_default()
     }
 
     /// The values instantiating the rule's head-only variables — the
@@ -302,7 +297,6 @@ mod tests {
         // R: x from body literal and deletion. S: x from ¬Key, z from insert.
         assert_eq!(ks[&r], BTreeSet::from([Value::int(1)]));
         assert_eq!(ks[&s], BTreeSet::from([Value::int(1), Value::Fresh(0)]));
-        assert_eq!(e.keys_of(&spec, r), BTreeSet::from([Value::int(1)]));
     }
 
     #[test]

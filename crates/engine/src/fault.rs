@@ -122,25 +122,6 @@ impl FaultPlan {
         self
     }
 
-    /// Overrides the storage-fault rates (builder style).
-    pub fn with_storage_rates(
-        mut self,
-        short_write_p: f64,
-        fsync_fail_p: f64,
-        transient_p: f64,
-    ) -> FaultPlan {
-        self.short_write_p = short_write_p;
-        self.fsync_fail_p = fsync_fail_p;
-        self.transient_p = transient_p;
-        self
-    }
-
-    /// Caps the simulated device at `bytes` (builder style).
-    pub fn with_disk_capacity(mut self, bytes: u64) -> FaultPlan {
-        self.disk_capacity = Some(bytes);
-        self
-    }
-
     /// Stops all future faults ("the network stabilizes") and heals every
     /// partitioned link. Messages already delayed in flight still arrive
     /// late; retry handles them.
@@ -169,27 +150,22 @@ impl FaultPlan {
     }
 
     /// Is the link to peer index `link` currently cut?
-    pub fn is_partitioned(&self, link: usize) -> bool {
+    pub(crate) fn is_partitioned(&self, link: usize) -> bool {
         self.blocked.contains(&link)
     }
 
-    /// The currently cut links, in order.
-    pub fn partitioned_links(&self) -> impl Iterator<Item = usize> + '_ {
-        self.blocked.iter().copied()
-    }
-
     /// Should this message be dropped?
-    pub fn decide_drop(&mut self) -> bool {
+    pub(crate) fn decide_drop(&mut self) -> bool {
         !self.healed && self.net_rng.gen_bool(self.drop_p)
     }
 
     /// Should this message be duplicated?
-    pub fn decide_duplicate(&mut self) -> bool {
+    pub(crate) fn decide_duplicate(&mut self) -> bool {
         !self.healed && self.net_rng.gen_bool(self.dup_p)
     }
 
     /// Extra delivery delay for this message, in ticks (0 = on time).
-    pub fn decide_delay(&mut self) -> u64 {
+    pub(crate) fn decide_delay(&mut self) -> u64 {
         if self.healed || self.max_delay == 0 || !self.net_rng.gen_bool(self.delay_p) {
             0
         } else {
@@ -198,22 +174,22 @@ impl FaultPlan {
     }
 
     /// Should this batch of due messages be shuffled?
-    pub fn decide_reorder(&mut self) -> bool {
+    pub(crate) fn decide_reorder(&mut self) -> bool {
         !self.healed && self.net_rng.gen_bool(self.reorder_p)
     }
 
     /// Should this storage append land only a torn prefix?
-    pub fn decide_short_write(&mut self) -> bool {
+    pub(crate) fn decide_short_write(&mut self) -> bool {
         !self.healed && self.storage_rng.gen_bool(self.short_write_p)
     }
 
     /// Should this storage sync fail?
-    pub fn decide_fsync_fail(&mut self) -> bool {
+    pub(crate) fn decide_fsync_fail(&mut self) -> bool {
         !self.healed && self.storage_rng.gen_bool(self.fsync_fail_p)
     }
 
     /// Should this storage append fail transiently (nothing written)?
-    pub fn decide_transient(&mut self) -> bool {
+    pub(crate) fn decide_transient(&mut self) -> bool {
         !self.healed && self.storage_rng.gen_bool(self.transient_p)
     }
 
@@ -226,14 +202,8 @@ impl FaultPlan {
 
     /// A uniformly random index below `n` from the **storage** stream
     /// (short-write cut points). `n` must be nonzero.
-    pub fn pick_storage(&mut self, n: usize) -> usize {
+    pub(crate) fn pick_storage(&mut self, n: usize) -> usize {
         self.storage_rng.gen_range(0..n)
-    }
-
-    /// A random byte to XOR into a corrupted log position (never 0, so the
-    /// byte actually changes).
-    pub fn corruption_byte(&mut self) -> u8 {
-        self.net_rng.gen_range(1..=u8::MAX)
     }
 }
 
@@ -258,7 +228,12 @@ mod tests {
     /// seed — and vice versa.
     #[test]
     fn storage_draws_do_not_perturb_the_network_stream() {
-        let mut quiet = FaultPlan::seeded(99).with_storage_rates(0.5, 0.5, 0.5);
+        let mut quiet = FaultPlan {
+            short_write_p: 0.5,
+            fsync_fail_p: 0.5,
+            transient_p: 0.5,
+            ..FaultPlan::seeded(99)
+        };
         let mut noisy = quiet.clone();
         let mut seq_quiet = Vec::new();
         let mut seq_noisy = Vec::new();
@@ -281,7 +256,12 @@ mod tests {
 
     #[test]
     fn network_draws_do_not_perturb_the_storage_stream() {
-        let mut quiet = FaultPlan::seeded(7).with_storage_rates(0.4, 0.4, 0.4);
+        let mut quiet = FaultPlan {
+            short_write_p: 0.4,
+            fsync_fail_p: 0.4,
+            transient_p: 0.4,
+            ..FaultPlan::seeded(7)
+        };
         let mut noisy = quiet.clone();
         let mut seq_quiet = Vec::new();
         let mut seq_noisy = Vec::new();
@@ -325,7 +305,12 @@ mod tests {
 
     #[test]
     fn healing_stops_storage_faults_too() {
-        let mut p = FaultPlan::seeded(9).with_storage_rates(1.0, 1.0, 1.0);
+        let mut p = FaultPlan {
+            short_write_p: 1.0,
+            fsync_fail_p: 1.0,
+            transient_p: 1.0,
+            ..FaultPlan::seeded(9)
+        };
         assert!(p.decide_short_write());
         p.heal();
         for _ in 0..50 {
@@ -343,7 +328,6 @@ mod tests {
         assert!(!p.partition(1), "already cut");
         assert!(p.is_partitioned(1));
         assert!(!p.is_partitioned(0));
-        assert_eq!(p.partitioned_links().collect::<Vec<_>>(), vec![1]);
         assert!(p.heal_link(1));
         assert!(!p.is_partitioned(1));
     }
@@ -364,14 +348,6 @@ mod tests {
         for _ in 0..50 {
             assert!(!p.decide_drop());
             assert_eq!(p.decide_delay(), 0);
-        }
-    }
-
-    #[test]
-    fn corruption_byte_is_nonzero() {
-        let mut p = FaultPlan::seeded(1);
-        for _ in 0..100 {
-            assert_ne!(p.corruption_byte(), 0);
         }
     }
 }

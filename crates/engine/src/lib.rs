@@ -40,10 +40,10 @@ pub mod transport;
 pub mod view_plane;
 pub mod wal;
 
-pub use codec::{decode_event, decode_events, encode_event, encode_run, load_run, CodecError};
+pub use codec::{decode_events, encode_event, encode_run, load_run, CodecError};
 pub use delivery::{Delivery, DeliveryConfig, MaterializedView};
-pub use error::{CoordinatorError, EngineError, WalError};
-pub use eval::{check_body, match_body, Bindings};
+pub use error::{EngineError, PlaneError, WalError};
+pub use eval::{match_body, Bindings};
 pub use event::{Event, GroundUpdate};
 pub use fault::FaultPlan;
 pub use nf_runs::{from_normal_form, to_normal_form, NfTranslateError};
@@ -56,9 +56,7 @@ pub use shard::{
 };
 pub use simulate::{candidates, complete, Candidate, Simulator};
 pub use stats::{FtStats, PeerStats, RunStats, ShardAdmissionStats};
-pub use transition::{
-    apply_event, apply_event_with_view, apply_updates, event_visible, view_of, Applied,
-};
+pub use transition::{apply_event, apply_event_with_view, event_visible, view_of, Applied};
 pub use transport::{Ack, FaultyTransport, InjectedFaults, PeerMsg, PerfectTransport, Transport};
 pub use view_plane::{materialize_view, peer_delta, ViewDelta, ViewPlane};
 pub use wal::{

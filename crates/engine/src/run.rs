@@ -280,7 +280,7 @@ impl Run {
 
     /// Restores a persisted watermark (never lowers the counter): future
     /// [`Run::draw_fresh`] draws start at `next` or later.
-    pub fn raise_fresh_watermark(&mut self, next: u64) {
+    pub(crate) fn raise_fresh_watermark(&mut self, next: u64) {
         self.fresh.raise_to(next);
     }
 

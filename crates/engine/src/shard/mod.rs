@@ -43,9 +43,10 @@ mod plane;
 
 pub use hlc::{Hlc, HlcStamp};
 pub use oplog::{Oplog, OplogEntry, ShardOp};
+pub(crate) use plane::slice_view;
 pub use plane::{
-    slice_view, FailoverReport, ShardBroadcast, ShardConvergence, ShardLink, ShardPlane,
-    ShardPlaneConfig, ShardPlaneStats,
+    FailoverReport, ShardBroadcast, ShardConvergence, ShardLink, ShardPlane, ShardPlaneConfig,
+    ShardPlaneStats,
 };
 
 /// Identifies one shard (dense, from 0).
@@ -153,7 +154,7 @@ impl ShardMap {
 
     /// Rebuilds a map from its recovered parts (recovery adopts the table
     /// a surviving `m`/`f` record carries verbatim).
-    pub fn from_parts(epoch: u64, streams: u16, slots: Vec<u16>) -> ShardMap {
+    pub(crate) fn from_parts(epoch: u64, streams: u16, slots: Vec<u16>) -> ShardMap {
         assert!(streams >= 1 && !slots.is_empty(), "a non-trivial map");
         assert!(
             slots.iter().all(|&o| o < streams),
@@ -199,7 +200,7 @@ impl ShardMap {
     /// Proposes carving half of `src`'s key space out to the brand-new
     /// shard `dst` (the caller picks the next free physical index). `None`
     /// when `src` owns nothing, `dst` is not new, or a cap is hit.
-    pub fn plan_split(&self, src: ShardId, dst: ShardId) -> Option<MigrationPlan> {
+    pub(crate) fn plan_split(&self, src: ShardId, dst: ShardId) -> Option<MigrationPlan> {
         if src.0 >= self.streams || dst.0 < self.streams || dst.0 >= STREAM_CAP {
             return None;
         }
@@ -230,7 +231,7 @@ impl ShardMap {
 
     /// Proposes folding all of `src`'s key space into the existing `dst`.
     /// `None` when the pair is degenerate or `src` owns nothing.
-    pub fn plan_merge(&self, src: ShardId, dst: ShardId) -> Option<MigrationPlan> {
+    pub(crate) fn plan_merge(&self, src: ShardId, dst: ShardId) -> Option<MigrationPlan> {
         if src == dst || src.0 >= self.streams || dst.0 >= self.streams {
             return None;
         }
@@ -255,7 +256,7 @@ impl ShardMap {
     /// Proposes moving about half of `src`'s key space onto the existing
     /// `dst` (refining the table when `src` owns a single slot). `None`
     /// when the pair is degenerate, `src` owns nothing, or a cap is hit.
-    pub fn plan_rebalance(&self, src: ShardId, dst: ShardId) -> Option<MigrationPlan> {
+    pub(crate) fn plan_rebalance(&self, src: ShardId, dst: ShardId) -> Option<MigrationPlan> {
         if src == dst || src.0 >= self.streams || dst.0 >= self.streams {
             return None;
         }

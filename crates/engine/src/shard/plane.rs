@@ -70,7 +70,7 @@ use cwf_model::{Instance, PeerId, RelId, Tuple, Value, ViewInstance};
 
 use crate::codec::{decode_event, encode_event};
 use crate::delivery::{Delivery, DeliveryConfig, MaterializedView};
-use crate::error::{CoordinatorError, WalError};
+use crate::error::{PlaneError, WalError};
 use crate::event::Event;
 use crate::run::Run;
 use crate::stats::{FtStats, ShardAdmissionStats};
@@ -89,6 +89,10 @@ const ROUTER_NODE: u16 = u16::MAX;
 /// ordered log.
 const ROUTER_STREAM: ShardId = ShardId(0);
 
+/// Retries of a transiently failing WAL append (EINTR-style) before the
+/// submit degrades the plane.
+const WAL_TRANSIENT_RETRIES: u32 = 2;
+
 /// Tuning of a [`ShardPlane`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPlaneConfig {
@@ -97,9 +101,6 @@ pub struct ShardPlaneConfig {
     /// Every shard's delivery knobs (the backoff ones also pace retries
     /// of a transiently failing WAL append).
     pub delivery: DeliveryConfig,
-    /// Retries of a transiently failing WAL append (EINTR-style) before
-    /// the submit degrades the plane.
-    pub wal_transient_retries: u32,
 }
 
 impl ShardPlaneConfig {
@@ -108,7 +109,6 @@ impl ShardPlaneConfig {
         ShardPlaneConfig {
             shards,
             delivery: DeliveryConfig::default(),
-            wal_transient_retries: 2,
         }
     }
 }
@@ -368,7 +368,7 @@ struct CommitFaults {
     abort_next: bool,
     /// Kill the router after the next prepare phase: prepares are left
     /// orphaned on every participant and the submit returns
-    /// [`CoordinatorError::InDoubt`] — recovery resolves by presumed abort.
+    /// [`PlaneError::InDoubt`] — recovery resolves by presumed abort.
     router_crash: bool,
 }
 
@@ -525,7 +525,7 @@ fn decode_plan(payload: &str) -> Option<(ShardMap, MigrationPlan)> {
 
 /// Materializes the slice of a peer's view owned by shard `s` — the unit
 /// the plane delivers and the chaos oracles compare against.
-pub fn slice_view(map: &ShardMap, s: ShardId, view: &ViewInstance) -> MaterializedView {
+pub(crate) fn slice_view(map: &ShardMap, s: ShardId, view: &ViewInstance) -> MaterializedView {
     let mut out = MaterializedView::new();
     for (rel, t) in view.facts() {
         if map.shard_of(t.key()) == s {
@@ -1001,7 +1001,7 @@ impl ShardPlane {
     }
 
     /// Shard `s`'s slice of peer `p`'s replica.
-    pub fn shard_replica(&self, s: ShardId, p: PeerId) -> &MaterializedView {
+    pub(crate) fn shard_replica(&self, s: ShardId, p: PeerId) -> &MaterializedView {
         self.shards[s.index()].delivery.replica(p)
     }
 
@@ -1046,7 +1046,7 @@ impl ShardPlane {
     /// Is the plane in degraded (read-only) mode after a durability
     /// failure? Reads — [`ShardPlane::union_replica`], [`ShardPlane::run`],
     /// [`ShardPlane::audit`] — keep working; mutations are rejected with
-    /// [`CoordinatorError::Degraded`] until [`ShardPlane::rearm`] succeeds.
+    /// [`PlaneError::Degraded`] until [`ShardPlane::rearm`] succeeds.
     pub fn degraded(&self) -> bool {
         self.degraded
     }
@@ -1054,13 +1054,13 @@ impl ShardPlane {
     /// Attempts to leave degraded mode: re-arms every WAL stream (truncating
     /// any torn tail back to the last complete record and syncing). While
     /// the storage fault persists this fails and the plane stays degraded.
-    pub fn rearm(&mut self) -> Result<(), CoordinatorError> {
+    pub fn rearm(&mut self) -> Result<(), PlaneError> {
         if !self.degraded {
             return Ok(());
         }
         if let Some(wals) = self.wals.as_mut() {
             for wal in wals {
-                wal.rearm().map_err(CoordinatorError::Wal)?;
+                wal.rearm().map_err(PlaneError::Wal)?;
             }
         }
         self.degraded = false;
@@ -1089,21 +1089,16 @@ impl ShardPlane {
 
     /// Arms a one-shot clean abort of the next cross-shard transaction
     /// (after its prepare phase: `a` records everywhere, event rolled
-    /// back, submit returns [`CoordinatorError::CommitAborted`]).
+    /// back, submit returns [`PlaneError::CommitAborted`]).
     pub fn inject_commit_abort(&mut self) {
         self.commit_faults.abort_next = true;
     }
 
     /// Arms a one-shot router death after the next prepare phase: the
     /// prepares stay orphaned on every participant, the event rolls back,
-    /// and submit returns [`CoordinatorError::InDoubt`].
+    /// and submit returns [`PlaneError::InDoubt`].
     pub fn inject_router_crash(&mut self) {
         self.commit_faults.router_crash = true;
-    }
-
-    /// Disarms any injected commit-protocol fault.
-    pub fn clear_commit_faults(&mut self) {
-        self.commit_faults = CommitFaults::default();
     }
 
     /// Draws a globally fresh value (for clients constructing events).
@@ -1122,7 +1117,7 @@ impl ShardPlane {
         payload: &str,
         force_sync: bool,
     ) -> Result<u64, WalError> {
-        let mut retries = self.config.wal_transient_retries;
+        let mut retries = WAL_TRANSIENT_RETRIES;
         let mut backoff = self.config.delivery.retry_backoff_base.max(1);
         loop {
             let wal = &mut self.wals.as_mut().expect("durable plane")[s.index()];
@@ -1199,10 +1194,10 @@ impl ShardPlane {
     /// ops span shards goes through the cross-shard prepare/commit
     /// protocol (see the module docs). The returned broadcast records the
     /// home shard and every HLC stamp issued.
-    pub fn submit(&mut self, event: Event) -> Result<&ShardBroadcast, CoordinatorError> {
+    pub fn submit(&mut self, event: Event) -> Result<&ShardBroadcast, PlaneError> {
         if self.degraded {
             self.ft.degraded_rejected += 1;
-            return Err(CoordinatorError::Degraded);
+            return Err(PlaneError::Degraded);
         }
         let spec = self.run.spec_arc();
         let actor = event.peer;
@@ -1315,7 +1310,7 @@ impl ShardPlane {
                     self.run.pop();
                     self.ft.wal_failures += 1;
                     self.degraded = true;
-                    return Err(CoordinatorError::Wal(e));
+                    return Err(PlaneError::Wal(e));
                 }
                 self.ft.wal_appends += 1;
                 self.admission.local_admitted[s.index()] += 1;
@@ -1337,7 +1332,7 @@ impl ShardPlane {
                         self.ft.wal_failures += 1;
                         self.admission.cross_shard_aborted += 1;
                         self.degraded = true;
-                        return Err(CoordinatorError::Wal(e));
+                        return Err(PlaneError::Wal(e));
                     }
                     self.admission.prepares_written += 1;
                     prepared.push(s);
@@ -1349,14 +1344,14 @@ impl ShardPlane {
                     self.abort_best_effort(&participants, gid);
                     self.run.pop();
                     self.admission.cross_shard_aborted += 1;
-                    return Err(CoordinatorError::CommitAborted);
+                    return Err(PlaneError::CommitAborted);
                 }
                 if self.commit_faults.router_crash {
                     // Injected router death: prepares stay orphaned on
                     // every participant; recovery presumes abort.
                     self.commit_faults.router_crash = false;
                     self.run.pop();
-                    return Err(CoordinatorError::InDoubt);
+                    return Err(PlaneError::InDoubt);
                 }
                 // Commit point: the home stream's `c` record, synced
                 // before anything is acknowledged.
@@ -1367,7 +1362,7 @@ impl ShardPlane {
                     self.ft.wal_failures += 1;
                     self.admission.cross_shard_aborted += 1;
                     self.degraded = true;
-                    return Err(CoordinatorError::Wal(e));
+                    return Err(PlaneError::Wal(e));
                 }
                 self.admission.commits_written += 1;
                 // Past the commit point the event IS durable: failures on
@@ -1528,7 +1523,7 @@ impl ShardPlane {
 
     /// Queues a slice resync for every (shard, peer) slice that currently
     /// diverges from its authoritative view.
-    pub fn resync_divergent(&mut self) -> usize {
+    pub(crate) fn resync_divergent(&mut self) -> usize {
         let mut n = 0;
         let (map, run) = (self.map.clone(), &self.run);
         for shard in &mut self.shards {
@@ -1726,7 +1721,7 @@ impl ShardPlane {
         src: ShardId,
         transport: Box<dyn Transport>,
         wal: Option<Wal>,
-    ) -> Result<bool, CoordinatorError> {
+    ) -> Result<bool, PlaneError> {
         assert_eq!(
             self.wals.is_some(),
             wal.is_some(),
@@ -1742,7 +1737,7 @@ impl ShardPlane {
     /// Begins a **merge**: all of `src`'s key space will move to the
     /// existing `dst` (leaving `src` an idle stream). Same durability and
     /// refusal rules as [`ShardPlane::begin_split`].
-    pub fn begin_merge(&mut self, src: ShardId, dst: ShardId) -> Result<bool, CoordinatorError> {
+    pub fn begin_merge(&mut self, src: ShardId, dst: ShardId) -> Result<bool, PlaneError> {
         let Some(plan) = self.map.plan_merge(src, dst) else {
             return Ok(false);
         };
@@ -1751,11 +1746,7 @@ impl ShardPlane {
 
     /// Begins a **rebalance**: about half of `src`'s key space will move
     /// to the existing `dst`. Same rules as [`ShardPlane::begin_split`].
-    pub fn begin_rebalance(
-        &mut self,
-        src: ShardId,
-        dst: ShardId,
-    ) -> Result<bool, CoordinatorError> {
+    pub fn begin_rebalance(&mut self, src: ShardId, dst: ShardId) -> Result<bool, PlaneError> {
         let Some(plan) = self.map.plan_rebalance(src, dst) else {
             return Ok(false);
         };
@@ -1766,10 +1757,10 @@ impl ShardPlane {
         &mut self,
         plan: MigrationPlan,
         new_shard: Option<(Box<dyn Transport>, Option<Wal>)>,
-    ) -> Result<bool, CoordinatorError> {
+    ) -> Result<bool, PlaneError> {
         if self.degraded {
             self.ft.degraded_rejected += 1;
-            return Err(CoordinatorError::Degraded);
+            return Err(PlaneError::Degraded);
         }
         if self.transfer.is_some() {
             return Ok(false);
@@ -1781,7 +1772,7 @@ impl ShardPlane {
             if let Err(e) = self.append_with_retry(ROUTER_STREAM, 'm', &payload, true) {
                 self.ft.wal_failures += 1;
                 self.degraded = true;
-                return Err(CoordinatorError::Wal(e));
+                return Err(PlaneError::Wal(e));
             }
         }
         // A split provisions its destination now: an empty partition on a
@@ -1861,10 +1852,10 @@ impl ShardPlane {
     /// the flip. Returns `Ok(false)` without a migration; on a cutover-
     /// record failure the migration stays in flight (retry after
     /// [`ShardPlane::rearm`]).
-    pub fn finish_reshard(&mut self) -> Result<bool, CoordinatorError> {
+    pub fn finish_reshard(&mut self) -> Result<bool, PlaneError> {
         if self.degraded {
             self.ft.degraded_rejected += 1;
-            return Err(CoordinatorError::Degraded);
+            return Err(PlaneError::Degraded);
         }
         // Complete the snapshot copy…
         self.step_reshard(usize::MAX);
@@ -1891,7 +1882,7 @@ impl ShardPlane {
             if let Err(e) = self.append_with_retry(ROUTER_STREAM, 'f', &payload, true) {
                 self.ft.wal_failures += 1;
                 self.degraded = true;
-                return Err(CoordinatorError::Wal(e));
+                return Err(PlaneError::Wal(e));
             }
         }
         let Some(Transfer::Migration { plan, staged, .. }) = self.transfer.take() else {
@@ -1959,7 +1950,7 @@ impl ShardPlane {
     }
 
     /// Per (shard, peer) slices with outstanding messages, ascending.
-    pub fn undelivered_by_slice(&self) -> Vec<(ShardId, PeerId, usize)> {
+    pub(crate) fn undelivered_by_slice(&self) -> Vec<(ShardId, PeerId, usize)> {
         let mut out = Vec::new();
         for shard in &self.shards {
             for (p, n) in shard.delivery.undelivered_by_peer() {
@@ -1971,7 +1962,7 @@ impl ShardPlane {
 
     /// The (shard, peer) slices whose replica differs from its
     /// authoritative view, ascending.
-    pub fn divergent_slices(&self) -> Vec<(ShardId, PeerId)> {
+    pub(crate) fn divergent_slices(&self) -> Vec<(ShardId, PeerId)> {
         let mut out = Vec::new();
         for shard in &self.shards {
             for i in 0..self.peers {
@@ -2353,16 +2344,13 @@ mod tests {
         let d2 = c.draw_fresh();
         let lost = ev(&spec, "draft", std::slice::from_ref(&d2));
         let err = c.submit(lost.clone()).unwrap_err();
-        assert!(matches!(err, CoordinatorError::Wal(_)));
+        assert!(matches!(err, PlaneError::Wal(_)));
         assert!(c.degraded());
         // The non-durable event was rolled back out of memory: the in-memory
         // run matches the durable state, and reads stay consistent.
         assert_eq!(c.run().len(), 1);
         c.audit().unwrap();
-        assert!(matches!(
-            c.submit(lost.clone()),
-            Err(CoordinatorError::Degraded)
-        ));
+        assert!(matches!(c.submit(lost.clone()), Err(PlaneError::Degraded)));
         // The dead process cannot re-arm in place (sync still fails).
         assert!(c.rearm().is_err());
         assert!(c.degraded());
@@ -2406,7 +2394,7 @@ mod tests {
         let d2 = c.draw_fresh();
         let e2 = ev(&spec, "draft", std::slice::from_ref(&d2));
         let err = c.submit(e2.clone()).unwrap_err();
-        assert!(matches!(err, CoordinatorError::Wal(_)));
+        assert!(matches!(err, PlaneError::Wal(_)));
         assert!(c.degraded());
         assert!(io.faults().fsync_failures > 0);
 
@@ -2416,10 +2404,7 @@ mod tests {
         assert_eq!(c.union_replica(author), replica_before);
         assert_eq!(c.run().len(), 1);
         c.audit().unwrap();
-        assert!(matches!(
-            c.submit(e2.clone()),
-            Err(CoordinatorError::Degraded)
-        ));
+        assert!(matches!(c.submit(e2.clone()), Err(PlaneError::Degraded)));
         assert!(c.rearm().is_err());
         assert!(c.degraded());
 
@@ -2453,13 +2438,10 @@ mod tests {
         let d = c.draw_fresh();
         let e = ev(&spec, "draft", std::slice::from_ref(&d));
         let err = c.submit(e.clone()).unwrap_err();
-        assert!(matches!(err, CoordinatorError::Wal(WalError::Transient(_))));
+        assert!(matches!(err, PlaneError::Wal(WalError::Transient(_))));
         assert!(c.degraded());
         let retries = c.ft_stats().wal_transient_retries;
-        assert_eq!(
-            retries,
-            ShardPlaneConfig::default().wal_transient_retries as u64
-        );
+        assert_eq!(retries, u64::from(WAL_TRANSIENT_RETRIES));
         // Nothing was ever written: rearm is a clean no-op truncation, and
         // once the transient condition clears the submit goes through.
         io.heal();

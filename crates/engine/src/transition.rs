@@ -84,7 +84,7 @@ pub fn apply_event_with_view(
 /// into the tuple sharing the inserted key, so per-update effects are
 /// local), and the distinct-update condition keeps the per-update diff
 /// entries disjoint.
-pub fn apply_updates(
+pub(crate) fn apply_updates(
     spec: &WorkflowSpec,
     instance: &Instance,
     peer: PeerId,

@@ -184,7 +184,7 @@ impl MemBackend {
 
     /// Flips the byte at `offset` with `xor` (fault injection: on-disk
     /// corruption). No-op past the end.
-    pub fn corrupt_byte(&self, offset: usize, xor: u8) {
+    pub(crate) fn corrupt_byte(&self, offset: usize, xor: u8) {
         let mut s = self.state.lock().unwrap();
         if let Some(b) = s.data.get_mut(offset) {
             *b ^= xor.max(1); // always actually change the byte
@@ -681,16 +681,6 @@ impl Wal {
             appended_len: header.len() as u64,
             poisoned: false,
         })
-    }
-
-    /// The next sequence number to be assigned.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Is the log poisoned (a failed append left a possibly-torn tail)?
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
     }
 
     /// Restores a poisoned log: truncates any torn tail back to the last

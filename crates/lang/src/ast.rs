@@ -65,14 +65,6 @@ impl Term {
             Term::Const(_) => None,
         }
     }
-
-    /// The constant, if this term is one.
-    pub fn as_const(&self) -> Option<&Value> {
-        match self {
-            Term::Var(_) => None,
-            Term::Const(v) => Some(v),
-        }
-    }
 }
 
 impl From<VarId> for Term {
@@ -131,7 +123,7 @@ pub enum Literal {
 impl Literal {
     /// Is this a positive literal for the purpose of the safety condition?
     /// (`R(ū)` and its sugar `Key_R(y)` both bind variables.)
-    pub fn is_positive(&self) -> bool {
+    pub(crate) fn is_positive(&self) -> bool {
         matches!(self, Literal::Pos { .. } | Literal::KeyPos { .. })
     }
 
@@ -221,7 +213,7 @@ impl Rule {
     }
 
     /// Variables bound by *positive* body literals (the safety set).
-    pub fn positive_vars(&self) -> BTreeSet<VarId> {
+    pub(crate) fn positive_vars(&self) -> BTreeSet<VarId> {
         self.body
             .iter()
             .filter(|l| l.is_positive())
@@ -230,7 +222,7 @@ impl Rule {
     }
 
     /// Variables occurring in the head.
-    pub fn head_vars(&self) -> BTreeSet<VarId> {
+    pub(crate) fn head_vars(&self) -> BTreeSet<VarId> {
         self.head.iter().flat_map(|u| u.vars()).collect()
     }
 
@@ -275,7 +267,7 @@ impl Rule {
 
     /// Does the body contain the syntactic disequality `a ≠ b` (in either
     /// orientation)?
-    pub fn body_has_neq(&self, a: &Term, b: &Term) -> bool {
+    pub(crate) fn body_has_neq(&self, a: &Term, b: &Term) -> bool {
         self.body.iter().any(|l| match l {
             Literal::Neq(x, y) => (x == a && y == b) || (x == b && y == a),
             _ => false,
@@ -283,7 +275,7 @@ impl Rule {
     }
 
     /// Number of relational facts in the body (the `b` of Theorem 6.3).
-    pub fn body_fact_count(&self) -> usize {
+    pub(crate) fn body_fact_count(&self) -> usize {
         self.body
             .iter()
             .filter(|l| {
@@ -361,12 +353,6 @@ impl Program {
         let mut out: BTreeSet<Value> = self.rules.iter().flat_map(Rule::constants).collect();
         out.insert(Value::Null);
         out
-    }
-
-    /// Maximum number of updates in any rule head (the `M` used to build
-    /// trivially complete view programs, Section 5).
-    pub fn max_head_updates(&self) -> usize {
-        self.rules.iter().map(|r| r.head.len()).max().unwrap_or(0)
     }
 
     /// Maximum number of relational facts in any rule body (the `b` of
@@ -577,7 +563,6 @@ mod tests {
         assert_eq!(prog.rule_by_name("nope"), None);
         assert_eq!(prog.rules_of(P).count(), 1);
         assert_eq!(prog.rules_of(PeerId(9)).count(), 0);
-        assert_eq!(prog.max_head_updates(), 2);
         assert_eq!(prog.max_body_facts(), 2);
         assert!(!prog.is_linear_head());
     }

@@ -19,6 +19,6 @@ pub mod spec;
 pub use ast::{Literal, Program, Rule, RuleBuilder, RuleId, Term, UpdateAtom, VarId};
 pub use error::{LangError, Pos};
 pub use lint::{lint, Lint};
-pub use normal_form::{is_normal_form, is_normal_form_rule, normalize, NormalForm};
-pub use parser::{parse_workflow, print_rule, print_workflow};
+pub use normal_form::{is_normal_form, normalize, NormalForm};
+pub use parser::{parse_workflow, print_workflow};
 pub use spec::WorkflowSpec;

@@ -39,7 +39,7 @@ impl NormalForm {
 }
 
 /// Is `rule` in normal form (conditions (i) and (ii) above)?
-pub fn is_normal_form_rule(rule: &Rule) -> bool {
+pub(crate) fn is_normal_form_rule(rule: &Rule) -> bool {
     let no_banned_literals = rule
         .body
         .iter()

@@ -887,7 +887,7 @@ fn print_condition(c: &Condition, rs: &RelSchema) -> String {
 }
 
 /// Renders one rule in concrete syntax.
-pub fn print_rule(rule: &Rule, spec: &WorkflowSpec) -> String {
+pub(crate) fn print_rule(rule: &Rule, spec: &WorkflowSpec) -> String {
     let collab = spec.collab();
     let schema = collab.schema();
     let term = |t: &Term| -> String {

@@ -5,11 +5,10 @@
 //! coNP-complete (Theorem 3.4), h-boundedness and transparency are
 //! PSPACE-complete (Theorems 5.10/5.11). Production deployments therefore
 //! never run these unbounded: every governed entry point threads a
-//! [`Governor`] — a combined **node budget**, **wall-clock deadline**,
-//! cooperative **cancellation token**, and approximate **memory account** —
-//! and reports a [`Verdict`] that says not just *whether* the computation
-//! finished, but *which* resource ran out and what the best *anytime* answer
-//! found so far is.
+//! [`Governor`] — a combined **node budget**, **wall-clock deadline** and
+//! cooperative **cancellation token** — and reports a [`Verdict`] that says
+//! not just *whether* the computation finished, but *which* resource ran
+//! out and what the best *anytime* answer found so far is.
 //!
 //! ```
 //! use cwf_model::govern::{Governor, Reason, Verdict};
@@ -48,7 +47,8 @@ pub enum Reason {
     Deadline,
     /// The [`CancelToken`] was triggered (typically from another thread).
     Cancelled,
-    /// The approximate memory account exceeded its limit.
+    /// A runaway cap inside the analysis tripped: an enumerated state
+    /// space or memo table outgrew the size the analysis allows itself.
     Memory,
     /// The computation panicked; the payload is the panic message.
     Panicked(String),
@@ -107,11 +107,6 @@ impl<T> Verdict<T> {
     /// Did the computation finish exactly?
     pub fn is_done(&self) -> bool {
         matches!(self, Verdict::Done(_))
-    }
-
-    /// Was the computation cut off with no usable answer?
-    pub fn is_exhausted(&self) -> bool {
-        matches!(self, Verdict::Exhausted(_))
     }
 
     /// The answer, exact or anytime.
@@ -184,32 +179,28 @@ impl CancelToken {
     }
 
     /// Has the token been triggered?
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Relaxed)
     }
 }
 
 /// The shared resource-governor handle threaded through every hard analysis.
 ///
-/// A `Governor` combines four independent guards, any subset of which may be
-/// active:
+/// A `Governor` combines three independent guards, any subset of which may
+/// be active:
 ///
 /// * a **node budget** — a count of search nodes (`tick()` per node);
 /// * a **wall-clock deadline** — checked every [`DEADLINE_STRIDE`] ticks;
 /// * a **cancel token** — checked on *every* tick, so cancellation from
-///   another thread stops a search within one tick;
-/// * an approximate **memory account** — callers `charge`/`release` bytes
-///   for their dominant allocations (enumerated instances, memo tables).
+///   another thread stops a search within one tick.
 ///
 /// Counters use interior mutability, so governed code takes `&Governor`.
 #[derive(Debug)]
 pub struct Governor {
     max_nodes: u64,
     deadline: Option<Instant>,
-    mem_limit: Option<u64>,
     cancel: CancelToken,
     nodes_used: AtomicU64,
-    mem_used: AtomicU64,
 }
 
 impl Default for Governor {
@@ -224,10 +215,8 @@ impl Governor {
         Governor {
             max_nodes: u64::MAX,
             deadline: None,
-            mem_limit: None,
             cancel: CancelToken::new(),
             nodes_used: AtomicU64::new(0),
-            mem_used: AtomicU64::new(0),
         }
     }
 
@@ -245,21 +234,9 @@ impl Governor {
         Self::unlimited().deadline(d)
     }
 
-    /// Builder: caps the node budget.
-    pub fn nodes(mut self, n: u64) -> Self {
-        self.max_nodes = n;
-        self
-    }
-
     /// Builder: sets the wall-clock deadline to `d` from now.
     pub fn deadline(mut self, d: Duration) -> Self {
         self.deadline = Some(Instant::now() + d);
-        self
-    }
-
-    /// Builder: caps the approximate memory account at `bytes`.
-    pub fn memory_limit(mut self, bytes: u64) -> Self {
-        self.mem_limit = Some(bytes);
         self
     }
 
@@ -310,19 +287,13 @@ impl Governor {
         Ok(())
     }
 
-    /// Checks the tick-independent guards (deadline, cancellation, memory)
-    /// without consuming a node. Entry points call this once up front.
+    /// Checks the tick-independent guards (deadline, cancellation) without
+    /// consuming a node. Entry points call this once up front.
     pub fn check(&self) -> Result<(), Reason> {
         if self.cancel.is_cancelled() {
             return Err(Reason::Cancelled);
         }
-        self.check_deadline()?;
-        if let Some(limit) = self.mem_limit {
-            if self.mem_used.load(Ordering::Relaxed) > limit {
-                return Err(Reason::Memory);
-            }
-        }
-        Ok(())
+        self.check_deadline()
     }
 
     fn check_deadline(&self) -> Result<(), Reason> {
@@ -332,32 +303,9 @@ impl Governor {
         }
     }
 
-    /// Charges `bytes` to the approximate memory account.
-    pub fn charge(&self, bytes: u64) -> Result<(), Reason> {
-        let used = self.mem_used.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        match self.mem_limit {
-            Some(limit) if used > limit => Err(Reason::Memory),
-            _ => Ok(()),
-        }
-    }
-
-    /// Releases `bytes` from the memory account (saturating).
-    pub fn release(&self, bytes: u64) {
-        let _ = self
-            .mem_used
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                Some(cur.saturating_sub(bytes))
-            });
-    }
-
     /// Search nodes consumed so far.
     pub fn nodes_used(&self) -> u64 {
         self.nodes_used.load(Ordering::Relaxed)
-    }
-
-    /// Bytes currently charged to the memory account.
-    pub fn mem_used(&self) -> u64 {
-        self.mem_used.load(Ordering::Relaxed)
     }
 
     /// Runs `f` with panic isolation: a panicking analysis yields
@@ -442,16 +390,6 @@ mod tests {
         let handle = thread::spawn(move || token.cancel());
         handle.join().unwrap();
         assert_eq!(gov.tick(), Err(Reason::Cancelled));
-    }
-
-    #[test]
-    fn memory_account_charges_and_releases() {
-        let gov = Governor::unlimited().memory_limit(100);
-        assert!(gov.charge(60).is_ok());
-        assert_eq!(gov.charge(60), Err(Reason::Memory));
-        gov.release(60);
-        assert!(gov.charge(40).is_ok());
-        assert_eq!(gov.mem_used(), 100);
     }
 
     #[test]

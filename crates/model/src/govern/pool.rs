@@ -82,7 +82,7 @@ impl Pool {
     /// back to [`std::thread::available_parallelism`] (and to 1 if even that
     /// is unavailable). The claim granularity comes from `CWF_CHUNK`
     /// (default [`DEFAULT_CHUNK`]).
-    pub fn from_env() -> Self {
+    pub(crate) fn from_env() -> Self {
         let n = std::env::var("CWF_THREADS")
             .ok()
             .and_then(|s| s.trim().parse::<usize>().ok())

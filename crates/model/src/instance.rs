@@ -155,22 +155,6 @@ impl Instance {
         dom
     }
 
-    /// Restriction `I|K(·)`: keeps, for each relation `r`, only the tuples
-    /// whose key belongs to `keys(r)` (Lemma A.3 of the paper).
-    pub fn restrict_keys(&self, keys: impl Fn(RelId, &Value) -> bool) -> Instance {
-        let mut out = Instance {
-            relations: vec![Relation::new(); self.relations.len()],
-        };
-        for (r, t) in self.facts() {
-            if keys(r, t.key()) {
-                out.relations[r.index()]
-                    .insert(t.clone())
-                    .expect("source instance was valid");
-            }
-        }
-        out
-    }
-
     /// Renders the instance against its schema (one fact per line, sorted).
     pub fn display<'a>(&'a self, schema: &'a Schema) -> InstanceDisplay<'a> {
         InstanceDisplay {
@@ -317,17 +301,6 @@ mod tests {
             .insert(Tuple::new([Value::str("k"), Value::Null]))
             .unwrap();
         assert_eq!(i.adom().len(), 1);
-    }
-
-    #[test]
-    fn restrict_keys_filters_per_relation() {
-        let s = schema();
-        let mut i = Instance::empty(&s);
-        i.rel_mut(RelId(0)).insert(t2("k1", "a")).unwrap();
-        i.rel_mut(RelId(0)).insert(t2("k2", "b")).unwrap();
-        let j = i.restrict_keys(|_, k| k == &Value::str("k1"));
-        assert_eq!(j.rel(RelId(0)).len(), 1);
-        assert!(j.rel(RelId(0)).contains_key(&Value::str("k1")));
     }
 
     #[test]

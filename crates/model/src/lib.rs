@@ -22,7 +22,6 @@ pub mod instance;
 pub mod intern;
 pub mod prov;
 pub mod schema;
-pub mod simplify;
 pub mod solver;
 pub mod store;
 pub mod tuple;
@@ -40,7 +39,6 @@ pub use instance::{Instance, RawInstance, Relation};
 pub use intern::Istr;
 pub use prov::{Mono, ProvStore, Provenance, MAX_MONOMIALS};
 pub use schema::{AttrId, PeerId, RelId, RelSchema, Schema, KEY};
-pub use simplify::{simplify, size as condition_size};
 pub use store::RelStore;
 pub use tuple::Tuple;
 pub use value::{FreshGen, Value};

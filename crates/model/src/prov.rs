@@ -265,18 +265,13 @@ impl Provenance {
     }
 
     /// Is this exactly the `1` polynomial?
-    pub fn is_one(&self) -> bool {
+    pub(crate) fn is_one(&self) -> bool {
         self.monos.len() == 1 && self.monos[0].is_empty()
     }
 
     /// The monomials in canonical order (smallest witness set first).
     pub fn monomials(&self) -> &[Mono] {
         &self.monos
-    }
-
-    /// The smallest witness monomial, if any.
-    pub fn min_mono(&self) -> Option<Mono> {
-        self.monos.first().copied()
     }
 
     /// The union of all monomials: every event that appears in *some*
@@ -291,15 +286,6 @@ impl Provenance {
         all.sort_unstable();
         all.dedup();
         all
-    }
-
-    /// `⊕`: adds `other`'s alternatives into `self` and re-canonicalizes.
-    pub fn or_assign(&mut self, other: &Provenance) {
-        if other.monos.is_empty() {
-            return;
-        }
-        self.monos.extend_from_slice(&other.monos);
-        self.canonicalize();
     }
 
     /// `⊕` with a single monomial.
@@ -476,9 +462,6 @@ mod tests {
         let m = Provenance::from_mono(Mono::new(vec![1, 2]));
         assert_eq!(m.and(&Provenance::one()), m);
         assert!(m.and(&Provenance::zero()).is_zero());
-        let mut z = Provenance::zero();
-        z.or_assign(&m);
-        assert_eq!(z, m);
     }
 
     #[test]
@@ -502,7 +485,7 @@ mod tests {
             &[Mono::new(vec![1, 3]), Mono::new(vec![2, 3])]
         );
         assert_eq!(prod.support(), vec![1, 2, 3]);
-        assert_eq!(prod.min_mono(), Some(Mono::new(vec![1, 3])));
+        assert_eq!(prod.monomials().first(), Some(&Mono::new(vec![1, 3])));
     }
 
     #[test]
@@ -512,7 +495,7 @@ mod tests {
             p.or_mono(Mono::new(vec![i, i + 100]));
         }
         assert_eq!(p.monomials().len(), MAX_MONOMIALS);
-        assert_eq!(p.min_mono(), Some(Mono::new(vec![0, 100])));
+        assert_eq!(p.monomials().first(), Some(&Mono::new(vec![0, 100])));
     }
 
     #[test]

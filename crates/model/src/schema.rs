@@ -43,11 +43,6 @@ impl AttrId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Is this the key attribute?
-    pub fn is_key(self) -> bool {
-        self == KEY
-    }
 }
 
 impl PeerId {
@@ -253,8 +248,6 @@ mod tests {
         assert_eq!(r.attr("Proj"), Some(AttrId(2)));
         assert_eq!(r.attr("Nope"), None);
         assert_eq!(r.attr_name(AttrId(1)), "Emp");
-        assert!(KEY.is_key());
-        assert!(!AttrId(1).is_key());
     }
 
     #[test]

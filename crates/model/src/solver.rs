@@ -42,18 +42,13 @@ pub fn satisfiable(cond: &Condition) -> bool {
     }
 }
 
-/// Governed [`satisfiable`]: one governor tick per truth assignment, panic
-/// isolation via [`Governor::guard`]. `Exhausted` names the resource that
-/// ran out; a condition's satisfiability has no useful partial answer, so
-/// this never returns `Anytime`.
-pub fn satisfiable_within(cond: &Condition, gov: &Governor) -> Verdict<bool> {
-    satisfiable_within_pooled(cond, gov, Pool::global())
-}
-
-/// [`satisfiable_within`] on an explicit [`Pool`]: above a size threshold
-/// the assignment space is split on the first few atoms (the DPLL-style
-/// top-variable split) into contiguous mask ranges scanned by the pool's
-/// workers. The answer is deterministic and identical to the sequential
+/// Governed [`satisfiable`] on an explicit [`Pool`]: one governor tick per
+/// truth assignment, panic isolation via [`Governor::guard`]. `Exhausted`
+/// names the resource that ran out; a condition's satisfiability has no
+/// useful partial answer, so this never returns `Anytime`. Above a size
+/// threshold the assignment space is split on the first few atoms (the
+/// DPLL-style top-variable split) into contiguous mask ranges scanned by the
+/// pool's workers. The answer is deterministic and identical to the sequential
 /// scan: any consistent assignment settles satisfiability positively no
 /// matter which worker finds it, and the all-ranges-exhausted case is the
 /// same `false`. A shared first-hit flag lets the remaining workers stop
@@ -108,24 +103,6 @@ pub fn satisfiable_within_pooled(cond: &Condition, gov: &Governor, pool: &Pool) 
 fn split_bits(threads: usize) -> usize {
     let want = (threads * 4).max(2) as u64;
     (u64::BITS - (want - 1).leading_zeros()) as usize
-}
-
-/// Governed [`tautology`].
-pub fn tautology_within(cond: &Condition, gov: &Governor) -> Verdict<bool> {
-    satisfiable_within(&cond.clone().not(), gov).map(|sat| !sat)
-}
-
-/// Governed [`implies`].
-pub fn implies_within(
-    antecedent: &Condition,
-    consequent: &Condition,
-    gov: &Governor,
-) -> Verdict<bool> {
-    satisfiable_within(
-        &Condition::and([antecedent.clone(), consequent.clone().not()]),
-        gov,
-    )
-    .map(|sat| !sat)
 }
 
 /// The exhaustive assignment enumeration shared by the plain and governed
@@ -453,8 +430,10 @@ mod tests {
         use crate::govern::Governor;
         let c = Condition::and([eq(A, "x"), eq(B, "y"), Condition::EqAttr(A, B).not()]);
         let gov = Governor::with_nodes(1_000);
-        assert_eq!(satisfiable_within(&c, &gov), Verdict::Done(satisfiable(&c)));
-        assert_eq!(tautology_within(&c, &gov), Verdict::Done(tautology(&c)));
+        assert_eq!(
+            satisfiable_within_pooled(&c, &gov, Pool::global()),
+            Verdict::Done(satisfiable(&c))
+        );
     }
 
     #[test]
@@ -465,7 +444,7 @@ mod tests {
         // converts the panic into a verdict instead of unwinding into a
         // coordinator serving other peers.
         let huge = Condition::and((0u32..26).map(|i| eq(AttrId(i), "v")).collect::<Vec<_>>());
-        match satisfiable_within(&huge, &Governor::unlimited()) {
+        match satisfiable_within_pooled(&huge, &Governor::unlimited(), Pool::global()) {
             Verdict::Exhausted(Reason::Panicked(msg)) => {
                 assert!(msg.contains("solver would blow up"), "got: {msg}");
             }
@@ -480,7 +459,7 @@ mod tests {
         let big = Condition::and((0u32..10).map(|i| eq(AttrId(i), "v")).collect::<Vec<_>>());
         let gov = Governor::with_nodes(4);
         assert_eq!(
-            satisfiable_within(&big, &gov),
+            satisfiable_within_pooled(&big, &gov, Pool::global()),
             Verdict::Exhausted(Reason::Nodes)
         );
     }

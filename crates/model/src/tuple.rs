@@ -70,7 +70,7 @@ impl Tuple {
     }
 
     /// An all-`⊥` tuple of the given arity.
-    pub fn nulls(arity: usize) -> Self {
+    pub(crate) fn nulls(arity: usize) -> Self {
         if arity <= INLINE {
             Tuple(Repr::Inline {
                 len: arity as u8,

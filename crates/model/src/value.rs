@@ -133,12 +133,6 @@ impl FreshGen {
         Self::default()
     }
 
-    /// A generator whose first output is `νstart` (useful when resuming a
-    /// run from a serialized prefix).
-    pub fn starting_at(start: u64) -> Self {
-        Self { next: start }
-    }
-
     /// Draws the next fresh value.
     ///
     /// # Panics

@@ -40,7 +40,7 @@ impl Cnf {
     }
 
     /// Evaluates under the assignment encoded in `mask` (bit `i−1` = `x_i`).
-    pub fn eval_mask(&self, mask: u32) -> bool {
+    pub(crate) fn eval_mask(&self, mask: u32) -> bool {
         self.clauses.iter().all(|clause| {
             clause.iter().any(|&lit| {
                 let set = mask & (1 << (lit.unsigned_abs() as usize - 1)) != 0;
@@ -54,7 +54,7 @@ impl Cnf {
     }
 
     /// Does `φ(all-true)` hold? The reduction requires it to be `false`.
-    pub fn all_true_satisfies(&self) -> bool {
+    pub(crate) fn all_true_satisfies(&self) -> bool {
         self.eval_mask((1u32 << self.n) - 1)
     }
 

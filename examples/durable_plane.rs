@@ -4,7 +4,7 @@
 //! unreliable network that heals.
 //!
 //! ```sh
-//! cargo run --example durable_coordinator
+//! cargo run --example durable_plane
 //! ```
 
 use collab_workflows::engine::FileBackend;
@@ -44,7 +44,7 @@ fn ev(spec: &WorkflowSpec, name: &str, vals: &[Value]) -> Event {
 
 fn main() {
     let spec = spec();
-    let path = std::env::temp_dir().join("cwf_durable_coordinator.wal");
+    let path = std::env::temp_dir().join("cwf_durable_plane.wal");
     let _ = std::fs::remove_file(&path);
 
     // --- Phase 1: a durable master server journals every accepted event --

@@ -3,7 +3,7 @@
 //! composing with transparency enforcement.
 //!
 //! ```sh
-//! cargo run --example coordinator
+//! cargo run --example master_server
 //! ```
 
 use collab_workflows::design::{EnforcementMode, PushOutcome, TransparentEngine};

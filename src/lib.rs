@@ -76,8 +76,8 @@ pub mod prelude {
         PushOutcome, TransparentEngine,
     };
     pub use cwf_engine::{
-        encode_run, load_run, Bindings, CoordinatorError, DeliveryConfig, Event, FaultPlan,
-        FaultyTransport, FileBackend, IoFaultBackend, MemBackend, PerfectTransport, Run, RunStats,
+        encode_run, load_run, Bindings, DeliveryConfig, Event, FaultPlan, FaultyTransport,
+        FileBackend, IoFaultBackend, MemBackend, PerfectTransport, PlaneError, Run, RunStats,
         ShardId, ShardPlane, ShardPlaneConfig, Simulator, SyncPolicy, Wal, WalOptions,
     };
     pub use cwf_lang::{

@@ -118,8 +118,10 @@ fn listing_after_every_push_matches_reference() {
     }
 }
 
+/// Reads the listing only every few pushes; each push in between steps
+/// it unread.
 #[test]
-fn listing_that_skips_pushes_folds_many_diffs() {
+fn listing_read_every_few_pushes_matches_reference() {
     for (_, spec) in all_specs() {
         for (seed, every) in [(10, 2), (11, 5), (12, 17), (13, 64)] {
             walk(&spec, seed, 150, every);
@@ -127,8 +129,9 @@ fn listing_that_skips_pushes_folds_many_diffs() {
     }
 }
 
-/// A pop followed by a push of a different event leaves the length where
-/// the cache was synced; the listing must still see the new event.
+/// A pop followed by a push of a different event returns the run to the
+/// length of the last read; the listing must show the new event, not the
+/// popped one.
 #[test]
 fn pop_then_different_push_of_same_length() {
     for (name, spec) in all_specs() {
@@ -140,13 +143,13 @@ fn pop_then_different_push_of_same_length() {
             let Some(pushed) = push_random(&mut run, listed, &mut rng) else {
                 break;
             };
-            // Sync the cache at the new length, then roll back.
+            // Read the listing after the push, then roll back.
             assert_eq!(candidates(&run), reference(&run), "{name}: after push");
             if step % 3 != 0 {
                 continue;
             }
-            // No listing between the pop and the push: the cache last saw
-            // this same length.
+            // No listing between the pop and the push: the run is back at
+            // the length of the last read, with a different last event.
             let len = run.len();
             assert_eq!(run.pop(), Some(pushed.clone()));
             let others: Vec<Candidate> = reference(&run)

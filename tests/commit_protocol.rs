@@ -194,7 +194,7 @@ fn injected_timeout_aborts_cleanly_and_resubmission_commits() {
         let event = next_event(&mut script, i);
         match plane.submit(event.clone()) {
             Ok(_) => script.push(event).expect("accepted events replay"),
-            Err(CoordinatorError::CommitAborted) => {
+            Err(PlaneError::CommitAborted) => {
                 aborted = Some(event);
                 break;
             }
@@ -249,7 +249,7 @@ fn router_death_resolves_by_presumed_abort() {
         let event = next_event(&mut script, i);
         match plane.submit(event.clone()) {
             Ok(_) => script.push(event).expect("accepted events replay"),
-            Err(CoordinatorError::InDoubt) => {
+            Err(PlaneError::InDoubt) => {
                 in_doubt = Some(event);
                 break;
             }

@@ -10,9 +10,9 @@ use proptest::prelude::*;
 
 use collab_workflows::engine::transport::Transport;
 use collab_workflows::engine::{
-    candidates, complete, decode_events, encode_event, encode_run, CoordinatorError,
-    DeliveryConfig, Event, FaultPlan, FaultyTransport, FileBackend, IoFaultBackend, MemBackend,
-    PerfectTransport, Run, ShardPlane, ShardPlaneConfig, SyncPolicy, Wal, WalBackend, WalOptions,
+    candidates, complete, decode_events, encode_event, encode_run, DeliveryConfig, Event,
+    FaultPlan, FaultyTransport, FileBackend, IoFaultBackend, MemBackend, PerfectTransport,
+    PlaneError, Run, ShardPlane, ShardPlaneConfig, SyncPolicy, Wal, WalBackend, WalOptions,
 };
 use collab_workflows::lang::{parse_workflow, WorkflowSpec};
 use rand::rngs::StdRng;
@@ -75,7 +75,7 @@ fn drive(c: &mut ShardPlane, rng: &mut StdRng, steps: usize) -> Vec<Event> {
         let event = complete(&mut scratch, &pick);
         match c.submit(event.clone()) {
             Ok(_) => accepted.push(event),
-            Err(CoordinatorError::Engine(_)) => {}
+            Err(PlaneError::Engine(_)) => {}
             Err(e) => panic!("unexpected plane failure: {e}"),
         }
     }
@@ -135,11 +135,11 @@ proptest! {
         let mut in_flight = None;
         while let Some(event) = next_event(c.run(), &mut rng) {
             match c.submit(event.clone()) {
-                Err(CoordinatorError::Wal(_)) => {
+                Err(PlaneError::Wal(_)) => {
                     in_flight = Some(event);
                     break;
                 }
-                Err(CoordinatorError::Engine(_)) => continue,
+                Err(PlaneError::Engine(_)) => continue,
                 Ok(_) => panic!("append survived a scheduled crash"),
                 Err(e) => panic!("unexpected error: {e}"),
             }
@@ -154,7 +154,7 @@ proptest! {
         let lost = in_flight.expect("the crashing submit's event");
         prop_assert!(matches!(
             c.submit(lost.clone()),
-            Err(CoordinatorError::Degraded)
+            Err(PlaneError::Degraded)
         ));
 
         // What a restarted process finds: the synced prefix plus an
@@ -198,7 +198,7 @@ proptest! {
         } else if durable == all.len() {
             prop_assert!(matches!(
                 rc.submit(lost),
-                Err(CoordinatorError::Engine(_))
+                Err(PlaneError::Engine(_))
             ));
         } else {
             let _ = rc.submit(lost);
@@ -356,8 +356,8 @@ proptest! {
                         break;
                     }
                 }
-                Err(CoordinatorError::Engine(_)) => continue,
-                Err(CoordinatorError::Wal(_)) => {
+                Err(PlaneError::Engine(_)) => continue,
+                Err(PlaneError::Wal(_)) => {
                     in_flight = Some(event);
                     break;
                 }
@@ -370,7 +370,7 @@ proptest! {
         // mutations are refused.
         c.audit().unwrap();
         if let Some(event) = next_event(c.run(), &mut rng) {
-            prop_assert!(matches!(c.submit(event), Err(CoordinatorError::Degraded)));
+            prop_assert!(matches!(c.submit(event), Err(PlaneError::Degraded)));
         }
 
         // The device stabilizes; the plane re-arms in place and the

@@ -19,6 +19,11 @@
 //!   one, found by enumerating subsets. The exact minimality test must
 //!   agree on the whole run, the minimal faithful set and the brute-force
 //!   minimum.
+//! * **Brute-force Thm 4.7 oracle.** On the same runs and on chaos-spec
+//!   runs, keep every subset that is p-faithful (Definition 4.5) against a
+//!   freshly built index and the run's own visible events. The kept sets
+//!   must be closed under intersection, their least member must be the
+//!   faithful set the run's facts hold, and it must be a scenario.
 
 mod common;
 
@@ -27,9 +32,11 @@ use std::fmt::Write as _;
 use proptest::prelude::*;
 
 use collab_workflows::core::{
-    exists_scenario_at_most_pooled, is_minimal_exact, is_scenario, minimal_faithful_scenario,
-    search_min_scenario_pooled, EventSet, SearchOptions,
+    exists_scenario_at_most_pooled, facts, is_faithful, is_minimal_exact, is_scenario,
+    is_tp_fixpoint, minimal_faithful_scenario, search_min_scenario_pooled, EventSet, RunIndex,
+    SearchOptions,
 };
+use collab_workflows::engine::chaos::{default_spec, modification_spec};
 use collab_workflows::engine::Run;
 use collab_workflows::model::{Governor, PeerId, Pool, Verdict};
 use collab_workflows::workloads::{
@@ -239,6 +246,47 @@ fn brute_force_minimal(scenarios: &[bool], set: &EventSet) -> bool {
     true
 }
 
+/// Theorem 4.7 by exhaustion: every subset of `run`'s events that is
+/// p-faithful (Definition 4.5: it holds every event visible at `peer`, and
+/// it is boundary and modification faithful), checked against a fresh
+/// [`RunIndex::build`] and [`Run::visible_events`], not the run's facts.
+/// The family must be closed under intersection; its least member is
+/// returned.
+fn brute_force_faithful(run: &Run, peer: PeerId) -> Result<EventSet, String> {
+    let n = run.len();
+    assert!(n <= 12, "the oracle enumerates 2^n subsets");
+    let index = RunIndex::build(run);
+    let visible = EventSet::from_iter(n, run.visible_events(peer));
+    let set_of = |mask: usize| EventSet::from_iter(n, (0..n).filter(|i| mask & 1 << i != 0));
+    let kept: Vec<bool> = (0usize..1 << n)
+        .map(|mask| {
+            let set = set_of(mask);
+            let faithful = visible.is_subset(&set) && is_tp_fixpoint(run, &index, peer, &set);
+            assert_eq!(
+                is_faithful(run, &index, peer, &set),
+                faithful,
+                "is_faithful on {:?}",
+                set.to_vec()
+            );
+            faithful
+        })
+        .collect();
+    let members: Vec<usize> = (0..kept.len()).filter(|&m| kept[m]).collect();
+    for (k, &a) in members.iter().enumerate() {
+        for &b in &members[k + 1..] {
+            if !kept[a & b] {
+                return Err(format!(
+                    "{:?} ∩ {:?} is not faithful",
+                    set_of(a).to_vec(),
+                    set_of(b).to_vec()
+                ));
+            }
+        }
+    }
+    let least = members.iter().fold(usize::MAX >> 1, |m, &a| m & a);
+    Ok(set_of(least))
+}
+
 /// A random propositional run of at most `steps` events.
 fn small_random_run(gen_seed: u64, run_seed: u64, steps: usize) -> Run {
     let mut rng = StdRng::seed_from_u64(gen_seed);
@@ -312,6 +360,31 @@ proptest! {
                     "{:?}",
                     set.to_vec()
                 );
+            }
+        }
+    }
+
+    /// The minimal faithful set the run's facts hold is the least member of
+    /// the brute-force family of p-faithful subsets, the family is closed
+    /// under intersection, and the set is a scenario, for every peer of
+    /// random propositional runs and walks of both chaos specs, of at most
+    /// 12 events.
+    #[test]
+    fn faithful_set_matches_the_brute_force_oracle(
+        gen_seed in 0u64..1_000, run_seed in 0u64..1_000, steps in 1usize..13
+    ) {
+        let runs = [
+            small_random_run(gen_seed, run_seed, steps),
+            random_run(&default_spec(), steps, run_seed),
+            random_run(&modification_spec(), steps, run_seed),
+        ];
+        for run in runs {
+            for peer in run.spec().collab().peer_ids() {
+                let least = brute_force_faithful(&run, peer);
+                prop_assert!(least.is_ok(), "{}", least.unwrap_err());
+                let least = least.unwrap();
+                prop_assert_eq!(facts(&run).faithful(peer), &least);
+                prop_assert!(is_scenario(&run, peer, &least), "{:?}", least.to_vec());
             }
         }
     }
