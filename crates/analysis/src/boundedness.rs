@@ -216,7 +216,7 @@ fn check_parallel(
             }
             let base = Run::with_initial(Arc::clone(spec), init);
             let Some(candidates) = applicable_events_for_run(spec, &base, chain_pool) else {
-                collect_stop = Some(Reason::Memory);
+                collect_stop = Some(Reason::SizeCap);
                 break;
             };
             for t in &candidates {
@@ -328,7 +328,7 @@ fn silent_chain_from(
     let Some(candidates) = applicable_events_for_run(run.spec(), run, pool) else {
         // Not enough fresh headroom in the pool: a capacity-style
         // exhaustion (raise `extra_constants`).
-        return ChainOutcome::Exhausted(Reason::Memory);
+        return ChainOutcome::Exhausted(Reason::SizeCap);
     };
     for t in &candidates {
         // One governor node per candidate trial: the budget measures

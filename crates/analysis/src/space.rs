@@ -316,7 +316,7 @@ impl InstanceEnumerator {
 /// visible at `peer`. Deduplicated. On governor cutoff the instances found
 /// so far are returned as an [`Verdict::Anytime`] answer whose bound carries
 /// the partial reachable-set cardinality as a lower bound; a pool with too
-/// few fresh constants is reported as [`Reason::Memory`] (raise
+/// few fresh constants is reported as [`Reason::SizeCap`] (raise
 /// `extra_constants`).
 ///
 /// **Reading choices** (documented in DESIGN.md): the generating event must
@@ -356,7 +356,7 @@ pub(crate) fn fresh_instances(
             return partial(out, reason);
         }
         let Some(events) = applicable_events(spec, &inst, completion, &BTreeSet::new()) else {
-            return Verdict::Exhausted(Reason::Memory);
+            return Verdict::Exhausted(Reason::SizeCap);
         };
         for e in &events {
             if let Err(reason) = gov.tick() {

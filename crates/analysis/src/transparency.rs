@@ -193,7 +193,7 @@ fn check_against_fresh(
             let Some(alpha) = avoid_adom(spec, f1, f2, chain, chain_pool) else {
                 // No renaming available within the pool: a capacity
                 // exhaustion rather than a silent skip.
-                return Err(Reason::Memory);
+                return Err(Reason::SizeCap);
             };
             if let Some(reason) = chain_fails_on(spec, peer, f1, f2, &alpha) {
                 if let Some((hit, idx)) = stop {
@@ -235,7 +235,7 @@ pub(crate) fn enumerate_chains(
         let depth = run.len();
         let Some(candidates) = applicable_events_for_run(run.spec(), run, pool) else {
             // Pool headroom ran out: capacity exhaustion.
-            return Err(Reason::Memory);
+            return Err(Reason::SizeCap);
         };
         for t in &candidates {
             gov.tick()?;

@@ -1,5 +1,5 @@
-//! E12 — durability: recovery cost of the single-node master server (a
-//! shards=1 `ShardPlane`), full replay vs snapshot + tail.
+//! Durability: recovery cost of the single-node master server (a shards=1
+//! `ShardPlane`), full replay vs snapshot + tail.
 //!
 //! Replaying the whole journal is linear in the run length; periodic
 //! instance snapshots cap the replayed tail at `snapshot_every` events, so
@@ -49,7 +49,7 @@ fn journal(spec: &Arc<WorkflowSpec>, n: usize, opts: WalOptions) -> Vec<u8> {
 
 fn bench_recovery(c: &mut Criterion) {
     let spec = spec();
-    let mut group = c.benchmark_group("E12_plane_recovery");
+    let mut group = c.benchmark_group("plane_recovery");
     group.sample_size(10);
     for n in [1_000usize, 10_000] {
         group.throughput(Throughput::Elements(n as u64));

@@ -22,7 +22,7 @@ use criterion::black_box;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use cwf_engine::{candidates, complete, materialize_view, peer_delta, Run};
+use cwf_engine::{candidates, complete, peer_delta, Run};
 use cwf_lang::parse_workflow;
 use cwf_model::{CollabSchema, PeerId};
 
@@ -107,7 +107,7 @@ fn build_run() -> Run {
 fn plane_pass(collab: &CollabSchema, run: &Run, peers: &[PeerId]) -> usize {
     let mut checksum = 0usize;
     for &p in peers {
-        let mut view = materialize_view(collab, p, run.initial());
+        let mut view = collab.view_of(run.initial(), p);
         for i in 0..run.len() {
             peer_delta(collab, p, run.diff(i), run.instance(i)).apply_to_view(&mut view);
             checksum += view.total_tuples();

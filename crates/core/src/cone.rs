@@ -7,8 +7,9 @@
 //! themselves to this cone by default, shrinking the exponential subset
 //! space without changing any completed answer.
 //!
-//! The cone is deliberately *wider* than the explanation cone of the
-//! engine's provenance plane (`Run::prov_cone`). An explanation only needs
+//! The cone is deliberately *wider* than the explanation cone: the union of
+//! the closed dependencies that the engine's provenance plane records for
+//! the events visible at the peer. An explanation only needs
 //! the closed writer history of what the peer actually observed;
 //! byte-identical search pruning additionally has to keep every event that
 //! could *impersonate* a visible write in some sub-replay — e.g. a

@@ -10,7 +10,8 @@
 //!   Thm 3.4).
 //! * **Faithfulness** (Defs. 4.3–4.5): lifecycle/boundary/modification
 //!   machinery, the `T_p` operator, and the **unique minimal p-faithful
-//!   scenario computable in polynomial time** (Thm 4.7).
+//!   scenario computable in polynomial time** (Thm 4.7), handed out as one
+//!   [`Explanation`] with its visibility marks and why-chains.
 //! * **Semiring structure** (Thm 4.8): closure of faithful subsequences
 //!   under union and intersection.
 //! * **Incremental maintenance** of each peer's minimal faithful scenario:
@@ -30,10 +31,9 @@ pub mod scenario;
 pub mod semiring;
 pub mod set;
 pub mod tp;
-pub mod why;
 
 pub use cone::peer_cone;
-pub use explain::{explain, ExplainedEvent, Explanation};
+pub use explain::{minimal_faithful_scenario, Explanation, Justification, Obligation, WhyStep};
 pub use facts::{facts, Facts, Observation, RunFacts};
 pub use faithful::{is_faithful, is_modification_faithful, is_tp_fixpoint, relevant_attrs};
 pub use index::{Lifecycle, Modification, RunIndex};
@@ -48,5 +48,4 @@ pub use minimum::{
 pub use scenario::{is_scenario, is_subrun, subrun, visible_set};
 pub use semiring::Faithful;
 pub use set::EventSet;
-pub use tp::{minimal_faithful_scenario, tp_closure, FaithfulExplanation};
-pub use why::{traced_closure, why, Justification, Obligation, TracedClosure, WhyStep};
+pub use tp::tp_closure;

@@ -324,7 +324,7 @@ fn all_minimal_impl(
             // 2^|cone| enumeration is the point here; keep it honest. The
             // result set (and the masks) would not fit any sane memory
             // account.
-            return Verdict::Exhausted(Reason::Memory);
+            return Verdict::Exhausted(Reason::SizeCap);
         }
         let bits = cone.len();
         let (scenarios, stopped) = if pool.is_sequential() || bits < PAR_MIN_MASK_BITS {
@@ -405,7 +405,7 @@ fn collect_scenarios_range(
                 None => scenarios.len(),
             };
             if total > max * 8 {
-                stopped = Some(Reason::Memory); // runaway; raise `max`
+                stopped = Some(Reason::SizeCap); // runaway; raise `max`
                 break;
             }
         }
@@ -508,7 +508,7 @@ mod enumeration_tests {
         // contains both derivations (each C1 writer is boundary-relevant
         // only if used… here the closure keeps what the visible event
         // depends on).
-        let faithful = crate::tp::minimal_faithful_scenario(&run, p);
+        let faithful = crate::explain::minimal_faithful_scenario(&run, p);
         assert!(crate::scenario::is_scenario(&run, p, &faithful.events));
     }
 

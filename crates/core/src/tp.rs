@@ -1,5 +1,4 @@
-//! The operator `T_p(ρ, ·)` and the unique minimal p-faithful scenario
-//! (Theorem 4.7).
+//! The operator `T_p(ρ, ·)` and its fixpoint (Theorem 4.7).
 //!
 //! `T_p(ρ, α)` adds to `α` every event whose presence is required by
 //! boundary or modification p-faithfulness *because of* events already in
@@ -11,17 +10,17 @@
 //!
 //! The **minimal p-faithful scenario** of a run is `run(T_p^ω(ρ, v̄))` where
 //! `v̄` is the set of events visible at `p`; it is unique and contained in
-//! every p-faithful scenario.
+//! every p-faithful scenario. The run's facts step it
+//! ([`crate::Facts::faithful`]) and [`crate::minimal_faithful_scenario`]
+//! hands it out as an [`crate::Explanation`].
 
 use std::collections::BTreeSet;
 
 use cwf_engine::Run;
 use cwf_model::{AttrId, PeerId, RelId, Value};
 
-use crate::facts::facts;
 use crate::faithful::relevant_attrs;
 use crate::index::RunIndex;
-use crate::scenario::is_subrun;
 use crate::set::EventSet;
 
 /// Why [`for_each_requirement`] requires an event of event `j`.
@@ -121,33 +120,12 @@ pub(crate) fn close_from(
     }
 }
 
-/// The unique minimal p-faithful scenario of a run (Theorem 4.7).
-#[derive(Debug, Clone)]
-pub struct FaithfulExplanation {
-    /// The scenario's event positions within the original run. Lemma 4.6
-    /// makes them a subrun; [`crate::subrun`] replays it.
-    pub events: EventSet,
-}
-
-/// Computes the unique minimal p-faithful scenario `run(T_p^ω(ρ, v̄))`,
-/// where `v̄` is the set of events visible at `peer`. The event set is read
-/// from the run's facts ([`crate::Facts::faithful`]), not replayed; Lemma
-/// 4.6 makes it a scenario, so its length bounds every minimum scenario
-/// from above. Debug builds check that it replays.
-pub fn minimal_faithful_scenario(run: &Run, peer: PeerId) -> FaithfulExplanation {
-    let events = facts(run).faithful(peer).clone();
-    debug_assert!(
-        is_subrun(run, &events),
-        "Lemma 4.6: p-faithful subsequences yield subruns"
-    );
-    FaithfulExplanation { events }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explain::minimal_faithful_scenario;
     use crate::faithful::{is_faithful, is_tp_fixpoint};
-    use crate::scenario::{is_scenario, subrun};
+    use crate::scenario::is_scenario;
     use cwf_engine::{Bindings, Event};
     use cwf_lang::parse_workflow;
     use std::sync::Arc;
@@ -180,19 +158,6 @@ mod tests {
                 .unwrap();
         }
         run
-    }
-
-    #[test]
-    fn example_4_2_minimal_faithful_scenario_is_gh() {
-        let run = example_4_2();
-        let applicant = run.spec().collab().peer("applicant").unwrap();
-        let expl = minimal_faithful_scenario(&run, applicant);
-        assert_eq!(
-            expl.events.to_vec(),
-            vec![2, 3],
-            "g then h — not the misleading e h"
-        );
-        assert_eq!(subrun(&run, &expl.events).unwrap().len(), 2);
     }
 
     #[test]
@@ -259,18 +224,5 @@ mod tests {
         let small = tp_closure(&run, &index, applicant, &EventSet::from_iter(4, [3]));
         let large = tp_closure(&run, &index, applicant, &EventSet::from_iter(4, [0, 3]));
         assert!(small.is_subset(&large));
-    }
-
-    #[test]
-    fn empty_run_yields_empty_explanation() {
-        let spec = Arc::new(
-            parse_workflow("schema { T(K); } peers { p sees T(*); } rules { r @ p: +T(0) :- ; }")
-                .unwrap(),
-        );
-        let run = Run::new(spec);
-        let p = run.spec().collab().peer("p").unwrap();
-        let expl = minimal_faithful_scenario(&run, p);
-        assert!(expl.events.is_empty());
-        assert!(subrun(&run, &expl.events).unwrap().is_empty());
     }
 }

@@ -58,7 +58,7 @@ pub use simulate::{candidates, complete, Candidate, Simulator};
 pub use stats::{FtStats, PeerStats, RunStats, ShardAdmissionStats};
 pub use transition::{apply_event, apply_event_with_view, event_visible, view_of, Applied};
 pub use transport::{Ack, FaultyTransport, InjectedFaults, PeerMsg, PerfectTransport, Transport};
-pub use view_plane::{materialize_view, peer_delta, ViewDelta, ViewPlane};
+pub use view_plane::{peer_delta, ViewDelta, ViewPlane};
 pub use wal::{
     FileBackend, IoFaultBackend, IoFaults, MemBackend, RecoveryReport, SyncPolicy, Wal, WalBackend,
     WalOptions,

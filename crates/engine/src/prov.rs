@@ -548,17 +548,4 @@ mod tests {
         // q sees the intermediate facts too.
         assert!(run.explain_fact(q, c1, &Value::int(0)).is_some());
     }
-
-    #[test]
-    fn prov_cone_covers_visible_dependencies() {
-        let spec = spec();
-        let mut run = Run::new(Arc::clone(&spec));
-        for name in ["a1", "b1", "a2", "ok"] {
-            run.push(ground(&spec, name)).unwrap();
-        }
-        let p = spec.collab().peer("p").unwrap();
-        // p sees only ok (index 3), whose closed dependencies are
-        // {a1, b1, ok}; the irrelevant a2 (index 2) is outside the cone.
-        assert_eq!(run.prov_cone(p), vec![0, 1, 3]);
-    }
 }

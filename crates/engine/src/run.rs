@@ -14,9 +14,7 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use cwf_lang::WorkflowSpec;
-use cwf_model::{
-    FreshGen, Instance, InstanceDiff, Mono, PeerId, Provenance, RelId, Value, ViewInstance,
-};
+use cwf_model::{FreshGen, Instance, InstanceDiff, PeerId, Provenance, RelId, Value, ViewInstance};
 
 use crate::error::EngineError;
 use crate::event::Event;
@@ -24,7 +22,7 @@ use crate::prov::ProvPlane;
 use crate::scratch::ScratchRun;
 use crate::simulate::Listing;
 use crate::transition::Applied;
-use crate::view_plane::{materialize_view, peer_delta, ViewDelta};
+use crate::view_plane::{peer_delta, ViewDelta};
 
 /// A run: spec, initial instance, events, and the instance after each event.
 ///
@@ -366,24 +364,6 @@ impl Run {
         Some(prov.support().into_iter().map(|e| e as usize).collect())
     }
 
-    /// The provenance cone of `peer`: the union of the closed dependency
-    /// monomials `D(e_i)` of the events visible at `peer` — every event
-    /// whose effects the peer's observations were derived from.
-    ///
-    /// This is the *explanation* cone. Scenario search prunes with the
-    /// slightly wider cone of `cwf_core`'s `cone` module, which must also
-    /// retain events that could impersonate a visible write in a
-    /// sub-replay (e.g. an insertion that was a no-op here but re-creates
-    /// the fact once the original writer is dropped).
-    pub fn prov_cone(&self, peer: PeerId) -> Vec<usize> {
-        let pp = self.provenance();
-        let mut cone = Mono::one();
-        for i in self.visible_events(peer) {
-            cone = cone.union(pp.dep(i));
-        }
-        cone.events().iter().map(|&e| e as usize).collect()
-    }
-
     /// The rule-body matches behind [`crate::candidates`], built on first
     /// read and stepped by every later push.
     pub(crate) fn listing(&self) -> &Listing {
@@ -521,7 +501,7 @@ impl Run {
     /// per-step rescan.
     pub fn view(&self, peer: PeerId) -> RunView {
         let mut steps = Vec::new();
-        let mut cur = materialize_view(self.spec().collab(), peer, &self.initial);
+        let mut cur = self.spec().collab().view_of(&self.initial, peer);
         self.for_each_peer_delta(peer, |i, delta| {
             let changed = !delta.is_empty();
             delta.apply_to_view(&mut cur);
@@ -750,9 +730,9 @@ mod tests {
     }
 
     /// The provenance build (first read after the pushes; `b2` is a no-op
-    /// insert it must look up), visible sets, run views, provenance cones
-    /// and run statistics roll one instance forward through the diffs: on a
-    /// cold run they fill no history cell.
+    /// insert it must look up), visible sets, run views and run statistics
+    /// roll one instance forward through the diffs: on a cold run they fill
+    /// no history cell.
     #[test]
     fn visibility_readers_fill_no_history_cell() {
         let spec = prop_spec();
@@ -766,7 +746,6 @@ mod tests {
         for p in spec.collab().peer_ids() {
             run.visible_events(p);
             run.view(p);
-            run.prov_cone(p);
         }
         crate::stats::RunStats::of(&run);
         assert!(filled(&run).is_empty(), "no reader filled a cell");

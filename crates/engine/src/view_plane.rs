@@ -205,17 +205,6 @@ pub fn peer_delta(
     out
 }
 
-/// Materializes `I@p` through the delta path (empty view + diff from the
-/// empty instance) — the bootstrap used by [`ViewPlane::new`] and
-/// [`Run::view`](crate::run::Run::view), deliberately *not* `view_of`, so
-/// the incremental code path covers initial instances too.
-pub fn materialize_view(collab: &CollabSchema, p: PeerId, instance: &Instance) -> ViewInstance {
-    let mut view = collab.empty_view(p);
-    let from_empty = InstanceDiff::between(&Instance::empty(collab.schema()), instance);
-    peer_delta(collab, p, &from_empty, instance).apply_to_view(&mut view);
-    view
-}
-
 /// The per-run view plane: one incrementally maintained [`ViewInstance`]
 /// per peer, advanced by [`ViewPlane::step`] from each transition's diff.
 #[derive(Debug, Clone)]
@@ -341,7 +330,6 @@ mod tests {
         let plane = ViewPlane::new(&cs, &i);
         for p in [author, todo, done] {
             assert_eq!(plane.view(p), &cs.view_of(&i, p));
-            assert_eq!(materialize_view(&cs, p, &i), cs.view_of(&i, p));
         }
     }
 

@@ -49,7 +49,7 @@ pub enum Reason {
     Cancelled,
     /// A runaway cap inside the analysis tripped: an enumerated state
     /// space or memo table outgrew the size the analysis allows itself.
-    Memory,
+    SizeCap,
     /// The computation panicked; the payload is the panic message.
     Panicked(String),
 }
@@ -60,7 +60,7 @@ impl fmt::Display for Reason {
             Reason::Nodes => write!(f, "node budget exhausted"),
             Reason::Deadline => write!(f, "deadline exceeded"),
             Reason::Cancelled => write!(f, "cancelled"),
-            Reason::Memory => write!(f, "memory limit exceeded"),
+            Reason::SizeCap => write!(f, "size cap exceeded"),
             Reason::Panicked(msg) => write!(f, "panicked: {msg}"),
         }
     }

@@ -156,7 +156,7 @@ pub fn hr_replace_example() -> Arc<WorkflowSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwf_core::{explain, minimal_faithful_scenario};
+    use cwf_core::minimal_faithful_scenario;
     use cwf_lang::VarId;
     use cwf_model::Value;
 
@@ -166,7 +166,7 @@ mod tests {
         let applicant = run.spec().collab().peer("applicant").unwrap();
         let expl = minimal_faithful_scenario(&run, applicant);
         assert_eq!(expl.events.to_vec(), vec![2, 3]);
-        let rendered = explain(&run, applicant).to_string();
+        let rendered = expl.to_string();
         assert!(rendered.contains("g@ceo"));
         assert!(!rendered.contains("e@cto"), "the retracted ok is excluded");
     }

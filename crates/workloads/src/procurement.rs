@@ -138,7 +138,7 @@ pub fn build_procurement_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwf_core::{explain, facts, minimal_faithful_scenario};
+    use cwf_core::{facts, minimal_faithful_scenario};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -161,7 +161,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let p = build_procurement_run(1, 2, &mut rng);
         let expl = minimal_faithful_scenario(&p.run, p.emp);
-        let rendered = explain(&p.run, p.emp).to_string();
+        let rendered = expl.to_string();
         assert!(rendered.contains("notify@proc"));
         assert!(rendered.contains("ship@vendor"));
         // The two stalled approvals are irrelevant to emp's observations.

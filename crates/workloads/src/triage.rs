@@ -120,7 +120,7 @@ pub fn build_triage_run(n_tickets: usize, n_escalated: usize, rng: &mut impl Rng
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cwf_core::{minimal_faithful_scenario, why, RunIndex};
+    use cwf_core::minimal_faithful_scenario;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -161,8 +161,8 @@ mod tests {
     fn why_chain_blames_the_selection_attribute() {
         let mut rng = StdRng::seed_from_u64(3);
         let r = build_triage_run(1, 1, &mut rng);
-        let index = RunIndex::build(&r.run);
-        let j = why(&r.run, &index, r.reporter, r.escalations[0])
+        let j = minimal_faithful_scenario(&r.run, r.reporter)
+            .why(r.escalations[0])
             .expect("escalation is in the explanation");
         // The escalation is there because it wrote Sev (relevant via the
         // on-call selection) used by the ack/resolve events.
@@ -173,7 +173,7 @@ mod tests {
 
     #[test]
     fn modification_faithfulness_rejects_dropping_the_escalation() {
-        use cwf_core::{is_modification_faithful, EventSet};
+        use cwf_core::{is_modification_faithful, EventSet, RunIndex};
         let mut rng = StdRng::seed_from_u64(4);
         let r = build_triage_run(1, 1, &mut rng);
         let index = RunIndex::build(&r.run);

@@ -5,7 +5,6 @@
 //! cargo run --example audit_trail
 //! ```
 
-use collab_workflows::core::{explain, traced_closure, why, RunIndex};
 use collab_workflows::engine::{encode_run, load_run, RunStats};
 use collab_workflows::lang::lint;
 use collab_workflows::prelude::*;
@@ -57,18 +56,16 @@ fn main() {
 
     // 4. The author's explanation, with drill-down justifications.
     println!("=== explanation for the author ===");
-    print!("{}", explain(&r.run, r.author));
-    let index = RunIndex::build(&r.run);
-    let traced = traced_closure(&r.run, &index, r.author);
+    let explanation = minimal_faithful_scenario(&r.run, r.author);
+    print!("{explanation}");
     // Drill into the first hidden-but-relevant event.
-    let hidden = traced
+    let hidden = explanation
         .events
-        .to_vec()
-        .into_iter()
-        .find(|&i| !r.run.visible_at(i, r.author));
+        .iter()
+        .find(|&i| !explanation.is_visible(i));
     if let Some(hidden) = hidden {
         println!("\nwhy is hidden event #{hidden} part of the explanation?");
-        let j = why(&r.run, &index, r.author, hidden).expect("member of the closure");
+        let j = explanation.why(hidden).expect("member of the explanation");
         print!("{}", j.render(&r.run));
     }
 }

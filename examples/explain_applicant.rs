@@ -68,6 +68,6 @@ fn main() {
         "\nthe minimal FAITHFUL scenario keeps events {:?}:",
         faithful.events.to_vec()
     );
-    print!("{}", explain(&run, applicant));
+    print!("{faithful}");
     println!("\n(g = the ceo's ok — the actual cause — and h = the approval)");
 }

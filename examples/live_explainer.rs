@@ -47,7 +47,7 @@ fn main() {
 
     // …and explains each notice through its full invisible chain.
     println!("\n=== final explanation for the employee ===");
-    print!("{}", explain(&run, p.emp));
+    print!("{}", minimal_faithful_scenario(&run, p.emp));
 
     // An individual event's explanation `T_p^ω(ρ, {f})` (even an invisible
     // one) is closed on demand over the stepped index.

@@ -75,7 +75,7 @@ fn main() {
     //    task — the second task's creation is correctly dropped.
     let carol = spec.collab().peer("carol").unwrap();
     println!("\n=== explanation for carol ===");
-    print!("{}", explain(&run, carol));
+    print!("{}", minimal_faithful_scenario(&run, carol));
 
     // 5. And a random simulation for good measure.
     let mut sim = Simulator::new(Run::new(Arc::clone(&spec)), StdRng::seed_from_u64(7));

@@ -46,8 +46,10 @@
 //! b.set(VarId(0), t);
 //! run.push(Event::new(&spec, create, b).unwrap()).unwrap();
 //! let alice = spec.collab().peer("alice").unwrap();
-//! let explanation = explain(&run, alice);
+//! let explanation = minimal_faithful_scenario(&run, alice);
 //! assert_eq!(explanation.events.len(), 1);
+//! assert!(explanation.is_visible(0));
+//! assert_eq!(explanation.why(0).unwrap().steps.len(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -67,9 +69,8 @@ pub mod prelude {
         Decision, Limits,
     };
     pub use cwf_core::{
-        exists_scenario_at_most, explain, is_scenario, minimal_faithful_scenario,
-        one_minimal_scenario, search_min_scenario, why, EventSet, Explanation, RunIndex,
-        SearchOptions,
+        exists_scenario_at_most, is_scenario, minimal_faithful_scenario, one_minimal_scenario,
+        search_min_scenario, EventSet, Explanation, RunIndex, SearchOptions,
     };
     pub use cwf_design::{
         add_stage_discipline, check_guidelines, check_tf, is_p_acyclic, EnforcementMode,

@@ -8,7 +8,7 @@ use collab_workflows::analysis::{
     synthesize_view_program, Limits,
 };
 use collab_workflows::core::{
-    explain, is_scenario, minimal_faithful_scenario, one_minimal_scenario, EventSet,
+    is_scenario, minimal_faithful_scenario, one_minimal_scenario, EventSet,
 };
 use collab_workflows::design::{in_t_runs, p_fresh_candidates, PushOutcome, TransparentEngine};
 use collab_workflows::prelude::*;
@@ -129,7 +129,7 @@ fn procurement_explanations_scale_and_agree() {
     let greedy = one_minimal_scenario(&p.run, p.emp);
     assert!(is_scenario(&p.run, p.emp, &greedy));
     // Rendering works.
-    let text = explain(&p.run, p.emp).to_string();
+    let text = expl.to_string();
     assert!(text.contains("Explanation for emp"));
 }
 

@@ -3,9 +3,10 @@
 //!
 //! For each (run, peer) pair the file pins:
 //!
-//! * the `explain` report (the minimal p-faithful scenario, Thm 4.7);
-//! * the `why` justification chain of every member of that scenario, and
-//!   `None` for every other event;
+//! * the report of the pair's `Explanation` (the minimal p-faithful
+//!   scenario, Thm 4.7);
+//! * that explanation's `why` justification chain of every member of the
+//!   scenario (every other event answers `None` and prints nothing);
 //! * the faithful set the run's facts slot steps when the run is fed to it
 //!   event by event (filled before the first push): the minimal scenario
 //!   after every push;
@@ -24,7 +25,7 @@ mod common;
 
 use std::fmt::Write as _;
 
-use collab_workflows::core::{explain, facts, tp_closure, why, EventSet, RunIndex};
+use collab_workflows::core::{facts, minimal_faithful_scenario, tp_closure, EventSet};
 use collab_workflows::engine::{Bindings, Event, Run};
 use collab_workflows::lang::parse_workflow;
 use collab_workflows::model::PeerId;
@@ -68,23 +69,15 @@ fn visit_order_run() -> (String, Run) {
 fn golden_pair(out: &mut String, name: &str, run: &Run, peer: PeerId) {
     let peer_name = run.spec().collab().peer_name(peer);
     let _ = writeln!(out, "== {name} @ {peer_name} ({} events)", run.len());
-    let report = explain(run, peer);
+    let report = minimal_faithful_scenario(run, peer);
     let _ = write!(out, "{report}");
 
-    let index = RunIndex::build(run);
     for e in 0..run.len() {
-        match why(run, &index, peer, e) {
-            Some(chain) => {
-                assert!(report.set.contains(e), "{name}: why answers a non-member");
-                let _ = writeln!(out, "why #{e}:");
-                for line in chain.render(run).lines() {
-                    let _ = writeln!(out, "  {line}");
-                }
+        if let Some(chain) = report.why(e) {
+            let _ = writeln!(out, "why #{e}:");
+            for line in chain.render(run).lines() {
+                let _ = writeln!(out, "  {line}");
             }
-            None => assert!(
-                !report.set.contains(e),
-                "{name}: why has no chain for member #{e}"
-            ),
         }
     }
 

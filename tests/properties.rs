@@ -251,7 +251,7 @@ mod run_props {
 
 mod view_plane_props {
     use super::*;
-    use collab_workflows::engine::{candidates, complete, materialize_view, peer_delta};
+    use collab_workflows::engine::{candidates, complete, peer_delta};
     use collab_workflows::lang::WorkflowSpec;
 
     /// A null-filling task tracker whose peers select on *non-key*
@@ -312,8 +312,7 @@ mod view_plane_props {
             // prefix's view from the bootstrap, byte for byte.
             let collab = spec.collab();
             for p in collab.peer_ids() {
-                let mut rolling = materialize_view(collab, p, run.initial());
-                prop_assert_eq!(&rolling, &collab.view_of(run.initial(), p));
+                let mut rolling = collab.view_of(run.initial(), p);
                 for i in 0..run.len() {
                     peer_delta(collab, p, run.diff(i), run.instance(i)).apply_to_view(&mut rolling);
                     prop_assert_eq!(&rolling, &collab.view_of(run.instance(i), p));
@@ -331,7 +330,7 @@ mod view_plane_props {
             let collab = run.spec().collab();
             for p in collab.peer_ids() {
                 prop_assert_eq!(run.peer_view(p), &collab.view_of(run.current(), p));
-                let mut rolling = materialize_view(collab, p, run.initial());
+                let mut rolling = collab.view_of(run.initial(), p);
                 for i in 0..run.len() {
                     peer_delta(collab, p, run.diff(i), run.instance(i)).apply_to_view(&mut rolling);
                     prop_assert_eq!(&rolling, &collab.view_of(run.instance(i), p));

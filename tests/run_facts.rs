@@ -25,7 +25,7 @@ use collab_workflows::core::{
     Modification, Observation, RunFacts, RunIndex, SearchOptions,
 };
 use collab_workflows::engine::chaos::{default_spec, modification_spec};
-use collab_workflows::engine::{materialize_view, GroundUpdate, ViewDelta};
+use collab_workflows::engine::{GroundUpdate, ViewDelta};
 use collab_workflows::model::{AttrId, Governor, PeerId, Pool, RelId, Value};
 use collab_workflows::prelude::*;
 use collab_workflows::workloads::{random_propositional_spec, random_run, RandomSpecParams};
@@ -74,7 +74,7 @@ fn answers(run: &Run) -> Vec<(Vec<usize>, String)> {
 /// `ViewDelta::between` consecutive steps of `Run::view`, the first from
 /// the view of the initial instance.
 fn reference_observations(run: &Run, peer: PeerId) -> Vec<Observation> {
-    let mut before = materialize_view(run.spec().collab(), peer, run.initial());
+    let mut before = run.spec().collab().view_of(run.initial(), peer);
     run.view(peer)
         .steps
         .into_iter()

@@ -5,14 +5,17 @@
 use std::sync::Arc;
 
 use collab_workflows::analysis::{sample_tree_divergence, synthesize_view_program, Limits};
-use collab_workflows::core::{explain, traced_closure, why, RunIndex};
+use collab_workflows::core::{facts, minimal_faithful_scenario, Obligation};
 use collab_workflows::design::{
     add_stage_discipline, check_guidelines, EnforcementMode, PushOutcome, TransparentEngine,
 };
+use collab_workflows::engine::chaos::{default_spec, modification_spec};
 use collab_workflows::engine::{decode_events, encode_run, load_run, RunStats};
 use collab_workflows::lang::{lint, normalize, Lint};
 use collab_workflows::prelude::*;
-use collab_workflows::workloads::{build_procurement_run, hiring_no_cfo};
+use collab_workflows::workloads::{
+    build_procurement_run, hiring_no_cfo, random_propositional_spec, random_run, RandomSpecParams,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -107,25 +110,58 @@ fn workload_specs_are_lint_clean() {
     }
 }
 
+/// Every member of each peer's explanation has a why-chain whose links are
+/// members, each demanded by the next, ending at an event the peer saw;
+/// every other event answers `None`. Over a procurement run, random
+/// propositional runs and walks of both chaos specs, at every peer.
 #[test]
 fn why_chains_cover_the_whole_explanation() {
-    let mut rng = StdRng::seed_from_u64(7);
-    let p = build_procurement_run(2, 2, &mut rng);
-    let index = RunIndex::build(&p.run);
-    let traced = traced_closure(&p.run, &index, p.emp);
-    let expl = explain(&p.run, p.emp);
-    assert_eq!(traced.events, expl.set);
-    for i in traced.events.to_vec() {
-        let j = why(&p.run, &index, p.emp, i).expect("member has a justification");
-        // Chains are acyclic and end at a visible root.
-        let last = j.steps.last().unwrap();
-        assert!(p.run.visible_at(last.event, p.emp));
-        assert!(j.steps.len() <= p.run.len());
+    let mut runs = vec![build_procurement_run(2, 2, &mut StdRng::seed_from_u64(7)).run];
+    for seed in 0..16 {
+        let w = random_propositional_spec(
+            &RandomSpecParams::default(),
+            &mut StdRng::seed_from_u64(seed),
+        );
+        runs.push(random_run(&w.spec, 30, seed));
+        runs.push(random_run(&default_spec(), 40, seed));
+        runs.push(random_run(&modification_spec(), 40, seed));
     }
-    // Non-members have no justification.
-    for i in 0..p.run.len() {
-        if !traced.events.contains(i) {
-            assert!(why(&p.run, &index, p.emp, i).is_none());
+    for run in &runs {
+        for peer in run.spec().collab().peer_ids() {
+            let visible = facts(run).visible(peer);
+            let expl = minimal_faithful_scenario(run, peer);
+            for i in 0..run.len() {
+                let Some(j) = expl.why(i) else {
+                    assert!(!expl.events.contains(i), "member #{i} has no chain");
+                    continue;
+                };
+                assert!(expl.events.contains(i), "non-member #{i} has a chain");
+                assert_eq!(j.steps[0].event, i);
+                assert!(j.steps.len() <= run.len());
+                for (k, step) in j.steps.iter().enumerate() {
+                    assert!(expl.events.contains(step.event));
+                    let by = match &step.obligation {
+                        Obligation::Visible => {
+                            assert_eq!(k + 1, j.steps.len(), "a visible root ends the chain");
+                            assert!(
+                                visible.contains(step.event),
+                                "root #{} is unseen",
+                                step.event
+                            );
+                            continue;
+                        }
+                        Obligation::OpenedLifecycle { by, .. }
+                        | Obligation::ClosedLifecycle { by, .. }
+                        | Obligation::WroteAttributes { by, .. } => *by,
+                    };
+                    assert!(
+                        expl.events.contains(by),
+                        "#{by} demands #{} from outside",
+                        step.event
+                    );
+                    assert_eq!(j.steps.get(k + 1).map(|s| s.event), Some(by));
+                }
+            }
         }
     }
 }
