@@ -4,20 +4,20 @@
 //! instance) whose events are all silent at `p` except the last has length
 //! at most `h`. By Lemmas A.2/A.3 it suffices to look for counterexamples —
 //! length-`h+1` such runs — over instances and events drawn from the
-//! constant pool `C_{h+1}`; this module implements that bounded search
-//! (PSPACE-complete in general, hence explicitly budgeted).
+//! constant pool `C_{h+1}`; this module drives that bounded search
+//! (PSPACE-complete in general, hence explicitly budgeted) over the
+//! instance enumeration, with the shared silent-chain explorer of
+//! [`crate::space`] looking for chains of exactly `h + 1` events.
 
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use cwf_core::{facts, tp_closure, EventSet};
-use cwf_engine::{Event, Run};
+use cwf_engine::{Event, ScratchRun};
 use cwf_lang::WorkflowSpec;
 use cwf_model::{FirstHit, Governor, Instance, PeerId, Pool, Reason, Verdict};
 
-use crate::space::{
-    applicable_events_for_run, completion_pool, constant_pool, InstanceEnumerator, Limits,
-};
+use crate::space::{completion_pool, constant_pool, Explorer, InstanceEnumerator, Limits};
 
 /// The outcome of a bounded decision procedure.
 #[derive(Debug, Clone)]
@@ -120,27 +120,13 @@ pub fn check_h_bounded_pooled(
     let verdict = gov.guard(|| {
         let consts = constant_pool(spec, h + 1, limits);
         let chain_pool = completion_pool(spec, h + 1, &consts);
-        if pool.is_sequential() || h == 0 {
-            return Verdict::Done(check_sequential(
-                spec,
-                peer,
-                h,
-                limits,
-                gov,
-                &consts,
-                &chain_pool,
-            ));
-        }
-        Verdict::Done(check_parallel(
-            spec,
-            peer,
-            h,
-            limits,
-            gov,
-            pool,
-            &consts,
-            &chain_pool,
-        ))
+        let explorer = Explorer::new(spec, peer, &chain_pool, h + 1..=h + 1, gov);
+        let en = InstanceEnumerator::new(spec, &consts, limits);
+        Verdict::Done(if pool.is_sequential() || h == 0 {
+            check_sequential(&explorer, en)
+        } else {
+            check_parallel(&explorer, en, pool)
+        })
     });
     match verdict {
         Verdict::Done(d) | Verdict::Anytime(d, _) => d,
@@ -150,111 +136,85 @@ pub fn check_h_bounded_pooled(
 
 /// The sequential oracle sweep: instances in enumeration order, each chased
 /// to completion before the next.
-#[allow(clippy::too_many_arguments)]
 fn check_sequential(
-    spec: &Arc<WorkflowSpec>,
-    peer: PeerId,
-    h: usize,
-    limits: &Limits,
-    gov: &Governor,
-    consts: &[cwf_model::Value],
-    chain_pool: &[cwf_model::Value],
+    explorer: &Explorer,
+    mut en: InstanceEnumerator,
 ) -> Decision<BoundednessWitness> {
-    let mut en = InstanceEnumerator::new(spec, consts, limits);
-    while let Some(init) = en.next_instance(spec) {
-        if let Err(reason) = gov.tick() {
+    while let Some(init) = en.next_instance(explorer.spec) {
+        if let Err(reason) = explorer.gov.tick() {
             return Decision::Exhausted(reason);
         }
-        let base = Run::with_initial(Arc::clone(spec), init.clone());
-        match silent_chain_from(&base, peer, chain_pool, h + 1, gov, None) {
-            ChainOutcome::Found(events) => {
-                return Decision::CounterExample(BoundednessWitness {
-                    initial: init,
-                    events,
-                })
-            }
-            ChainOutcome::Exhausted(reason) => return Decision::Exhausted(reason),
-            ChainOutcome::None => {}
+        match first_chain(explorer, &init, &[]) {
+            Ok(Some(w)) => return Decision::CounterExample(w),
+            Err(reason) => return Decision::Exhausted(reason),
+            Ok(None) => {}
         }
     }
     Decision::Holds
 }
 
 /// Parallel frontier expansion (see [`check_h_bounded_pooled`]).
-#[allow(clippy::too_many_arguments)]
 fn check_parallel(
-    spec: &Arc<WorkflowSpec>,
-    peer: PeerId,
-    h: usize,
-    limits: &Limits,
-    gov: &Governor,
+    explorer: &Explorer,
+    mut en: InstanceEnumerator,
     pool: &Pool,
-    consts: &[cwf_model::Value],
-    chain_pool: &[cwf_model::Value],
 ) -> Decision<BoundednessWitness> {
-    let target_len = h + 1;
-    let mut en = InstanceEnumerator::new(spec, consts, limits);
+    let spec = explorer.spec;
     // Batch sizing: each `pool.run` call spawns a fresh scoped worker set,
     // so the batch scales with the pool's claim granularity to amortize
     // spawn cost over long frontiers (the merge below is batch-size
     // independent: batches are processed, and scanned, in frontier order).
     let batch = pool.threads() * pool.chunk().max(4);
     loop {
-        // Collect a batch of level-1 chains in (instance, candidate) order —
-        // the exact order the sequential DFS would first reach them in.
-        let mut items: Vec<Run> = Vec::new();
+        // Collect a batch of level-1 chains, (instance index, first event),
+        // in (instance, candidate) order — the exact order the sequential
+        // DFS would first reach them in.
+        let mut inits: Vec<Instance> = Vec::new();
+        let mut items: Vec<(usize, Event)> = Vec::new();
         let mut collect_stop: Option<Reason> = None;
         let mut drained = false;
-        'collect: while items.len() < batch {
+        while items.len() < batch {
             let Some(init) = en.next_instance(spec) else {
                 drained = true;
                 break;
             };
-            if let Err(reason) = gov.tick() {
+            if let Err(reason) = explorer.gov.tick() {
                 collect_stop = Some(reason);
                 break;
             }
-            let base = Run::with_initial(Arc::clone(spec), init);
-            let Some(candidates) = applicable_events_for_run(spec, &base, chain_pool) else {
-                collect_stop = Some(Reason::SizeCap);
+            let at = inits.len();
+            let mut state = ScratchRun::new(Arc::clone(spec), init.clone());
+            inits.push(init);
+            let listed = explorer.steps(&mut state, |_, event, visible| {
+                // Prefix events must be silent (the chain has h + 1 ≥ 2
+                // events here).
+                if !visible {
+                    items.push((at, event.clone()));
+                }
+                Ok(ControlFlow::Continue(()))
+            });
+            if let Err(reason) = listed {
+                collect_stop = Some(reason);
                 break;
-            };
-            for t in &candidates {
-                if let Err(reason) = gov.tick() {
-                    collect_stop = Some(reason);
-                    break 'collect;
-                }
-                let mut next = base.clone();
-                if next.push(t.clone()).is_err() {
-                    continue;
-                }
-                // Prefix events must be silent (target_len ≥ 2 here).
-                if !next.visible_at(0, peer) {
-                    items.push(next);
-                }
             }
         }
         // Workers finish the collected frontier prefix concurrently.
         let hit = FirstHit::new();
-        let outs = pool.run(items, |idx, chain: Run| {
-            let init = chain.initial().clone();
-            let out =
-                silent_chain_from(&chain, peer, chain_pool, target_len, gov, Some((&hit, idx)));
-            (init, out)
+        let outs = pool.run(items, |idx, (at, first)| {
+            let worker = Explorer {
+                stop: Some((&hit, idx)),
+                ..explorer.clone()
+            };
+            first_chain(&worker, &inits[at], &[first])
         });
         let mut exhausted = None;
-        for (init, out) in outs {
+        for out in outs {
             match out {
                 // First frontier index with a counterexample — the sequential
                 // answer; definitive even when an earlier item was cut off.
-                ChainOutcome::Found(events) => {
-                    return Decision::CounterExample(BoundednessWitness {
-                        initial: init,
-                        events,
-                    })
-                }
-                ChainOutcome::Exhausted(r) => exhausted = exhausted.or(Some(r)),
-                ChainOutcome::None => {}
+                Ok(Some(w)) => return Decision::CounterExample(w),
+                Err(r) => exhausted = exhausted.or(Some(r)),
+                Ok(None) => {}
             }
         }
         if let Some(reason) = exhausted.or(collect_stop) {
@@ -264,6 +224,28 @@ fn check_parallel(
             return Decision::Holds;
         }
     }
+}
+
+/// The first chain of exactly `h + 1` events extending `prefix` on
+/// `initial` that is its own minimum p-faithful run, if any; a hit is
+/// offered to the explorer's [`FirstHit`].
+fn first_chain(
+    explorer: &Explorer,
+    initial: &Instance,
+    prefix: &[Event],
+) -> Result<Option<BoundednessWitness>, Reason> {
+    let mut found = None;
+    explorer.chains(initial, prefix, &mut |run| {
+        found = Some(BoundednessWitness {
+            initial: initial.clone(),
+            events: run.events().to_vec(),
+        });
+        ControlFlow::Break(())
+    })?;
+    if let (Some(_), Some((hit, idx))) = (&found, explorer.stop) {
+        hit.offer(idx);
+    }
+    Ok(found)
 }
 
 /// Finds the least `h ≤ h_max` for which the program is h-bounded, if any.
@@ -296,77 +278,6 @@ pub fn find_bound_pooled(
         )
         .holds()
     })
-}
-
-enum ChainOutcome {
-    Found(Vec<Event>),
-    None,
-    Exhausted(Reason),
-}
-
-/// DFS for a run of exactly `target_len` events extending `run`'s events on
-/// its initial instance, all silent at `peer` except a visible last one,
-/// that is its own minimum p-faithful scenario.
-///
-/// `stop` (parallel workers only) is the cross-worker early-exit signal: a
-/// worker whose frontier index is beaten by an already found counterexample
-/// at a smaller index abandons — the index-ordered merge will not read it.
-fn silent_chain_from(
-    run: &Run,
-    peer: PeerId,
-    pool: &[cwf_model::Value],
-    target_len: usize,
-    gov: &Governor,
-    stop: Option<(&FirstHit, usize)>,
-) -> ChainOutcome {
-    if let Some((hit, idx)) = stop {
-        if hit.beats(idx) {
-            return ChainOutcome::None;
-        }
-    }
-    let depth = run.len();
-    let Some(candidates) = applicable_events_for_run(run.spec(), run, pool) else {
-        // Not enough fresh headroom in the pool: a capacity-style
-        // exhaustion (raise `extra_constants`).
-        return ChainOutcome::Exhausted(Reason::SizeCap);
-    };
-    for t in &candidates {
-        // One governor node per candidate trial: the budget measures
-        // real work, so exhaustion fires promptly on huge spaces.
-        if let Err(reason) = gov.tick() {
-            return ChainOutcome::Exhausted(reason);
-        }
-        let mut next = run.clone();
-        if next.push(t.clone()).is_err() {
-            continue;
-        }
-        let visible = next.visible_at(depth, peer);
-        if depth + 1 == target_len {
-            // Last event: must be visible and the whole chain must be a
-            // minimum p-faithful run (its own minimal faithful scenario).
-            if !visible {
-                continue;
-            }
-            let seed = EventSet::from_iter(next.len(), [depth]);
-            let closure = tp_closure(&next, facts(&next).index(), peer, &seed);
-            if closure.len() == next.len() {
-                if let Some((hit, idx)) = stop {
-                    hit.offer(idx);
-                }
-                return ChainOutcome::Found(next.events().to_vec());
-            }
-        } else {
-            // Prefix events must be silent.
-            if visible {
-                continue;
-            }
-            match silent_chain_from(&next, peer, pool, target_len, gov, stop) {
-                ChainOutcome::None => {}
-                other => return other,
-            }
-        }
-    }
-    ChainOutcome::None
 }
 
 #[cfg(test)]
@@ -520,5 +431,181 @@ mod tests {
             .counter_example()
             .is_some());
         assert_eq!(find_bound(&spec2, p2, 4, &limits()), Some(2));
+    }
+
+    /// A brute-force reference for Definition 5.8 on tiny `h`, sharing
+    /// nothing with the explorer but the bounded space itself (the
+    /// enumerated instances and the canonical candidate events): every
+    /// event sequence of length `h + 1` is replayed from scratch with
+    /// `Run::replay`, and the definition is checked directly on it.
+    mod reference {
+        use super::*;
+        use cwf_core::{tp_closure, EventSet, RunIndex};
+        use cwf_engine::Run;
+        use cwf_model::Value;
+        use rand::SeedableRng;
+
+        use crate::space::applicable_events;
+
+        /// The first violation in (instance, candidate) order: a run of
+        /// `h + 1` events, silent at `peer` but the last, which is visible,
+        /// and whose last event's `T_p` closure covers the whole run.
+        fn first_violation(
+            spec: &Arc<WorkflowSpec>,
+            peer: PeerId,
+            h: usize,
+            limits: &Limits,
+        ) -> Option<BoundednessWitness> {
+            let consts = constant_pool(spec, h + 1, limits);
+            let pool = completion_pool(spec, h + 1, &consts);
+            let mut en = InstanceEnumerator::new(spec, &consts, limits);
+            while let Some(initial) = en.next_instance(spec) {
+                let mut events = Vec::new();
+                if first_from(spec, peer, h + 1, &pool, &initial, &mut events) {
+                    return Some(BoundednessWitness { initial, events });
+                }
+            }
+            None
+        }
+
+        /// Extends `events` by every candidate of its replayed run, depth
+        /// first, up to `len` events; `true` with `events` the violation.
+        fn first_from(
+            spec: &Arc<WorkflowSpec>,
+            peer: PeerId,
+            len: usize,
+            pool: &[Value],
+            initial: &Instance,
+            events: &mut Vec<Event>,
+        ) -> bool {
+            let replay = |events: &[Event]| {
+                Run::replay(Arc::clone(spec), initial.clone(), events.iter().cloned())
+            };
+            let run = replay(events).expect("only replayable prefixes are extended");
+            let candidates = applicable_events(spec, run.current(), pool, run.used_values())
+                .expect("the pool has headroom for these specs");
+            for e in candidates {
+                events.push(e);
+                if let Ok(run) = replay(events) {
+                    let hit = if events.len() == len {
+                        violates(&run, peer)
+                    } else {
+                        first_from(spec, peer, len, pool, initial, events)
+                    };
+                    if hit {
+                        return true;
+                    }
+                }
+                events.pop();
+            }
+            false
+        }
+
+        /// Definition 5.8's counterexample shape, checked directly.
+        fn violates(run: &Run, peer: PeerId) -> bool {
+            let last = run.len() - 1;
+            let seed = EventSet::from_iter(run.len(), [last]);
+            (0..last).all(|i| !run.visible_at(i, peer))
+                && run.visible_at(last, peer)
+                && tp_closure(run, &RunIndex::build(run), peer, &seed).len() == run.len()
+        }
+
+        /// Compares every `h ≤ 3` at pools 1 and 4; counts the violations.
+        fn agrees(name: &str, spec: &Arc<WorkflowSpec>, peer: PeerId, limits: &Limits) -> usize {
+            let mut violations = 0;
+            for h in 0..=3 {
+                let want = first_violation(spec, peer, h, limits);
+                violations += usize::from(want.is_some());
+                for threads in [1, 4] {
+                    let gov = Governor::with_nodes(limits.max_nodes);
+                    let got = check_h_bounded_pooled(
+                        spec,
+                        peer,
+                        h,
+                        limits,
+                        &gov,
+                        &Pool::with_threads(threads),
+                    );
+                    let at = format!("{name} h={h} at {threads} threads");
+                    match (&want, got) {
+                        (None, Decision::Holds) => {}
+                        (Some(w), Decision::CounterExample(g)) => {
+                            assert_eq!(w.initial, g.initial, "{at}: witness instance");
+                            assert_eq!(w.events, g.events, "{at}: witness events");
+                        }
+                        (want, got) => panic!("{at}: reference {want:?}, production {got:?}"),
+                    }
+                }
+            }
+            violations
+        }
+
+        #[test]
+        fn definition_5_8_matches_the_brute_force_reference() {
+            let unit_specs = [
+                chain_spec(),
+                parse_spec(
+                    "schema { C(K); Out(K); }
+                     peers { q sees C(*), Out(*); p sees Out(*); }
+                     rules {
+                         spin_up @ q: +C(0) :- ;
+                         spin_dn @ q: -key C(0) :- C(0);
+                         out @ q: +Out(0) :- ;
+                     }",
+                ),
+                parse_spec(
+                    "schema { A(K); Out(K); }
+                     peers { q sees A(*), Out(*); p sees Out(*); }
+                     rules {
+                         mk @ q: +A(0) :- ;
+                         rm @ q: -key A(0) :- A(0);
+                         out @ q: +Out(0) :- not key A(0);
+                     }",
+                ),
+                parse_spec(
+                    "schema { A(K); Out(K); }
+                     peers { q sees A(*), Out(*); p sees Out(*); }
+                     rules {
+                         mk @ q: +A(0) :- ;
+                         out @ q: +Out(0) :- A(0);
+                     }",
+                ),
+            ];
+            let (mut cases, mut violations) = (0, 0);
+            for (i, spec) in unit_specs.iter().enumerate() {
+                for peer in spec.collab().peer_ids() {
+                    violations += agrees(&format!("unit spec {i}"), spec, peer, &limits());
+                    cases += 4;
+                }
+            }
+            let params = cwf_workloads::RandomSpecParams {
+                n_rels: 4,
+                n_rules: 5,
+                ..Default::default()
+            };
+            for seed in 0..6 {
+                let w = cwf_workloads::random_propositional_spec(
+                    &params,
+                    &mut rand::rngs::StdRng::seed_from_u64(seed),
+                );
+                violations += agrees(
+                    &format!("random spec {seed}"),
+                    &w.spec,
+                    w.observer,
+                    &limits(),
+                );
+                cases += 4;
+            }
+            // Both verdicts occur, so neither side can pass by always
+            // answering the same.
+            assert!(
+                0 < violations && violations < cases,
+                "{violations} of {cases}"
+            );
+        }
+
+        fn parse_spec(src: &str) -> Arc<WorkflowSpec> {
+            Arc::new(parse_workflow(src).unwrap())
+        }
     }
 }

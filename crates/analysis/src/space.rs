@@ -11,7 +11,12 @@
 //! * enumeration of bounded instances over the pool
 //!   ([`InstanceEnumerator`]);
 //! * enumeration of the *p-fresh* instances (Definition 5.5) reachable from
-//!   those by one p-visible event ([`fresh_instances`]).
+//!   those by one p-visible event ([`fresh_instances`]);
+//! * the one silent-chain explorer (`Explorer`) that the decision
+//!   procedures of Theorems 5.10 and 5.11, the synthesis of Theorem 5.13
+//!   and the tree check of Remark 5.2 share: it enumerates the
+//!   silent-then-visible chains over the pool that are their own minimum
+//!   p-faithful run, stepping one state in place and back.
 //!
 //! Everything is governed: the procedures are PSPACE-complete, so the
 //! implementations are explicit exponential searches that charge every node
@@ -19,10 +24,13 @@
 //! [`Exhausted`](crate::Decision::Exhausted) when any limit is hit.
 
 use std::collections::BTreeSet;
+use std::ops::{ControlFlow, RangeInclusive};
+use std::sync::Arc;
 
-use cwf_engine::{apply_event, event_visible, Event};
+use cwf_core::{facts, tp_closure, EventSet};
+use cwf_engine::{apply_event, event_visible, Event, Run, ScratchRun};
 use cwf_lang::WorkflowSpec;
-use cwf_model::{Bound, Governor, Instance, PeerId, Reason, Tuple, Value, Verdict};
+use cwf_model::{Bound, FirstHit, Governor, Instance, PeerId, Reason, Tuple, Value, Verdict};
 
 /// Budgets and caps for the bounded searches.
 #[derive(Debug, Clone)]
@@ -150,14 +158,153 @@ pub(crate) fn applicable_events(
     Some(out)
 }
 
-/// [`applicable_events`] against a run's full history (fresh completions
-/// avoid everything the run has ever used).
-pub(crate) fn applicable_events_for_run(
-    spec: &WorkflowSpec,
-    run: &cwf_engine::Run,
-    pool: &[Value],
-) -> Option<Vec<Event>> {
-    applicable_events(spec, run.current(), pool, run.used_values())
+/// The one silent-chain explorer of Theorems 5.10, 5.11 and 5.13.
+///
+/// [`Explorer::chains`] enumerates, depth first in candidate order, the
+/// chains on an initial instance whose events are all silent at `peer` but
+/// the last, which is visible, whose length lies in `lens`, and which are
+/// their own minimum p-faithful run (`T_p^ω` of the last event covers the
+/// chain). Candidates are [`applicable_events`] of the current state, so
+/// fresh values are completed canonically from `pool`.
+///
+/// The search owns one [`ScratchRun`]: each candidate is stepped in place
+/// ([`ScratchRun::apply`]) and taken back ([`ScratchRun::undo`]), and its
+/// visibility is read off the step's own view delta. A whole [`Run`] is
+/// replayed only at a visible leaf of a wanted length, for the closure
+/// check, and that `Run` is what the caller's visitor receives. (Pushing and
+/// popping one `Run` instead would rebuild its live state on every pop.)
+///
+/// Every candidate trial costs one governor node. A [`FirstHit`] `stop`
+/// (parallel workers only) abandons a node once a smaller frontier index
+/// has reported a hit: the index-ordered merge will not read this one.
+#[derive(Clone)]
+pub(crate) struct Explorer<'a> {
+    pub(crate) spec: &'a Arc<WorkflowSpec>,
+    pub(crate) peer: PeerId,
+    pub(crate) pool: &'a [Value],
+    pub(crate) lens: RangeInclusive<usize>,
+    pub(crate) gov: &'a Governor,
+    pub(crate) stop: Option<(&'a FirstHit, usize)>,
+}
+
+impl<'a> Explorer<'a> {
+    /// An explorer for chains of `lens` events, with no `stop`.
+    pub(crate) fn new(
+        spec: &'a Arc<WorkflowSpec>,
+        peer: PeerId,
+        pool: &'a [Value],
+        lens: RangeInclusive<usize>,
+        gov: &'a Governor,
+    ) -> Self {
+        let stop = None;
+        Explorer {
+            spec,
+            peer,
+            pool,
+            lens,
+            gov,
+            stop,
+        }
+    }
+
+    /// Calls `visit` with each chain `prefix · α` on `initial` (see the
+    /// type docs), in candidate order, until it breaks. The events of
+    /// `prefix` must apply on `initial` and be silent at the peer.
+    pub(crate) fn chains(
+        &self,
+        initial: &Instance,
+        prefix: &[Event],
+        visit: &mut dyn FnMut(Run) -> ControlFlow<()>,
+    ) -> Result<(), Reason> {
+        if self.lens.is_empty() {
+            return Ok(());
+        }
+        let mut state = ScratchRun::new(Arc::clone(self.spec), initial.clone());
+        for e in prefix {
+            state
+                .try_push(e)
+                .expect("the prefix applies on the initial instance");
+        }
+        let mut path = prefix.to_vec();
+        self.extend(initial, &mut state, &mut path, visit).map(drop)
+    }
+
+    /// Steps every candidate event of `state` in place, calls `f` with the
+    /// stepped state, the event and whether it is visible at the peer, then
+    /// takes the step back. Events that do not apply are skipped.
+    pub(crate) fn steps(
+        &self,
+        state: &mut ScratchRun,
+        mut f: impl FnMut(&mut ScratchRun, &Event, bool) -> Result<ControlFlow<()>, Reason>,
+    ) -> Result<ControlFlow<()>, Reason> {
+        let Some(candidates) =
+            applicable_events(self.spec, state.current(), self.pool, state.used_values())
+        else {
+            // Not enough fresh headroom in the pool: a capacity-style
+            // exhaustion (raise `extra_constants`).
+            return Err(Reason::SizeCap);
+        };
+        for event in &candidates {
+            // One governor node per candidate trial: the budget measures
+            // real work, so exhaustion fires promptly on huge spaces.
+            self.gov.tick()?;
+            let Ok(undo) = state.apply(event) else {
+                continue;
+            };
+            let visible = event.peer == self.peer || state.changed(self.peer);
+            let flow = f(state, event, visible);
+            state.undo(undo);
+            if flow?.is_break() {
+                return Ok(ControlFlow::Break(()));
+            }
+        }
+        Ok(ControlFlow::Continue(()))
+    }
+
+    /// The DFS below `path`, the chain `state` is at: a visible event ends
+    /// a chain, a silent one extends it while it is shorter than `lens`.
+    fn extend(
+        &self,
+        initial: &Instance,
+        state: &mut ScratchRun,
+        path: &mut Vec<Event>,
+        visit: &mut dyn FnMut(Run) -> ControlFlow<()>,
+    ) -> Result<ControlFlow<()>, Reason> {
+        if self.stop.is_some_and(|(hit, idx)| hit.beats(idx)) {
+            return Ok(ControlFlow::Continue(()));
+        }
+        self.steps(state, |state, event, visible| {
+            path.push(event.clone());
+            let len = path.len();
+            let flow = if !visible && len < *self.lens.end() {
+                self.extend(initial, state, path, visit)
+            } else if visible && self.lens.contains(&len) {
+                Ok(self.leaf(initial, path, visit))
+            } else {
+                Ok(ControlFlow::Continue(()))
+            };
+            path.pop();
+            flow
+        })
+    }
+
+    /// Replays the visible-ended chain `path` and hands it to `visit` if it
+    /// is its own minimum p-faithful run.
+    fn leaf(
+        &self,
+        initial: &Instance,
+        path: &[Event],
+        visit: &mut dyn FnMut(Run) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let run = Run::replay(Arc::clone(self.spec), initial.clone(), path.iter().cloned())
+            .expect("the explorer stepped this chain");
+        let seed = EventSet::from_iter(run.len(), [run.len() - 1]);
+        if tp_closure(&run, facts(&run).index(), self.peer, &seed).len() == run.len() {
+            visit(run)
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
 }
 
 /// Enumerates valid instances over the pool: per relation, up to

@@ -26,6 +26,7 @@
 //! are skipped with a counter in [`Synthesis::skipped_delete_reinsert`].
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use cwf_engine::Run;
@@ -35,8 +36,7 @@ use cwf_model::{
     ViewInstance,
 };
 
-use crate::space::{completion_pool, constant_pool, fresh_instances, Limits};
-use crate::transparency::enumerate_chains;
+use crate::space::{completion_pool, constant_pool, fresh_instances, Explorer, Limits};
 
 /// The generation certificate of one ω-rule: the canonical triple's chain
 /// and the mapping from canonical pool values to the rule's variables.
@@ -228,18 +228,15 @@ fn synthesize_body(
     let mut omega_rules = Vec::new();
     let mut omega_meta = BTreeMap::new();
     let mut skipped = 0usize;
+    let explorer = Explorer::new(spec, peer, &chain_pool, 1..=h, gov);
     for f in &fresh {
-        let chains = enumerate_chains(spec, peer, f, &chain_pool, h, gov)
-            .map_err(SynthesisError::Exhausted)?;
-        for chain in chains {
+        let mut visit = |run: Run| {
             // Keys of the initial instance must all be touched by the chain
             // (Lemma A.3 restriction — the restricted instance is itself
             // enumerated elsewhere, so skipping loses nothing).
-            let run = Run::replay(Arc::clone(spec), f.clone(), chain.iter().cloned())
-                .expect("chain was built on f");
             let mut touched: BTreeMap<RelId, BTreeSet<Value>> = BTreeMap::new();
-            for i in 0..run.len() {
-                for (r, ks) in run.event(i).key_occurrences(spec) {
+            for e in run.events() {
+                for (r, ks) in e.key_occurrences(spec) {
                     touched.entry(r).or_default().extend(ks.iter().cloned());
                 }
             }
@@ -249,7 +246,7 @@ fn synthesize_body(
                     .all(|k| touched.get(&r).is_some_and(|ks| ks.contains(k)))
             });
             if !all_touched {
-                continue;
+                return ControlFlow::Continue(());
             }
             let i_view = collab.view_of(f, peer);
             let j_view = collab.view_of(run.current(), peer);
@@ -274,7 +271,7 @@ fn synthesize_body(
                             rid,
                             OmegaMeta {
                                 initial: f.clone(),
-                                chain: chain.clone(),
+                                chain: run.events().to_vec(),
                                 canon,
                             },
                         );
@@ -283,7 +280,11 @@ fn synthesize_body(
                 BuiltRule::NoVisibleDelta => {}
                 BuiltRule::DeleteReinsert => skipped += 1,
             }
-        }
+            ControlFlow::Continue(())
+        };
+        explorer
+            .chains(f, &[], &mut visit)
+            .map_err(SynthesisError::Exhausted)?;
     }
     let view_spec = WorkflowSpec::new(new_collab, program)
         .expect("synthesized view programs are well-formed by construction");

@@ -8,11 +8,14 @@
 //!
 //! For h-bounded programs the paper's reformulation (†) bounds the witnesses:
 //! pairs of p-fresh instances over the constant pool and chains of length at
-//! most `h`. [`check_transparent`] implements that exhaustive bounded search;
-//! [`sample_transparency_violation`] is a cheap falsifier that harvests
-//! stages from random runs instead of enumerating the space.
+//! most `h`. [`check_transparent`] implements that exhaustive bounded search,
+//! enumerating each p-fresh instance's chains with the shared silent-chain
+//! explorer of [`crate::space`]. [`sample_transparency_violation`] is a
+//! cheap falsifier that harvests stages from random runs instead of
+//! enumerating the space.
 
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use cwf_core::{facts, tp_closure, EventSet};
@@ -23,9 +26,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::boundedness::Decision;
-use crate::space::{
-    applicable_events_for_run, completion_pool, constant_pool, fresh_instances, Limits,
-};
+use crate::space::{completion_pool, constant_pool, fresh_instances, Explorer, Limits};
 use crate::stage::{minimum_faithful_of_stage, stages};
 
 /// A witness against transparency: a chain applicable on one p-fresh
@@ -116,9 +117,10 @@ fn check_transparent_body(
         Verdict::Anytime(_, bound) => return Decision::Exhausted(bound.reason),
         Verdict::Exhausted(reason) => return Decision::Exhausted(reason),
     };
+    let explorer = Explorer::new(spec, peer, &chain_pool, 1..=h, gov);
     if pool.is_sequential() {
         for f1 in &fresh {
-            match check_against_fresh(spec, peer, f1, &fresh, &chain_pool, h, gov, None) {
+            match check_against_fresh(&explorer, f1, &fresh, None) {
                 Ok(Some(w)) => return Decision::CounterExample(w),
                 Ok(None) => {}
                 Err(reason) => return Decision::Exhausted(reason),
@@ -128,16 +130,7 @@ fn check_transparent_body(
     }
     let hit = FirstHit::new();
     let outs = pool.run((0..fresh.len()).collect(), |_, i| {
-        check_against_fresh(
-            spec,
-            peer,
-            &fresh[i],
-            &fresh,
-            &chain_pool,
-            h,
-            gov,
-            Some((&hit, i)),
-        )
+        check_against_fresh(&explorer, &fresh[i], &fresh, Some((&hit, i)))
     });
     let mut exhausted = None;
     for out in outs {
@@ -155,20 +148,27 @@ fn check_transparent_body(
     }
 }
 
-/// The per-`f1` unit of the transparency sweep: enumerate `f1`'s chains and
-/// cross-test them against every view-equal `f2`, in fresh order.
-#[allow(clippy::too_many_arguments)]
+/// The per-`f1` unit of the transparency sweep: enumerate `f1`'s chains of
+/// at most `h` events and cross-test them against every view-equal `f2`, in
+/// fresh order.
 fn check_against_fresh(
-    spec: &Arc<WorkflowSpec>,
-    peer: PeerId,
+    explorer: &Explorer,
     f1: &Instance,
     fresh: &[Instance],
-    chain_pool: &[Value],
-    h: usize,
-    gov: &Governor,
     stop: Option<(&FirstHit, usize)>,
 ) -> Result<Option<TransparencyWitness>, Reason> {
-    let chains = enumerate_chains(spec, peer, f1, chain_pool, h, gov)?;
+    let Explorer {
+        spec,
+        peer,
+        pool,
+        gov,
+        ..
+    } = *explorer;
+    let mut chains = Vec::new();
+    explorer.chains(f1, &[], &mut |run| {
+        chains.push(run.events().to_vec());
+        ControlFlow::Continue(())
+    })?;
     if chains.is_empty() {
         return Ok(None);
     }
@@ -190,7 +190,7 @@ fn check_against_fresh(
             // Respect the side condition adom(J) ∩ new(α) = ∅ by
             // renaming the chain's new values away from f2 (Lemma A.2
             // makes the renamed chain equivalent on f1).
-            let Some(alpha) = avoid_adom(spec, f1, f2, chain, chain_pool) else {
+            let Some(alpha) = avoid_adom(spec, f1, f2, chain, pool) else {
                 // No renaming available within the pool: a capacity
                 // exhaustion rather than a silent skip.
                 return Err(Reason::SizeCap);
@@ -209,57 +209,6 @@ fn check_against_fresh(
         }
     }
     Ok(None)
-}
-
-/// All minimum p-faithful silent-then-visible chains of length ≤ `h`
-/// applicable on `initial`.
-pub(crate) fn enumerate_chains(
-    spec: &Arc<WorkflowSpec>,
-    peer: PeerId,
-    initial: &Instance,
-    pool: &[Value],
-    h: usize,
-    gov: &Governor,
-) -> Result<Vec<Vec<Event>>, Reason> {
-    let mut out = Vec::new();
-    let base = Run::with_initial(Arc::clone(spec), initial.clone());
-    // DFS over silent prefixes; a visible event closes a candidate chain.
-    fn go(
-        run: &Run,
-        peer: PeerId,
-        pool: &[Value],
-        h: usize,
-        gov: &Governor,
-        out: &mut Vec<Vec<Event>>,
-    ) -> Result<(), Reason> {
-        let depth = run.len();
-        let Some(candidates) = applicable_events_for_run(run.spec(), run, pool) else {
-            // Pool headroom ran out: capacity exhaustion.
-            return Err(Reason::SizeCap);
-        };
-        for t in &candidates {
-            gov.tick()?;
-            let mut next = run.clone();
-            if next.push(t.clone()).is_err() {
-                continue;
-            }
-            if next.visible_at(depth, peer) {
-                // Candidate chain end: check minimum p-faithfulness.
-                let seed = EventSet::from_iter(next.len(), [depth]);
-                if tp_closure(&next, facts(&next).index(), peer, &seed).len() == next.len() {
-                    out.push(next.events().to_vec());
-                }
-            } else if depth + 1 < h {
-                go(&next, peer, pool, h, gov, out)?;
-            }
-        }
-        Ok(())
-    }
-    if h == 0 {
-        return Ok(out);
-    }
-    go(&base, peer, pool, h, gov, &mut out)?;
-    Ok(out)
 }
 
 /// Renames the chain's new values so that `new(α) ∩ adom(f2) = ∅`, drawing
@@ -368,8 +317,7 @@ pub fn sample_transparency_violation(
         let _ = sim.steps(run_len);
         let run = sim.into_run();
         for st in stages(&run, peer) {
-            if let Some((offsets, sub)) = minimum_faithful_of_stage(&run, peer, &st) {
-                let _ = offsets;
+            if let Some((_, sub)) = minimum_faithful_of_stage(&run, peer, &st) {
                 let pre = run.pre_instance(st.start).clone();
                 chains.push((pre, sub.events().to_vec()));
             }

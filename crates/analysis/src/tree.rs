@@ -14,6 +14,7 @@
 //! [`MAX_FRESH`] created values are skipped with a counter).
 
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use cwf_engine::{apply_event, Run, Simulator};
@@ -22,9 +23,8 @@ use cwf_model::{Governor, Instance, PeerId, Value, ViewInstance};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::space::{applicable_events, completion_pool, constant_pool, Limits};
+use crate::space::{applicable_events, completion_pool, constant_pool, Explorer, Limits};
 use crate::synthesis::{view_as_instance, Synthesis};
-use crate::transparency::enumerate_chains;
 
 /// Maximum created values per outcome for exact canonicalization.
 pub const MAX_FRESH: usize = 4;
@@ -125,15 +125,14 @@ fn observations_p(
     gov: &Governor,
     skipped: &mut usize,
 ) -> Option<BTreeSet<String>> {
-    let chains = enumerate_chains(spec, peer, state, pool, h, gov).ok()?;
     let known: BTreeSet<Value> = state
         .adom()
         .into_iter()
         .chain(spec.program().const_set())
         .collect();
     let mut out = BTreeSet::new();
-    for chain in chains {
-        let run = Run::replay(Arc::clone(spec), state.clone(), chain).ok()?;
+    let explorer = Explorer::new(spec, peer, pool, 1..=h, gov);
+    let mut visit = |run: Run| {
         let view = spec.collab().view_of(run.current(), peer);
         match canonical_view(&view, spec.collab().schema(), &known) {
             Some(c) => {
@@ -141,7 +140,9 @@ fn observations_p(
             }
             None => *skipped += 1,
         }
-    }
+        ControlFlow::Continue(())
+    };
+    explorer.chains(state, &[], &mut visit).ok()?;
     Some(out)
 }
 

@@ -98,4 +98,44 @@ mod tests {
             assert_eq!(run.visible_events(p), vec![k]);
         }
     }
+
+    /// The node count a governed Section 5 search charges, as a count: the
+    /// explorer ticks once per instance and once per candidate trial, so
+    /// any other count means the tick order moved, and with it the meaning
+    /// of a budgeted `Anytime`/`Exhausted` answer. The pools must agree.
+    #[test]
+    fn section_5_searches_charge_exact_node_counts() {
+        use cwf_analysis::{check_h_bounded_pooled, check_transparent_pooled, Limits};
+        use cwf_model::{Governor, Pool};
+
+        let limits = Limits {
+            max_nodes: 50_000_000,
+            max_tuples_per_rel: 1,
+            extra_constants: Some(0),
+        };
+        for (k, h, want) in [(2, 3, 402), (3, 4, 6_519)] {
+            let spec = chain_program(k);
+            let p = chain_observer(&spec);
+            for threads in [1, 2, 4] {
+                let gov = Governor::with_nodes(limits.max_nodes);
+                let pool = Pool::with_threads(threads);
+                let d = check_h_bounded_pooled(&spec, p, h, &limits, &gov, &pool);
+                assert!(d.holds(), "chain_program({k}) is {h}-bounded");
+                assert_eq!(gov.nodes_used(), want, "k={k} h={h} at {threads} threads");
+            }
+        }
+        let limits = Limits {
+            extra_constants: Some(2),
+            ..limits
+        };
+        let spec = chain_program(2);
+        let p = chain_observer(&spec);
+        for threads in [1, 4] {
+            let gov = Governor::with_nodes(limits.max_nodes);
+            let pool = Pool::with_threads(threads);
+            let d = check_transparent_pooled(&spec, p, 3, &limits, &gov, &pool);
+            assert!(d.holds(), "chain_program(2) is transparent");
+            assert_eq!(gov.nodes_used(), 474, "transparency at {threads} threads");
+        }
+    }
 }

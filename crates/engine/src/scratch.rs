@@ -177,7 +177,7 @@ impl ScratchRun {
     }
 
     /// The values a fresh instantiation must avoid.
-    pub(crate) fn used_values(&self) -> &BTreeSet<Value> {
+    pub fn used_values(&self) -> &BTreeSet<Value> {
         &self.past_adom
     }
 

@@ -213,18 +213,15 @@ pub struct ViewPlane {
 }
 
 impl ViewPlane {
-    /// Bootstraps the plane over `initial` (all views materialized through
-    /// the delta path).
+    /// Bootstraps the plane over `initial`: each peer's view is
+    /// `initial@p`, built directly.
     pub fn new(collab: &CollabSchema, initial: &Instance) -> Self {
-        let mut views: Vec<ViewInstance> =
-            collab.peer_ids().map(|p| collab.empty_view(p)).collect();
-        let from_empty = InstanceDiff::between(&Instance::empty(collab.schema()), initial);
-        if !from_empty.is_empty() {
-            for p in collab.peer_ids() {
-                peer_delta(collab, p, &from_empty, initial).apply_to_view(&mut views[p.index()]);
-            }
+        ViewPlane {
+            views: collab
+                .peer_ids()
+                .map(|p| collab.view_of(initial, p))
+                .collect(),
         }
-        ViewPlane { views }
     }
 
     /// Peer `p`'s maintained view.

@@ -242,19 +242,6 @@ impl CollabSchema {
         ViewInstance { rels }
     }
 
-    /// The empty view instance at `p`: one (empty) relation entry per
-    /// visible relation — structurally identical to
-    /// `view_of(&Instance::empty(..), p)`, without touching an instance.
-    /// This is the bootstrap point of the incremental view plane.
-    pub fn empty_view(&self, p: PeerId) -> ViewInstance {
-        ViewInstance {
-            rels: self.views[p.index()]
-                .keys()
-                .map(|rel| (*rel, RelStore::new()))
-                .collect(),
-        }
-    }
-
     /// `att(R, q)` for a peer that sees `R`; `None` otherwise.
     pub fn relevant_attrs(&self, p: PeerId, rel: RelId) -> Option<BTreeSet<AttrId>> {
         self.view(p, rel).map(ViewRel::relevant_attrs)
@@ -570,17 +557,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_view_matches_view_of_empty_instance() {
-        let (cs, p, q, _) = example_2_2();
-        let empty = Instance::empty(cs.schema());
-        assert_eq!(cs.empty_view(p), cs.view_of(&empty, p));
-        assert_eq!(cs.empty_view(q), cs.view_of(&empty, q));
-    }
-
-    #[test]
     fn upsert_remove_and_rel_len() {
         let (cs, _, q, r) = example_2_2();
-        let mut v = cs.empty_view(q);
+        let empty = Instance::empty(cs.schema());
+        let mut v = cs.view_of(&empty, q);
         assert_eq!(v.rel_len(r), 0);
         v.upsert(r, Tuple::new([Value::str("k"), Value::str("a")]));
         v.upsert(r, Tuple::new([Value::str("k"), Value::str("b")]));
@@ -594,7 +574,6 @@ mod tests {
         assert_eq!(v.rel_len(r), 0);
         // Removal keeps the (empty) relation entry: structural equality with
         // view_of is preserved.
-        let empty = Instance::empty(cs.schema());
         assert_eq!(v, cs.view_of(&empty, q));
     }
 
