@@ -30,7 +30,9 @@ use std::sync::Arc;
 use cwf_core::{facts, tp_closure, EventSet};
 use cwf_engine::{apply_event, event_visible, Event, Run, ScratchRun};
 use cwf_lang::WorkflowSpec;
-use cwf_model::{Bound, FirstHit, Governor, Instance, PeerId, Reason, Tuple, Value, Verdict};
+use cwf_model::{
+    Bound, FirstHit, Governor, Instance, PeerId, Reason, Tuple, Value, Verdict, ViewInstance,
+};
 
 /// Budgets and caps for the bounded searches.
 #[derive(Debug, Clone)]
@@ -108,11 +110,31 @@ pub(crate) fn completion_pool(spec: &WorkflowSpec, m: usize, pool: &[Value]) -> 
 /// per (rule, body valuation) covers all fresh choices up to isomorphism, so
 /// the searches of Theorems 5.10/5.11/5.13 never enumerate ground templates.
 ///
+/// Every peer's view of `instance` is built once, for all its rules; a
+/// caller that maintains the views calls [`applicable_events_from`].
+///
 /// Returns `None` when the pool has too few unused constants for some
 /// completion (raise `extra_constants`).
 pub(crate) fn applicable_events(
     spec: &WorkflowSpec,
     instance: &Instance,
+    pool: &[Value],
+    avoid: &BTreeSet<Value>,
+) -> Option<Vec<Event>> {
+    let collab = spec.collab();
+    let views: Vec<ViewInstance> = collab
+        .peer_ids()
+        .map(|p| collab.view_of(instance, p))
+        .collect();
+    applicable_events_from(spec, instance, |p| &views[p.index()], pool, avoid)
+}
+
+/// [`applicable_events`] with each peer's view of `instance` read from
+/// `view`, such as the views a [`ScratchRun`] maintains.
+pub(crate) fn applicable_events_from<'v>(
+    spec: &WorkflowSpec,
+    instance: &Instance,
+    view: impl Fn(PeerId) -> &'v ViewInstance,
     pool: &[Value],
     avoid: &BTreeSet<Value>,
 ) -> Option<Vec<Event>> {
@@ -122,9 +144,8 @@ pub(crate) fn applicable_events(
     let mut out = Vec::new();
     for rid in spec.program().rule_ids() {
         let rule = spec.program().rule(rid);
-        let view = spec.collab().view_of(instance, rule.peer);
         let fresh_vars: Vec<_> = rule.fresh_vars().into_iter().collect();
-        for mut b in match_body(rule, &view) {
+        for mut b in match_body(rule, view(rule.peer)) {
             let mut taken: BTreeSet<Value> = BTreeSet::new();
             let mut ok = true;
             for &v in &fresh_vars {
@@ -164,8 +185,8 @@ pub(crate) fn applicable_events(
 /// chains on an initial instance whose events are all silent at `peer` but
 /// the last, which is visible, whose length lies in `lens`, and which are
 /// their own minimum p-faithful run (`T_p^ω` of the last event covers the
-/// chain). Candidates are [`applicable_events`] of the current state, so
-/// fresh values are completed canonically from `pool`.
+/// chain). Candidates are [`applicable_events_from`] the views the current
+/// state maintains, so fresh values are completed canonically from `pool`.
 ///
 /// The search owns one [`ScratchRun`]: each candidate is stepped in place
 /// ([`ScratchRun::apply`]) and taken back ([`ScratchRun::undo`]), and its
@@ -237,9 +258,13 @@ impl<'a> Explorer<'a> {
         state: &mut ScratchRun,
         mut f: impl FnMut(&mut ScratchRun, &Event, bool) -> Result<ControlFlow<()>, Reason>,
     ) -> Result<ControlFlow<()>, Reason> {
-        let Some(candidates) =
-            applicable_events(self.spec, state.current(), self.pool, state.used_values())
-        else {
+        let Some(candidates) = applicable_events_from(
+            self.spec,
+            state.current(),
+            |p| state.view(p),
+            self.pool,
+            state.used_values(),
+        ) else {
             // Not enough fresh headroom in the pool: a capacity-style
             // exhaustion (raise `extra_constants`).
             return Err(Reason::SizeCap);

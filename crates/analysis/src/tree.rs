@@ -11,7 +11,8 @@
 //! Observations are compared up to renaming of created values: each outcome
 //! view has its fresh values replaced by placeholders, minimizing over
 //! placeholder assignments (exact canonicalization; outcomes with more than
-//! [`MAX_FRESH`] created values are skipped with a counter).
+//! [`MAX_FRESH`] created values are skipped, and a check that skipped one
+//! cannot answer that the trees agree).
 
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
@@ -19,10 +20,11 @@ use std::sync::Arc;
 
 use cwf_engine::{apply_event, Run, Simulator};
 use cwf_lang::WorkflowSpec;
-use cwf_model::{Governor, Instance, PeerId, Value, ViewInstance};
+use cwf_model::{Governor, Instance, PeerId, Reason, Value, ViewInstance};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::boundedness::Decision;
 use crate::space::{applicable_events, completion_pool, constant_pool, Explorer, Limits};
 use crate::synthesis::{view_as_instance, Synthesis};
 
@@ -124,7 +126,7 @@ fn observations_p(
     h: usize,
     gov: &Governor,
     skipped: &mut usize,
-) -> Option<BTreeSet<String>> {
+) -> Result<BTreeSet<String>, Reason> {
     let known: BTreeSet<Value> = state
         .adom()
         .into_iter()
@@ -142,24 +144,26 @@ fn observations_p(
         }
         ControlFlow::Continue(())
     };
-    explorer.chains(state, &[], &mut visit).ok()?;
-    Some(out)
+    explorer.chains(state, &[], &mut visit)?;
+    Ok(out)
 }
 
-/// The canonical next-observation set of `P@p` from the matching view state.
+/// The canonical next-observation set of `P@p` from the matching view
+/// state; [`Reason::SizeCap`] when the pool has no fresh headroom left.
 fn observations_view(
     synth: &Synthesis,
     view_state: &Instance,
     pool: &[Value],
     skipped: &mut usize,
-) -> Option<BTreeSet<String>> {
+) -> Result<BTreeSet<String>, Reason> {
     let spec = &synth.view_spec;
     let known: BTreeSet<Value> = view_state
         .adom()
         .into_iter()
         .chain(spec.program().const_set())
         .collect();
-    let events = applicable_events(spec, view_state, pool, &BTreeSet::new())?;
+    let events =
+        applicable_events(spec, view_state, pool, &BTreeSet::new()).ok_or(Reason::SizeCap)?;
     let mut out = BTreeSet::new();
     for e in &events {
         let Ok(next) = apply_event(spec, view_state, e) else {
@@ -178,12 +182,18 @@ fn observations_view(
             None => *skipped += 1,
         }
     }
-    Some(out)
+    Ok(out)
 }
 
 /// Samples reachable `P`-states from random runs and compares next-
-/// observation sets against `P@p` (Remark 5.2's tree equivalence). Returns
-/// the first divergence, or `None` if all sampled states agree.
+/// observation sets against `P@p` (Remark 5.2's tree equivalence).
+///
+/// Returns the first divergence as a counterexample, and
+/// [`Decision::Holds`] when every sampled state agrees on every outcome. A
+/// check that could not compare is [`Decision::Exhausted`]: the governor
+/// ran out, the pool had no fresh headroom ([`Reason::SizeCap`]), or some
+/// outcome had more than [`MAX_FRESH`] created values and was left out of
+/// the comparison (also [`Reason::SizeCap`]).
 #[allow(clippy::too_many_arguments)]
 pub fn sample_tree_divergence(
     spec: &Arc<WorkflowSpec>,
@@ -194,7 +204,7 @@ pub fn sample_tree_divergence(
     n_runs: usize,
     run_len: usize,
     seed: u64,
-) -> Option<TreeMismatch> {
+) -> Decision<TreeMismatch> {
     let pool = constant_pool(spec, h + 1, limits);
     let chain_pool = completion_pool(spec, h + 1, &pool);
     let gov = Governor::with_nodes(limits.max_nodes);
@@ -204,22 +214,25 @@ pub fn sample_tree_divergence(
         let mut sim = Simulator::new(Run::new(Arc::clone(spec)), rng);
         let _ = sim.steps(run_len);
         let run = sim.into_run();
-        // Compare at every prefix state (including the initial one).
+        // Compare at every prefix state (including the initial one),
+        // rolling one instance forward through the diffs.
+        let mut state = run.initial().clone();
         for i in 0..=run.len() {
-            let state = if i == 0 {
-                run.initial().clone()
-            } else {
-                run.instance(i - 1).clone()
-            };
-            let Some(obs_p) =
-                observations_p(spec, peer, &state, &chain_pool, h, &gov, &mut skipped)
-            else {
-                return None; // governor exhausted: inconclusive
+            if i > 0 {
+                run.diff(i - 1).apply_to(&mut state);
+            }
+            let obs_p = match observations_p(spec, peer, &state, &chain_pool, h, &gov, &mut skipped)
+            {
+                Ok(obs) => obs,
+                Err(reason) => return Decision::Exhausted(reason),
             };
             let view_state = view_as_instance(synth, &spec.collab().view_of(&state, peer));
-            let obs_v = observations_view(synth, &view_state, &chain_pool, &mut skipped)?;
+            let obs_v = match observations_view(synth, &view_state, &chain_pool, &mut skipped) {
+                Ok(obs) => obs,
+                Err(reason) => return Decision::Exhausted(reason),
+            };
             if obs_p != obs_v {
-                return Some(TreeMismatch {
+                return Decision::CounterExample(TreeMismatch {
                     state,
                     only_in_p: obs_p.difference(&obs_v).cloned().collect(),
                     only_in_view: obs_v.difference(&obs_p).cloned().collect(),
@@ -227,7 +240,11 @@ pub fn sample_tree_divergence(
             }
         }
     }
-    None
+    if skipped > 0 {
+        Decision::Exhausted(Reason::SizeCap)
+    } else {
+        Decision::Holds
+    }
 }
 
 #[cfg(test)]
@@ -300,7 +317,7 @@ mod tests {
         let sue = spec.collab().peer("sue").unwrap();
         let synth = synthesize_view_program(&spec, sue, 2, &limits()).unwrap();
         let d = sample_tree_divergence(&spec, &synth, sue, 2, &limits(), 8, 6, 3);
-        assert!(d.is_none(), "got {d:?}");
+        assert!(d.holds(), "got {d:?}");
     }
 
     #[test]
@@ -328,7 +345,62 @@ mod tests {
         let p = spec.collab().peer("p").unwrap();
         let synth = synthesize_view_program(&spec, p, 1, &limits()).unwrap();
         let d = sample_tree_divergence(&spec, &synth, p, 1, &limits(), 20, 6, 11);
-        let d = d.expect("the lock divergence must surface");
+        let d = d
+            .counter_example()
+            .expect("the lock divergence must surface");
         assert!(!d.only_in_p.is_empty() || !d.only_in_view.is_empty());
+    }
+
+    #[test]
+    fn a_check_that_could_not_compare_is_exhausted() {
+        // The guarded hiring program agrees on samples with room to
+        // search; with one governor node the check cannot compare at all.
+        let spec = Arc::new(
+            parse_workflow(
+                r#"
+                schema { Cleared(K); Approved(K); Hire(K); }
+                peers {
+                    hr sees Cleared(*), Approved(*), Hire(*);
+                    ceo sees Cleared(*), Approved(*), Hire(*);
+                    sue sees Cleared(*), Hire(*);
+                }
+                rules {
+                    clear @ hr: +Cleared(x) :- ;
+                    approve @ ceo: +Approved(x) :- Cleared(x), not key Approved(x);
+                    hire @ hr: +Hire(x) :- Approved(x), not key Hire(x);
+                }
+                "#,
+            )
+            .unwrap(),
+        );
+        let sue = spec.collab().peer("sue").unwrap();
+        let synth = synthesize_view_program(&spec, sue, 2, &limits()).unwrap();
+        let starved = Limits {
+            max_nodes: 1,
+            ..limits()
+        };
+        let d = sample_tree_divergence(&spec, &synth, sue, 2, &starved, 8, 6, 3);
+        assert!(matches!(d, Decision::Exhausted(Reason::Nodes)), "got {d:?}");
+
+        // Every outcome of `mk` creates five values, one more than
+        // `MAX_FRESH`: on the initial state nothing is compared, so the
+        // check may not read as agreement.
+        let wide = Arc::new(
+            parse_workflow(
+                r#"
+                schema { R(K, A, B, C, D); }
+                peers { p sees R(*); }
+                rules { mk @ p: +R(a, b, c, d, e) :- ; }
+                "#,
+            )
+            .unwrap(),
+        );
+        let p = wide.collab().peer("p").unwrap();
+        let synth = synthesize_view_program(&wide, p, 1, &limits()).unwrap();
+        let d = sample_tree_divergence(&wide, &synth, p, 1, &limits(), 1, 0, 5);
+        assert!(
+            matches!(d, Decision::Exhausted(Reason::SizeCap)),
+            "got {d:?}"
+        );
     }
 }

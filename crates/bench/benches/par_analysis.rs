@@ -26,9 +26,9 @@
 //! a single-core host every pool size collapses to time-slicing and ≈1× is
 //! the honest expectation.
 
+use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::black_box;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

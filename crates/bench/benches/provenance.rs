@@ -22,16 +22,15 @@
 //! Every search runs on the sequential pool, so the node counts do not
 //! depend on the host's core count.
 //!
-//! Timings print criterion-style; the measured numbers land in
+//! Timings print one line each; the measured numbers land in
 //! `BENCH_provenance.json` at the repository root (consumed by
 //! EXPERIMENTS.md E22 and gated by `bench_check`: `explain_cost` may rise
 //! at most 25% above its baseline, and each node count is a ceiling).
 
 use std::collections::BTreeMap;
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
-
-use criterion::black_box;
 
 use cwf_core::{search_min_scenario_pooled, SearchOptions};
 use cwf_engine::{Bindings, Event, Run};

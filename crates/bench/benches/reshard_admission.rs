@@ -18,50 +18,14 @@
 //! the migrating pass lands on the identical state and its throughput is
 //! the same order of magnitude as idle, not a stop-the-world outage.
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
-use criterion::black_box;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
+use cwf_bench::plane::{build_events, durable_plane, opts, ITERS, STEPS, WARMUP};
 use cwf_engine::chaos::default_spec;
-use cwf_engine::transport::Transport;
-use cwf_engine::{
-    candidates, complete, Event, MemBackend, PerfectTransport, Run, ShardId, ShardPlane,
-    ShardPlaneConfig, SyncPolicy, Wal, WalOptions,
-};
+use cwf_engine::{Event, MemBackend, PerfectTransport, ShardId, Wal};
 use cwf_lang::WorkflowSpec;
-
-const STEPS: usize = 200;
-const WARMUP: usize = 1;
-const ITERS: usize = 8;
-
-fn opts() -> WalOptions {
-    WalOptions {
-        sync: SyncPolicy::Always,
-        snapshot_every: Some(64),
-    }
-}
-
-/// One seeded workload, replayable on any deployment: accepted events only.
-fn build_events(spec: &Arc<WorkflowSpec>) -> Vec<Event> {
-    let mut run = Run::new(Arc::clone(spec));
-    let mut rng = StdRng::seed_from_u64(20);
-    let mut events = Vec::new();
-    let mut attempts = 0usize;
-    while events.len() < STEPS {
-        attempts += 1;
-        assert!(attempts < STEPS * 20, "workload generation stalled");
-        let cands = candidates(&run);
-        let cand = cands[rng.gen_range(0..cands.len())].clone();
-        let event = complete(&mut run, &cand);
-        if run.push(event.clone()).is_ok() {
-            events.push(event);
-        }
-    }
-    events
-}
 
 /// Mean seconds per pass of `idle` and of `migrating`, with the checksum
 /// of each one's last pass. The two alternate, one pass each per round,
@@ -85,22 +49,6 @@ fn time_alternating<I: FnMut() -> usize, M: FnMut() -> usize>(
     }
     let n = ITERS as f64;
     ((idle_s / n, idle_sum), (mig_s / n, mig_sum))
-}
-
-/// A fresh durable plane over per-shard in-memory streams.
-fn durable_plane(spec: &Arc<WorkflowSpec>, shards: usize) -> ShardPlane {
-    let wals: Vec<Wal> = (0..shards)
-        .map(|_| Wal::create(Box::new(MemBackend::new()), opts()).expect("fresh backend"))
-        .collect();
-    let transports: Vec<Box<dyn Transport>> = (0..shards)
-        .map(|_| Box::new(PerfectTransport::new()) as Box<dyn Transport>)
-        .collect();
-    ShardPlane::with_parts(
-        Arc::clone(spec),
-        transports,
-        Some(wals),
-        ShardPlaneConfig::with_shards(shards),
-    )
 }
 
 /// Submit everything against a quiescent 4-shard map and converge.
@@ -141,7 +89,7 @@ fn migrating_pass(spec: &Arc<WorkflowSpec>, events: &[Event]) -> (usize, u64) {
 
 fn main() {
     let spec = default_spec();
-    let events = build_events(&spec);
+    let events = build_events(&spec, 20);
 
     let mut migrated = 0u64;
     let ((idle_s, idle_sum), (mig_s, mig_sum)) = time_alternating(

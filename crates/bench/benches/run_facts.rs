@@ -24,9 +24,8 @@
 //! (consumed by EXPERIMENTS.md E26 and gated by `bench_check` as a cost:
 //! the ratio may rise at most 25% above its baseline).
 
+use std::hint::black_box;
 use std::time::Instant;
-
-use criterion::black_box;
 
 use cwf_bench::explain_batch_corpus;
 use cwf_core::{minimal_faithful_scenario, search_min_scenario_pooled, SearchOptions};

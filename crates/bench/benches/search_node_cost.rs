@@ -19,9 +19,8 @@
 //! root (consumed by EXPERIMENTS.md E25 and gated by `bench_check`: the
 //! cost may rise at most 25% above its baseline).
 
+use std::hint::black_box;
 use std::time::Instant;
-
-use criterion::black_box;
 
 use cwf_bench::explain_batch_corpus;
 use cwf_core::{search_min_scenario_pooled, SearchOptions};

@@ -20,60 +20,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use criterion::black_box;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
+use cwf_bench::plane::{build_events, time_shard_counts, ITERS, STEPS};
 use cwf_engine::chaos::default_spec;
-use cwf_engine::{candidates, complete, Event, PerfectTransport, Run, ShardPlane};
+use cwf_engine::{Event, PerfectTransport, ShardPlane};
 use cwf_lang::WorkflowSpec;
-
-const STEPS: usize = 200;
-const WARMUP: usize = 1;
-const ITERS: usize = 8;
-
-/// One seeded workload, replayable on any deployment: accepted events only.
-fn build_events(spec: &Arc<WorkflowSpec>) -> Vec<Event> {
-    let mut run = Run::new(Arc::clone(spec));
-    let mut rng = StdRng::seed_from_u64(18);
-    let mut events = Vec::new();
-    let mut attempts = 0usize;
-    while events.len() < STEPS {
-        attempts += 1;
-        assert!(attempts < STEPS * 20, "workload generation stalled");
-        let cands = candidates(&run);
-        let cand = cands[rng.gen_range(0..cands.len())].clone();
-        let event = complete(&mut run, &cand);
-        if run.push(event.clone()).is_ok() {
-            events.push(event);
-        }
-    }
-    events
-}
-
-/// Mean seconds per pass at each shard count, with the checksum of the
-/// last pass. Passes run round-robin over the shard counts, so host noise
-/// lands on every count alike and cancels in the ratios the regression
-/// gate compares.
-fn time_shard_counts<F: FnMut(usize) -> usize>(
-    counts: &[usize],
-    mut pass: F,
-) -> Vec<(usize, f64, usize)> {
-    let mut out: Vec<(usize, f64, usize)> = counts.iter().map(|&n| (n, 0.0, 0)).collect();
-    for round in 0..WARMUP + ITERS {
-        for (shards, total, checksum) in &mut out {
-            let start = Instant::now();
-            *checksum = black_box(pass(*shards));
-            if round >= WARMUP {
-                *total += start.elapsed().as_secs_f64();
-            }
-        }
-    }
-    for (_, total, _) in &mut out {
-        *total /= ITERS as f64;
-    }
-    out
-}
 
 /// Submit everything through a fresh `shards`-shard plane and converge.
 fn plane_pass(spec: &Arc<WorkflowSpec>, events: &[Event], shards: usize) -> usize {
@@ -115,7 +65,7 @@ fn handoff_latency(spec: &Arc<WorkflowSpec>, events: &[Event], split: usize) -> 
 
 fn main() {
     let spec = default_spec();
-    let events = build_events(&spec);
+    let events = build_events(&spec, 18);
 
     let plane_results = time_shard_counts(&[1, 2, 4], |n| plane_pass(&spec, &events, n));
     let (_, one_s, one_sum) = plane_results[0];

@@ -22,9 +22,8 @@
 //! (consumed by EXPERIMENTS.md E24 and gated by `bench_check`: the
 //! speedup may fall at most 25% below its baseline).
 
+use std::hint::black_box;
 use std::time::Instant;
-
-use criterion::black_box;
 
 use cwf_bench::explain_batch_corpus;
 use cwf_core::facts;

@@ -11,14 +11,14 @@
 //!   `(step, peer)` pair, what the engine did before the view plane.
 //!
 //! The two passes run round-robin, so host noise lands on both alike and
-//! cancels in the speedup. Besides the criterion-style timings, the bench
+//! cancels in the speedup. Besides the printed timings, the bench
 //! writes the measured totals and the speedup to `BENCH_view_plane.json` at
 //! the repository root (consumed by EXPERIMENTS.md E16). The acceptance bar
 //! is a ≥5× speedup.
 
+use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::black_box;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -1,5 +1,5 @@
 //! The experiment runner: regenerates every experiment table of
-//! EXPERIMENTS.md (E1–E12, DESIGN.md §5).
+//! EXPERIMENTS.md (E1–E14, DESIGN.md §5).
 //!
 //! ```sh
 //! cargo run -p cwf-bench --release --bin experiments
@@ -9,6 +9,7 @@
 //! checks the *shape* its theorem predicts — who wins, how costs scale,
 //! where bounds sit. Absolute numbers are machine-dependent.
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,8 +28,11 @@ use cwf_core::{
 use cwf_design::{
     acyclicity_bound, in_t_runs, is_p_acyclic, p_fresh_candidates, TransparentEngine,
 };
-use cwf_engine::{Run, Simulator};
-use cwf_model::{Governor, Verdict};
+use cwf_engine::{
+    MemBackend, PerfectTransport, Run, ShardPlane, ShardPlaneConfig, Simulator, SyncPolicy, Wal,
+    WalOptions,
+};
+use cwf_model::{chase_with, Governor, Instance, RelSchema, Schema, Tuple, Value, Verdict};
 use cwf_workloads::{
     build_procurement_run, build_review_run, hiring_no_cfo, hitting_set_workload, transitive_spec,
     unsat_workload, Cnf, HittingSet,
@@ -475,6 +479,109 @@ fn e11_engine() {
         r.run.len(),
         r.run.view(r.author).len()
     );
+    e11_chase();
+    e11_recovery();
+}
+
+/// E11's chase micro-bench: one `chase_with` merge into instances of
+/// growing size, mean of `CALLS` calls.
+fn e11_chase() {
+    const CALLS: u32 = 100;
+    println!("\n{:>9} {:>14}", "tuples", "chase_with");
+    let schema = Schema::from_relations([RelSchema::new("R", ["K", "A", "B"]).unwrap()]).unwrap();
+    let r = schema.rel("R").unwrap();
+    for size in [100usize, 1000, 10_000] {
+        let mut inst = Instance::empty(&schema);
+        for i in 0..size {
+            inst.rel_mut(r)
+                .insert(Tuple::new([
+                    Value::int(i as i64),
+                    Value::str("a"),
+                    Value::Null,
+                ]))
+                .unwrap();
+        }
+        let extra = Tuple::new([Value::int((size / 2) as i64), Value::Null, Value::str("b")]);
+        let (_, t) = time(|| {
+            for _ in 0..CALLS {
+                black_box(chase_with(&schema, &inst, r, extra.clone()).unwrap());
+            }
+        });
+        println!(
+            "{:>9} {:>11.2} us",
+            size,
+            t.as_secs_f64() * 1e6 / f64::from(CALLS)
+        );
+    }
+    println!("shape: one merge copies the instance, so its cost grows with the size");
+    println!("       (about linearly).");
+}
+
+/// E11's durability rows: recovering the single-node master server (a
+/// shards=1 `ShardPlane`) by full replay vs snapshot + tail.
+fn e11_recovery() {
+    let spec = Arc::new(
+        cwf_lang::parse_workflow(
+            r#"
+            schema { Doc(K); }
+            peers { author sees Doc(*); editor sees Doc(*); }
+            rules { draft @ author: +Doc(d) :- ; }
+            "#,
+        )
+        .unwrap(),
+    );
+    let draft = spec.program().rule_by_name("draft").unwrap();
+    println!(
+        "\n{:>9} {:>14} {:>14} {:>9}",
+        "events", "recovery", "time", "replayed"
+    );
+    for n in [1_000usize, 10_000] {
+        for (label, snapshot_every) in [("full replay", None), ("snapshot+tail", Some(256))] {
+            let opts = WalOptions {
+                sync: SyncPolicy::Never,
+                snapshot_every,
+            };
+            // Journal `n` accepted events, untimed.
+            let backend = MemBackend::new();
+            let wal = Wal::create(Box::new(backend.clone()), opts).unwrap();
+            let mut plane = ShardPlane::with_parts(
+                Arc::clone(&spec),
+                vec![Box::new(PerfectTransport::new())],
+                Some(vec![wal]),
+                ShardPlaneConfig::with_shards(1),
+            );
+            for _ in 0..n {
+                let mut b = cwf_engine::Bindings::empty(1);
+                b.set(cwf_lang::VarId(0), plane.draw_fresh());
+                plane
+                    .submit(cwf_engine::Event::new(&spec, draft, b).unwrap())
+                    .unwrap();
+            }
+            let bytes = backend.bytes();
+            let (report, t) = time(|| {
+                let (_, report) = ShardPlane::recover(
+                    Arc::clone(&spec),
+                    vec![Box::new(MemBackend::from_bytes(bytes))],
+                    opts,
+                    vec![Box::new(PerfectTransport::new())],
+                    ShardPlaneConfig::with_shards(1),
+                )
+                .unwrap();
+                report
+            });
+            assert_eq!(report.last_seq as usize, n);
+            println!(
+                "{:>9} {:>14} {} {:>9}",
+                n,
+                label,
+                ms(t),
+                report.events_replayed
+            );
+        }
+    }
+    println!("shape: full replay grows with the log (faster than linearly: each replayed");
+    println!("       insert copies the instance); snapshot + tail replays fewer than the");
+    println!("       256 events between snapshots however long the log grows.");
 }
 
 fn e13_tree_equivalence() {
@@ -482,7 +589,14 @@ fn e13_tree_equivalence() {
         "E13",
         "Remark 5.2: tree equivalence of synthesized view programs",
     );
-    use cwf_analysis::{sample_tree_divergence, synthesize_view_program};
+    use cwf_analysis::{sample_tree_divergence, synthesize_view_program, Decision};
+    // A counterexample is a divergence; a check that could not compare
+    // says why.
+    let divergence = |d: &Decision<_>| match d {
+        Decision::Holds => "false".to_string(),
+        Decision::CounterExample(_) => "true".to_string(),
+        Decision::Exhausted(reason) => format!("? ({reason})"),
+    };
     let limits = Limits {
         max_nodes: 100_000_000,
         max_tuples_per_rel: 1,
@@ -495,7 +609,7 @@ fn e13_tree_equivalence() {
     let (d, t) = time(|| sample_tree_divergence(&spec, &synth, sue, 2, &limits, 10, 6, 3));
     println!(
         "hiring (guarded):   divergence = {:<5} {}",
-        d.is_some(),
+        divergence(&d),
         ms(t)
     );
     // Negative case: an invisible lock rules out a visible emission.
@@ -521,7 +635,7 @@ fn e13_tree_equivalence() {
     let (d2, t2) = time(|| sample_tree_divergence(&lock_spec, &synth2, p, 1, &limits, 20, 6, 11));
     println!(
         "lock (hidden choice): divergence = {:<5} {}",
-        d2.is_some(),
+        divergence(&d2),
         ms(t2)
     );
     println!("shape: transparent input ⇒ trees agree on samples; hidden choices diverge.");

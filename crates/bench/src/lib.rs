@@ -1,9 +1,10 @@
-//! # cwf-bench — shared fixtures for the benchmark harness
+//! # cwf-bench — the measurement harness and its shared fixtures
 //!
-//! Each Criterion bench under `benches/` regenerates one experiment of
-//! DESIGN.md §5 (E1–E12); the `experiments` binary prints the corresponding
-//! tables for EXPERIMENTS.md. This library hosts the fixtures shared by
-//! both.
+//! The `experiments` binary is the one harness of E1–E14 (DESIGN.md §5): it
+//! prints every table of EXPERIMENTS.md. The benches under `benches/` are
+//! the gated measurements (E16–E26) that `bench_check` re-runs against the
+//! checked-in `BENCH_*.json` baselines. This library hosts the fixtures
+//! they share.
 
 #![forbid(unsafe_code)]
 
@@ -67,6 +68,100 @@ pub fn explain_batch_corpus() -> Vec<Run> {
         runs.push(build_review_run(n, extra, &mut rng).run);
     }
     runs
+}
+
+/// The fixtures of the plane benches (E18–E20): one seeded workload of
+/// accepted events, the durable plane they admit into, and the
+/// round-robin timing loop over shard counts.
+pub mod plane {
+    use std::hint::black_box;
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    use cwf_engine::transport::Transport;
+    use cwf_engine::{
+        candidates, complete, Event, MemBackend, PerfectTransport, Run, ShardPlane,
+        ShardPlaneConfig, SyncPolicy, Wal, WalOptions,
+    };
+    use cwf_lang::WorkflowSpec;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Accepted events per workload.
+    pub const STEPS: usize = 200;
+    /// Untimed rounds before the timed ones.
+    pub const WARMUP: usize = 1;
+    /// Timed rounds.
+    pub const ITERS: usize = 8;
+
+    /// The WAL options of every durable plane: sync on every record, an
+    /// instance snapshot every 64 events.
+    pub fn opts() -> WalOptions {
+        WalOptions {
+            sync: SyncPolicy::Always,
+            snapshot_every: Some(64),
+        }
+    }
+
+    /// One seeded workload, replayable on any deployment: `STEPS` accepted
+    /// events of a candidate walk driven by `seed`.
+    pub fn build_events(spec: &Arc<WorkflowSpec>, seed: u64) -> Vec<Event> {
+        let mut run = Run::new(Arc::clone(spec));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut events = Vec::new();
+        let mut attempts = 0usize;
+        while events.len() < STEPS {
+            attempts += 1;
+            assert!(attempts < STEPS * 20, "workload generation stalled");
+            let cands = candidates(&run);
+            let cand = cands[rng.gen_range(0..cands.len())].clone();
+            let event = complete(&mut run, &cand);
+            if run.push(event.clone()).is_ok() {
+                events.push(event);
+            }
+        }
+        events
+    }
+
+    /// Mean seconds per pass at each shard count, with the checksum of the
+    /// last pass. Passes run round-robin over the shard counts, so host
+    /// noise lands on every count alike and cancels in the ratios the
+    /// regression gate compares.
+    pub fn time_shard_counts<F: FnMut(usize) -> usize>(
+        counts: &[usize],
+        mut pass: F,
+    ) -> Vec<(usize, f64, usize)> {
+        let mut out: Vec<(usize, f64, usize)> = counts.iter().map(|&n| (n, 0.0, 0)).collect();
+        for round in 0..WARMUP + ITERS {
+            for (shards, total, checksum) in &mut out {
+                let start = Instant::now();
+                *checksum = black_box(pass(*shards));
+                if round >= WARMUP {
+                    *total += start.elapsed().as_secs_f64();
+                }
+            }
+        }
+        for (_, total, _) in &mut out {
+            *total /= ITERS as f64;
+        }
+        out
+    }
+
+    /// A fresh durable plane over per-shard in-memory streams.
+    pub fn durable_plane(spec: &Arc<WorkflowSpec>, shards: usize) -> ShardPlane {
+        let wals: Vec<Wal> = (0..shards)
+            .map(|_| Wal::create(Box::new(MemBackend::new()), opts()).expect("fresh backend"))
+            .collect();
+        let transports: Vec<Box<dyn Transport>> = (0..shards)
+            .map(|_| Box::new(PerfectTransport::new()) as Box<dyn Transport>)
+            .collect();
+        ShardPlane::with_parts(
+            Arc::clone(spec),
+            transports,
+            Some(wals),
+            ShardPlaneConfig::with_shards(shards),
+        )
+    }
 }
 
 #[cfg(test)]

@@ -431,7 +431,7 @@ impl Oracle for ShardWalReplay {
             .iter()
             .map(|m| Box::new(MemBackend::from_bytes(m.bytes())) as Box<dyn WalBackend>)
             .collect();
-        let (run, report) = ShardPlane::replay_wals(&spec, full, cp.opts)
+        let (run, report) = ShardPlane::replay_wals(&spec, full)
             .map_err(|e| format!("quorum recovery refused the live streams: {e}"))?;
         match report.last_seq {
             s if s == accepted => {
@@ -471,7 +471,7 @@ impl Oracle for ShardWalReplay {
                 Box::new(MemBackend::from_bytes(bytes[..cut].to_vec())) as Box<dyn WalBackend>
             })
             .collect();
-        let (run, report) = ShardPlane::replay_wals(&spec, synced, cp.opts)
+        let (run, report) = ShardPlane::replay_wals(&spec, synced)
             .map_err(|e| format!("quorum recovery refused the synced prefixes: {e}"))?;
         if report.last_seq != accepted {
             return Err(format!(

@@ -646,7 +646,7 @@ impl ShardPlane {
             backends.len(),
             config.shards
         );
-        let (run, report, meta) = Self::replay_streams(&spec, &mut backends, opts)?;
+        let (run, report, meta) = Self::replay_streams(&spec, &mut backends)?;
         let wals: Vec<Wal> = backends
             .into_iter()
             .zip(meta.next_seqs.iter().zip(&meta.valid_lens))
@@ -696,9 +696,8 @@ impl ShardPlane {
     pub fn replay_wals(
         spec: &Arc<cwf_lang::WorkflowSpec>,
         mut backends: Vec<Box<dyn WalBackend>>,
-        opts: WalOptions,
     ) -> Result<(Run, RecoveryReport), WalError> {
-        let (run, report, _) = Self::replay_streams(spec, &mut backends, opts)?;
+        let (run, report, _) = Self::replay_streams(spec, &mut backends)?;
         Ok((run, report))
     }
 
@@ -707,7 +706,6 @@ impl ShardPlane {
     fn replay_streams(
         spec: &Arc<cwf_lang::WorkflowSpec>,
         backends: &mut [Box<dyn WalBackend>],
-        _opts: WalOptions,
     ) -> Result<(Run, RecoveryReport, ReplayMeta), WalError> {
         use std::collections::{BTreeMap, BTreeSet};
         let schema = spec.collab().schema();
@@ -1207,70 +1205,38 @@ impl ShardPlane {
         // Split the diff's tuple-level changes by owning shard, in diff
         // order (created, deleted, modified). The home shard owns the first
         // written key — shard 0 for an (impossible in practice) empty diff.
-        // With one shard the partition is trivial: skip the key hashing and
-        // the map entirely (the E18/E19 fast path).
         let diff = self.run.diff(at).clone();
-        let mut ops: Vec<(ShardId, Vec<ShardOp>)> = Vec::new();
-        let home;
-        if self.shards.len() == 1 {
-            let mut local = Vec::new();
-            for (rel, t) in &diff.created {
-                local.push(ShardOp::Upsert {
-                    rel: *rel,
-                    tuple: t.clone(),
-                });
-            }
-            for (rel, t) in &diff.deleted {
-                local.push(ShardOp::Remove {
-                    rel: *rel,
-                    key: *t.key(),
-                });
-            }
-            for (rel, key, _) in &diff.modified {
-                if let Some(t) = self.run.current().rel(*rel).get(key) {
-                    local.push(ShardOp::Upsert {
-                        rel: *rel,
-                        tuple: t.clone(),
-                    });
-                }
-            }
-            home = ShardId(0);
-            if !local.is_empty() {
-                ops.push((ShardId(0), local));
-            }
-        } else {
-            let mut by_shard: std::collections::BTreeMap<ShardId, Vec<ShardOp>> =
-                std::collections::BTreeMap::new();
-            let mut first: Option<ShardId> = None;
-            for (rel, t) in &diff.created {
-                let s = self.map.shard_of(t.key());
-                first.get_or_insert(s);
+        let mut by_shard: std::collections::BTreeMap<ShardId, Vec<ShardOp>> =
+            std::collections::BTreeMap::new();
+        let mut first: Option<ShardId> = None;
+        for (rel, t) in &diff.created {
+            let s = self.map.shard_of(t.key());
+            first.get_or_insert(s);
+            by_shard.entry(s).or_default().push(ShardOp::Upsert {
+                rel: *rel,
+                tuple: t.clone(),
+            });
+        }
+        for (rel, t) in &diff.deleted {
+            let s = self.map.shard_of(t.key());
+            first.get_or_insert(s);
+            by_shard.entry(s).or_default().push(ShardOp::Remove {
+                rel: *rel,
+                key: *t.key(),
+            });
+        }
+        for (rel, key, _) in &diff.modified {
+            let s = self.map.shard_of(key);
+            first.get_or_insert(s);
+            if let Some(t) = self.run.current().rel(*rel).get(key) {
                 by_shard.entry(s).or_default().push(ShardOp::Upsert {
                     rel: *rel,
                     tuple: t.clone(),
                 });
             }
-            for (rel, t) in &diff.deleted {
-                let s = self.map.shard_of(t.key());
-                first.get_or_insert(s);
-                by_shard.entry(s).or_default().push(ShardOp::Remove {
-                    rel: *rel,
-                    key: *t.key(),
-                });
-            }
-            for (rel, key, _) in &diff.modified {
-                let s = self.map.shard_of(key);
-                first.get_or_insert(s);
-                if let Some(t) = self.run.current().rel(*rel).get(key) {
-                    by_shard.entry(s).or_default().push(ShardOp::Upsert {
-                        rel: *rel,
-                        tuple: t.clone(),
-                    });
-                }
-            }
-            home = first.unwrap_or(ShardId(0));
-            ops.extend(by_shard);
         }
+        let home = first.unwrap_or(ShardId(0));
+        let ops: Vec<(ShardId, Vec<ShardOp>)> = by_shard.into_iter().collect();
         // Stamp the admission and mint each owning shard's oplog stamp,
         // folding stamps both ways so causality survives into the clocks
         // (every stamp of event i orders strictly below every stamp of
@@ -1406,38 +1372,26 @@ impl ShardPlane {
         }
         // Route every peer's view delta: split by owning shard, enqueue
         // each slice on that shard's delivery plane (ascending shard order
-        // per peer, for determinism). One shard ⇒ the slice is the delta.
+        // per peer, for determinism).
         let deltas: Vec<(PeerId, ViewDelta)> = self.run.last_deltas().to_vec();
         let mut delta_shards: std::collections::BTreeSet<ShardId> =
             std::collections::BTreeSet::new();
-        if self.shards.len() == 1 {
-            for (p, delta) in &deltas {
-                if delta.upserts.is_empty() && delta.removals.is_empty() {
-                    continue;
-                }
-                delta_shards.insert(ShardId(0));
-                self.shards[0]
-                    .delivery
-                    .enqueue(*p, delta.clone(), &mut self.ft);
+        for (p, delta) in &deltas {
+            let mut slices: std::collections::BTreeMap<ShardId, ViewDelta> =
+                std::collections::BTreeMap::new();
+            for (rel, t) in &delta.upserts {
+                let s = self.map.shard_of(t.key());
+                slices.entry(s).or_default().upserts.push((*rel, t.clone()));
             }
-        } else {
-            for (p, delta) in &deltas {
-                let mut slices: std::collections::BTreeMap<ShardId, ViewDelta> =
-                    std::collections::BTreeMap::new();
-                for (rel, t) in &delta.upserts {
-                    let s = self.map.shard_of(t.key());
-                    slices.entry(s).or_default().upserts.push((*rel, t.clone()));
-                }
-                for (rel, key) in &delta.removals {
-                    let s = self.map.shard_of(key);
-                    slices.entry(s).or_default().removals.push((*rel, *key));
-                }
-                for (s, slice) in slices {
-                    delta_shards.insert(s);
-                    self.shards[s.index()]
-                        .delivery
-                        .enqueue(*p, slice, &mut self.ft);
-                }
+            for (rel, key) in &delta.removals {
+                let s = self.map.shard_of(key);
+                slices.entry(s).or_default().removals.push((*rel, *key));
+            }
+            for (s, slice) in slices {
+                delta_shards.insert(s);
+                self.shards[s.index()]
+                    .delivery
+                    .enqueue(*p, slice, &mut self.ft);
             }
         }
         delta_shards.extend(ops.iter().map(|(s, _)| *s));
@@ -2133,7 +2087,7 @@ mod tests {
         spec: &Arc<cwf_lang::WorkflowSpec>,
         bytes: Vec<u8>,
     ) -> Result<(Run, RecoveryReport), WalError> {
-        ShardPlane::replay_wals(spec, vec![Box::new(MemBackend::from_bytes(bytes))], opts())
+        ShardPlane::replay_wals(spec, vec![Box::new(MemBackend::from_bytes(bytes))])
     }
 
     /// The delta broadcast to `p`, if any.
@@ -2422,7 +2376,7 @@ mod tests {
         assert!(ft.degraded_rejected >= 1);
 
         // What landed on the device recovers to exactly the two events.
-        let (run, report) = ShardPlane::replay_wals(&spec, vec![Box::new(inner)], opts()).unwrap();
+        let (run, report) = ShardPlane::replay_wals(&spec, vec![Box::new(inner)]).unwrap();
         assert_eq!(run.len(), 2);
         assert_eq!(report.last_seq, 2);
     }
@@ -2456,7 +2410,7 @@ mod tests {
         let spec = spec();
         let backend = MemBackend::new();
         let (run, report) =
-            ShardPlane::replay_wals(&spec, vec![Box::new(backend.clone())], opts()).unwrap();
+            ShardPlane::replay_wals(&spec, vec![Box::new(backend.clone())]).unwrap();
         assert!(run.is_empty());
         assert_eq!(report, RecoveryReport::default());
         // The scan leaves a fresh header behind, ready for appends.
@@ -2516,7 +2470,7 @@ mod tests {
         bytes.extend_from_slice(b"e 4 deadbeef t9.1.0 draft f:9");
         let survivor = MemBackend::from_bytes(bytes);
         let (run, report) =
-            ShardPlane::replay_wals(&spec, vec![Box::new(survivor.clone())], opts()).unwrap();
+            ShardPlane::replay_wals(&spec, vec![Box::new(survivor.clone())]).unwrap();
         assert_eq!(run.len(), 3);
         assert_eq!(report.truncated_bytes, 29);
         // The torn bytes are gone from storage too.

@@ -392,11 +392,8 @@ proptest! {
 
         // A restarted process recovers the full accepted sequence from the
         // file: the torn tail was re-armed away, every record replays.
-        let (run, report) = ShardPlane::replay_wals(
-            &spec,
-            vec![Box::new(FileBackend::open(&path).unwrap())],
-            opts,
-        )
+        let (run, report) =
+            ShardPlane::replay_wals(&spec, vec![Box::new(FileBackend::open(&path).unwrap())])
         .unwrap();
         let base = report.snapshot_seq.unwrap_or(0) as usize;
         prop_assert_eq!(report.last_seq as usize, expected.len());

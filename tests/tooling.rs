@@ -246,5 +246,5 @@ fn tree_divergence_matches_transparency_status() {
     let spec = hiring_no_cfo();
     let sue = spec.collab().peer("sue").unwrap();
     let synth = synthesize_view_program(&spec, sue, 2, &limits).unwrap();
-    assert!(sample_tree_divergence(&spec, &synth, sue, 2, &limits, 6, 6, 3).is_none());
+    assert!(sample_tree_divergence(&spec, &synth, sue, 2, &limits, 6, 6, 3).holds());
 }

@@ -141,7 +141,7 @@ fn replay(streams: &[Vec<u8>]) -> Result<(Run, RecoveryReport), WalError> {
             .collect()
     };
     let spec = default_spec();
-    let dry = ShardPlane::replay_wals(&spec, backends(), opts(None));
+    let dry = ShardPlane::replay_wals(&spec, backends());
     let transports: Vec<Box<dyn Transport>> = streams
         .iter()
         .map(|_| Box::new(PerfectTransport::new()) as Box<dyn Transport>)

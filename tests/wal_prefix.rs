@@ -80,7 +80,6 @@ fn assert_streams_recover(
     spec: &Arc<WorkflowSpec>,
     full: &[Vec<u8>],
     cut_lens: &[usize],
-    opts: WalOptions,
     events: &[Event],
     k: usize,
 ) {
@@ -91,7 +90,7 @@ fn assert_streams_recover(
             Box::new(MemBackend::from_bytes(bytes[..*len].to_vec())) as Box<dyn WalBackend>
         })
         .collect();
-    let (run, report) = ShardPlane::replay_wals(spec, backends, opts)
+    let (run, report) = ShardPlane::replay_wals(spec, backends)
         .unwrap_or_else(|e| panic!("streams at boundary {k} must recover: {e}"));
     assert_eq!(
         report.last_seq, k as u64,
@@ -136,7 +135,7 @@ proptest! {
             );
 
             for k in 0..=n {
-                assert_streams_recover(&spec, &full, &lens[k], opts, &events, k);
+                assert_streams_recover(&spec, &full, &lens[k], &events, k);
                 if k == n {
                     continue;
                 }
@@ -165,7 +164,7 @@ proptest! {
                             .lines()
                             .any(|l| l.starts_with('e') || l.starts_with('c'));
                         let expect = k + usize::from(decided);
-                        assert_streams_recover(&spec, &full, &cut_lens, opts, &events, expect);
+                        assert_streams_recover(&spec, &full, &cut_lens, &events, expect);
                     }
                 }
             }
@@ -232,7 +231,7 @@ fn provenance_is_rebuilt_not_persisted_across_recovery() {
         for (k, len) in lens.iter().enumerate() {
             let what = format!("boundary {k}, snapshot_every {snapshot_every:?}");
             let backend = Box::new(MemBackend::from_bytes(bytes[..len[0]].to_vec()));
-            let (mut run, _) = ShardPlane::replay_wals(&spec, vec![backend], opts)
+            let (mut run, _) = ShardPlane::replay_wals(&spec, vec![backend])
                 .unwrap_or_else(|e| panic!("{what} must recover: {e}"));
             let mut stepped = Run::with_initial(run.spec_arc(), run.initial().clone());
             assert_parts_built(&stepped, &format!("{what}, empty"));
